@@ -140,23 +140,6 @@ fn bench_stab_probe(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threaded_statevector(c: &mut Criterion) {
-    let mut group = c.benchmark_group("backend_threads");
-    group.sample_size(10);
-    let circ = generators::qft(20, false);
-    for threads in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("qft20", threads),
-            &threads,
-            |b, &threads| {
-                let sim = Simulator::with_threads(threads);
-                b.iter(|| sim.run_basis(&circ, 3));
-            },
-        );
-    }
-    group.finish();
-}
-
 /// The tensor-network engine past the dense wall: one full equivalence
 /// probe per width on the GHZ ladder (bond dimension 2, so the default χ
 /// runs exactly) plus a T layer that keeps the pair non-Clifford — the
@@ -193,7 +176,6 @@ criterion_group!(
     bench_unstructured_circuits,
     bench_probe_backends,
     bench_stab_probe,
-    bench_mps_probe,
-    bench_threaded_statevector
+    bench_mps_probe
 );
 criterion_main!(benches);

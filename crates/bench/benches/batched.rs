@@ -36,8 +36,16 @@ fn bench_batched_probe(c: &mut Criterion) {
                     b.iter(|| {
                         let mut acc = qnum::Complex::ZERO;
                         for basis in 0..STIMULI {
-                            acc +=
-                                sim.probe_stimulus_with(&g, &g_prime, None, basis, &mut workspace);
+                            acc += sim
+                                .probe_stimulus_while(
+                                    &g,
+                                    &g_prime,
+                                    None,
+                                    basis,
+                                    &mut workspace,
+                                    &|| true,
+                                )
+                                .expect("uncancellable probe");
                         }
                         acc
                     });

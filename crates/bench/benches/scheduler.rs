@@ -1,4 +1,4 @@
-//! Scheduler benchmarks: the sequential flow against 2/4/8-worker pools
+//! Scheduler benchmarks: one worker against 2/4/8-worker pools
 //! (and the DD-racing portfolio) on an equivalent and a non-equivalent
 //! pair. Parallel speed-up on the simulation stage, cancellation payoff on
 //! the counterexample case.

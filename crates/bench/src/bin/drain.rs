@@ -14,8 +14,8 @@
 //!
 //! - `counterexample`: a faulty pair, no portfolio. The scheduler posts
 //!   `Cancelled { SimulationCounterexample }` only *after* the pool has
-//!   joined and the ordered replay has judged the overlaps
-//!   (`scheduler/mod.rs`), so the measured drain is just the return
+//!   joined (the judge reads the overlaps in stimulus order as they land;
+//!   `scheduler/mod.rs`), so the measured drain is just the return
 //!   epilogue and no late events can arrive.
 //! - `portfolio`: an equivalent pair with `portfolio` enabled. The
 //!   functional racer posts `Cancelled { FunctionalVerdict }` mid-flight

@@ -1,9 +1,10 @@
 //! Simulation backends: the engines that execute one equivalence probe.
 //!
-//! Every consumer of the simulation stage — the sequential flow
-//! ([`run_simulations`](crate::run_simulations)), the
-//! [`scheduler`](crate::scheduler) worker pool, counterexample replay in
-//! [`diagnose`](crate::diagnose), and the fault-injection
+//! Every consumer of the simulation stage — the
+//! [`scheduler`](crate::scheduler) workers that both
+//! [`check_equivalence`](crate::check_equivalence) and
+//! [`run_simulations`](crate::run_simulations) run, counterexample replay
+//! in [`diagnose`](crate::diagnose), and the fault-injection
 //! [`campaign`](crate::campaign) — drives probes through one trait,
 //! [`SimBackend`], and is therefore engine-agnostic. Four implementations
 //! ship:
@@ -28,7 +29,8 @@
 //!
 //! [`BackendKind::Auto`](crate::BackendKind::Auto) is not a fifth engine
 //! but a selector: [`auto_backend`] resolves it to one of the four from
-//! the register width and gate mix before any probe runs.
+//! the register width and gate mix before any probe runs. The flow builds
+//! the configured engine in one place, `with_engine`.
 //!
 //! # Contract
 //!
@@ -39,9 +41,9 @@
 //! to the freshly-constructed state before every probe, precisely because
 //! interned edge weights *would* otherwise depend on probe order (the
 //! reset is provably clean: pooled probes are bit-identical to
-//! fresh-package probes). This purity is what lets the
-//! scheduler replay pool results in stimulus order and reproduce the
-//! sequential verdict bit for bit, for either engine.
+//! fresh-package probes). This purity is what lets the scheduler's
+//! in-order judge reach the same verdict bit for bit at any worker count,
+//! on every engine.
 //!
 //! Cancellation granularity differs by engine and is part of the contract:
 //! the statevector backend polls `keep_going` between gate applications,
@@ -106,27 +108,28 @@ pub struct ProbeMetrics {
     pub truncation_error: f64,
 }
 
-/// One simulation engine, usable from the sequential flow and from worker
-/// pools alike.
+/// One simulation engine, shared by every worker of the flow's simulation
+/// stage.
 ///
 /// Implementations are shared by reference across scheduler workers, so
 /// they must be `Send + Sync`; all per-run mutable state lives in the
 /// per-thread [`Workspace`](SimBackend::Workspace).
 pub trait SimBackend: Send + Sync {
-    /// Per-thread scratch state: allocated once per worker (or once per
-    /// sequential loop), reused across every probe on that thread.
+    /// Per-thread scratch state: allocated once per worker, reused across
+    /// every probe on that thread.
     type Workspace: Send;
 
     /// The serializable selector naming this engine.
     fn kind(&self) -> BackendKind;
 
     /// Whether this engine can return approximate overlaps
-    /// ([`ProbeMetrics::truncation_error`] `> 0`). Scheduler workers must
-    /// not record a failure watermark for such engines: the per-run
-    /// mismatch predicate uses the unwidened tolerance, while the ordered
-    /// replay judges against a tolerance widened by the *cumulative*
-    /// truncation — a worker-side flag the judge then rejects would skip
-    /// simulations the sequential flow runs, breaking determinism.
+    /// ([`ProbeMetrics::truncation_error`] `> 0`). On an exact engine a
+    /// scheduler worker flags a failing probe the moment it returns, with
+    /// the judge's per-run predicate. On a truncating one it must not: the
+    /// judge decides each run against a tolerance widened by the truncation
+    /// accumulated over every earlier stimulus, so an early flag the judge
+    /// then rejects would skip stimuli a single worker probes, breaking
+    /// determinism.
     fn can_truncate(&self) -> bool {
         false
     }
@@ -244,7 +247,7 @@ pub struct StatevectorBackend {
 }
 
 impl StatevectorBackend {
-    /// A backend running its kernels sequentially.
+    /// A backend whose kernels run on the calling thread.
     #[must_use]
     pub fn new() -> Self {
         StatevectorBackend {
@@ -252,39 +255,12 @@ impl StatevectorBackend {
         }
     }
 
-    /// A backend splitting large kernels over `threads` OS threads — for
-    /// the *sequential* flow, where the probe itself is the only
-    /// parallelism available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
+    /// The backend the flow derives from its configuration. The dense
+    /// engine has no tunables — the flow's only parallelism is its worker
+    /// threads, one probe each — so this is [`StatevectorBackend::new`].
     #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        StatevectorBackend {
-            sim: Simulator::with_threads(threads),
-        }
-    }
-
-    /// A backend for use *inside* scheduler workers: kernels stay
-    /// sequential so an `N`-worker pool uses exactly `N` OS threads.
-    #[must_use]
-    pub fn for_worker() -> Self {
-        StatevectorBackend {
-            sim: Simulator::for_worker(),
-        }
-    }
-
-    /// The backend the sequential flow derives from its configuration:
-    /// kernel-parallel when `config.threads > 1` (the probe is then the
-    /// only parallelism), sequential otherwise.
-    #[must_use]
-    pub fn for_flow(config: &Config) -> Self {
-        if config.threads > 1 {
-            StatevectorBackend::with_threads(config.threads)
-        } else {
-            StatevectorBackend::new()
-        }
+    pub fn for_flow(_config: &Config) -> Self {
+        StatevectorBackend::new()
     }
 }
 
@@ -540,7 +516,7 @@ impl Default for StabBackend {
 }
 
 impl StabBackend {
-    /// A backend whose dense fallback runs its kernels sequentially.
+    /// A backend with the tableau fast path enabled.
     #[must_use]
     pub fn new() -> Self {
         StabBackend {
@@ -549,37 +525,13 @@ impl StabBackend {
         }
     }
 
-    /// A backend for use *inside* scheduler workers: the dense fallback
-    /// stays sequential so an `N`-worker pool uses exactly `N` OS threads.
-    #[must_use]
-    pub fn for_worker() -> Self {
-        StabBackend {
-            dense: StatevectorBackend::for_worker(),
-            tableau_enabled: true,
-        }
-    }
-
-    /// The backend a scheduler worker derives from the flow configuration:
-    /// [`StabBackend::for_worker`]'s sequential dense fallback combined
-    /// with [`StabBackend::for_flow`]'s criterion gating of the tableau
-    /// fast path.
-    #[must_use]
-    pub fn for_scheduled(config: &Config) -> Self {
-        StabBackend {
-            dense: StatevectorBackend::for_worker(),
-            tableau_enabled: matches!(config.criterion, Criterion::UpToGlobalPhase),
-        }
-    }
-
-    /// The backend the sequential flow derives from its configuration: the
-    /// dense fallback follows [`StatevectorBackend::for_flow`], and the
-    /// tableau fast path is enabled only under
-    /// [`Criterion::UpToGlobalPhase`] (see the type docs for why `Strict`
-    /// must run dense).
+    /// The backend the flow derives from its configuration: the tableau
+    /// fast path is enabled only under [`Criterion::UpToGlobalPhase`] (see
+    /// the type docs for why `Strict` must run dense).
     #[must_use]
     pub fn for_flow(config: &Config) -> Self {
         StabBackend {
-            dense: StatevectorBackend::for_flow(config),
+            dense: StatevectorBackend::new(),
             tableau_enabled: matches!(config.criterion, Criterion::UpToGlobalPhase),
         }
     }
@@ -899,6 +851,43 @@ impl SimBackend for MpsBackend {
 #[must_use]
 pub fn dd_for_flow(config: &Config) -> qdd::DdBackend {
     qdd::DdBackend::with_node_limit(config.dd_node_limit)
+}
+
+/// A check generic over the probe engine, run by [`with_engine`] on the
+/// engine a configuration names.
+pub(crate) trait EngineTask {
+    /// What the check returns.
+    type Output;
+
+    /// Checks `g` against `g_prime` on `backend`.
+    fn run<B: SimBackend>(
+        backend: &B,
+        g: &Circuit,
+        g_prime: &Circuit,
+        config: &Config,
+    ) -> Self::Output;
+}
+
+/// Builds the engine `config.backend` names, configured by `config`, and
+/// runs `T` on it — the flow's one `BackendKind → engine` dispatch.
+///
+/// # Panics
+///
+/// Panics on [`BackendKind::Auto`]; the flow resolves it first.
+pub(crate) fn with_engine<T: EngineTask>(
+    g: &Circuit,
+    g_prime: &Circuit,
+    config: &Config,
+) -> T::Output {
+    match config.backend {
+        BackendKind::Statevector => {
+            T::run(&StatevectorBackend::for_flow(config), g, g_prime, config)
+        }
+        BackendKind::DecisionDiagram => T::run(&dd_for_flow(config), g, g_prime, config),
+        BackendKind::Stab => T::run(&StabBackend::for_flow(config), g, g_prime, config),
+        BackendKind::Mps => T::run(&MpsBackend::for_flow(config), g, g_prime, config),
+        BackendKind::Auto => unreachable!("BackendKind::Auto is resolved before dispatch"),
+    }
 }
 
 /// Resolves [`BackendKind::Auto`] from the register width and gate mix of

@@ -159,7 +159,7 @@ pub struct CampaignConfig {
     pub compose: usize,
     /// Random basis-state simulations `r` per equivalence check.
     pub simulations: usize,
-    /// Worker threads for the checking flow (≥ 2 exercises the scheduler).
+    /// Simulation workers per check ([`Config::threads`]).
     pub threads: usize,
     /// Worker threads at the *trial* level: (benchmark × class × trial)
     /// cells are fanned across this many workers. Every trial is a pure

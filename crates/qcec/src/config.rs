@@ -215,13 +215,13 @@ pub struct Config {
     pub fallback: Fallback,
     /// How stimulus basis states are chosen.
     pub stimuli: StimulusStrategy,
-    /// Worker threads for the flow. With `1` (the default) everything runs
-    /// sequentially on the calling thread; with more, [`check_equivalence`]
-    /// (crate::check_equivalence) fans the stimuli across a
-    /// [`scheduler`](crate::scheduler) pool of this many workers (the
-    /// verdict stays deterministic per seed). When [`run_simulations`]
-    /// (crate::run_simulations) is called directly, this is instead the
-    /// statevector backend's kernel thread count.
+    /// Simulation workers for the flow:
+    /// [`check_equivalence`](crate::check_equivalence) and
+    /// [`run_simulations`](crate::run_simulations) fan the stimuli across
+    /// this many [`scheduler`](crate::scheduler) workers, the calling
+    /// thread being one of them — so `1` (the default) spawns no thread at
+    /// all. The verdict is deterministic per seed at any count; workers
+    /// are the flow's only parallelism (every probe runs on one thread).
     pub threads: usize,
     /// Wall-clock budget for the *complete* check (the simulations are
     /// never aborted; they are the cheap part). `None` = unbounded.
@@ -235,11 +235,12 @@ pub struct Config {
     /// the flow reports the accumulated error and never claims plain
     /// equivalence.
     pub chi_max: usize,
-    /// Portfolio mode: with `threads > 1`, race the complete DD check
-    /// against the simulation pool instead of running it afterwards —
-    /// first definitive verdict wins. The verdict *class* is unchanged,
-    /// but whether a non-equivalence comes with a simulation
-    /// counterexample may then depend on which side wins the race.
+    /// Portfolio mode: with `threads > 1`, race the complete DD check on
+    /// one more thread against the simulation workers instead of running
+    /// it afterwards — first definitive verdict wins. No effect with
+    /// `threads == 1`. The verdict *class* is unchanged, but whether a
+    /// non-equivalence comes with a simulation counterexample may then
+    /// depend on which side wins the race.
     pub portfolio: bool,
     /// Clifford peeling: before any simulation or complete check, strip
     /// the longest common prefix and suffix of *canonically identical
@@ -268,10 +269,11 @@ pub struct Config {
     /// DD sizes — proportional (the default) reproduces the historical
     /// behaviour bit for bit.
     pub scheme: ApplicationScheme,
-    /// Receiver for the scheduler's [`RunEvent`](crate::scheduler::RunEvent)s
-    /// (per-stage timings, per-simulation outcomes, cancellations).
-    /// `None` = discard. Only the scheduled path (`threads > 1`) and the
-    /// pipeline driver emit events.
+    /// Receiver for the flow's [`RunEvent`](crate::scheduler::RunEvent)s
+    /// (per-stage timings, per-simulation outcomes, cancellations, the
+    /// `Auto` pick). `None` = discard. Every check emits them, at any
+    /// thread count, as do [`run_simulations`](crate::run_simulations)
+    /// and the pipeline driver.
     pub event_sink: Option<Arc<dyn EventSink>>,
 }
 
@@ -473,8 +475,9 @@ impl Config {
         self
     }
 
-    /// Installs an event sink receiving the scheduler's structured
-    /// [`RunEvent`](crate::scheduler::RunEvent)s.
+    /// Installs an event sink receiving the flow's structured
+    /// [`RunEvent`](crate::scheduler::RunEvent)s (see
+    /// [`Config::event_sink`]).
     #[must_use]
     pub fn with_event_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
         self.event_sink = Some(sink);

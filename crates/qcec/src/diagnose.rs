@@ -11,6 +11,7 @@ use qnum::Complex;
 
 use crate::backend::{dd_for_flow, SimBackend, StabBackend, StatevectorBackend};
 use crate::config::{BackendKind, Config};
+use crate::flow::resolve_auto;
 use crate::outcome::Counterexample;
 
 /// One disagreeing output amplitude.
@@ -110,22 +111,20 @@ pub fn explain_for(
     top: usize,
     config: &Config,
 ) -> Result<Diagnosis, qdd::DdLimitError> {
+    let config = resolve_auto(g, g_prime, config);
     match config.backend {
         BackendKind::Statevector => explain_on(&StatevectorBackend::new(), g, g_prime, ce, top),
-        BackendKind::DecisionDiagram => explain_on(&dd_for_flow(config), g, g_prime, ce, top),
+        BackendKind::DecisionDiagram => explain_on(&dd_for_flow(&config), g, g_prime, ce, top),
         // The stab engine replays densely anyway; use its fallback directly.
         BackendKind::Stab => explain_on(&StabBackend::new(), g, g_prime, ce, top),
         BackendKind::Mps => explain_on(
-            &crate::backend::MpsBackend::for_flow(config),
+            &crate::backend::MpsBackend::for_flow(&config),
             g,
             g_prime,
             ce,
             top,
         ),
-        BackendKind::Auto => {
-            let resolved = crate::backend::auto_backend(g, g_prime);
-            explain_for(g, g_prime, ce, top, &config.clone().with_backend(resolved))
-        }
+        BackendKind::Auto => unreachable!("resolved above"),
     }
 }
 

@@ -1,14 +1,14 @@
 //! The proposed equivalence checking flow (paper Fig. 3).
 
+use std::borrow::Cow;
 use std::fmt;
-use std::time::Instant;
 
 use qcirc::Circuit;
 
+use crate::backend::auto_backend;
 use crate::config::{BackendKind, Config};
-use crate::functional::{run_functional_check, AbortKind, FunctionalVerdict};
-use crate::outcome::{AbortReason, FlowResult, FlowStats, Outcome};
-use crate::sim_check::{run_simulations, SimVerdict};
+use crate::outcome::FlowResult;
+use crate::scheduler::{run_scheduled, RunEvent};
 
 /// Error returned when the inputs cannot be compared at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,11 +59,11 @@ impl std::error::Error for FlowError {}
 ///    unlike the state of the art's bare timeout, the `r` agreeing
 ///    simulations make an actual error very unlikely.
 ///
-/// With `config.threads > 1` the flow runs on the
-/// [`scheduler`](crate::scheduler): the stimuli fan out across a worker
-/// pool (and, with [`Config::with_portfolio`], the complete check races
-/// the pool). The verdict stays deterministic per seed; with `threads ==
-/// 1` this sequential code path runs unchanged.
+/// The flow runs on the [`scheduler`](crate::scheduler): the stimuli fan
+/// out across `config.threads` workers, the calling thread being one of
+/// them (and, with [`Config::with_portfolio`] and `threads > 1`, the
+/// complete check races the pool). The verdict is deterministic per seed
+/// at any thread count.
 ///
 /// # Errors
 ///
@@ -94,99 +94,39 @@ pub fn check_equivalence(
             right: g_prime.n_qubits(),
         });
     }
-
-    if config.backend == BackendKind::Auto {
-        // Resolve the selector once, up front, so every stage below —
-        // simulations, scheduler workers, the complete check — sees one
-        // concrete engine, and the choice is visible in the event stream.
-        let resolved = crate::backend::auto_backend(g, g_prime);
-        if let Some(sink) = &config.event_sink {
-            sink.record(crate::scheduler::RunEvent::BackendSelected { backend: resolved });
-        }
-        return check_equivalence(g, g_prime, &config.clone().with_backend(resolved));
-    }
-
+    // Resolve the selector once, up front and on the pair as given, so
+    // every stage below — simulations, workers, the complete check — sees
+    // one concrete engine, and the choice is visible in the event stream.
+    let config = resolve_auto(g, g_prime, config);
     if config.peel {
         // Strip the shared Clifford rim once, then run the whole flow —
         // simulations and complete check alike — on the residual pair
-        // (sound under both criteria; see the `peel` module docs). The
-        // recursion is bounded: the inner call has peeling disabled.
+        // (sound under both criteria; see the `peel` module docs).
         let peeled = crate::peel::peel(g, g_prime);
         if peeled.stripped() > 0 {
-            let inner = config.clone().with_peel(false);
-            return check_equivalence(&peeled.g, &peeled.g_prime, &inner);
+            return run_scheduled(&peeled.g, &peeled.g_prime, &config);
         }
     }
+    run_scheduled(g, g_prime, &config)
+}
 
-    if config.threads > 1 {
-        return crate::scheduler::run_scheduled(g, g_prime, config);
+/// `config` with [`BackendKind::Auto`] replaced by the engine
+/// [`auto_backend`] picks for the pair, the pick reported to the event
+/// sink as [`RunEvent::BackendSelected`]; a concrete backend passes
+/// through untouched (and unreported). The one place `Auto` is resolved.
+pub(crate) fn resolve_auto<'c>(
+    g: &Circuit,
+    g_prime: &Circuit,
+    config: &'c Config,
+) -> Cow<'c, Config> {
+    if config.backend != BackendKind::Auto {
+        return Cow::Borrowed(config);
     }
-
-    // Stage 1: random basis-state simulations.
-    let sim_start = Instant::now();
-    let sim_verdict =
-        run_simulations(g, g_prime, config).map_err(|e| FlowError::SimulationOverflow {
-            node_limit: e.node_limit,
-        })?;
-    let simulation_time = sim_start.elapsed();
-
-    match sim_verdict {
-        SimVerdict::CounterexampleFound(ce) => {
-            let decisive_run = ce.run;
-            Ok(FlowResult {
-                outcome: Outcome::NotEquivalent {
-                    counterexample: Some(ce),
-                },
-                stats: FlowStats {
-                    simulations_run: decisive_run,
-                    simulation_time,
-                    functional_time: Default::default(),
-                },
-            })
-        }
-        SimVerdict::AllAgreed {
-            runs,
-            truncation_error,
-        } => {
-            // Stage 2: complete check.
-            let ec_start = Instant::now();
-            let verdict = run_functional_check(g, g_prime, config);
-            let functional_time = ec_start.elapsed();
-            let stats = FlowStats {
-                simulations_run: runs,
-                simulation_time,
-                functional_time,
-            };
-            let outcome = match verdict {
-                // An exact complete check is a proof regardless of how the
-                // (stage-1) simulations were judged: it never saw their
-                // truncated overlaps.
-                FunctionalVerdict::Equivalent => Outcome::Equivalent,
-                FunctionalVerdict::EquivalentUpToGlobalPhase { phase } => {
-                    Outcome::EquivalentUpToGlobalPhase { phase }
-                }
-                FunctionalVerdict::NotEquivalent => Outcome::NotEquivalent {
-                    counterexample: None,
-                },
-                // With no complete check configured, truncated simulations
-                // are the *only* evidence — surface the accumulated error
-                // instead of the bare "no fallback" notice.
-                FunctionalVerdict::Aborted(AbortKind::Disabled) if truncation_error > 0.0 => {
-                    Outcome::ProbablyEquivalent {
-                        passed_simulations: runs,
-                        abort: AbortReason::Truncation {
-                            error: truncation_error,
-                        },
-                    }
-                }
-                FunctionalVerdict::Aborted(kind) => Outcome::ProbablyEquivalent {
-                    passed_simulations: runs,
-                    abort: kind.into(),
-                },
-            };
-            Ok(FlowResult { outcome, stats })
-        }
+    let backend = auto_backend(g, g_prime);
+    if let Some(sink) = &config.event_sink {
+        sink.record(RunEvent::BackendSelected { backend });
     }
+    Cow::Owned(config.clone().with_backend(backend))
 }
 
 /// Convenience wrapper with the default configuration.
@@ -202,7 +142,7 @@ pub fn check_equivalence_default(g: &Circuit, g_prime: &Circuit) -> Result<FlowR
 mod tests {
     use super::*;
     use crate::config::Fallback;
-    use crate::outcome::AbortReason;
+    use crate::outcome::{AbortReason, Outcome};
     use qcirc::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -539,8 +539,9 @@ impl StageTimings {
             o.int("auto_selections", self.auto_selections as u64);
         }
         if self.batches_finished > 0 {
-            // Also conditional: summaries from unscheduled (sequential,
-            // batch=1) runs stay byte-identical to pre-batching goldens.
+            // Also conditional: every probing run emits batch events, so
+            // only summaries without any (cache hits, hand-built totals)
+            // omit the counters, as they did before batching existed.
             o.int("batches", self.batches_finished as u64)
                 .int("batch_slots_claimed", self.batch_slots_claimed as u64)
                 .int("batch_slots_probed", self.batch_slots_probed as u64);

@@ -1,14 +1,17 @@
-//! Parallel orchestration of the equivalence checking flow.
+//! The one flow path: the simulation stage on a pool of worker threads,
+//! then (or, in portfolio mode, racing it) the complete check.
 //!
 //! The paper's flow is embarrassingly parallel in its first stage: the `r`
 //! random basis-state simulations are independent, and the *first*
-//! counterexample ends the whole run. This module fans the pre-drawn
-//! stimuli across a pool of scoped worker threads
-//! ([`Config::with_threads`](crate::Config::with_threads)) and — in
-//! *portfolio* mode
-//! ([`Config::with_portfolio`](crate::Config::with_portfolio)) — races the
-//! complete decision-diagram check against the pool, first definitive
-//! verdict wins.
+//! counterexample ends the whole run. Every check runs through this
+//! module — [`check_equivalence`](crate::check_equivalence) and
+//! [`run_simulations`](crate::run_simulations) alike. The pre-drawn
+//! stimuli fan out across [`Config::threads`](crate::Config::threads)
+//! workers: the calling thread always runs worker 0 and `threads − 1` more
+//! are spawned, so `threads == 1` spawns nothing. In *portfolio* mode
+//! ([`Config::with_portfolio`](crate::Config::with_portfolio), with
+//! `threads > 1`) one more thread races the complete decision-diagram
+//! check against the pool, first definitive verdict wins.
 //!
 //! # Determinism
 //!
@@ -20,18 +23,16 @@
 //! * workers claim stimulus indices **in order** from a shared counter,
 //!   and the [`CancelToken`] only abandons runs *above* the lowest failing
 //!   index — every run up to the decisive one always completes;
-//! * the orchestrator ignores completion order and replays the collected
-//!   overlaps **in stimulus order** through the same judge as the
-//!   sequential flow, so the reported counterexample is always the one the
-//!   sequential flow would have found.
+//! * the flow's judge observes the overlaps **in stimulus order** as they
+//!   land, and the first counterexample it reaches sets the watermark, so
+//!   the reported counterexample is always the earliest failing stimulus;
+//! * a decision-diagram node-budget overflow decides the stage only when
+//!   no stimulus before it fails: a counterexample at a lower index wins.
 //!
 //! What *is* scheduling-dependent is how many superseded runs were already
 //! in flight when the counterexample appeared — visible only through the
 //! [`EventSink`] (and, in portfolio mode, whether the DD racer or the pool
 //! produced the verdict first; see `with_portfolio` for the caveats).
-//!
-//! With `threads == 1` the flow does not use this module at all; the
-//! sequential code path (and its exact `FlowResult`) is preserved.
 
 mod cancel;
 mod events;
@@ -45,66 +46,63 @@ use std::time::{Duration, Instant};
 
 use qcirc::Circuit;
 
-use crate::backend::{
-    auto_backend, dd_for_flow, MpsBackend, SimBackend, StabBackend, StatevectorBackend,
-};
-use crate::config::{BackendKind, Config, Fallback};
-use crate::flow::FlowError;
+use crate::backend::{with_engine, EngineTask, SimBackend};
+use crate::config::{Config, Fallback};
+use crate::flow::{resolve_auto, FlowError};
 use crate::functional::{
     run_functional_check, run_functional_check_cancellable, AbortKind, FunctionalVerdict,
 };
-use crate::outcome::{AbortReason, Counterexample, FlowResult, FlowStats, Outcome};
-use crate::sim_check::{draw_stimuli, Judge};
+use crate::outcome::{AbortReason, FlowResult, FlowStats, Outcome};
+use crate::sim_check::{draw_stimuli, SimVerdict};
 
-/// Runs the full flow (simulate, then complete check) on a worker pool of
-/// `config.threads` threads, plus one racer thread in portfolio mode.
+/// Runs the full flow (simulate, then complete check) on the engine
+/// `config.backend` names, resolving [`BackendKind::Auto`] first.
 ///
-/// [`check_equivalence`](crate::check_equivalence) calls this
-/// automatically when `config.threads > 1`; calling it directly with
-/// `threads == 1` is permitted (one worker, same verdict) but pointless.
+/// [`check_equivalence`](crate::check_equivalence) calls this after
+/// resolving `Auto` and peeling; calling it directly skips peeling.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError`] if the circuits' qubit counts differ, or if the
 /// decision-diagram *simulation* backend overflows its node budget.
+///
+/// [`BackendKind::Auto`]: crate::BackendKind::Auto
 pub fn run_scheduled(
     g: &Circuit,
     g_prime: &Circuit,
     config: &Config,
 ) -> Result<FlowResult, FlowError> {
-    match config.backend {
-        BackendKind::Statevector => {
-            // Per-worker kernels stay single-threaded: the pool already
-            // parallelises across stimuli, so total threads = worker count.
-            run_scheduled_on(&StatevectorBackend::for_worker(), g, g_prime, config)
-        }
-        BackendKind::DecisionDiagram => run_scheduled_on(&dd_for_flow(config), g, g_prime, config),
-        BackendKind::Stab => {
-            // The stab engine's dense fallback stays sequential inside
-            // each worker; the tableau fast path is gated on the
-            // criterion exactly as in the sequential flow.
-            run_scheduled_on(&StabBackend::for_scheduled(config), g, g_prime, config)
-        }
-        BackendKind::Mps => run_scheduled_on(&MpsBackend::for_flow(config), g, g_prime, config),
-        BackendKind::Auto => {
-            // Normally resolved by `check_equivalence` before scheduling;
-            // resolve here too so direct callers get the same behaviour.
-            let resolved = auto_backend(g, g_prime);
-            if let Some(sink) = &config.event_sink {
-                sink.record(RunEvent::BackendSelected { backend: resolved });
-            }
-            run_scheduled(g, g_prime, &config.clone().with_backend(resolved))
-        }
+    with_engine::<Scheduled>(g, g_prime, &resolve_auto(g, g_prime, config))
+}
+
+/// [`run_scheduled_on`] as an [`EngineTask`].
+struct Scheduled;
+
+impl EngineTask for Scheduled {
+    type Output = Result<FlowResult, FlowError>;
+
+    fn run<B: SimBackend>(
+        backend: &B,
+        g: &Circuit,
+        g_prime: &Circuit,
+        config: &Config,
+    ) -> Self::Output {
+        run_scheduled_on(backend, g, g_prime, config)
     }
 }
 
-/// The backend-generic body of [`run_scheduled`]: same pool, same
-/// determinism contract, probe engine injected as any [`SimBackend`].
+/// The backend-generic body of [`run_scheduled`]: the simulation stage on
+/// `config.threads` workers (worker 0 on the calling thread) with the
+/// probe engine injected as any [`SimBackend`], then the complete check —
+/// raced against the stage on one more thread when `config.portfolio` is
+/// set and `threads > 1`. Emits [`RunEvent`]s for both stages to
+/// `config.event_sink`.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError`] if the circuits' qubit counts differ, or if the
-/// backend overflows its node budget.
+/// backend overflows its node budget before any stimulus proves
+/// non-equivalence.
 pub fn run_scheduled_on<B: SimBackend>(
     backend: &B,
     g: &Circuit,
@@ -117,49 +115,18 @@ pub fn run_scheduled_on<B: SimBackend>(
             right: g_prime.n_qubits(),
         });
     }
-
-    let sink_arc: Arc<dyn EventSink> = config
-        .event_sink
-        .clone()
-        .unwrap_or_else(|| Arc::new(NullSink));
-    let sink: &dyn EventSink = sink_arc.as_ref();
-
-    // Pre-draw every stimulus so the RNG stream is scheduling-independent.
-    let stimuli = draw_stimuli(g.n_qubits(), config);
+    let sink = event_sink(config);
+    let sink = sink.as_ref();
     let token = CancelToken::new();
-    let ctx = worker::SchedulerContext::new(g, g_prime, config, backend, &stimuli, &token, sink);
-    let workers = config.threads.max(1);
     // Racing a disabled fallback would only reproduce the instant
     // "aborted: disabled" answer; skip the extra thread.
-    let race_functional = config.portfolio && config.fallback != Fallback::None;
+    let race = config.portfolio && config.threads > 1 && config.fallback != Fallback::None;
 
-    sink.record(RunEvent::StageStarted {
-        stage: Stage::Simulation,
-    });
     let sim_start = Instant::now();
-
-    let mut pool_error: Option<qdd::DdLimitError> = None;
-    let mut sim_ce: Option<Counterexample> = None;
-    let mut sim_truncation = 0.0f64;
-    let mut sims_completed = 0usize;
-    let mut simulation_time = Duration::ZERO;
-    // `Some((verdict, wall_time))` once the racer has been joined;
-    // `verdict == None` means it was cancelled.
-    let mut racer_result: Option<(Option<FunctionalVerdict>, Duration)> = None;
-    // Set by the racer on a definitive verdict. The `Cancelled` event
-    // itself is emitted by this (orchestrator) thread only after every
-    // worker has been joined — the drain-then-count protocol: workers
-    // drain all remaining stimulus indices (emitting `SimulationAborted`
-    // per claim) *before* the cancellation marker lands in the stream, so
-    // sinks always observe `finished + aborted == r` ahead of the
-    // `Cancelled` event, regardless of scheduling.
-    let functional_won = std::sync::atomic::AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| scope.spawn(|| worker::run_worker(&ctx)))
-            .collect();
-        let racer = race_functional.then(|| {
+    // `raced` is `Some((verdict, wall_time))` once the racer has been
+    // joined; `verdict == None` means it was cancelled.
+    let (simulated, simulation_time, raced) = std::thread::scope(|scope| {
+        let racer = race.then(|| {
             sink.record(RunEvent::StageStarted {
                 stage: Stage::Functional,
             });
@@ -177,92 +144,51 @@ pub fn run_scheduled_on<B: SimBackend>(
                 ) {
                     // A definitive answer makes the remaining runs moot.
                     token.halt_simulations();
-                    functional_won.store(true, std::sync::atomic::Ordering::Release);
                 }
                 (verdict, start.elapsed())
             })
         });
-
-        for handle in handles {
-            if let Err(e) = handle.join().expect("simulation worker panicked") {
-                pool_error = Some(e);
-            }
-        }
-        if functional_won.load(std::sync::atomic::Ordering::Acquire) {
-            sink.record(RunEvent::Cancelled {
-                cause: CancelCause::FunctionalVerdict,
-            });
-        }
-        simulation_time = sim_start.elapsed();
-        sink.record(RunEvent::StageFinished {
-            stage: Stage::Simulation,
-            wall_time: simulation_time,
-        });
-
-        // Replay the overlaps in stimulus order through the sequential
-        // judge. The contiguous completed prefix is exactly what the
-        // sequential flow would have seen before stopping.
-        {
-            let results = ctx.results.lock().unwrap();
-            let mut judge = Judge::new(config);
-            for (i, slot) in results.iter().enumerate() {
-                let Some((overlap, truncation)) = slot else {
-                    break;
-                };
-                if let Some(ce) = judge.observe(*overlap, *truncation, &stimuli[i], i + 1) {
-                    sim_ce = Some(ce);
-                    break;
-                }
-            }
-            sim_truncation = judge.truncation_error();
-            sims_completed = results.iter().filter(|s| s.is_some()).count();
-        }
-        if pool_error.is_some() || sim_ce.is_some() {
-            // Either way the racer's answer can no longer matter.
-            token.cancel_functional();
-            if sim_ce.is_some() {
-                sink.record(RunEvent::Cancelled {
-                    cause: CancelCause::SimulationCounterexample,
-                });
-            }
-        }
-
-        if let Some(racer) = racer {
+        let simulated = simulate(backend, g, g_prime, config, &token);
+        let simulation_time = sim_start.elapsed();
+        let raced = racer.map(|racer| {
             let (verdict, wall_time) = racer.join().expect("functional racer panicked");
             sink.record(RunEvent::StageFinished {
                 stage: Stage::Functional,
                 wall_time,
             });
-            racer_result = Some((verdict, wall_time));
-        }
+            (verdict, wall_time)
+        });
+        (simulated, simulation_time, raced)
     });
 
-    if let Some(e) = pool_error {
-        return Err(FlowError::SimulationOverflow {
-            node_limit: e.node_limit,
-        });
-    }
-
-    if let Some(ce) = sim_ce {
-        // Simulation found a witness; a concurrent functional verdict (if
-        // any) necessarily agrees on non-equivalence, so prefer the
-        // counterexample — it is the more useful answer.
-        let functional_time = racer_result.map_or(Duration::ZERO, |(_, t)| t);
-        let decisive_run = ce.run;
-        return Ok(FlowResult {
-            outcome: Outcome::NotEquivalent {
-                counterexample: Some(ce),
-            },
-            stats: FlowStats {
-                simulations_run: decisive_run,
-                simulation_time,
-                functional_time,
-            },
-        });
-    }
+    let simulated = simulated.map_err(|e| FlowError::SimulationOverflow {
+        node_limit: e.node_limit,
+    })?;
+    let (runs, truncation_error) = match simulated {
+        SimVerdict::CounterexampleFound(ce) => {
+            // A concurrent functional verdict (if any) necessarily agrees
+            // on non-equivalence; the counterexample is the more useful
+            // answer.
+            let decisive_run = ce.run;
+            return Ok(FlowResult {
+                outcome: Outcome::NotEquivalent {
+                    counterexample: Some(ce),
+                },
+                stats: FlowStats {
+                    simulations_run: decisive_run,
+                    simulation_time,
+                    functional_time: raced.map_or(Duration::ZERO, |(_, t)| t),
+                },
+            });
+        }
+        SimVerdict::AllAgreed {
+            runs,
+            truncation_error,
+        } => (runs, truncation_error),
+    };
 
     // All completed simulations agreed: the complete check decides.
-    let (verdict, functional_time) = match racer_result {
+    let (verdict, functional_time) = match raced {
         Some((verdict, wall_time)) => {
             let verdict = verdict
                 .expect("the functional racer is only cancelled after a simulation counterexample");
@@ -284,6 +210,8 @@ pub fn run_scheduled_on<B: SimBackend>(
     };
 
     let outcome = match verdict {
+        // An exact complete check is a proof regardless of how the
+        // simulations were judged: it never saw their truncated overlaps.
         FunctionalVerdict::Equivalent => Outcome::Equivalent,
         FunctionalVerdict::EquivalentUpToGlobalPhase { phase } => {
             Outcome::EquivalentUpToGlobalPhase { phase }
@@ -291,30 +219,98 @@ pub fn run_scheduled_on<B: SimBackend>(
         FunctionalVerdict::NotEquivalent => Outcome::NotEquivalent {
             counterexample: None,
         },
-        // Mirrors the sequential flow: with no complete check configured,
-        // truncated simulations surface the accumulated error instead of
-        // the bare "no fallback" notice.
-        FunctionalVerdict::Aborted(AbortKind::Disabled) if sim_truncation > 0.0 => {
+        // With no complete check configured, truncated simulations are the
+        // *only* evidence — surface the accumulated error instead of the
+        // bare "no fallback" notice.
+        FunctionalVerdict::Aborted(AbortKind::Disabled) if truncation_error > 0.0 => {
             Outcome::ProbablyEquivalent {
-                passed_simulations: sims_completed,
+                passed_simulations: runs,
                 abort: AbortReason::Truncation {
-                    error: sim_truncation,
+                    error: truncation_error,
                 },
             }
         }
         FunctionalVerdict::Aborted(kind) => Outcome::ProbablyEquivalent {
-            passed_simulations: sims_completed,
+            passed_simulations: runs,
             abort: kind.into(),
         },
     };
     Ok(FlowResult {
         outcome,
         stats: FlowStats {
-            simulations_run: sims_completed,
+            simulations_run: runs,
             simulation_time,
             functional_time,
         },
     })
+}
+
+/// The sink events go to: the configured one, or a [`NullSink`].
+fn event_sink(config: &Config) -> Arc<dyn EventSink> {
+    config
+        .event_sink
+        .clone()
+        .unwrap_or_else(|| Arc::new(NullSink))
+}
+
+/// The flow's simulation stage: draws the stimuli, probes them on
+/// `config.threads` workers — worker 0 on the calling thread — and returns
+/// the in-order judge's verdict. `token` is shared with the functional
+/// racer, if any.
+///
+/// Every worker has returned before the stage records its `Cancelled`
+/// events (drain-then-count), so a sink sees every finished or aborted
+/// simulation ahead of the cancellation marker.
+///
+/// # Errors
+///
+/// Returns [`qdd::DdLimitError`] if the backend overflows its node budget
+/// and no stimulus before the overflow proves non-equivalence.
+pub(crate) fn simulate<B: SimBackend>(
+    backend: &B,
+    g: &Circuit,
+    g_prime: &Circuit,
+    config: &Config,
+    token: &CancelToken,
+) -> Result<SimVerdict, qdd::DdLimitError> {
+    let sink = event_sink(config);
+    let sink = sink.as_ref();
+    sink.record(RunEvent::StageStarted {
+        stage: Stage::Simulation,
+    });
+    let start = Instant::now();
+    let stimuli = draw_stimuli(g.n_qubits(), config);
+    let ctx = worker::SchedulerContext::new(g, g_prime, config, backend, &stimuli, token, sink);
+    let pool = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..config.threads)
+            .map(|_| scope.spawn(|| worker::run_worker(&ctx)))
+            .collect();
+        let inline = worker::run_worker(&ctx);
+        spawned.into_iter().fold(inline, |pool, worker| {
+            pool.and(worker.join().expect("simulation worker panicked"))
+        })
+    });
+    if token.simulations_halted() {
+        sink.record(RunEvent::Cancelled {
+            cause: CancelCause::FunctionalVerdict,
+        });
+    }
+    let verdict = ctx.into_verdict();
+    if matches!(verdict, SimVerdict::CounterexampleFound(_)) {
+        sink.record(RunEvent::Cancelled {
+            cause: CancelCause::SimulationCounterexample,
+        });
+    }
+    sink.record(RunEvent::StageFinished {
+        stage: Stage::Simulation,
+        wall_time: start.elapsed(),
+    });
+    match (verdict, pool) {
+        // The judge never passes an overflowed slot, so an overflow only
+        // loses to a counterexample at a lower index.
+        (SimVerdict::AllAgreed { .. }, Err(e)) => Err(e),
+        (verdict, _) => Ok(verdict),
+    }
 }
 
 #[cfg(test)]

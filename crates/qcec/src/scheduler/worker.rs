@@ -1,12 +1,21 @@
-//! The simulation worker: claims stimuli in index order and probes them.
+//! The simulation worker: claims stimuli in index order, probes them, and
+//! judges the completed prefix as results land.
 //!
 //! Workers share an atomic claim counter, so every stimulus index is
 //! processed by exactly one worker and claiming follows stimulus order.
-//! Combined with the [`CancelToken`](super::cancel::CancelToken)'s
-//! watermark rule — a run is only abandoned for indices *above* the lowest
-//! known failure — this guarantees that every stimulus up to and including
-//! the decisive one completes, which is what lets the orchestrator replay
-//! the overlaps in order and reproduce the sequential verdict exactly.
+//! After each probe the worker publishes its overlaps and walks the flow's
+//! [`Judge`] over the newly completed prefix, in stimulus order, under the
+//! results lock; the first counterexample the judge reaches lowers the
+//! [`CancelToken`](super::cancel::CancelToken)'s watermark. A run is only
+//! abandoned for indices *above* the lowest known failure, so every
+//! stimulus up to and including the decisive one completes and the judge
+//! reaches the verdict a single worker reaches, at any worker count.
+//!
+//! Two watermarks are set before the judge gets there, and both only
+//! prune work the judge would never read: on exact engines a worker lowers
+//! the watermark the moment a probe fails the judge's per-run predicate
+//! (see [`SimBackend::can_truncate`]), and a worker whose probe overflows
+//! the node budget lowers it at that index before returning the error.
 //!
 //! With [`Config::batch_size`](crate::Config::batch_size) `> 1` a worker
 //! claims that many *contiguous* indices per `fetch_add` and probes them
@@ -15,10 +24,11 @@
 //! aborted up front (supersession is monotone in the index, so they form
 //! a suffix of the claim), and an in-flight batch is abandoned only when
 //! its *first* index is superseded — so every index at or below the
-//! decisive one still completes, and the ordered replay reproduces the
-//! batch=1 verdict bit for bit. Members above the watermark may complete
+//! decisive one still completes, and the judge reproduces the batch=1
+//! verdict bit for bit. Members above the watermark may complete
 //! wastefully (bounded by one batch); their slots sit above the decisive
-//! index and never reach the judge.
+//! index and never reach the judge. A batch that overflows is charged to
+//! its first index.
 //!
 //! Workers are backend-agnostic: the probe engine is injected through the
 //! [`SchedulerContext`] as any [`SimBackend`], and each worker builds its
@@ -34,10 +44,12 @@ use qcirc::Circuit;
 use qnum::Complex;
 use qstim::Stimulus;
 
-use crate::backend::SimBackend;
-use crate::config::{Config, Criterion};
+use crate::backend::{ProbeOutcome, SimBackend};
+use crate::config::Config;
+use crate::outcome::Counterexample;
 use crate::scheduler::cancel::CancelToken;
 use crate::scheduler::events::{EventSink, RunEvent};
+use crate::sim_check::{Judge, SimVerdict};
 
 /// Everything a worker needs, shared by reference across the pool:
 /// the circuit pair, the injected probe backend, and the claim/result
@@ -58,12 +70,26 @@ pub(super) struct SchedulerContext<'a, B: SimBackend> {
     /// Next stimulus index to claim.
     pub next: AtomicUsize,
     /// `(overlap, truncation_error)` per stimulus index; `None` = not
-    /// (fully) simulated. The truncation rides along so the orchestrator's
-    /// ordered replay can widen the judge's tolerance exactly as the
-    /// sequential flow would.
+    /// (fully) simulated. The truncation rides along so the judge can
+    /// widen its tolerance by the error accumulated in stimulus order.
     pub results: Mutex<Vec<Option<(Complex, f64)>>>,
+    /// The in-order judge; locked only while `results` is held.
+    judged: Mutex<Judged<'a>>,
     /// Event sink.
     pub sink: &'a dyn EventSink,
+}
+
+/// Why a results or judge lock can be poisoned: a worker panicked while
+/// publishing, and the stage re-raises that panic when it joins.
+const POISONED: &str = "a simulation worker panicked while publishing results";
+
+/// The in-order judge and how far it has read the result slots.
+struct Judged<'a> {
+    judge: Judge<'a>,
+    /// Leading slots the judge has observed.
+    prefix: usize,
+    /// The first counterexample in stimulus order, once reached.
+    counterexample: Option<Counterexample>,
 }
 
 impl<'a, B: SimBackend> SchedulerContext<'a, B> {
@@ -85,13 +111,60 @@ impl<'a, B: SimBackend> SchedulerContext<'a, B> {
             token,
             next: AtomicUsize::new(0),
             results: Mutex::new(vec![None; stimuli.len()]),
+            judged: Mutex::new(Judged {
+                judge: Judge::new(config),
+                prefix: 0,
+                counterexample: None,
+            }),
             sink,
+        }
+    }
+
+    /// Stores the outcomes of a batch starting at index `first`, then
+    /// judges the newly completed prefix in stimulus order. Reaching a
+    /// counterexample lowers the watermark to its index, which also stops
+    /// the functional racer.
+    fn publish(&self, first: usize, outcomes: &[ProbeOutcome]) {
+        let mut results = self.results.lock().expect(POISONED);
+        for (offset, outcome) in outcomes.iter().enumerate() {
+            results[first + offset] = Some((outcome.overlap, outcome.metrics.truncation_error));
+        }
+        let judged = &mut *self.judged.lock().expect(POISONED);
+        while judged.counterexample.is_none() {
+            let index = judged.prefix;
+            let Some(&Some((overlap, truncation))) = results.get(index) else {
+                break;
+            };
+            judged.prefix += 1;
+            judged.counterexample =
+                judged
+                    .judge
+                    .observe(overlap, truncation, &self.stimuli[index], index + 1);
+            if judged.counterexample.is_some() {
+                self.token.record_sim_failure(index);
+            }
+        }
+    }
+
+    /// The judge's verdict once every worker has returned: the first
+    /// counterexample in stimulus order, or agreement over every completed
+    /// stimulus.
+    pub(super) fn into_verdict(self) -> SimVerdict {
+        let judged = self.judged.into_inner().expect(POISONED);
+        if let Some(ce) = judged.counterexample {
+            return SimVerdict::CounterexampleFound(ce);
+        }
+        let results = self.results.into_inner().expect(POISONED);
+        SimVerdict::AllAgreed {
+            runs: results.iter().flatten().count(),
+            truncation_error: judged.judge.truncation_error(),
         }
     }
 }
 
 /// One worker's claim loop. Returns early only on a decision-diagram
-/// node-limit overflow (statevector workers cannot fail).
+/// node-limit overflow, after lowering the watermark to the overflowing
+/// claim's first index.
 pub(super) fn run_worker<B: SimBackend>(
     ctx: &SchedulerContext<'_, B>,
 ) -> Result<(), qdd::DdLimitError> {
@@ -120,75 +193,61 @@ pub(super) fn run_worker<B: SimBackend>(
         // Abandon the batch only once its *first* member is superseded:
         // that member is the one the watermark rule obliges us to finish,
         // and later members become moot together with it.
-        let outcomes = ctx.backend.probe_batch_while(
+        let probe = ctx.backend.probe_batch_while(
             ctx.g,
             ctx.g_prime,
             &ctx.stimuli[first..live_end],
             &mut workspace,
             &|| !ctx.token.superseded(first),
-        )?;
-        match outcomes {
-            None => {
+        );
+        let outcomes = match probe {
+            Ok(Some(outcomes)) => outcomes,
+            Ok(None) => {
                 for index in first..live_end {
                     ctx.sink.record(RunEvent::SimulationAborted { index });
                 }
+                continue;
             }
-            Some(outcomes) => {
-                let elapsed = start.elapsed();
-                let probed = outcomes.len();
-                debug_assert_eq!(probed, live_end - first);
-                // Per-run output mismatches are decisive on their own;
-                // publish the watermarks (in index order) before any event
-                // so observers of the sink never see a finished failing
-                // run without a watermark. Truncating engines are exempt:
-                // their mismatches are only decidable against the
-                // cumulative truncation the ordered replay tracks (see
-                // `SimBackend::can_truncate`), so every stimulus runs to
-                // completion and the replay decides.
-                if !ctx.backend.can_truncate() {
-                    for (offset, outcome) in outcomes.iter().enumerate() {
-                        if output_mismatch(outcome.overlap, ctx.config) {
-                            ctx.token.record_sim_failure(first + offset);
-                        }
-                    }
+            Err(e) => {
+                // Unless the judge finds a counterexample below `first`,
+                // this overflow ends the stage: everything above is moot.
+                ctx.token.record_sim_failure(first);
+                return Err(e);
+            }
+        };
+        let elapsed = start.elapsed();
+        let probed = outcomes.len();
+        debug_assert_eq!(probed, live_end - first);
+        // Publish the watermarks — the per-run failures of this batch, then
+        // the judge's — before any event, so observers of the sink never
+        // see a finished failing run without a watermark. Truncating
+        // engines skip the per-run check (see `SimBackend::can_truncate`).
+        if !ctx.backend.can_truncate() {
+            let (criterion, tolerance) = (ctx.config.criterion, ctx.config.fidelity_tolerance);
+            for (offset, outcome) in outcomes.iter().enumerate() {
+                if Judge::output_mismatch(criterion, outcome.overlap, tolerance) {
+                    ctx.token.record_sim_failure(first + offset);
                 }
-                {
-                    let mut results = ctx.results.lock().unwrap();
-                    for (offset, outcome) in outcomes.iter().enumerate() {
-                        results[first + offset] =
-                            Some((outcome.overlap, outcome.metrics.truncation_error));
-                    }
-                }
-                // Per-simulation wall time is not separable inside a
-                // batch; attribute an even share to each member.
-                let share = elapsed / probed.max(1) as u32;
-                for (offset, outcome) in outcomes.iter().enumerate() {
-                    ctx.sink.record(RunEvent::SimulationFinished {
-                        index: first + offset,
-                        wall_time: share,
-                        fidelity: outcome.overlap.norm_sqr(),
-                        backend: ctx.backend.kind(),
-                    });
-                }
-                ctx.sink.record(RunEvent::BatchFinished {
-                    first,
-                    claimed: end - first,
-                    probed,
-                    wall_time: elapsed,
-                });
             }
         }
-    }
-}
-
-/// The per-run failure predicate a worker can decide alone: the overlap
-/// magnitude (or value, under [`Criterion::Strict`]) is off. Cross-run
-/// phase inconsistencies need the whole prefix and are left to the
-/// orchestrator's ordered replay.
-fn output_mismatch(overlap: Complex, config: &Config) -> bool {
-    match config.criterion {
-        Criterion::Strict => (overlap - Complex::ONE).norm_sqr() > config.fidelity_tolerance,
-        Criterion::UpToGlobalPhase => (overlap.norm_sqr() - 1.0).abs() > config.fidelity_tolerance,
+        ctx.publish(first, &outcomes);
+        // Per-simulation wall time is not separable inside a batch;
+        // attribute an even share to each member.
+        let share = elapsed / probed.max(1) as u32;
+        for (offset, outcome) in outcomes.iter().enumerate() {
+            ctx.sink.record(RunEvent::SimulationFinished {
+                index: first + offset,
+                wall_time: share,
+                fidelity: outcome.overlap.norm_sqr(),
+                backend: ctx.backend.kind(),
+            });
+        }
+        ctx.sink.record(RunEvent::BatchFinished {
+            first,
+            claimed: end - first,
+            probed,
+            wall_time: elapsed,
+        });
     }
 }
 
@@ -203,7 +262,7 @@ mod tests {
         let g = qcirc::generators::ghz(3);
         let opt = qcirc::optimize::optimize(&g);
         let config = Config::default();
-        let backend = StatevectorBackend::for_worker();
+        let backend = StatevectorBackend::new();
         let stimuli: Vec<Stimulus> = [0u64, 3, 5, 7].map(Stimulus::Basis).to_vec();
         let token = CancelToken::new();
         let ctx = SchedulerContext::new(&g, &opt, &config, &backend, &stimuli, &token, &NullSink);
@@ -224,7 +283,7 @@ mod tests {
         let mut buggy = g.clone();
         buggy.x(0);
         let config = Config::default();
-        let backend = StatevectorBackend::for_worker();
+        let backend = StatevectorBackend::new();
         let stimuli: Vec<Stimulus> = (0u64..8).map(Stimulus::Basis).collect();
         let token = CancelToken::new();
         let ctx = SchedulerContext::new(&g, &buggy, &config, &backend, &stimuli, &token, &NullSink);
@@ -243,7 +302,7 @@ mod tests {
         let opt = qcirc::optimize::optimize(&g);
         let config = Config::default();
         let stimuli: Vec<Stimulus> = [0u64, 5, 9, 15].map(Stimulus::Basis).to_vec();
-        let sv = StatevectorBackend::for_worker();
+        let sv = StatevectorBackend::new();
         let dd = qdd::DdBackend::new();
         let token = CancelToken::new();
         let ctx = SchedulerContext::new(&g, &opt, &config, &sv, &stimuli, &token, &NullSink);

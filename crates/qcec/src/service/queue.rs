@@ -85,7 +85,7 @@ pub struct JobResult {
     /// Where the verdict came from.
     pub provenance: Provenance,
     /// Scheduler-event summary for this job (zero when the verdict was
-    /// served without running, or when the flow ran unscheduled).
+    /// served without running).
     pub timings: StageTimings,
 }
 

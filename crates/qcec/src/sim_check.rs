@@ -1,5 +1,7 @@
 //! The simulation stage of the flow: `r` random stimuli, early exit on
-//! the first counterexample.
+//! the first counterexample. The stage itself runs in the
+//! [`scheduler`](crate::scheduler); this module holds its public entry
+//! points, the stimulus draw and the judge.
 
 use qcirc::Circuit;
 use qnum::Complex;
@@ -7,11 +9,11 @@ use qstim::{
     BasisSource, ProductSource, SequentialSource, StabilizerSource, Stimulus, StimulusSource,
 };
 
-use crate::backend::{
-    auto_backend, dd_for_flow, MpsBackend, SimBackend, StabBackend, StatevectorBackend,
-};
-use crate::config::{BackendKind, Config, Criterion, StimulusStrategy};
+use crate::backend::{with_engine, EngineTask, SimBackend};
+use crate::config::{Config, Criterion, StimulusStrategy};
+use crate::flow::resolve_auto;
 use crate::outcome::Counterexample;
+use crate::scheduler::CancelToken;
 
 /// Outcome of the simulation stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +34,9 @@ pub enum SimVerdict {
 }
 
 /// Runs up to `config.simulations` random stimulus simulations of both
-/// circuits, comparing outputs per the configured criterion.
+/// circuits on the engine `config.backend` names, comparing outputs per
+/// the configured criterion — the flow's simulation stage without the
+/// complete check, on `config.threads` workers.
 ///
 /// Under the default [`StimulusStrategy::Random`] the stimuli are distinct
 /// uniformly random basis states; for small registers (`2ⁿ ≤ r`) every
@@ -54,38 +58,42 @@ pub fn run_simulations(
     g_prime: &Circuit,
     config: &Config,
 ) -> Result<SimVerdict, qdd::DdLimitError> {
-    match config.backend {
-        BackendKind::Statevector => {
-            run_simulations_on(&StatevectorBackend::for_flow(config), g, g_prime, config)
-        }
-        BackendKind::DecisionDiagram => {
-            run_simulations_on(&dd_for_flow(config), g, g_prime, config)
-        }
-        BackendKind::Stab => run_simulations_on(&StabBackend::for_flow(config), g, g_prime, config),
-        BackendKind::Mps => run_simulations_on(&MpsBackend::for_flow(config), g, g_prime, config),
-        BackendKind::Auto => {
-            let resolved = auto_backend(g, g_prime);
-            run_simulations(g, g_prime, &config.clone().with_backend(resolved))
-        }
+    with_engine::<Simulations>(g, g_prime, &resolve_auto(g, g_prime, config))
+}
+
+/// [`run_simulations_on`] as an [`EngineTask`].
+struct Simulations;
+
+impl EngineTask for Simulations {
+    type Output = Result<SimVerdict, qdd::DdLimitError>;
+
+    fn run<B: SimBackend>(
+        backend: &B,
+        g: &Circuit,
+        g_prime: &Circuit,
+        config: &Config,
+    ) -> Self::Output {
+        run_simulations_on(backend, g, g_prime, config)
     }
 }
 
-/// The backend-generic body of [`run_simulations`]: one workspace, one
-/// probe per stimulus through the injected engine, one [`Judge`] — the
-/// single sequential code path both built-in backends (and any external
-/// [`SimBackend`] implementation) share.
+/// The backend-generic body of [`run_simulations`]: the flow's simulation
+/// stage with the probe engine injected as any [`SimBackend`] — one
+/// workspace per worker, one judge reading the overlaps in stimulus
+/// order. Emits the stage's [`RunEvent`](crate::scheduler::RunEvent)s to
+/// `config.event_sink`.
 ///
 /// With [`Config::batch_size`](Config) `> 1` the stimuli are probed in
-/// contiguous chunks through [`SimBackend::probe_batch_while`] instead of
-/// one at a time. Per-stimulus outcomes are bit-identical either way
-/// (that is the batch contract), and the judge still observes them in
-/// stimulus order, so the verdict never depends on the batch size — a
-/// counterexample inside a chunk merely means the rest of that chunk was
-/// probed wastefully.
+/// contiguous chunks through [`SimBackend::probe_batch_while`]. Per-stimulus
+/// outcomes are bit-identical either way (that is the batch contract), and
+/// the judge still observes them in stimulus order, so the verdict never
+/// depends on the batch size — a counterexample inside a chunk merely
+/// means the rest of that chunk was probed wastefully.
 ///
 /// # Errors
 ///
-/// Returns [`qdd::DdLimitError`] if the backend exhausts its node budget.
+/// Returns [`qdd::DdLimitError`] if the backend exhausts its node budget
+/// before any stimulus proves non-equivalence.
 ///
 /// # Panics
 ///
@@ -101,54 +109,13 @@ pub fn run_simulations_on<B: SimBackend>(
         g_prime.n_qubits(),
         "circuits must have equal qubit counts"
     );
-    let n = g.n_qubits();
-    let stimuli = draw_stimuli(n, config);
-
-    // One scratch allocation for the whole loop — statevector probes are
-    // allocation-free after this (stimulus prefixes are materialised per
-    // run, but those circuits are O(n²) gates, not O(2ⁿ)).
-    let mut workspace = backend.workspace(n);
-    let mut judge = Judge::new(config);
-    if config.batch_size > 1 {
-        for (chunk_index, chunk) in stimuli.chunks(config.batch_size).enumerate() {
-            let outcomes = backend
-                .probe_batch_while(g, g_prime, chunk, &mut workspace, &|| true)?
-                .expect("an uncancellable batch always completes");
-            let first = chunk_index * config.batch_size;
-            for (offset, (outcome, stimulus)) in outcomes.iter().zip(chunk).enumerate() {
-                if let Some(ce) = judge.observe(
-                    outcome.overlap,
-                    outcome.metrics.truncation_error,
-                    stimulus,
-                    first + offset + 1,
-                ) {
-                    return Ok(SimVerdict::CounterexampleFound(ce));
-                }
-            }
-        }
-    } else {
-        for (run, stimulus) in stimuli.iter().enumerate() {
-            let outcome = backend.probe(g, g_prime, stimulus, &mut workspace)?;
-            if let Some(ce) = judge.observe(
-                outcome.overlap,
-                outcome.metrics.truncation_error,
-                stimulus,
-                run + 1,
-            ) {
-                return Ok(SimVerdict::CounterexampleFound(ce));
-            }
-        }
-    }
-    Ok(SimVerdict::AllAgreed {
-        runs: stimuli.len(),
-        truncation_error: judge.truncation_error(),
-    })
+    crate::scheduler::simulate(backend, g, g_prime, config, &CancelToken::new())
 }
 
 /// Draws the full stimulus list for one flow invocation: the seeded
 /// stimulus stream depends only on the configuration, never on scheduling
-/// — the scheduler pre-draws through this same function, which is what
-/// keeps parallel verdicts deterministic.
+/// — the simulation stage pre-draws through this same function, which is
+/// what keeps parallel verdicts deterministic.
 ///
 /// This is the crate's single dispatch point from
 /// [`StimulusStrategy`] onto the [`qstim`] generators, exposed so external
@@ -211,10 +178,22 @@ impl<'a> Judge<'a> {
     }
 
     /// The truncation error accumulated over all observed runs, in
-    /// stimulus order (which keeps parallel verdicts deterministic —
-    /// the scheduler replays observations in that same order).
+    /// stimulus order (which keeps parallel verdicts deterministic — the
+    /// scheduler's workers feed the judge in that same order).
     pub(crate) fn truncation_error(&self) -> f64 {
         self.truncation
+    }
+
+    /// The per-run half of [`Judge::observe`]: whether `overlap` alone
+    /// fails `criterion` at `tolerance`. Scheduler workers of exact engines
+    /// apply it the moment a probe returns; cross-run phase consistency
+    /// needs the whole prefix and is left to the judge.
+    pub(crate) fn output_mismatch(criterion: Criterion, overlap: Complex, tolerance: f64) -> bool {
+        match criterion {
+            // ⟨u|u′⟩ = 1 exactly (within tolerance).
+            Criterion::Strict => (overlap - Complex::ONE).norm_sqr() > tolerance,
+            Criterion::UpToGlobalPhase => (overlap.norm_sqr() - 1.0).abs() > tolerance,
+        }
     }
 
     pub(crate) fn observe(
@@ -234,26 +213,18 @@ impl<'a> Judge<'a> {
             run,
             mismatch,
         };
-        match self.config.criterion {
-            // ⟨u|u′⟩ = 1 exactly (within tolerance).
-            Criterion::Strict => {
-                if (overlap - Complex::ONE).norm_sqr() > tolerance {
-                    return Some(ce(Mismatch::Output));
-                }
-            }
-            Criterion::UpToGlobalPhase => {
-                if (overlap.norm_sqr() - 1.0).abs() > tolerance {
-                    return Some(ce(Mismatch::Output));
-                }
-                match self.expected_phase {
-                    None => self.expected_phase = Some(overlap),
-                    Some(expected) => {
-                        if (overlap - expected).norm_sqr() > tolerance {
-                            return Some(ce(Mismatch::PhaseInconsistency {
-                                expected: expected.arg(),
-                                found: overlap.arg(),
-                            }));
-                        }
+        if Self::output_mismatch(self.config.criterion, overlap, tolerance) {
+            return Some(ce(Mismatch::Output));
+        }
+        if self.config.criterion == Criterion::UpToGlobalPhase {
+            match self.expected_phase {
+                None => self.expected_phase = Some(overlap),
+                Some(expected) => {
+                    if (overlap - expected).norm_sqr() > tolerance {
+                        return Some(ce(Mismatch::PhaseInconsistency {
+                            expected: expected.arg(),
+                            found: overlap.arg(),
+                        }));
                     }
                 }
             }
@@ -265,6 +236,7 @@ impl<'a> Judge<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BackendKind;
     use qcirc::generators;
 
     #[test]

@@ -813,6 +813,14 @@ impl Parser {
                 need(1, 0)?;
                 Gate::single(GateKind::Sxdg, qubits[0])
             }
+            "sy" => {
+                need(1, 0)?;
+                Gate::single(GateKind::Sy, qubits[0])
+            }
+            "sydg" => {
+                need(1, 0)?;
+                Gate::single(GateKind::Sydg, qubits[0])
+            }
             "rx" => {
                 need(1, 1)?;
                 Gate::single(GateKind::Rx(args[0]), qubits[0])

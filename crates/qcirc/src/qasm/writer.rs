@@ -162,6 +162,7 @@ mod tests {
 
     #[test]
     fn roundtrip_simple_circuit() {
+        use crate::gate::{Gate, GateKind};
         let mut c = Circuit::with_name(3, "demo");
         c.h(0)
             .cx(0, 1)
@@ -169,13 +170,34 @@ mod tests {
             .swap(1, 2)
             .rz(0.5, 0)
             .cp(0.25, 0, 2);
+        // One gate of every uncontrolled kind.
+        for kind in [
+            GateKind::I,
+            GateKind::X,
+            GateKind::Y,
+            GateKind::Z,
+            GateKind::H,
+            GateKind::S,
+            GateKind::Sdg,
+            GateKind::T,
+            GateKind::Tdg,
+            GateKind::Sx,
+            GateKind::Sxdg,
+            GateKind::Sy,
+            GateKind::Sydg,
+            GateKind::Rx(0.1),
+            GateKind::Ry(-0.2),
+            GateKind::Rz(0.3),
+            GateKind::Phase(-0.4),
+            GateKind::U3(0.5, -0.6, 0.7),
+        ] {
+            c.push(Gate::single(kind, 1));
+        }
+        c.push(Gate::swap(0, 2));
         let src = write(&c);
         let back = parse(&src).expect("roundtrip parse");
         assert_eq!(back.n_qubits(), 3);
-        assert_eq!(back.len(), c.len());
-        for (a, b) in c.gates().iter().zip(back.gates()) {
-            assert!(a.approx_eq(b), "{a} != {b}");
-        }
+        assert_eq!(back.gates(), c.gates());
     }
 
     #[test]

@@ -735,13 +735,14 @@ impl Package {
     /// Panics if `basis ≥ 2ⁿ`.
     pub fn basis_vedge(&mut self, basis: u64) -> Result<VEdge, DdLimitError> {
         assert!(
-            (basis >> self.n_qubits) == 0,
+            self.n_qubits >= 64 || basis >> self.n_qubits == 0,
             "basis state {basis} out of range for {} qubits",
             self.n_qubits
         );
         let mut e = VEdge::terminal(Cx::ONE);
         for z in 0..self.n_qubits {
-            let bit = (basis >> z) & 1;
+            // Qubits past the 64 bits of `basis` start in |0⟩.
+            let bit = if z < 64 { (basis >> z) & 1 } else { 0 };
             let children = if bit == 0 {
                 [e, VEdge::ZERO]
             } else {

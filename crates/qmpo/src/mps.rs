@@ -88,7 +88,12 @@ impl Mps {
         assert!(n > 0, "an MPS needs at least one site");
         let sites = (0..n)
             .map(|q| {
-                let bit = ((basis >> q) & 1) as usize;
+                // Qubits past the 64 bits of `basis` start in |0⟩.
+                let bit = if q < 64 {
+                    ((basis >> q) & 1) as usize
+                } else {
+                    0
+                };
                 let mut data = vec![Complex::ZERO; 2];
                 data[bit] = Complex::ONE;
                 SiteTensor {

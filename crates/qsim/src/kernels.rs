@@ -1,8 +1,8 @@
 //! Gate-application kernels on raw amplitude slices.
 //!
 //! All kernels take the amplitude slice directly so they can be reused by
-//! the sequential simulator, the multithreaded wrapper and the dense
-//! unitary builder. Index convention: qubit `q` is bit `q` of the amplitude
+//! the simulator, its batched lane-major path and the dense unitary
+//! builder. Index convention: qubit `q` is bit `q` of the amplitude
 //! index.
 
 use qnum::{Complex, Matrix2};
@@ -40,44 +40,6 @@ pub fn apply_controlled_single(
                 let a1 = amps[hi];
                 amps[lo] = m00 * a0 + m01 * a1;
                 amps[hi] = m10 * a0 + m11 * a1;
-            }
-        }
-        base += block;
-    }
-}
-
-/// Variant of [`apply_controlled_single`] for a chunk that starts at
-/// absolute amplitude index `offset` within a larger state. The chunk must
-/// be aligned to the gate's block size `2^{target+1}` (so every pair lies
-/// inside the chunk); the control mask is tested against *absolute* indices.
-///
-/// # Panics
-///
-/// Panics in debug builds if the alignment or overlap invariants are
-/// violated.
-pub fn apply_controlled_single_at(
-    chunk: &mut [Complex],
-    offset: usize,
-    control_mask: usize,
-    target: usize,
-    m: &Matrix2,
-) {
-    let bt = 1usize << target;
-    let block = bt << 1;
-    debug_assert_eq!(control_mask & bt, 0, "target overlaps controls");
-    debug_assert_eq!(offset % block, 0, "chunk not block-aligned");
-    debug_assert_eq!(chunk.len() % block, 0, "chunk length not block-aligned");
-    let (m00, m01, m10, m11) = (m.entry(0, 0), m.entry(0, 1), m.entry(1, 0), m.entry(1, 1));
-    let mut base = 0usize;
-    while base < chunk.len() {
-        for off in 0..bt {
-            let lo = base + off;
-            if (offset + lo) & control_mask == control_mask {
-                let hi = lo | bt;
-                let a0 = chunk[lo];
-                let a1 = chunk[hi];
-                chunk[lo] = m00 * a0 + m01 * a1;
-                chunk[hi] = m10 * a0 + m11 * a1;
             }
         }
         base += block;

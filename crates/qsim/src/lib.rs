@@ -8,13 +8,14 @@
 //! performs.
 //!
 //! * [`StateVector`] — dense `2ⁿ` amplitudes, inner products and fidelity,
-//! * [`Simulator`] — gate application with diagonal fast paths, optional
-//!   multithreading ([`Simulator::with_threads`]) and cache-hot batched
-//!   probes ([`Simulator::probe_stimuli_batch_while`] / [`BatchWorkspace`]),
+//! * [`Simulator`] — gate application with diagonal fast paths and
+//!   cache-hot batched probes ([`Simulator::probe_stimuli_batch_while`] /
+//!   [`BatchWorkspace`]); kernels run on the calling thread (a checker
+//!   parallelises across stimuli instead),
 //! * [`measure`] — probabilities, sampling, collapse,
 //! * [`unitary`] — full unitaries built column-by-column (ground truth for
 //!   tests and the Fig. 1 reproduction),
-//! * [`kernels`] / [`parallel`] — the raw amplitude-slice kernels.
+//! * [`kernels`] — the raw amplitude-slice kernels.
 //!
 //! # Examples
 //!
@@ -39,7 +40,6 @@
 pub mod expectation;
 pub mod kernels;
 pub mod measure;
-pub mod parallel;
 mod simulator;
 mod state;
 mod unitary;

@@ -24,42 +24,14 @@ use crate::state::StateVector;
 /// assert!((out.probability(0b11) - 0.5).abs() < 1e-10);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Simulator {
-    threads: usize,
-}
+pub struct Simulator;
 
 impl Simulator {
-    /// Creates a sequential simulator.
+    /// Creates a simulator. Kernels run on the calling thread; callers
+    /// parallelise across simulations, not inside one.
     #[must_use]
     pub fn new() -> Self {
-        Simulator { threads: 1 }
-    }
-
-    /// Creates a simulator that splits kernels over `threads` OS threads for
-    /// states with at least 2¹⁸ amplitudes (smaller states run sequentially —
-    /// thread spawn overhead dominates below that).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
-        Simulator { threads }
-    }
-
-    /// Creates a simulator for use *inside* a worker thread of a checker
-    /// pool (e.g. `qcec`'s scheduler).
-    ///
-    /// Identical to [`Simulator::new`], but named to document the
-    /// threading contract: worker simulators run their kernels
-    /// sequentially so that an `N`-worker pool uses exactly `N` OS
-    /// threads instead of oversubscribing the machine with nested
-    /// kernel-level parallelism. `Simulator` is `Send + Sync`, so one
-    /// instance may also be shared across scoped worker threads.
-    #[must_use]
-    pub fn for_worker() -> Self {
-        Simulator { threads: 1 }
+        Simulator
     }
 
     /// Simulates `circuit` on the basis state `|basis⟩`, yielding the
@@ -127,7 +99,6 @@ impl Simulator {
             state.n_qubits()
         );
         let control_mask: usize = gate.controls().iter().map(|&q| 1usize << q).sum();
-        let parallel = self.threads > 1 && state.dim() >= (1 << 18);
         match gate.kind() {
             GateKind::Swap => {
                 let (a, b) = (gate.targets()[0], gate.targets()[1]);
@@ -135,22 +106,12 @@ impl Simulator {
             }
             kind => {
                 let m = kind.base_matrix().expect("single-target kind");
-                if parallel {
-                    crate::parallel::apply_controlled_single_parallel(
-                        state.amplitudes_mut(),
-                        control_mask,
-                        gate.target(),
-                        &m,
-                        self.threads,
-                    );
-                } else {
-                    kernels::apply_controlled_single(
-                        state.amplitudes_mut(),
-                        control_mask,
-                        gate.target(),
-                        &m,
-                    );
-                }
+                kernels::apply_controlled_single(
+                    state.amplitudes_mut(),
+                    control_mask,
+                    gate.target(),
+                    &m,
+                );
             }
         }
     }
@@ -167,72 +128,8 @@ impl Simulator {
     #[must_use]
     pub fn probe_basis(&self, g: &Circuit, g_prime: &Circuit, basis: u64) -> Complex {
         let mut workspace = ProbeWorkspace::new(g.n_qubits());
-        self.probe_basis_with(g, g_prime, basis, &mut workspace)
-    }
-
-    /// Like [`Simulator::probe_basis`], but reuses the two state buffers
-    /// of `workspace` — the allocation-free variant for loops over many
-    /// stimuli (one `O(2ⁿ)` pair of buffers total instead of per run).
-    ///
-    /// A prefix-free wrapper of [`Simulator::probe_stimulus_with`]: every
-    /// probe, basis or prepared, runs through the same stimulus-aware code
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuits' or workspace's qubit counts differ or
-    /// `basis` is out of range.
-    #[must_use]
-    pub fn probe_basis_with(
-        &self,
-        g: &Circuit,
-        g_prime: &Circuit,
-        basis: u64,
-        workspace: &mut ProbeWorkspace,
-    ) -> Complex {
-        self.probe_stimulus_with(g, g_prime, None, basis, workspace)
-    }
-
-    /// Like [`Simulator::probe_basis_with`], but polls `keep_going`
-    /// between gate applications and gives up as soon as it returns
-    /// `false` — the cancellable variant for worker pools whose remaining
-    /// stimuli become moot once a counterexample is found elsewhere.
-    ///
-    /// Returns `None` if the probe was abandoned mid-run. Also a
-    /// prefix-free wrapper of [`Simulator::probe_stimulus_while`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuits' or workspace's qubit counts differ or
-    /// `basis` is out of range.
-    #[must_use]
-    pub fn probe_basis_while(
-        &self,
-        g: &Circuit,
-        g_prime: &Circuit,
-        basis: u64,
-        workspace: &mut ProbeWorkspace,
-        keep_going: &dyn Fn() -> bool,
-    ) -> Option<Complex> {
-        self.probe_stimulus_while(g, g_prime, None, basis, workspace, keep_going)
-    }
-
-    /// Like [`Simulator::run_basis_into`], but polls `keep_going` between
-    /// gate applications. Returns `false` (leaving `state` part-way
-    /// through the circuit) if the run was abandoned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit counts differ or `basis ≥ 2ⁿ`.
-    pub fn run_basis_into_while(
-        &self,
-        circuit: &Circuit,
-        basis: u64,
-        state: &mut StateVector,
-        keep_going: &dyn Fn() -> bool,
-    ) -> bool {
-        state.reset_to_basis(basis);
-        self.apply_to_state_while(circuit, state, keep_going)
+        self.probe_stimulus_while(g, g_prime, None, basis, &mut workspace, &|| true)
+            .expect("unconditional probe cannot be cancelled")
     }
 
     /// Applies `circuit` to the *current* contents of `state` (no reset) —
@@ -266,30 +163,11 @@ impl Simulator {
     /// The stimulus-aware probe: prepares `|basis⟩`, runs the optional
     /// `prefix` circuit once (product or stabilizer state preparation),
     /// then branches the shared prepared state through `g` and `g_prime`
-    /// and returns the overlap `⟨u|u′⟩` of the two outputs.
-    ///
-    /// With `prefix = None` this is exactly
-    /// [`Simulator::probe_basis_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any qubit count differs or `basis` is out of range.
-    #[must_use]
-    pub fn probe_stimulus_with(
-        &self,
-        g: &Circuit,
-        g_prime: &Circuit,
-        prefix: Option<&Circuit>,
-        basis: u64,
-        workspace: &mut ProbeWorkspace,
-    ) -> Complex {
-        self.probe_stimulus_while(g, g_prime, prefix, basis, workspace, &|| true)
-            .expect("unconditional probe cannot be cancelled")
-    }
-
-    /// Like [`Simulator::probe_stimulus_with`], but polls `keep_going`
-    /// between gate applications — the cancellable variant for worker
-    /// pools. Returns `None` if the probe was abandoned mid-run.
+    /// and returns the overlap `⟨u|u′⟩` of the two outputs. Reuses the two
+    /// state buffers of `workspace`, so loops over many stimuli allocate
+    /// once, and polls `keep_going` between gate applications — the
+    /// cancellable probe for worker pools. Returns `None` if the probe was
+    /// abandoned mid-run.
     ///
     /// # Panics
     ///
@@ -340,8 +218,7 @@ impl Simulator {
     /// ascending-index overlap summation — are identical to the
     /// single-stimulus path, so every returned overlap is bit-identical to
     /// what [`Simulator::probe_stimulus_while`] would produce for that
-    /// stimulus alone. Batched kernels always run sequentially; batching
-    /// replaces kernel-level threading as the throughput lever.
+    /// stimulus alone.
     ///
     /// # Panics
     ///
@@ -441,7 +318,7 @@ impl Simulator {
 /// Reusable pair of state buffers for repeated equivalence probes.
 ///
 /// Each worker of a checker pool owns one workspace; every probe then runs
-/// without heap allocation. See [`Simulator::probe_basis_with`].
+/// without heap allocation. See [`Simulator::probe_stimulus_while`].
 #[derive(Debug, Clone)]
 pub struct ProbeWorkspace {
     left: StateVector,
@@ -642,7 +519,9 @@ mod tests {
         assert_eq!(ws.n_qubits(), 5);
         for basis in [0u64, 3, 17, 30, 9] {
             let fresh = sim.probe_basis(&g, &buggy, basis);
-            let reused = sim.probe_basis_with(&g, &buggy, basis, &mut ws);
+            let reused = sim
+                .probe_stimulus_while(&g, &buggy, None, basis, &mut ws, &|| true)
+                .expect("not cancelled");
             assert!(fresh.approx_eq(reused), "basis {basis}");
             assert!(ws.left().is_normalized() && ws.right().is_normalized());
         }
@@ -661,15 +540,18 @@ mod tests {
             budget.set(left.saturating_sub(1));
             left > 0
         };
-        assert_eq!(sim.probe_basis_while(&g, &g, 0, &mut ws, &keep_going), None);
+        assert_eq!(
+            sim.probe_stimulus_while(&g, &g, None, 0, &mut ws, &keep_going),
+            None
+        );
         // An unconstrained probe still works on the same workspace.
-        let overlap = sim.probe_basis_while(&g, &g, 0, &mut ws, &|| true);
+        let overlap = sim.probe_stimulus_while(&g, &g, None, 0, &mut ws, &|| true);
         assert!(overlap.expect("not cancelled").approx_one());
     }
 
     #[test]
     fn run_basis_into_matches_run_basis() {
-        let sim = Simulator::for_worker();
+        let sim = Simulator::new();
         let c = generators::grover(4, 6, 2);
         let mut reused = qsim_state_scratch();
         for basis in [0u64, 5, 11, 15, 2] {
@@ -715,7 +597,9 @@ mod tests {
                     .expect("not cancelled")
                     .to_vec();
                 for (lane, &(basis, prefix)) in stimuli.iter().enumerate() {
-                    let want = sim.probe_stimulus_with(&g, &buggy, prefix, basis, &mut single);
+                    let want = sim
+                        .probe_stimulus_while(&g, &buggy, prefix, basis, &mut single, &|| true)
+                        .expect("not cancelled");
                     assert_eq!(
                         overlaps[lane], want,
                         "lanes={lanes} lane={lane} prefix={use_prefix}"

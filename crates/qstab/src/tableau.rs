@@ -60,7 +60,8 @@ impl Tableau {
     pub fn basis(n: usize, bits: u64) -> Self {
         assert!(n >= 64 || bits < (1u64 << n), "basis state out of range");
         let mut t = Tableau::new(n);
-        for q in 0..n {
+        // Qubits past the 64 bits of `bits` start in |0⟩.
+        for q in 0..n.min(64) {
             if (bits >> q) & 1 == 1 {
                 t.x_gate(q);
             }

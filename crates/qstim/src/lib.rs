@@ -163,6 +163,10 @@ pub trait StimulusSource {
 /// `seed`, rejection-sampling distinct states. Distinctness makes the
 /// stimuli *jointly* dependent, so this source is pure per draw, not per
 /// index.
+///
+/// A basis index is a `u64`, one bit per qubit: on registers of 64 or
+/// more qubits the draw covers the whole `u64` range and qubits ≥ 64 start
+/// in `|0⟩`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BasisSource;
 
@@ -173,13 +177,16 @@ impl StimulusSource for BasisSource {
 
     fn draw(&self, n_qubits: usize, seed: u64, count: usize) -> Vec<Stimulus> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let space: u128 = 1u128 << n_qubits;
-        if space <= count as u128 {
-            return (0..space as u64).map(Stimulus::Basis).collect();
+        let space = basis_space(n_qubits);
+        if let Some(space) = space.filter(|&space| space <= count as u64) {
+            return (0..space).map(Stimulus::Basis).collect();
         }
         let mut chosen: Vec<u64> = Vec::with_capacity(count);
         while chosen.len() < count {
-            let candidate = rng.gen_range(0..space as u64);
+            let candidate = match space {
+                Some(space) => rng.gen_range(0..space),
+                None => rng.gen_range(0..=u64::MAX),
+            };
             if !chosen.contains(&candidate) {
                 chosen.push(candidate);
             }
@@ -199,12 +206,17 @@ impl StimulusSource for SequentialSource {
     }
 
     fn draw(&self, n_qubits: usize, _seed: u64, count: usize) -> Vec<Stimulus> {
-        let space: u128 = 1u128 << n_qubits;
-        (0..count as u128)
-            .take_while(|&i| i < space)
-            .map(|i| Stimulus::Basis(i as u64))
-            .collect()
+        let space = basis_space(n_qubits).unwrap_or(u64::MAX);
+        (0..space.min(count as u64)).map(Stimulus::Basis).collect()
     }
+}
+
+/// The number of `n_qubits`-qubit basis states, or `None` when it does not
+/// fit a `u64` (64 qubits or more).
+fn basis_space(n_qubits: usize) -> Option<u64> {
+    u32::try_from(n_qubits)
+        .ok()
+        .and_then(|n| 1u64.checked_shl(n))
 }
 
 /// Random unentangled product states: per qubit, an independent Haar-random

@@ -80,14 +80,6 @@ fn simulator_unitary_builder_matches_dense() {
 }
 
 #[test]
-fn threaded_simulator_matches_sequential() {
-    let c = generators::supremacy_2d(4, 5, 8, 2); // 20 qubits: 2²⁰ amplitudes
-    let seq = Simulator::new().run_basis(&c, 77);
-    let par = Simulator::with_threads(4).run_basis(&c, 77);
-    assert!(seq.approx_eq(&par));
-}
-
-#[test]
 fn both_flow_backends_reach_the_same_verdicts() {
     use qcec::{BackendKind, Config};
     let g = generators::grover(4, 7, 2);

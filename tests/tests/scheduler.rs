@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use qcec::scheduler::CollectingSink;
-use qcec::{check_equivalence, Config, Outcome};
+use qcec::{check_equivalence, BackendKind, Config, Mismatch, Outcome, StimulusStrategy};
 use qcirc::Circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,6 +62,82 @@ fn verdicts_are_deterministic_across_thread_counts() {
                 let again = check_equivalence(g, g_prime, &config).unwrap();
                 assert_eq!(essence(&parallel), essence(&again));
             }
+        }
+    }
+}
+
+#[test]
+fn a_counterexample_outranks_a_later_overflow_at_every_thread_count() {
+    // Sequential stimuli on the DD engine: stimulus 2 exposes the phase
+    // fault (its overlap phase differs from stimulus 1's), and stimulus 3
+    // overflows the 2000-node budget. In stimulus order the counterexample
+    // comes first, so every thread count must report it, not the overflow.
+    let g = qcirc::generators::random_clifford_t(12, 400, 3)
+        .widened(14)
+        .remap(|q| q + 2)
+        .controlled_by(1);
+    let mut g_prime = g.clone();
+    g_prime.s(0);
+    let base = Config::default()
+        .with_backend(BackendKind::DecisionDiagram)
+        .with_stimuli(StimulusStrategy::Sequential)
+        .with_simulations(10)
+        .with_dd_node_limit(2000);
+    for threads in [1usize, 2, 4] {
+        let result = check_equivalence(&g, &g_prime, &base.clone().with_threads(threads));
+        match result.map(|r| r.outcome) {
+            Ok(Outcome::NotEquivalent {
+                counterexample: Some(ce),
+            }) => {
+                assert_eq!(ce.run, 2, "{threads} threads");
+                assert!(
+                    matches!(ce.mismatch, Mismatch::PhaseInconsistency { .. }),
+                    "{threads} threads: {:?}",
+                    ce.mismatch
+                );
+            }
+            other => panic!("{threads} threads: expected the run-2 counterexample, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn one_thread_finishes_exactly_the_decisive_prefix() {
+    // One worker probes stimuli one at a time and the judge reads each
+    // result as it lands, so a counterexample at run k stops the stage
+    // after exactly k probes — a phase inconsistency (needs two runs) and
+    // an MPS magnitude mismatch (a truncating engine, judged in order
+    // only) included.
+    let mut phase_left = Circuit::new(4);
+    phase_left.h(0);
+    let mut phase_right = phase_left.clone();
+    phase_right.s(2);
+    let ghz = qcirc::generators::ghz(6);
+    let mut ghz_t = ghz.clone();
+    ghz_t.t(5);
+    let cases = [
+        (
+            phase_left,
+            phase_right,
+            Config::default().with_simulations(32),
+        ),
+        (ghz, ghz_t, Config::default().with_backend(BackendKind::Mps)),
+    ];
+    for (g, g_prime, config) in cases {
+        for seed in [0u64, 7, 1234] {
+            let sink = Arc::new(CollectingSink::new());
+            let config = config.clone().with_seed(seed).with_event_sink(sink.clone());
+            let result = check_equivalence(&g, &g_prime, &config).unwrap();
+            let Outcome::NotEquivalent {
+                counterexample: Some(ce),
+            } = &result.outcome
+            else {
+                panic!(
+                    "seed {seed}: expected a counterexample, got {}",
+                    result.outcome
+                );
+            };
+            assert_eq!(sink.simulations_finished(), ce.run, "seed {seed}");
         }
     }
 }

@@ -2,7 +2,7 @@
 //! scheduler's determinism guarantees are built on.
 
 use proptest::prelude::*;
-use qcec::Config;
+use qcec::{BackendKind, Config, Outcome, StimulusStrategy};
 use qstim::{ProductSource, StabilizerSource, Stimulus, StimulusSource};
 
 proptest! {
@@ -116,5 +116,46 @@ fn basis_strategy_matches_pre_qstim_golden_draws() {
             })
             .collect();
         assert_eq!(drawn, expected, "n={n} seed={seed} r={r}");
+    }
+}
+
+#[test]
+fn basis_draws_cover_registers_of_64_qubits_and_more() {
+    for n in [64usize, 65, 128, 200] {
+        for strategy in [StimulusStrategy::Random, StimulusStrategy::Sequential] {
+            let config = Config::new()
+                .with_seed(9)
+                .with_simulations(10)
+                .with_stimuli(strategy);
+            let mut bases: Vec<u64> = qcec::draw_stimuli(n, &config)
+                .iter()
+                .map(Stimulus::basis_state)
+                .collect();
+            assert_eq!(bases.len(), 10, "n={n} {strategy}");
+            bases.sort_unstable();
+            bases.dedup();
+            assert_eq!(bases.len(), 10, "n={n} {strategy}: duplicate stimuli");
+        }
+    }
+}
+
+#[test]
+fn auto_checks_ghz_pairs_of_64_qubits_and_more() {
+    // GHZ is Clifford (the tableau engine); the T twin is not (MPS). Past
+    // 64 qubits the basis stimuli leave the top qubits in |0⟩.
+    for n in [64usize, 70] {
+        let g = qcirc::generators::ghz(n);
+        let optimized = qcirc::optimize::optimize(&g);
+        let mut faulty = optimized.clone();
+        faulty.t(n - 1);
+        let config = Config::new().with_backend(BackendKind::Auto);
+        let same = qcec::check_equivalence(&g, &optimized, &config).unwrap();
+        assert!(same.outcome.is_equivalent(), "n={n}: {}", same.outcome);
+        let different = qcec::check_equivalence(&g, &faulty, &config).unwrap();
+        assert!(
+            matches!(different.outcome, Outcome::NotEquivalent { .. }),
+            "n={n}: {}",
+            different.outcome
+        );
     }
 }
