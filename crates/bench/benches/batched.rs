@@ -4,15 +4,14 @@
 //! it through `G` and `G'`, accumulate the overlap — at batch sizes
 //! k = 1/4/16 on the cuccaro-adder fixture at n = 8/12/16 qubits. Each
 //! measurement probes the *same* 16 stimuli, so the per-element wall time
-//! is directly comparable across k: the k = 1 row is the historical
-//! single-probe path, and larger k amortize gate decode and index
-//! arithmetic across the arena's lanes. The acceptance bar for the
-//! batched path is ≥ 1.5× probe throughput at k ≥ 8 on the n = 12 row
-//! (`EXPERIMENTS.md` tracks the measured table).
+//! is directly comparable across k: every row calls the one probe,
+//! `Simulator::probe_stimuli_while`, with k stimuli as the lanes of its
+//! arena, and larger k amortize gate decode and index arithmetic across
+//! the lanes (`EXPERIMENTS.md` tracks the measured table).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcirc::generators;
-use qsim::{BatchWorkspace, ProbeWorkspace, Simulator};
+use qsim::{ProbeWorkspace, Simulator};
 
 /// Stimuli probed per measurement — every batch size divides it, so each
 /// arm does identical total work.
@@ -31,48 +30,22 @@ fn bench_batched_probe(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("batched_probe_n{n}"));
         for k in [1usize, 4, 16] {
             group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-                if k == 1 {
-                    let mut workspace = ProbeWorkspace::new(n);
-                    b.iter(|| {
-                        let mut acc = qnum::Complex::ZERO;
-                        for basis in 0..STIMULI {
-                            acc += sim
-                                .probe_stimulus_while(
-                                    &g,
-                                    &g_prime,
-                                    None,
-                                    basis,
-                                    &mut workspace,
-                                    &|| true,
-                                )
-                                .expect("uncancellable probe");
+                let mut workspace = ProbeWorkspace::new(n);
+                b.iter(|| {
+                    let mut acc = qnum::Complex::ZERO;
+                    for chunk in 0..(STIMULI as usize / k) {
+                        let stimuli: Vec<(u64, Option<&qcirc::Circuit>)> = (0..k)
+                            .map(|lane| ((chunk * k + lane) as u64, None))
+                            .collect();
+                        let overlaps = sim
+                            .probe_stimuli_while(&g, &g_prime, &stimuli, &mut workspace, &|| true)
+                            .expect("uncancellable batch");
+                        for overlap in overlaps {
+                            acc += *overlap;
                         }
-                        acc
-                    });
-                } else {
-                    let mut workspace = BatchWorkspace::new(n);
-                    b.iter(|| {
-                        let mut acc = qnum::Complex::ZERO;
-                        for chunk in 0..(STIMULI as usize / k) {
-                            let stimuli: Vec<(u64, Option<&qcirc::Circuit>)> = (0..k)
-                                .map(|lane| ((chunk * k + lane) as u64, None))
-                                .collect();
-                            let overlaps = sim
-                                .probe_stimuli_batch_while(
-                                    &g,
-                                    &g_prime,
-                                    &stimuli,
-                                    &mut workspace,
-                                    &|| true,
-                                )
-                                .expect("uncancellable batch");
-                            for overlap in overlaps {
-                                acc += *overlap;
-                            }
-                        }
-                        acc
-                    });
-                }
+                    }
+                    acc
+                });
             });
         }
         group.finish();

@@ -1,4 +1,7 @@
-//! Micro-benchmarks of the statevector gate kernels (experiment MB).
+//! Micro-benchmarks of the statevector gate kernels (experiment MB), on
+//! one state vector (a one-lane arena). The `kernel_short_runs` group
+//! covers gates whose contiguous runs are shorter than a vector register,
+//! which the kernels walk in scalar code.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qnum::Matrix2;
@@ -20,7 +23,7 @@ fn bench_single_qubit_kernel(c: &mut Criterion) {
             let h = Matrix2::hadamard();
             b.iter_batched(
                 || amps.clone(),
-                |mut a| kernels::apply_controlled_single(&mut a, 0, n / 2, &h),
+                |mut a| kernels::apply_controlled_single(&mut a, 1, 0, n / 2, &h),
                 criterion::BatchSize::LargeInput,
             );
         });
@@ -36,7 +39,7 @@ fn bench_diagonal_fast_path(c: &mut Criterion) {
     group.bench_function("rz_diagonal", |b| {
         b.iter_batched(
             || amps.clone(),
-            |mut a| kernels::apply_controlled_single(&mut a, 0, 8, &rz),
+            |mut a| kernels::apply_controlled_single(&mut a, 1, 0, 8, &rz),
             criterion::BatchSize::LargeInput,
         );
     });
@@ -44,7 +47,7 @@ fn bench_diagonal_fast_path(c: &mut Criterion) {
     group.bench_function("u3_general", |b| {
         b.iter_batched(
             || amps.clone(),
-            |mut a| kernels::apply_controlled_single(&mut a, 0, 8, &u3),
+            |mut a| kernels::apply_controlled_single(&mut a, 1, 0, 8, &u3),
             criterion::BatchSize::LargeInput,
         );
     });
@@ -59,14 +62,41 @@ fn bench_controlled_kernel(c: &mut Criterion) {
     group.bench_function("cx", |b| {
         b.iter_batched(
             || amps.clone(),
-            |mut a| kernels::apply_controlled_single(&mut a, 1 << 3, 8, &x),
+            |mut a| kernels::apply_controlled_single(&mut a, 1, 1 << 3, 8, &x),
             criterion::BatchSize::LargeInput,
         );
     });
     group.bench_function("swap", |b| {
         b.iter_batched(
             || amps.clone(),
-            |mut a| kernels::apply_controlled_swap(&mut a, 0, 3, 8),
+            |mut a| kernels::apply_controlled_swap(&mut a, 1, 0, 3, 8),
+            criterion::BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
+/// Runs of one and two amplitudes: Hadamard on targets 0 and 1, and CX
+/// whose control on qubit 0 splits every run to a single amplitude.
+fn bench_short_runs(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel_short_runs");
+    let n = 16;
+    let amps = random_state(n);
+    let h = Matrix2::hadamard();
+    for target in [0usize, 1] {
+        group.bench_function(format!("h_t{target}"), |b| {
+            b.iter_batched(
+                || amps.clone(),
+                |mut a| kernels::apply_controlled_single(&mut a, 1, 0, target, &h),
+                criterion::BatchSize::LargeInput,
+            );
+        });
+    }
+    let x = Matrix2::pauli_x();
+    group.bench_function("cx_c0_t8", |b| {
+        b.iter_batched(
+            || amps.clone(),
+            |mut a| kernels::apply_controlled_single(&mut a, 1, 1, 8, &x),
             criterion::BatchSize::LargeInput,
         );
     });
@@ -77,6 +107,7 @@ criterion_group!(
     benches,
     bench_single_qubit_kernel,
     bench_diagonal_fast_path,
-    bench_controlled_kernel
+    bench_controlled_kernel,
+    bench_short_runs
 );
 criterion_main!(benches);

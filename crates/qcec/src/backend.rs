@@ -54,16 +54,16 @@
 //! `None`, never a partial overlap.
 //!
 //! Probes may also run in **batches** ([`SimBackend::probe_batch_while`]):
-//! the statevector backend streams the whole batch through lane-major
-//! arena kernels (one gate decode per batch), every other engine loops its
-//! single-stimulus path via the default implementation. Batch outcomes are
-//! bit-identical to single probes per stimulus, so batching is invisible
-//! to verdicts — which is why `Config::batch_size` is excluded from the
-//! verdict fingerprint.
+//! the statevector backend runs every probe, a lone stimulus included, as
+//! the lanes of one lane-major arena (one gate decode per batch), every
+//! other engine loops its single-stimulus path via the default
+//! implementation. Batch outcomes are bit-identical to single probes per
+//! stimulus, so batching is invisible to verdicts — which is why
+//! `Config::batch_size` is excluded from the verdict fingerprint.
 
 use qcirc::Circuit;
 use qnum::Complex;
-use qsim::{BatchWorkspace, ProbeWorkspace, Simulator};
+use qsim::{ProbeWorkspace, Simulator};
 use qstim::Stimulus;
 
 use crate::config::{BackendKind, Config, Criterion};
@@ -227,7 +227,7 @@ pub trait SimBackend: Send + Sync {
 }
 
 /// The dense statevector engine: wraps [`qsim::Simulator`] and a reusable
-/// pair of state buffers per thread.
+/// pair of lane-major arenas per thread.
 ///
 /// # Examples
 ///
@@ -264,44 +264,10 @@ impl StatevectorBackend {
     }
 }
 
-/// Per-thread scratch for [`StatevectorBackend`]: the single-probe buffer
-/// pair plus a lazily-allocated batched-probe arena.
-///
-/// The arena is allocated on the first batch of more than one stimulus and
-/// then reused (growing to the largest batch seen), so single probes and
-/// counterexample replay never pay for it.
-#[derive(Debug, Clone)]
-pub struct SvWorkspace {
-    probe: ProbeWorkspace,
-    batch: Option<BatchWorkspace>,
-}
-
-impl SvWorkspace {
-    /// Creates a workspace for `n_qubits`-qubit probes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_qubits` is zero or exceeds
-    /// [`qsim::StateVector::MAX_QUBITS`].
-    #[must_use]
-    pub fn new(n_qubits: usize) -> Self {
-        SvWorkspace {
-            probe: ProbeWorkspace::new(n_qubits),
-            batch: None,
-        }
-    }
-
-    /// The register size the buffers are allocated for.
-    #[must_use]
-    pub fn n_qubits(&self) -> usize {
-        self.probe.n_qubits()
-    }
-
-    fn batch_arena(&mut self) -> &mut BatchWorkspace {
-        let n = self.probe.n_qubits();
-        self.batch.get_or_insert_with(|| BatchWorkspace::new(n))
-    }
-}
+/// Per-thread scratch for [`StatevectorBackend`]: [`qsim::ProbeWorkspace`]'s
+/// two lane-major arenas, one `2ⁿ` state per branch for a lone stimulus
+/// and growing to the largest batch seen.
+pub type SvWorkspace = ProbeWorkspace;
 
 impl SimBackend for StatevectorBackend {
     type Workspace = SvWorkspace;
@@ -322,28 +288,17 @@ impl SimBackend for StatevectorBackend {
         workspace: &mut SvWorkspace,
         keep_going: &dyn Fn() -> bool,
     ) -> Result<Option<ProbeOutcome>, qdd::DdLimitError> {
-        let prefix = stimulus.prefix_circuit();
+        let batch = std::slice::from_ref(stimulus);
         Ok(self
-            .sim
-            .probe_stimulus_while(
-                g,
-                g_prime,
-                prefix.as_ref(),
-                stimulus.basis_state(),
-                &mut workspace.probe,
-                keep_going,
-            )
-            .map(ProbeOutcome::bare))
+            .probe_batch_while(g, g_prime, batch, workspace, keep_going)?
+            .map(|outcomes| outcomes[0]))
     }
 
-    /// The true batched path: all stimuli of the batch stream through the
-    /// lane-major arena kernels of
-    /// [`qsim::Simulator::probe_stimuli_batch_while`], decoding each gate
+    /// Every probe streams through [`qsim::Simulator::probe_stimuli_while`],
+    /// the batch's stimuli as the lanes of one arena, decoding each gate
     /// once per batch instead of once per stimulus. Per lane the float
-    /// operations match the single-stimulus path exactly, so the
-    /// bit-identity contract of [`SimBackend::probe_batch_while`] holds by
-    /// construction. Batches of one stimulus take the single-probe path
-    /// unchanged (and never allocate the arena).
+    /// operations do not depend on the lane count, so the bit-identity
+    /// contract of [`SimBackend::probe_batch_while`] holds by construction.
     fn probe_batch_while(
         &self,
         g: &Circuit,
@@ -352,16 +307,6 @@ impl SimBackend for StatevectorBackend {
         workspace: &mut SvWorkspace,
         keep_going: &dyn Fn() -> bool,
     ) -> Result<Option<Vec<ProbeOutcome>>, qdd::DdLimitError> {
-        if stimuli.len() <= 1 {
-            let mut outcomes = Vec::with_capacity(stimuli.len());
-            for stimulus in stimuli {
-                match self.probe_while(g, g_prime, stimulus, workspace, keep_going)? {
-                    Some(outcome) => outcomes.push(outcome),
-                    None => return Ok(None),
-                }
-            }
-            return Ok(Some(outcomes));
-        }
         let prefixes: Vec<Option<Circuit>> = stimuli.iter().map(Stimulus::prefix_circuit).collect();
         let lanes: Vec<(u64, Option<&Circuit>)> = stimuli
             .iter()
@@ -370,7 +315,7 @@ impl SimBackend for StatevectorBackend {
             .collect();
         Ok(self
             .sim
-            .probe_stimuli_batch_while(g, g_prime, &lanes, workspace.batch_arena(), keep_going)
+            .probe_stimuli_while(g, g_prime, &lanes, workspace, keep_going)
             .map(|overlaps| overlaps.iter().copied().map(ProbeOutcome::bare).collect()))
     }
 
@@ -381,13 +326,10 @@ impl SimBackend for StatevectorBackend {
         stimulus: &Stimulus,
         workspace: &mut SvWorkspace,
     ) -> Result<(Vec<Complex>, Vec<Complex>), qdd::DdLimitError> {
-        // After a probe the workspace buffers hold exactly the two output
-        // states.
+        // After a one-stimulus probe the workspace arenas hold exactly the
+        // two output states.
         self.probe(g, g_prime, stimulus, workspace)?;
-        Ok((
-            workspace.probe.left().amplitudes().to_vec(),
-            workspace.probe.right().amplitudes().to_vec(),
-        ))
+        Ok((workspace.left().to_vec(), workspace.right().to_vec()))
     }
 }
 
@@ -1237,11 +1179,11 @@ mod tests {
             .with_simulations(6)
             .with_seed(5);
         let stimuli = crate::draw_stimuli(4, &config);
-        // The sv override takes the arena path for batches ≥ 2 and must be
-        // bit-identical to lone probes.
+        // The sv override runs every batch size through one arena probe
+        // and must be bit-identical to lone probes.
         let sv = StatevectorBackend::new();
         let mut ws = sv.workspace(4);
-        for k in [1usize, 2, stimuli.len()] {
+        for k in [0usize, 1, 2, stimuli.len()] {
             let batch = sv
                 .probe_batch_while(&g, &buggy, &stimuli[..k], &mut ws, &|| true)
                 .unwrap()

@@ -28,6 +28,15 @@ pub enum FlowError {
         /// The configured node limit.
         node_limit: usize,
     },
+    /// The statevector backend was asked to probe a register wider than
+    /// its dense buffers can hold ([`qsim::StateVector::MAX_QUBITS`]); the
+    /// check stops before allocating any.
+    RegisterTooWide {
+        /// Qubits of the circuits.
+        n_qubits: usize,
+        /// The widest register the statevector backend supports.
+        max_qubits: usize,
+    },
 }
 
 impl fmt::Display for FlowError {
@@ -40,6 +49,10 @@ impl fmt::Display for FlowError {
             FlowError::SimulationOverflow { node_limit } => write!(
                 f,
                 "decision-diagram simulation exceeded the node limit of {node_limit}; raise it or use the statevector backend"
+            ),
+            FlowError::RegisterTooWide { n_qubits, max_qubits } => write!(
+                f,
+                "the statevector backend supports at most {max_qubits} qubits, but the circuits act on {n_qubits}; use the dd, stab, mps or auto backend"
             ),
         }
     }
@@ -67,8 +80,10 @@ impl std::error::Error for FlowError {}
 ///
 /// # Errors
 ///
-/// Returns [`FlowError`] if the circuits have different qubit counts, or if
-/// the decision-diagram *simulation* backend overflows its node budget.
+/// Returns [`FlowError`] if the circuits have different qubit counts, if
+/// the statevector backend is asked for a register wider than
+/// [`qsim::StateVector::MAX_QUBITS`], or if the decision-diagram
+/// *simulation* backend overflows its node budget.
 ///
 /// # Examples
 ///

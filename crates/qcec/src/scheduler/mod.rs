@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use qcirc::Circuit;
 
 use crate::backend::{with_engine, EngineTask, SimBackend};
-use crate::config::{Config, Fallback};
+use crate::config::{BackendKind, Config, Fallback};
 use crate::flow::{resolve_auto, FlowError};
 use crate::functional::{
     run_functional_check, run_functional_check_cancellable, AbortKind, FunctionalVerdict,
@@ -63,10 +63,10 @@ use crate::sim_check::{draw_stimuli, SimVerdict};
 ///
 /// # Errors
 ///
-/// Returns [`FlowError`] if the circuits' qubit counts differ, or if the
-/// decision-diagram *simulation* backend overflows its node budget.
-///
-/// [`BackendKind::Auto`]: crate::BackendKind::Auto
+/// Returns [`FlowError`] if the circuits' qubit counts differ, if the
+/// statevector backend is asked for a register wider than
+/// [`qsim::StateVector::MAX_QUBITS`], or if the decision-diagram
+/// *simulation* backend overflows its node budget.
 pub fn run_scheduled(
     g: &Circuit,
     g_prime: &Circuit,
@@ -100,9 +100,10 @@ impl EngineTask for Scheduled {
 ///
 /// # Errors
 ///
-/// Returns [`FlowError`] if the circuits' qubit counts differ, or if the
-/// backend overflows its node budget before any stimulus proves
-/// non-equivalence.
+/// Returns [`FlowError`] if the circuits' qubit counts differ, if the
+/// backend is the statevector engine and the register is wider than
+/// [`qsim::StateVector::MAX_QUBITS`], or if the backend overflows its node
+/// budget before any stimulus proves non-equivalence.
 pub fn run_scheduled_on<B: SimBackend>(
     backend: &B,
     g: &Circuit,
@@ -113,6 +114,13 @@ pub fn run_scheduled_on<B: SimBackend>(
         return Err(FlowError::QubitCountMismatch {
             left: g.n_qubits(),
             right: g_prime.n_qubits(),
+        });
+    }
+    let max_qubits = qsim::StateVector::MAX_QUBITS;
+    if backend.kind() == BackendKind::Statevector && g.n_qubits() > max_qubits {
+        return Err(FlowError::RegisterTooWide {
+            n_qubits: g.n_qubits(),
+            max_qubits,
         });
     }
     let sink = event_sink(config);

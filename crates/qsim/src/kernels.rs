@@ -1,144 +1,42 @@
-//! Gate-application kernels on raw amplitude slices.
+//! Gate-application kernels on lane-major amplitude arenas.
 //!
-//! All kernels take the amplitude slice directly so they can be reused by
-//! the simulator, its batched lane-major path and the dense unitary
-//! builder. Index convention: qubit `q` is bit `q` of the amplitude
-//! index.
+//! An arena holds `lanes` state vectors interleaved: amplitude `i` of lane
+//! `l` lives at `arena[i * lanes + l]`, so a lone state vector is the
+//! one-lane arena and every kernel serves the simulator, its batched
+//! probes and the dense unitary builder alike. Index convention: qubit `q`
+//! is bit `q` of the amplitude index.
+//!
+//! Every kernel is one walk over *runs*. A gate pins some index bits — its
+//! controls and targets — so the amplitudes below the lowest pinned bit
+//! share every pinned bit and sit in one contiguous run of
+//! `2^(lowest pinned bit) · lanes` arena elements. The walk visits only
+//! the runs whose controls hold (skipping the others wholesale) and hands
+//! each `(lo, hi)` run pair to a row primitive: a 2×2 rotation, a diagonal
+//! scale or a swap. Each run takes the widest SIMD row loop whose register
+//! it fills (AVX-512 holds four complex values, AVX2 two); runs shorter
+//! than a register take the scalar loop, and a run of one amplitude is
+//! indexed in place. Per amplitude the floating-point operations are the
+//! same on every path, so results are bit-identical whatever the lane
+//! count, run length or CPU.
 
 use qnum::{Complex, Matrix2};
 
-/// Applies a single-qubit gate `m` to `target`, restricted to amplitudes
-/// whose `control_mask` bits are all set (pass 0 for no controls).
+/// Applies a single-qubit gate `m` to `target` in every lane of `arena`,
+/// restricted to amplitudes whose `control_mask` bits are all set (pass 0
+/// for no controls).
+///
+/// Diagonal gates (off-diagonal entries within tolerance of zero) scale
+/// each amplitude once, and leave the target-`0` half untouched when its
+/// entry is within tolerance of one. Every other gate, X included, is a
+/// full 2×2 rotation: a swap shortcut for X would differ from it in the
+/// sign of some zero amplitudes.
 ///
 /// # Panics
 ///
-/// Panics in debug builds if `target`'s bit overlaps `control_mask`.
+/// Panics if an index the gate touches lies outside the arena; in debug
+/// builds also if `target`'s bit overlaps `control_mask` or the arena does
+/// not hold `lanes` state vectors of `2ⁿ` amplitudes.
 pub fn apply_controlled_single(
-    amps: &mut [Complex],
-    control_mask: usize,
-    target: usize,
-    m: &Matrix2,
-) {
-    let bt = 1usize << target;
-    debug_assert_eq!(control_mask & bt, 0, "target overlaps controls");
-    let dim = amps.len();
-    let (m00, m01, m10, m11) = (m.entry(0, 0), m.entry(0, 1), m.entry(1, 0), m.entry(1, 1));
-    // Fast path: diagonal gates touch each amplitude once.
-    if m01.approx_zero() && m10.approx_zero() {
-        apply_controlled_diagonal(amps, control_mask, target, m00, m11);
-        return;
-    }
-    // Walk pairs (i, i|bt) by iterating blocks aligned to 2^{target+1}.
-    let block = bt << 1;
-    let mut base = 0usize;
-    while base < dim {
-        for offset in 0..bt {
-            let lo = base + offset;
-            if lo & control_mask == control_mask {
-                let hi = lo | bt;
-                let a0 = amps[lo];
-                let a1 = amps[hi];
-                amps[lo] = m00 * a0 + m01 * a1;
-                amps[hi] = m10 * a0 + m11 * a1;
-            }
-        }
-        base += block;
-    }
-}
-
-/// Diagonal specialization: multiplies amplitudes by `d0`/`d1` depending on
-/// the target bit, under the control mask.
-///
-/// Walks blocks aligned to `2^{target+1}` so the target bit never needs a
-/// per-element test, and skips blocks wholesale when a control bit at or
-/// above the block size is unsatisfied.
-fn apply_controlled_diagonal(
-    amps: &mut [Complex],
-    control_mask: usize,
-    target: usize,
-    d0: Complex,
-    d1: Complex,
-) {
-    let bt = 1usize << target;
-    let block = bt << 1;
-    let high_controls = control_mask & !(block - 1);
-    let low_controls = control_mask & (block - 1);
-    let d0_is_one = d0.approx_one();
-    let mut base = 0usize;
-    while base < amps.len() {
-        if base & high_controls == high_controls {
-            for offset in 0..bt {
-                let lo = base + offset;
-                if lo & low_controls == low_controls {
-                    if !d0_is_one {
-                        amps[lo] *= d0;
-                    }
-                    amps[lo | bt] *= d1;
-                }
-            }
-        }
-        base += block;
-    }
-}
-
-/// Applies a (possibly controlled) SWAP of qubits `a` and `b`.
-///
-/// Visits only the `dim/4` indices with the high swap bit set and the low
-/// swap bit clear by walking nested aligned segments, instead of scanning
-/// all `2^n` indices with per-element bit tests. Control bits above the
-/// outer segment skip whole segments wholesale.
-///
-/// # Panics
-///
-/// Panics in debug builds if `a == b` or either overlaps the control mask.
-pub fn apply_controlled_swap(amps: &mut [Complex], control_mask: usize, a: usize, b: usize) {
-    let (ba, bb) = (1usize << a, 1usize << b);
-    debug_assert_ne!(a, b, "swap targets must differ");
-    debug_assert_eq!(control_mask & (ba | bb), 0, "swap targets overlap controls");
-    let (bl, bh) = if ba < bb { (ba, bb) } else { (bb, ba) };
-    let outer = bh << 1;
-    let inner = bl << 1;
-    let high_controls = control_mask & !(outer - 1);
-    let mid_controls = control_mask & (outer - 1) & !(inner - 1);
-    let low_controls = control_mask & (inner - 1);
-    let swap_mask = ba ^ bb;
-    let mut high = 0usize;
-    while high < amps.len() {
-        if high & high_controls == high_controls {
-            // Visit each swapped pair once: from the (high=1, low=0) side.
-            let mut mid = 0usize;
-            while mid < bh {
-                let base = high + bh + mid;
-                if base & mid_controls == mid_controls {
-                    for low in 0..bl {
-                        let i = base + low;
-                        if i & low_controls == low_controls {
-                            amps.swap(i, i ^ swap_mask);
-                        }
-                    }
-                }
-                mid += inner;
-            }
-        }
-        high += outer;
-    }
-}
-
-/// Applies a single-qubit gate `m` to `target` across `lanes` interleaved
-/// state vectors stored lane-major in `arena`: amplitude `i` of lane `l`
-/// lives at `arena[i * lanes + l]`.
-///
-/// The gate matrix is decoded once and streamed over all lanes, so the
-/// per-pair index arithmetic and control tests are amortized `lanes`× and
-/// the inner lane loops are branch-free and SIMD-friendly. Per lane the
-/// floating-point operations are identical to [`apply_controlled_single`],
-/// so batched amplitudes are bit-identical to the single-state path.
-///
-/// # Panics
-///
-/// Panics in debug builds if `target`'s bit overlaps `control_mask` or the
-/// arena length is not a multiple of `lanes`.
-pub fn apply_controlled_single_batch(
     arena: &mut [Complex],
     lanes: usize,
     control_mask: usize,
@@ -146,75 +44,54 @@ pub fn apply_controlled_single_batch(
     m: &Matrix2,
 ) {
     let bt = 1usize << target;
-    debug_assert!(lanes > 0, "need at least one lane");
     debug_assert_eq!(control_mask & bt, 0, "target overlaps controls");
-    debug_assert_eq!(arena.len() % lanes, 0, "arena not a whole number of lanes");
-    let dim = arena.len() / lanes;
+    let dim = arena_dim(arena, lanes);
+    let pinned = control_mask | bt;
+    let len = run_len(pinned, lanes);
+    let isa = lane_simd::for_row(len);
     let (m00, m01, m10, m11) = (m.entry(0, 0), m.entry(0, 1), m.entry(1, 0), m.entry(1, 1));
+    // A run of one amplitude (one lane, qubit 0 pinned) is indexed
+    // directly: slicing it costs more than the arithmetic.
     if m01.approx_zero() && m10.approx_zero() {
-        apply_controlled_diagonal_batch(arena, lanes, control_mask, target, m00, m11);
-        return;
-    }
-    let isa = lane_simd::detect();
-    let block = bt << 1;
-    let mut base = 0usize;
-    while base < dim {
-        for offset in 0..bt {
-            let lo = base + offset;
-            if lo & control_mask == control_mask {
-                let hi = lo | bt;
-                let (head, tail) = arena.split_at_mut(hi * lanes);
-                let lo_row = &mut head[lo * lanes..lo * lanes + lanes];
-                let hi_row = &mut tail[..lanes];
-                lane_simd::rotate_rows(isa, lo_row, hi_row, m00, m01, m10, m11);
-            }
-        }
-        base += block;
-    }
-}
-
-/// Lane-major diagonal specialization of [`apply_controlled_single_batch`].
-fn apply_controlled_diagonal_batch(
-    arena: &mut [Complex],
-    lanes: usize,
-    control_mask: usize,
-    target: usize,
-    d0: Complex,
-    d1: Complex,
-) {
-    let bt = 1usize << target;
-    let block = bt << 1;
-    let dim = arena.len() / lanes;
-    let high_controls = control_mask & !(block - 1);
-    let low_controls = control_mask & (block - 1);
-    let d0_is_one = d0.approx_one();
-    let isa = lane_simd::detect();
-    let mut base = 0usize;
-    while base < dim {
-        if base & high_controls == high_controls {
-            for offset in 0..bt {
-                let lo = base + offset;
-                if lo & low_controls == low_controls {
-                    if !d0_is_one {
-                        lane_simd::scale_row(isa, &mut arena[lo * lanes..lo * lanes + lanes], d0);
-                    }
-                    let hi = lo | bt;
-                    lane_simd::scale_row(isa, &mut arena[hi * lanes..hi * lanes + lanes], d1);
+        let d0_is_one = m00.approx_one();
+        for_each_run(dim, pinned, control_mask, |lo| {
+            if len == 1 {
+                if !d0_is_one {
+                    arena[lo] *= m00;
                 }
+                arena[lo | bt] *= m11;
+            } else {
+                let (lo, hi) = run_pair(arena, lo * lanes, (lo | bt) * lanes, len);
+                if !d0_is_one {
+                    lane_simd::scale_row(isa, lo, m00);
+                }
+                lane_simd::scale_row(isa, hi, m11);
             }
-        }
-        base += block;
+        });
+    } else {
+        for_each_run(dim, pinned, control_mask, |lo| {
+            if len == 1 {
+                let hi = lo | bt;
+                let (x0, x1) = (arena[lo], arena[hi]);
+                arena[lo] = m00 * x0 + m01 * x1;
+                arena[hi] = m10 * x0 + m11 * x1;
+            } else {
+                let (lo, hi) = run_pair(arena, lo * lanes, (lo | bt) * lanes, len);
+                lane_simd::rotate_rows(isa, lo, hi, m00, m01, m10, m11);
+            }
+        });
     }
 }
 
-/// Lane-major batched variant of [`apply_controlled_swap`]: swaps the full
-/// lane rows of each visited amplitude pair.
+/// Applies a (possibly controlled) SWAP of qubits `a` and `b` in every lane
+/// of `arena`, exchanging amplitudes exactly.
 ///
 /// # Panics
 ///
-/// Panics in debug builds if `a == b`, either target overlaps the control
-/// mask, or the arena length is not a multiple of `lanes`.
-pub fn apply_controlled_swap_batch(
+/// Panics if an index the gate touches lies outside the arena; in debug
+/// builds also if `a == b`, either target overlaps the control mask, or
+/// the arena does not hold `lanes` state vectors of `2ⁿ` amplitudes.
+pub fn apply_controlled_swap(
     arena: &mut [Complex],
     lanes: usize,
     control_mask: usize,
@@ -222,56 +99,87 @@ pub fn apply_controlled_swap_batch(
     b: usize,
 ) {
     let (ba, bb) = (1usize << a, 1usize << b);
-    debug_assert!(lanes > 0, "need at least one lane");
     debug_assert_ne!(a, b, "swap targets must differ");
     debug_assert_eq!(control_mask & (ba | bb), 0, "swap targets overlap controls");
+    let dim = arena_dim(arena, lanes);
+    let pinned = control_mask | ba | bb;
+    let len = run_len(pinned, lanes);
+    // Visit each swapped pair once, from the run with the higher swap bit
+    // set and the lower one clear; its partner flips both, so lies below.
+    for_each_run(dim, pinned, control_mask | ba.max(bb), |high| {
+        let low = high ^ ba ^ bb;
+        if len == 1 {
+            arena.swap(low, high);
+        } else {
+            let (lo, hi) = run_pair(arena, low * lanes, high * lanes, len);
+            lo.swap_with_slice(hi);
+        }
+    });
+}
+
+/// The number of amplitudes per lane in `arena`.
+fn arena_dim(arena: &[Complex], lanes: usize) -> usize {
+    debug_assert!(lanes > 0, "need at least one lane");
     debug_assert_eq!(arena.len() % lanes, 0, "arena not a whole number of lanes");
     let dim = arena.len() / lanes;
-    let (bl, bh) = if ba < bb { (ba, bb) } else { (bb, ba) };
-    let outer = bh << 1;
-    let inner = bl << 1;
-    let high_controls = control_mask & !(outer - 1);
-    let mid_controls = control_mask & (outer - 1) & !(inner - 1);
-    let low_controls = control_mask & (inner - 1);
-    let swap_mask = ba ^ bb;
-    let mut high = 0usize;
-    while high < dim {
-        if high & high_controls == high_controls {
-            let mut mid = 0usize;
-            while mid < bh {
-                let base = high + bh + mid;
-                if base & mid_controls == mid_controls {
-                    for low in 0..bl {
-                        let i = base + low;
-                        if i & low_controls == low_controls {
-                            let j = i ^ swap_mask;
-                            // j < i: the swap partner clears the high bit.
-                            let (head, tail) = arena.split_at_mut(i * lanes);
-                            head[j * lanes..j * lanes + lanes].swap_with_slice(&mut tail[..lanes]);
-                        }
-                    }
-                }
-                mid += inner;
-            }
+    debug_assert!(dim.is_power_of_two(), "a lane must hold 2ⁿ amplitudes");
+    dim
+}
+
+/// The run length, in arena elements, of a gate pinning the index bits
+/// `pinned`: every lane of the amplitudes below the lowest pinned bit.
+fn run_len(pinned: usize, lanes: usize) -> usize {
+    (pinned & pinned.wrapping_neg()) * lanes
+}
+
+/// Calls `visit`, in ascending order, with the first amplitude index of
+/// every run whose `pinned` bits equal `set`. A run is the
+/// `2^(lowest pinned bit)` consecutive amplitudes below the lowest pinned
+/// bit; runs whose pinned bits differ from `set` are never visited.
+#[inline(always)]
+fn for_each_run(dim: usize, pinned: usize, set: usize, mut visit: impl FnMut(usize)) {
+    let run = pinned & pinned.wrapping_neg();
+    // The index bits that differ between visited runs.
+    let free = (dim - 1) & !pinned & !(run - 1);
+    let mut offset = 0usize;
+    loop {
+        visit(set | offset);
+        if offset == free {
+            return;
         }
-        high += outer;
+        // The next larger subset of the bits in `free`.
+        offset = offset.wrapping_sub(free) & free;
     }
 }
 
-/// Vectorized inner loops for the lane-major batched kernels.
+/// The disjoint runs `arena[lo..lo + len]` and `arena[hi..hi + len]`, for
+/// `lo + len <= hi`.
+#[inline(always)]
+fn run_pair(
+    arena: &mut [Complex],
+    lo: usize,
+    hi: usize,
+    len: usize,
+) -> (&mut [Complex], &mut [Complex]) {
+    let (head, tail) = arena.split_at_mut(hi);
+    (&mut head[lo..lo + len], &mut tail[..len])
+}
+
+/// Vectorized row loops for the kernels' run pairs.
 ///
-/// A lane row is `lanes` consecutive [`Complex`] values — with `repr(C)`
-/// that is interleaved `[re, im]` pairs, so one AVX-512 register holds four
-/// lanes and one AVX2 register holds two. The instruction set is detected
-/// once per kernel pass ([`detect`]) and every vector path uses only IEEE
+/// A row is a run of consecutive [`Complex`] values — with `repr(C)` that
+/// is interleaved `[re, im]` pairs, so one AVX-512 register holds four of
+/// them and one AVX2 register holds two. The instruction set is detected
+/// once per gate ([`for_row`]) and every vector path uses only IEEE
 /// multiply/add/subtract (plus sign-bit flips, which are exact) — never
 /// fused multiply-add — in the same operand order as the scalar loop, so
-/// batched amplitudes stay bit-identical to the single-state kernels on
-/// every CPU.
+/// every amplitude gets the same bits on every path and every CPU.
 mod lane_simd {
     use qnum::Complex;
 
-    /// Widest lane-loop instruction set available at runtime.
+    /// A row-loop instruction set. Only [`for_row`] (and, in tests,
+    /// `supported`) hand out the vector variants, and only when the CPU
+    /// has them.
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     pub(super) enum Isa {
         #[cfg(target_arch = "x86_64")]
@@ -281,24 +189,48 @@ mod lane_simd {
         Scalar,
     }
 
-    /// Picks the widest supported path. The `std` detection macro caches
-    /// its CPUID probe, so calling this once per gate pass is cheap.
+    /// The widest instruction set whose register a row of `len` complex
+    /// values fills (AVX-512 holds four, AVX2 two); shorter rows, and CPUs
+    /// without either, take the scalar loop. The `std` detection macro
+    /// caches its CPUID probe, so calling this once per gate is cheap.
     #[inline]
-    pub(super) fn detect() -> Isa {
+    pub(super) fn for_row(len: usize) -> Isa {
         #[cfg(target_arch = "x86_64")]
         {
-            if is_x86_feature_detected!("avx512f") {
+            if len >= 4 && is_x86_feature_detected!("avx512f") {
                 return Isa::Avx512;
             }
-            if is_x86_feature_detected!("avx2") {
+            if len >= 2 && is_x86_feature_detected!("avx2") {
                 return Isa::Avx2;
             }
         }
         Isa::Scalar
     }
 
-    /// Applies the 2×2 rotation `[m00 m01; m10 m11]` to the amplitude pair
-    /// `(lo[l], hi[l])` of every lane `l`.
+    /// Every instruction set the CPU supports, widest first, so tests can
+    /// run each row loop and not only the one [`for_row`] picks.
+    #[cfg(test)]
+    pub(super) fn supported() -> Vec<Isa> {
+        let mut isas = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
+            if is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+            }
+        }
+        isas.push(Isa::Scalar);
+        isas
+    }
+
+    /// Applies the 2×2 rotation `[m00 m01; m10 m11]` to every amplitude
+    /// pair `(lo[j], hi[j])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows differ in length.
     #[inline]
     pub(super) fn rotate_rows(
         isa: Isa,
@@ -309,9 +241,13 @@ mod lane_simd {
         m10: Complex,
         m11: Complex,
     ) {
+        assert_eq!(lo.len(), hi.len(), "rotated rows differ in length");
         match isa {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `detect` returned this variant, so the CPU supports it.
+            // SAFETY: only `for_row` and `supported` produce this variant,
+            // and only when the CPU supports it; the rows have equal
+            // lengths, so the loop's reads and writes of `hi` stay in
+            // bounds.
             Isa::Avx512 => unsafe { x86::rotate_rows_avx512(lo, hi, m00, m01, m10, m11) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
@@ -320,12 +256,13 @@ mod lane_simd {
         }
     }
 
-    /// Multiplies every lane of `row` by the diagonal entry `d`.
+    /// Multiplies every amplitude of `row` by the diagonal entry `d`.
     #[inline]
     pub(super) fn scale_row(isa: Isa, row: &mut [Complex], d: Complex) {
         match isa {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `detect` returned this variant, so the CPU supports it.
+            // SAFETY: only `for_row` and `supported` produce this variant,
+            // and only when the CPU supports it.
             Isa::Avx512 => unsafe { x86::scale_row_avx512(row, d) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
@@ -548,14 +485,14 @@ mod tests {
     #[test]
     fn x_flips_target_bit() {
         let mut amps = basis(3, 0b010);
-        apply_controlled_single(&mut amps, 0, 0, &Matrix2::pauli_x());
+        apply_controlled_single(&mut amps, 1, 0, 0, &Matrix2::pauli_x());
         assert!(amps[0b011].approx_one());
     }
 
     #[test]
     fn hadamard_splits_amplitude() {
         let mut amps = basis(1, 0);
-        apply_controlled_single(&mut amps, 0, 0, &Matrix2::hadamard());
+        apply_controlled_single(&mut amps, 1, 0, 0, &Matrix2::hadamard());
         assert!(amps[0].approx_eq(Complex::real(FRAC_1_SQRT_2)));
         assert!(amps[1].approx_eq(Complex::real(FRAC_1_SQRT_2)));
     }
@@ -564,10 +501,10 @@ mod tests {
     fn control_blocks_application() {
         // CX with control bit 1 (qubit 1) on target 0: |01⟩ has control 0.
         let mut amps = basis(2, 0b01);
-        apply_controlled_single(&mut amps, 0b10, 0, &Matrix2::pauli_x());
+        apply_controlled_single(&mut amps, 1, 0b10, 0, &Matrix2::pauli_x());
         assert!(amps[0b01].approx_one(), "control=0 must not fire");
         let mut amps = basis(2, 0b10);
-        apply_controlled_single(&mut amps, 0b10, 0, &Matrix2::pauli_x());
+        apply_controlled_single(&mut amps, 1, 0b10, 0, &Matrix2::pauli_x());
         assert!(amps[0b11].approx_one(), "control=1 must fire");
     }
 
@@ -577,7 +514,7 @@ mod tests {
         let h = Complex::real(0.5);
         let mk = || vec![h, h, h, h];
         let mut fast = mk();
-        apply_controlled_single(&mut fast, 0, 1, &z);
+        apply_controlled_single(&mut fast, 1, 0, 1, &z);
         // Force the general path by using an equivalent non-detectably
         // diagonal matrix (off-diagonals exactly zero still uses fast path),
         // so instead compare against hand-computed values.
@@ -590,21 +527,21 @@ mod tests {
     #[test]
     fn swap_exchanges_bits() {
         let mut amps = basis(3, 0b001);
-        apply_controlled_swap(&mut amps, 0, 0, 2);
+        apply_controlled_swap(&mut amps, 1, 0, 0, 2);
         assert!(amps[0b100].approx_one());
         // Symmetric pair stays put.
         let mut amps = basis(3, 0b101);
-        apply_controlled_swap(&mut amps, 0, 0, 2);
+        apply_controlled_swap(&mut amps, 1, 0, 0, 2);
         assert!(amps[0b101].approx_one());
     }
 
     #[test]
     fn controlled_swap_respects_control() {
         let mut amps = basis(3, 0b001); // control qubit 1 is 0
-        apply_controlled_swap(&mut amps, 0b010, 0, 2);
+        apply_controlled_swap(&mut amps, 1, 0b010, 0, 2);
         assert!(amps[0b001].approx_one());
         let mut amps = basis(3, 0b011); // control qubit 1 is 1
-        apply_controlled_swap(&mut amps, 0b010, 0, 2);
+        apply_controlled_swap(&mut amps, 1, 0b010, 0, 2);
         assert!(amps[0b110].approx_one());
     }
 
@@ -612,7 +549,7 @@ mod tests {
     fn kernels_preserve_norm() {
         let h = Complex::real(0.5);
         let mut amps = vec![h, h * Complex::I, -h, h];
-        apply_controlled_single(&mut amps, 0, 1, &Matrix2::u3(0.3, 1.0, -0.4));
+        apply_controlled_single(&mut amps, 1, 0, 1, &Matrix2::u3(0.3, 1.0, -0.4));
         let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
         assert!((norm - 1.0).abs() < 1e-10);
     }
@@ -653,7 +590,7 @@ mod tests {
                 }
             })
             .collect();
-        apply_controlled_single(&mut amps, 0b1001, 1, &z);
+        apply_controlled_single(&mut amps, 1, 0b1001, 1, &z);
         for (got, want) in amps.iter().zip(expected.iter()) {
             assert!(got.approx_eq(*want));
         }
@@ -671,7 +608,7 @@ mod tests {
                     want.swap(i, i ^ ba ^ bb);
                 }
             }
-            apply_controlled_swap(&mut amps, mask, a, b);
+            apply_controlled_swap(&mut amps, 1, mask, a, b);
             assert_eq!(amps, want, "swap({a},{b}) mask {mask:#b}");
         }
     }
@@ -689,6 +626,14 @@ mod tests {
         arena
     }
 
+    /// The `(re, im)` bit patterns of `amps`: unlike `Complex`'s `==`, they
+    /// tell `-0.0` from `0.0`.
+    fn bits(amps: &[Complex]) -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn batched_single_is_bit_identical_to_single() {
         let n = 4;
@@ -703,11 +648,11 @@ mod tests {
                 (0, 3, Matrix2::u3(0.3, 1.0, -0.4)),
             ] {
                 for s in &mut states {
-                    apply_controlled_single(s, mask, target, &m);
+                    apply_controlled_single(s, 1, mask, target, &m);
                 }
-                apply_controlled_single_batch(&mut arena, lanes, mask, target, &m);
+                apply_controlled_single(&mut arena, lanes, mask, target, &m);
             }
-            assert_eq!(arena, to_arena(&states), "lanes={lanes}");
+            assert_eq!(bits(&arena), bits(&to_arena(&states)), "lanes={lanes}");
         }
     }
 
@@ -720,11 +665,166 @@ mod tests {
             let mut arena = to_arena(&states);
             for (mask, a, b) in [(0usize, 0usize, 3usize), (0b0100, 1, 3), (0b1000, 2, 0)] {
                 for s in &mut states {
-                    apply_controlled_swap(s, mask, a, b);
+                    apply_controlled_swap(s, 1, mask, a, b);
                 }
-                apply_controlled_swap_batch(&mut arena, lanes, mask, a, b);
+                apply_controlled_swap(&mut arena, lanes, mask, a, b);
             }
-            assert_eq!(arena, to_arena(&states), "lanes={lanes}");
+            assert_eq!(bits(&arena), bits(&to_arena(&states)), "lanes={lanes}");
+        }
+    }
+
+    /// [`scrambled`] with exact `0.0` and `-0.0` components mixed in.
+    fn signed_zeros(n: usize, seed: u64) -> Vec<Complex> {
+        scrambled(n, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| match (i + seed as usize) % 6 {
+                0 => Complex::new(0.0, a.im),
+                1 => Complex::new(-0.0, -0.0),
+                2 => Complex::new(a.re, -0.0),
+                3 => Complex::ZERO,
+                _ => a,
+            })
+            .collect()
+    }
+
+    /// The per-index single-qubit kernel: `m00·a0 + m01·a1` and
+    /// `m10·a0 + m11·a1` on every pair whose controls hold, or, for a
+    /// diagonal `m`, a scale of each amplitude that skips the target-`0`
+    /// half when `m00 ≈ 1`.
+    fn reference_single(amps: &mut [Complex], control_mask: usize, target: usize, m: &Matrix2) {
+        let bt = 1usize << target;
+        let (m00, m01, m10, m11) = (m.entry(0, 0), m.entry(0, 1), m.entry(1, 0), m.entry(1, 1));
+        let diagonal = m01.approx_zero() && m10.approx_zero();
+        for lo in 0..amps.len() {
+            if lo & bt != 0 || lo & control_mask != control_mask {
+                continue;
+            }
+            let hi = lo | bt;
+            if diagonal {
+                if !m00.approx_one() {
+                    amps[lo] *= m00;
+                }
+                amps[hi] *= m11;
+            } else {
+                let (a0, a1) = (amps[lo], amps[hi]);
+                amps[lo] = m00 * a0 + m01 * a1;
+                amps[hi] = m10 * a0 + m11 * a1;
+            }
+        }
+    }
+
+    /// SWAP as an index exchange: `i ↔ i ^ (2^a | 2^b)` wherever bits `a`
+    /// and `b` differ and the controls hold.
+    fn reference_swap(amps: &mut [Complex], control_mask: usize, a: usize, b: usize) {
+        for i in 0..amps.len() {
+            let j = i ^ (1 << a) ^ (1 << b);
+            if i < j && (i >> a) & 1 != (i >> b) & 1 && i & control_mask == control_mask {
+                amps.swap(i, j);
+            }
+        }
+    }
+
+    /// Every control set of at most two of the `n` qubits outside
+    /// `targets`: none, one below or above the targets, one on each side,
+    /// and two on one side.
+    fn control_sets(n: usize, targets: usize) -> Vec<usize> {
+        let free: Vec<usize> = (0..n)
+            .map(|q| 1usize << q)
+            .filter(|bit| bit & targets == 0)
+            .collect();
+        let mut sets = vec![0];
+        for (i, &first) in free.iter().enumerate() {
+            sets.push(first);
+            sets.extend(free[i + 1..].iter().map(|&second| first | second));
+        }
+        sets
+    }
+
+    #[test]
+    fn walker_matches_per_index_reference_bit_for_bit() {
+        let n = 5;
+        let gates = [
+            ("h", Matrix2::hadamard()),
+            ("x", Matrix2::pauli_x()),
+            ("y", Matrix2::pauli_y()),
+            ("t", Matrix2::phase(std::f64::consts::FRAC_PI_4)),
+            ("rz", Matrix2::rz(0.7)),
+            ("u3", Matrix2::u3(0.3, 1.0, -0.4)),
+        ];
+        for lanes in [1usize, 2, 3, 8] {
+            let states: Vec<Vec<Complex>> = (0..lanes).map(|l| signed_zeros(n, l as u64)).collect();
+            for target in 0..n {
+                for mask in control_sets(n, 1 << target) {
+                    for (name, m) in &gates {
+                        let mut want = states.clone();
+                        for s in &mut want {
+                            reference_single(s, mask, target, m);
+                        }
+                        let mut arena = to_arena(&states);
+                        apply_controlled_single(&mut arena, lanes, mask, target, m);
+                        assert_eq!(
+                            bits(&arena),
+                            bits(&to_arena(&want)),
+                            "{name} on {target}, controls {mask:#b}, lanes {lanes}"
+                        );
+                    }
+                }
+            }
+            for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+                if a == b {
+                    continue;
+                }
+                for mask in control_sets(n, (1 << a) | (1 << b)) {
+                    let mut want = states.clone();
+                    for s in &mut want {
+                        reference_swap(s, mask, a, b);
+                    }
+                    let mut arena = to_arena(&states);
+                    apply_controlled_swap(&mut arena, lanes, mask, a, b);
+                    assert_eq!(
+                        bits(&arena),
+                        bits(&to_arena(&want)),
+                        "swap({a}, {b}), controls {mask:#b}, lanes {lanes}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_supported_row_loop_matches_the_scalar_formulas_bit_for_bit() {
+        let rotations = [Matrix2::pauli_x(), Matrix2::u3(0.3, 1.0, -0.4)];
+        let scales = [Matrix2::rz(0.7).entry(1, 1), Complex::new(-0.0, 1.0)];
+        for isa in lane_simd::supported() {
+            for len in 1..=9 {
+                let x0 = &signed_zeros(4, len as u64)[..len];
+                let x1 = &signed_zeros(4, 50 + len as u64)[..len];
+                for m in &rotations {
+                    let (m00, m01, m10, m11) =
+                        (m.entry(0, 0), m.entry(0, 1), m.entry(1, 0), m.entry(1, 1));
+                    let (mut lo, mut hi) = (x0.to_vec(), x1.to_vec());
+                    lane_simd::rotate_rows(isa, &mut lo, &mut hi, m00, m01, m10, m11);
+                    let want_lo: Vec<Complex> = x0
+                        .iter()
+                        .zip(x1)
+                        .map(|(&a0, &a1)| m00 * a0 + m01 * a1)
+                        .collect();
+                    let want_hi: Vec<Complex> = x0
+                        .iter()
+                        .zip(x1)
+                        .map(|(&a0, &a1)| m10 * a0 + m11 * a1)
+                        .collect();
+                    assert_eq!(bits(&lo), bits(&want_lo), "{isa:?} rotate, len {len}");
+                    assert_eq!(bits(&hi), bits(&want_hi), "{isa:?} rotate, len {len}");
+                }
+                for &d in &scales {
+                    let mut row = x0.to_vec();
+                    lane_simd::scale_row(isa, &mut row, d);
+                    let want: Vec<Complex> = x0.iter().map(|&a| a * d).collect();
+                    assert_eq!(bits(&row), bits(&want), "{isa:?} scale, len {len}");
+                }
+            }
         }
     }
 }

@@ -8,14 +8,17 @@
 //! performs.
 //!
 //! * [`StateVector`] — dense `2ⁿ` amplitudes, inner products and fidelity,
-//! * [`Simulator`] — gate application with diagonal fast paths and
-//!   cache-hot batched probes ([`Simulator::probe_stimuli_batch_while`] /
-//!   [`BatchWorkspace`]); kernels run on the calling thread (a checker
-//!   parallelises across stimuli instead),
+//! * [`Simulator`] — gate application and equivalence probes over
+//!   lane-major arenas of `k` state vectors
+//!   ([`Simulator::probe_stimuli_while`] / [`ProbeWorkspace`]), a lone
+//!   stimulus being the one-lane case; kernels run on the calling thread
+//!   (a checker parallelises across stimuli instead),
 //! * [`measure`] — probabilities, sampling, collapse,
 //! * [`unitary`] — full unitaries built column-by-column (ground truth for
 //!   tests and the Fig. 1 reproduction),
-//! * [`kernels`] — the raw amplitude-slice kernels.
+//! * [`kernels`] — the gate kernels: one walk over contiguous amplitude
+//!   runs, vectorized (AVX-512/AVX2) once a run fills a register, with the
+//!   same bits on every path.
 //!
 //! # Examples
 //!
@@ -44,6 +47,6 @@ mod simulator;
 mod state;
 mod unitary;
 
-pub use simulator::{BatchWorkspace, ProbeWorkspace, Simulator};
+pub use simulator::{ProbeWorkspace, Simulator};
 pub use state::{StateError, StateVector};
 pub use unitary::unitary;

@@ -83,35 +83,32 @@ impl Simulator {
             "circuit and state qubit counts differ"
         );
         for gate in circuit.gates() {
-            self.apply_gate(state, gate);
+            self.apply_gate(state.amplitudes_mut(), 1, gate);
         }
     }
 
-    /// Applies a single gate to `state`.
+    /// Applies a single gate to every lane of a lane-major `arena` of
+    /// `lanes` state vectors (amplitude `i` of lane `l` at
+    /// `arena[i * lanes + l]`); a lone state vector is the one-lane arena,
+    /// `state.amplitudes_mut()`.
     ///
     /// # Panics
     ///
-    /// Panics if the gate does not fit the state's register.
-    pub fn apply_gate(&self, state: &mut StateVector, gate: &Gate) {
+    /// Panics if the gate does not fit the arena's register.
+    pub fn apply_gate(&self, arena: &mut [Complex], lanes: usize, gate: &Gate) {
         assert!(
-            gate.max_qubit() < state.n_qubits(),
-            "gate {gate} exceeds the state's {} qubits",
-            state.n_qubits()
+            (lanes << gate.max_qubit()) < arena.len(),
+            "gate {gate} exceeds the arena's register"
         );
         let control_mask: usize = gate.controls().iter().map(|&q| 1usize << q).sum();
         match gate.kind() {
             GateKind::Swap => {
                 let (a, b) = (gate.targets()[0], gate.targets()[1]);
-                kernels::apply_controlled_swap(state.amplitudes_mut(), control_mask, a, b);
+                kernels::apply_controlled_swap(arena, lanes, control_mask, a, b);
             }
             kind => {
                 let m = kind.base_matrix().expect("single-target kind");
-                kernels::apply_controlled_single(
-                    state.amplitudes_mut(),
-                    control_mask,
-                    gate.target(),
-                    &m,
-                );
+                kernels::apply_controlled_single(arena, lanes, control_mask, gate.target(), &m);
             }
         }
     }
@@ -128,109 +125,37 @@ impl Simulator {
     #[must_use]
     pub fn probe_basis(&self, g: &Circuit, g_prime: &Circuit, basis: u64) -> Complex {
         let mut workspace = ProbeWorkspace::new(g.n_qubits());
-        self.probe_stimulus_while(g, g_prime, None, basis, &mut workspace, &|| true)
-            .expect("unconditional probe cannot be cancelled")
+        self.probe_stimuli_while(g, g_prime, &[(basis, None)], &mut workspace, &|| true)
+            .expect("unconditional probe cannot be cancelled")[0]
     }
 
-    /// Applies `circuit` to the *current* contents of `state` (no reset) —
-    /// the building block for probes whose initial state is itself prepared
-    /// by a prefix circuit. Polls `keep_going` between gate applications;
-    /// returns `false` (leaving `state` part-way through) if abandoned.
+    /// The stimulus-aware probe, for any number of stimuli at once. Each
+    /// stimulus is a `(basis, prefix)` pair: prepare `|basis⟩`, run the
+    /// optional `prefix` circuit once (product or stabilizer state
+    /// preparation), then branch the prepared state through `g` and
+    /// `g_prime`. Returns the overlaps `⟨u|u′⟩` of the two outputs in
+    /// stimulus order (none for no stimuli), or `None` if `keep_going`
+    /// returned `false` (polled between gate applications), abandoning the
+    /// whole batch.
+    ///
+    /// The `k` stimuli run as the `k` lanes of `workspace`'s two arenas, so
+    /// each gate is decoded once and streamed across every lane; a lone
+    /// stimulus is prepared in place and holds just the two `2ⁿ` buffers.
+    /// Per lane the floating-point operations — gate kernels and the
+    /// ascending-index overlap sum of [`StateVector::inner_product`] — do
+    /// not depend on `k`, so every overlap is bit-identical to a probe of
+    /// that stimulus alone.
     ///
     /// # Panics
     ///
-    /// Panics if the qubit counts differ.
-    pub fn apply_to_state_while(
-        &self,
-        circuit: &Circuit,
-        state: &mut StateVector,
-        keep_going: &dyn Fn() -> bool,
-    ) -> bool {
-        assert_eq!(
-            circuit.n_qubits(),
-            state.n_qubits(),
-            "circuit and state qubit counts differ"
-        );
-        for gate in circuit.gates() {
-            if !keep_going() {
-                return false;
-            }
-            self.apply_gate(state, gate);
-        }
-        true
-    }
-
-    /// The stimulus-aware probe: prepares `|basis⟩`, runs the optional
-    /// `prefix` circuit once (product or stabilizer state preparation),
-    /// then branches the shared prepared state through `g` and `g_prime`
-    /// and returns the overlap `⟨u|u′⟩` of the two outputs. Reuses the two
-    /// state buffers of `workspace`, so loops over many stimuli allocate
-    /// once, and polls `keep_going` between gate applications — the
-    /// cancellable probe for worker pools. Returns `None` if the probe was
-    /// abandoned mid-run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any qubit count differs or `basis` is out of range.
+    /// Panics if any qubit count differs or a basis is out of range.
     #[must_use]
-    pub fn probe_stimulus_while(
-        &self,
-        g: &Circuit,
-        g_prime: &Circuit,
-        prefix: Option<&Circuit>,
-        basis: u64,
-        workspace: &mut ProbeWorkspace,
-        keep_going: &dyn Fn() -> bool,
-    ) -> Option<Complex> {
-        assert_eq!(
-            g.n_qubits(),
-            g_prime.n_qubits(),
-            "circuits must have equal qubit counts"
-        );
-        workspace.left.reset_to_basis(basis);
-        if let Some(prefix) = prefix {
-            // The preparation runs once; both branches start from its
-            // output.
-            if !self.apply_to_state_while(prefix, &mut workspace.left, keep_going) {
-                return None;
-            }
-        }
-        workspace.right.copy_from(&workspace.left);
-        if !self.apply_to_state_while(g, &mut workspace.left, keep_going)
-            || !self.apply_to_state_while(g_prime, &mut workspace.right, keep_going)
-        {
-            return None;
-        }
-        Some(workspace.left.inner_product(&workspace.right))
-    }
-
-    /// Batched variant of [`Simulator::probe_stimulus_while`]: runs every
-    /// stimulus of the batch through both circuits simultaneously, with
-    /// each gate decoded once and streamed across all lanes of a shared
-    /// arena (see [`BatchWorkspace`]).
-    ///
-    /// Each stimulus is a `(basis, prefix)` pair as in the single-stimulus
-    /// probe. Returns the per-lane overlaps `⟨u|u′⟩` in stimulus order, or
-    /// `None` if the whole batch was abandoned because `keep_going`
-    /// returned `false` (polled once per gate, amortized over the batch).
-    ///
-    /// Per lane, the floating-point operations — gate kernels and the
-    /// ascending-index overlap summation — are identical to the
-    /// single-stimulus path, so every returned overlap is bit-identical to
-    /// what [`Simulator::probe_stimulus_while`] would produce for that
-    /// stimulus alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any qubit count differs, the batch is empty, or a basis
-    /// is out of range.
-    #[must_use]
-    pub fn probe_stimuli_batch_while<'w>(
+    pub fn probe_stimuli_while<'w>(
         &self,
         g: &Circuit,
         g_prime: &Circuit,
         stimuli: &[(u64, Option<&Circuit>)],
-        workspace: &'w mut BatchWorkspace,
+        workspace: &'w mut ProbeWorkspace,
         keep_going: &dyn Fn() -> bool,
     ) -> Option<&'w [Complex]> {
         assert_eq!(
@@ -244,153 +169,135 @@ impl Simulator {
             "workspace sized for a different register"
         );
         let lanes = stimuli.len();
-        assert!(lanes > 0, "need at least one stimulus");
         let dim = 1usize << workspace.n_qubits;
-        workspace.left.clear();
-        workspace.left.resize(dim * lanes, Complex::ZERO);
-        // Prepare each lane's stimulus in the scratch register, then
-        // scatter it into its lane column of the arena.
-        for (lane, &(basis, prefix)) in stimuli.iter().enumerate() {
-            workspace.scratch.reset_to_basis(basis);
-            if let Some(prefix) = prefix {
-                if !self.apply_to_state_while(prefix, &mut workspace.scratch, keep_going) {
+        let ProbeWorkspace {
+            left,
+            right,
+            overlaps,
+            ..
+        } = workspace;
+        overlaps.clear();
+        if lanes == 0 {
+            return Some(overlaps);
+        }
+        left.resize(dim * lanes, Complex::ZERO);
+        right.resize(dim * lanes, Complex::ZERO);
+        if lanes == 1 {
+            let (basis, prefix) = stimuli[0];
+            if !self.prepare_while(left, basis, prefix, keep_going) {
+                return None;
+            }
+        } else {
+            // Prepare each lane in `right`, free until the branch copy
+            // below, and scatter it into its lane of `left`.
+            for (lane, &(basis, prefix)) in stimuli.iter().enumerate() {
+                let state = &mut right[..dim];
+                if !self.prepare_while(state, basis, prefix, keep_going) {
                     return None;
                 }
-            }
-            for (i, &amp) in workspace.scratch.amplitudes().iter().enumerate() {
-                workspace.left[i * lanes + lane] = amp;
-            }
-        }
-        workspace.right.clear();
-        workspace.right.extend_from_slice(&workspace.left);
-        for gate in g.gates() {
-            if !keep_going() {
-                return None;
-            }
-            Self::apply_gate_batch(&mut workspace.left, lanes, gate);
-        }
-        for gate in g_prime.gates() {
-            if !keep_going() {
-                return None;
-            }
-            Self::apply_gate_batch(&mut workspace.right, lanes, gate);
-        }
-        // Per-lane overlaps accumulated in ascending amplitude order — the
-        // exact summation order of `StateVector::inner_product`.
-        workspace.overlaps.clear();
-        workspace.overlaps.resize(lanes, Complex::ZERO);
-        for i in 0..dim {
-            let row = i * lanes;
-            for (lane, acc) in workspace.overlaps.iter_mut().enumerate() {
-                *acc += workspace.left[row + lane].conj() * workspace.right[row + lane];
+                for (row, &amp) in left.chunks_exact_mut(lanes).zip(state.iter()) {
+                    row[lane] = amp;
+                }
             }
         }
-        Some(&workspace.overlaps)
+        right.copy_from_slice(left);
+        if !self.run_while(g, left, lanes, keep_going)
+            || !self.run_while(g_prime, right, lanes, keep_going)
+        {
+            return None;
+        }
+        overlaps.resize(lanes, Complex::ZERO);
+        for (u, v) in left.chunks_exact(lanes).zip(right.chunks_exact(lanes)) {
+            for ((acc, a), b) in overlaps.iter_mut().zip(u).zip(v) {
+                *acc += a.conj() * *b;
+            }
+        }
+        Some(overlaps)
     }
 
-    /// Applies one gate across all lanes of a lane-major arena, mirroring
-    /// the kernel dispatch of [`Simulator::apply_gate`].
-    fn apply_gate_batch(arena: &mut [Complex], lanes: usize, gate: &Gate) {
-        debug_assert!(
-            (lanes << gate.max_qubit()) < arena.len(),
-            "gate {gate} exceeds the arena's register"
+    /// Sets the one-lane `state` to `|basis⟩` and runs `prefix` on it.
+    /// Returns `false` if `keep_going` abandoned the preparation.
+    fn prepare_while(
+        &self,
+        state: &mut [Complex],
+        basis: u64,
+        prefix: Option<&Circuit>,
+        keep_going: &dyn Fn() -> bool,
+    ) -> bool {
+        assert!(
+            (basis as usize) < state.len(),
+            "basis state {basis} out of range for {} amplitudes",
+            state.len()
         );
-        let control_mask: usize = gate.controls().iter().map(|&q| 1usize << q).sum();
-        match gate.kind() {
-            GateKind::Swap => {
-                let (a, b) = (gate.targets()[0], gate.targets()[1]);
-                kernels::apply_controlled_swap_batch(arena, lanes, control_mask, a, b);
+        state.fill(Complex::ZERO);
+        state[basis as usize] = Complex::ONE;
+        prefix.is_none_or(|prefix| {
+            assert_eq!(
+                1usize << prefix.n_qubits(),
+                state.len(),
+                "prefix and register qubit counts differ"
+            );
+            self.run_while(prefix, state, 1, keep_going)
+        })
+    }
+
+    /// Applies `circuit` to every lane of `arena`, polling `keep_going`
+    /// before each gate. Returns `false` if abandoned part-way through.
+    fn run_while(
+        &self,
+        circuit: &Circuit,
+        arena: &mut [Complex],
+        lanes: usize,
+        keep_going: &dyn Fn() -> bool,
+    ) -> bool {
+        for gate in circuit.gates() {
+            if !keep_going() {
+                return false;
             }
-            kind => {
-                let m = kind.base_matrix().expect("single-target kind");
-                kernels::apply_controlled_single_batch(
-                    arena,
-                    lanes,
-                    control_mask,
-                    gate.target(),
-                    &m,
-                );
-            }
+            self.apply_gate(arena, lanes, gate);
         }
+        true
     }
 }
 
-/// Reusable pair of state buffers for repeated equivalence probes.
+/// Reusable arenas for equivalence probes.
 ///
-/// Each worker of a checker pool owns one workspace; every probe then runs
-/// without heap allocation. See [`Simulator::probe_stimulus_while`].
+/// Holds the `k` state vectors of each branch of a `k`-stimulus probe in
+/// one lane-major allocation: amplitude `i` of lane `l` lives at
+/// `arena[i * k + l]`, so a kernel visiting a run of amplitudes touches
+/// `k` times as many contiguous complex values. The arenas grow to the
+/// largest batch probed and are reused without reallocation; `k` is taken
+/// from each call's stimulus slice, so one workspace serves any batch
+/// size, one stimulus included. Each worker of a checker pool owns one.
+///
+/// See [`Simulator::probe_stimuli_while`].
 #[derive(Debug, Clone)]
 pub struct ProbeWorkspace {
-    left: StateVector,
-    right: StateVector,
-}
-
-impl ProbeWorkspace {
-    /// Creates a workspace for `n_qubits`-qubit probes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_qubits` is zero or exceeds [`StateVector::MAX_QUBITS`].
-    #[must_use]
-    pub fn new(n_qubits: usize) -> Self {
-        ProbeWorkspace {
-            left: StateVector::zero(n_qubits),
-            right: StateVector::zero(n_qubits),
-        }
-    }
-
-    /// The register size the buffers are allocated for.
-    #[must_use]
-    pub fn n_qubits(&self) -> usize {
-        self.left.n_qubits()
-    }
-
-    /// The output state of `G` from the most recent probe.
-    #[must_use]
-    pub fn left(&self) -> &StateVector {
-        &self.left
-    }
-
-    /// The output state of `G'` from the most recent probe.
-    #[must_use]
-    pub fn right(&self) -> &StateVector {
-        &self.right
-    }
-}
-
-/// Reusable arena for batched equivalence probes.
-///
-/// Holds `k` state vectors per branch in a single lane-major allocation:
-/// amplitude `i` of lane `l` lives at `arena[i * k + l]`, so a gate kernel
-/// visiting an amplitude pair touches `2k` contiguous complex values. The
-/// arena buffers grow to the largest batch probed and are reused across
-/// batches without reallocation; `k` is taken from each call's stimulus
-/// slice, so one workspace serves any batch size.
-///
-/// See [`Simulator::probe_stimuli_batch_while`].
-#[derive(Debug, Clone)]
-pub struct BatchWorkspace {
     n_qubits: usize,
     left: Vec<Complex>,
     right: Vec<Complex>,
-    scratch: StateVector,
     overlaps: Vec<Complex>,
 }
 
-impl BatchWorkspace {
-    /// Creates a workspace for `n_qubits`-qubit batched probes. Arena
-    /// storage is allocated lazily on first probe.
+impl ProbeWorkspace {
+    /// Creates a workspace for `n_qubits`-qubit probes. Arena storage is
+    /// allocated on the first probe.
     ///
     /// # Panics
     ///
     /// Panics if `n_qubits` is zero or exceeds [`StateVector::MAX_QUBITS`].
     #[must_use]
     pub fn new(n_qubits: usize) -> Self {
-        BatchWorkspace {
+        assert!(n_qubits > 0, "a state needs at least one qubit");
+        assert!(
+            n_qubits <= StateVector::MAX_QUBITS,
+            "dense statevectors support at most {} qubits",
+            StateVector::MAX_QUBITS
+        );
+        ProbeWorkspace {
             n_qubits,
             left: Vec::new(),
             right: Vec::new(),
-            scratch: StateVector::zero(n_qubits),
             overlaps: Vec::new(),
         }
     }
@@ -399,6 +306,20 @@ impl BatchWorkspace {
     #[must_use]
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
+    }
+
+    /// The `G` branch's arena after the most recent probe: for a
+    /// one-stimulus probe, the output state of `G`.
+    #[must_use]
+    pub fn left(&self) -> &[Complex] {
+        &self.left
+    }
+
+    /// The `G'` branch's arena after the most recent probe: for a
+    /// one-stimulus probe, the output state of `G'`.
+    #[must_use]
+    pub fn right(&self) -> &[Complex] {
+        &self.right
     }
 }
 
@@ -520,10 +441,13 @@ mod tests {
         for basis in [0u64, 3, 17, 30, 9] {
             let fresh = sim.probe_basis(&g, &buggy, basis);
             let reused = sim
-                .probe_stimulus_while(&g, &buggy, None, basis, &mut ws, &|| true)
-                .expect("not cancelled");
+                .probe_stimuli_while(&g, &buggy, &[(basis, None)], &mut ws, &|| true)
+                .expect("not cancelled")[0];
             assert!(fresh.approx_eq(reused), "basis {basis}");
-            assert!(ws.left().is_normalized() && ws.right().is_normalized());
+            for output in [ws.left(), ws.right()] {
+                let norm: f64 = output.iter().map(|a| a.norm_sqr()).sum();
+                assert!((norm - 1.0).abs() < 1e-10, "basis {basis}");
+            }
         }
     }
 
@@ -541,12 +465,12 @@ mod tests {
             left > 0
         };
         assert_eq!(
-            sim.probe_stimulus_while(&g, &g, None, 0, &mut ws, &keep_going),
+            sim.probe_stimuli_while(&g, &g, &[(0, None)], &mut ws, &keep_going),
             None
         );
         // An unconstrained probe still works on the same workspace.
-        let overlap = sim.probe_stimulus_while(&g, &g, None, 0, &mut ws, &|| true);
-        assert!(overlap.expect("not cancelled").approx_one());
+        let overlap = sim.probe_stimuli_while(&g, &g, &[(0, None)], &mut ws, &|| true);
+        assert!(overlap.expect("not cancelled")[0].approx_one());
     }
 
     #[test]
@@ -584,8 +508,7 @@ mod tests {
         buggy.z(2);
         let prefix = generators::ghz(n);
         let mut single = ProbeWorkspace::new(n);
-        let mut batch = BatchWorkspace::new(n);
-        assert_eq!(batch.n_qubits(), n);
+        let mut batch = ProbeWorkspace::new(n);
         let bases = [0u64, 3, 17, 30, 9, 22, 7, 12];
         for lanes in [1usize, 3, 8] {
             for use_prefix in [false, true] {
@@ -593,15 +516,17 @@ mod tests {
                 let stimuli: Vec<(u64, Option<&qcirc::Circuit>)> =
                     bases[..lanes].iter().map(|&b| (b, prefix)).collect();
                 let overlaps = sim
-                    .probe_stimuli_batch_while(&g, &buggy, &stimuli, &mut batch, &|| true)
+                    .probe_stimuli_while(&g, &buggy, &stimuli, &mut batch, &|| true)
                     .expect("not cancelled")
                     .to_vec();
-                for (lane, &(basis, prefix)) in stimuli.iter().enumerate() {
+                for (lane, stimulus) in stimuli.iter().enumerate() {
                     let want = sim
-                        .probe_stimulus_while(&g, &buggy, prefix, basis, &mut single, &|| true)
-                        .expect("not cancelled");
+                        .probe_stimuli_while(&g, &buggy, &[*stimulus], &mut single, &|| true)
+                        .expect("not cancelled")[0];
+                    let bits = |c: Complex| (c.re.to_bits(), c.im.to_bits());
                     assert_eq!(
-                        overlaps[lane], want,
+                        bits(overlaps[lane]),
+                        bits(want),
                         "lanes={lanes} lane={lane} prefix={use_prefix}"
                     );
                 }
@@ -614,7 +539,7 @@ mod tests {
         use std::cell::Cell;
         let sim = Simulator::new();
         let g = generators::qft(4, true);
-        let mut ws = BatchWorkspace::new(4);
+        let mut ws = ProbeWorkspace::new(4);
         let budget = Cell::new(3usize);
         let keep_going = || {
             let left = budget.get();
@@ -624,11 +549,11 @@ mod tests {
         let stimuli: Vec<(u64, Option<&qcirc::Circuit>)> =
             [0u64, 5].iter().map(|&b| (b, None)).collect();
         assert!(sim
-            .probe_stimuli_batch_while(&g, &g, &stimuli, &mut ws, &keep_going)
+            .probe_stimuli_while(&g, &g, &stimuli, &mut ws, &keep_going)
             .is_none());
         // The workspace is reusable after a cancelled batch.
         let overlaps = sim
-            .probe_stimuli_batch_while(&g, &g, &stimuli, &mut ws, &|| true)
+            .probe_stimuli_while(&g, &g, &stimuli, &mut ws, &|| true)
             .expect("not cancelled");
         assert!(overlaps.iter().all(|o| o.approx_one()));
     }

@@ -2,8 +2,11 @@
 //! spots. Every case either must be handled correctly or must fail the
 //! *documented* way (no silent wrong answers).
 
+use std::sync::Arc;
+
+use qcec::scheduler::CollectingSink;
 use qcec::{
-    check_equivalence, check_equivalence_default, Config, Criterion, Fallback, Outcome,
+    check_equivalence, check_equivalence_default, Config, Criterion, Fallback, FlowError, Outcome,
     StimulusStrategy,
 };
 use qcirc::{generators, Circuit};
@@ -176,6 +179,36 @@ fn register_mismatch_is_rejected_not_guessed() {
     let a = generators::ghz(3);
     let b = generators::ghz(5);
     assert!(check_equivalence_default(&a, &b).is_err());
+}
+
+/// A register past the dense engine's width under the default
+/// (statevector) backend is refused with a typed error naming the width and
+/// the limit, instead of a panic inside qsim. The refusal comes before the
+/// simulation stage starts — the event sink sees no stage at all — so no
+/// `2ⁿ` buffer is ever allocated.
+#[test]
+fn over_wide_dense_register_is_refused_before_any_stage_starts() {
+    let max_qubits = qsim::StateVector::MAX_QUBITS;
+    for n_qubits in [29, 40] {
+        let g = generators::ghz(n_qubits);
+        let sink = Arc::new(CollectingSink::new());
+        let config = Config::default().with_event_sink(sink.clone());
+        let err = check_equivalence(&g, &g.clone(), &config).unwrap_err();
+        assert_eq!(
+            err,
+            FlowError::RegisterTooWide {
+                n_qubits,
+                max_qubits
+            }
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains(&format!("at most {max_qubits} qubits"))
+                && message.contains(&format!("act on {n_qubits}")),
+            "{message}"
+        );
+        assert_eq!(sink.events(), Vec::new(), "n = {n_qubits}");
+    }
 }
 
 // ---------------------------------------------------------------------------
