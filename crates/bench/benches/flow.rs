@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qcec::{Config, Fallback};
 use qcirc::generators;
+use qfault::Mutator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,7 +19,7 @@ fn design_flow_pair() -> (qcirc::Circuit, qcirc::Circuit) {
 fn bench_non_equivalent(c: &mut Criterion) {
     let (g, alt) = design_flow_pair();
     let mut rng = StdRng::seed_from_u64(99);
-    let (buggy, _) = qcirc::errors::inject_random(&alt, &mut rng).unwrap();
+    let (buggy, _) = qfault::RemoveGate.apply(&alt, &mut rng).unwrap();
     let mut group = c.benchmark_group("flow_non_equivalent");
     group.bench_function("simulation_flow", |b| {
         let config = Config::new().with_fallback(Fallback::None);

@@ -15,23 +15,26 @@
 //!     --seed 7 --trials 5 --faults 1 --sims 10 --threads 2 --scale 0
 //! ```
 //!
-//! `--stimuli basis,product,stabilizer` ablates over stimulus strategies
-//! (every fault is checked once per strategy); `--backend sv,dd,stab,mps`
-//! does the same over simulation engines, `--scheme
-//! sequential,onetoone,proportional,gatecost` over the alternating
-//! check's gate-application schemes, `--chi 1,16,64` over the MPS
-//! engine's bond-dimension cap, and `--batch 1,8` over the probe batch
-//! size — every arm sees the identical faults, so a detection difference
-//! is attributable to the axis alone (and for `--batch` the arms must be
-//! identical outright: per-stimulus outcomes are bit-identical at any
-//! batch size, making the axis a built-in self-check).
+//! Five flags set the ablation axes ([`qcec::campaign::Axis`]):
+//! `--stimuli basis,product,stabilizer` (stimulus strategies), `--backend
+//! sv,dd,stab,mps` (simulation engines), `--scheme
+//! sequential,onetoone,proportional,gatecost` (the alternating check's
+//! gate-application schemes), `--chi 1,16,64` (the MPS engine's
+//! bond-dimension cap) and `--batch 1,8` (the probe batch size). Every
+//! trial is checked once per combination of arms, and every arm sees the
+//! identical faults, so a detection difference is attributable to the axis
+//! alone (and for `--batch` the arms must be identical outright:
+//! per-stimulus outcomes are bit-identical at any batch size, making the
+//! axis a built-in self-check).
 //! `--compose K` stacks `K − 1` extra mixed-class faults on top of each
 //! trial's own (modelling multi-fault compiler bugs); `--peel` strips the
 //! shared Clifford rim off every pair before checking. `--pair
 //! golden,faulty` (repeatable; `.qasm` or `.real` files) switches to
 //! *pair-audit* mode: instead of the synthetic campaign, each explicit
 //! pair is labelled by the guard and checked `--trials` times per strategy
-//! with the simulation stage alone, measuring raw detection power.
+//! with the simulation stage alone, measuring raw detection power. Pair
+//! mode ablates stimuli only: a second value of any other axis flag exits
+//! with status 2.
 //!
 //! `--inject CLASS[,CLASS...]` (or `--inject all`) switches `--pair` to
 //! single-file form: each `--pair FILE` names one imported netlist used as
@@ -44,8 +47,9 @@
 use std::io::Write as _;
 use std::process::exit;
 
-use qcec::campaign::{audit_pair, run_campaign, CampaignBenchmark, CampaignConfig, CompileRoute};
-use qcec::{ApplicationScheme, BackendKind, StimulusStrategy};
+use qcec::campaign::{
+    audit_pair, run_campaign, Axis, CampaignBenchmark, CampaignConfig, CompileRoute,
+};
 use qcirc::generators;
 use qcirc::mapping::CouplingMap;
 use qfault::MutationKind;
@@ -64,11 +68,7 @@ struct Args {
     epsilon: f64,
     timings: bool,
     out: Option<String>,
-    stimuli: Vec<StimulusStrategy>,
-    backends: Vec<BackendKind>,
-    schemes: Vec<ApplicationScheme>,
-    chis: Option<Vec<usize>>,
-    batches: Option<Vec<usize>>,
+    axes: Vec<Axis>,
     pairs: Vec<String>,
     inject: Option<Vec<MutationKind>>,
 }
@@ -89,11 +89,7 @@ impl Default for Args {
             epsilon: 0.1,
             timings: false,
             out: None,
-            stimuli: vec![StimulusStrategy::Random],
-            backends: vec![BackendKind::Statevector],
-            schemes: vec![ApplicationScheme::Proportional],
-            chis: None,
-            batches: None,
+            axes: Vec::new(),
             pairs: Vec::new(),
             inject: None,
         }
@@ -136,86 +132,15 @@ fn parse_inject(spec: &str) -> Vec<MutationKind> {
     classes
 }
 
-fn parse_stimuli(spec: &str) -> Vec<StimulusStrategy> {
-    let strategies: Vec<StimulusStrategy> = spec
-        .split(',')
-        .map(|s| {
-            StimulusStrategy::parse(s).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                usage()
-            })
-        })
-        .collect();
-    if strategies.is_empty() {
-        usage();
+/// Parses a count flag's value, refusing zero.
+fn count(flag: &str, value: &str) -> usize {
+    match value.parse() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("{flag} needs a count of at least 1");
+            usage()
+        }
     }
-    strategies
-}
-
-fn parse_backends(spec: &str) -> Vec<BackendKind> {
-    let backends: Vec<BackendKind> = spec
-        .split(',')
-        .map(|s| {
-            BackendKind::parse(s).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                usage()
-            })
-        })
-        .collect();
-    if backends.is_empty() {
-        usage();
-    }
-    backends
-}
-
-fn parse_schemes(spec: &str) -> Vec<ApplicationScheme> {
-    let schemes: Vec<ApplicationScheme> = spec
-        .split(',')
-        .map(|s| {
-            ApplicationScheme::parse(s).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                usage()
-            })
-        })
-        .collect();
-    if schemes.is_empty() {
-        usage();
-    }
-    schemes
-}
-
-fn parse_chis(spec: &str) -> Vec<usize> {
-    let chis: Vec<usize> = spec
-        .split(',')
-        .map(|s| match s.trim().parse() {
-            Ok(chi) if chi > 0 => chi,
-            _ => {
-                eprintln!("--chi expects positive bond-dimension caps (got `{s}`)");
-                usage()
-            }
-        })
-        .collect();
-    if chis.is_empty() {
-        usage();
-    }
-    chis
-}
-
-fn parse_batches(spec: &str) -> Vec<usize> {
-    let batches: Vec<usize> = spec
-        .split(',')
-        .map(|s| match s.trim().parse() {
-            Ok(k) if k > 0 => k,
-            _ => {
-                eprintln!("--batch expects positive batch sizes (got `{s}`)");
-                usage()
-            }
-        })
-        .collect();
-    if batches.is_empty() {
-        usage();
-    }
-    batches
 }
 
 fn parse_pair(spec: &str) -> (String, String) {
@@ -258,18 +183,12 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--trials" => args.trials = val("--trials").parse().unwrap_or_else(|_| usage()),
-            "--faults" => args.faults = val("--faults").parse().unwrap_or_else(|_| usage()),
-            "--compose" => {
-                args.compose = val("--compose").parse().unwrap_or_else(|_| usage());
-                if args.compose == 0 {
-                    eprintln!("--compose needs a width of at least 1");
-                    usage();
-                }
-            }
+            "--trials" => args.trials = count("--trials", &val("--trials")),
+            "--faults" => args.faults = count("--faults", &val("--faults")),
+            "--compose" => args.compose = count("--compose", &val("--compose")),
             "--peel" => args.peel = true,
             "--sims" => args.sims = val("--sims").parse().unwrap_or_else(|_| usage()),
-            "--threads" => args.threads = val("--threads").parse().unwrap_or_else(|_| usage()),
+            "--threads" => args.threads = count("--threads", &val("--threads")),
             "--trial-threads" => {
                 args.trial_threads = val("--trial-threads").parse().unwrap_or_else(|_| usage());
             }
@@ -278,17 +197,19 @@ fn parse_args() -> Args {
             "--epsilon" => args.epsilon = val("--epsilon").parse().unwrap_or_else(|_| usage()),
             "--timings" => args.timings = true,
             "--out" => args.out = Some(val("--out")),
-            "--stimuli" => args.stimuli = parse_stimuli(&val("--stimuli")),
-            "--backend" => args.backends = parse_backends(&val("--backend")),
-            "--scheme" => args.schemes = parse_schemes(&val("--scheme")),
-            "--chi" => args.chis = Some(parse_chis(&val("--chi"))),
-            "--batch" => args.batches = Some(parse_batches(&val("--batch"))),
             "--pair" => args.pairs.push(val("--pair")),
             "--inject" => args.inject = Some(parse_inject(&val("--inject"))),
             "--help" | "-h" => usage(),
             other => {
-                eprintln!("unknown flag {other}");
-                usage();
+                let Some(axis) = other.strip_prefix("--").and_then(Axis::named) else {
+                    eprintln!("unknown flag {other}");
+                    usage();
+                };
+                let arms = axis.parse_arms(&val(other)).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                });
+                args.axes.push(arms);
             }
         }
     }
@@ -437,21 +358,19 @@ fn main() {
         .with_threads(args.threads)
         .with_trial_threads(args.trial_threads)
         .with_guard_cache(args.guard_cache)
-        .with_epsilon(args.epsilon)
-        .with_strategies(args.stimuli.clone())
-        .with_backends(args.backends.clone())
-        .with_schemes(args.schemes.clone());
-    if let Some(chis) = &args.chis {
-        config = config.with_chis(chis.clone());
-    }
-    if let Some(batches) = &args.batches {
-        config = config.with_batches(batches.clone());
+        .with_epsilon(args.epsilon);
+    for axis in &args.axes {
+        config = config.with_axis(axis.clone());
     }
     if let Some(classes) = &args.inject {
         config = config.with_classes(classes.clone());
     }
 
     if !args.pairs.is_empty() && args.inject.is_none() {
+        if let Some(axis) = config.pair_audit_conflict() {
+            eprintln!("--{} takes one value in pair mode", axis.flag());
+            exit(2);
+        }
         run_pair_audits(&args, &config);
         return;
     }
@@ -462,9 +381,9 @@ fn main() {
         benchmarks(args.scale)
     };
     eprintln!(
-        "campaign: {} benchmarks x {} strategies x {} classes x {} trials (seed {})",
+        "campaign: {} benchmarks x {} arm combination(s) x {} classes x {} trials (seed {})",
         set.len(),
-        config.strategies.len(),
+        config.axes.iter().map(Axis::arm_count).product::<usize>(),
         config.classes.len(),
         config.trials,
         config.seed,

@@ -2,15 +2,17 @@
 //! the paper observes that for realistic design-flow errors, a *single*
 //! simulation almost always suffices.
 //!
-//! Injects every error class many times (fresh seeds) into a mid-size
-//! elementary circuit and histograms how many random simulations the flow
-//! needed before the counterexample appeared.
+//! Injects every `qfault` error class many times (fresh seeds) into a
+//! mid-size elementary circuit and histograms how many random simulations
+//! the flow needed before the counterexample appeared. The complete-check
+//! guard labels each mutant first: a guard-benign mutant is equivalent to
+//! the original, so it is counted apart, never as a miss.
 //!
 //! Environment: `QCEC_BENCH_SCALE` (0 → 40 trials/class, else 200).
 
 use bench::scale_from_env;
 use qcec::{Config, Fallback, Outcome};
-use qcirc::errors::ErrorKind;
+use qfault::{registry, GuardCache, GuardOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,6 +26,7 @@ fn main() {
         let routed = qcirc::mapping::route_or_panic(&raw, &qcirc::mapping::CouplingMap::grid(2, 4));
         routed.circuit
     };
+    let guard = GuardCache::new(&g, &GuardOptions::default());
     println!(
         "#sims histogram — {} trials per error class on '{}' ({} qubits, {} gates, r ≤ {max_r})",
         trials,
@@ -31,33 +34,31 @@ fn main() {
         g.n_qubits(),
         g.len()
     );
+    println!("percentages are of the guard-confirmed faults; benign mutants are counted apart");
     println!(
-        "{:<22} {:>7} {:>7} {:>7} {:>8} {:>10}",
-        "error class", "1 sim", "2 sims", "3+", "missed", "mean#sims"
+        "{:<22} {:>7} {:>7} {:>7} {:>7} {:>8} {:>7} {:>10}",
+        "error class", "faults", "1 sim", "2 sims", "3+", "missed", "benign", "mean#sims"
     );
 
-    let classes = [
-        ErrorKind::RemoveGate,
-        ErrorKind::MisplaceCx,
-        ErrorKind::FlipCxDirection,
-        ErrorKind::PerturbRotation(0.1),
-        ErrorKind::ReplaceSingleQubitGate,
-        ErrorKind::InsertSingleQubitGate,
-    ];
-    for kind in classes {
+    for mutator in registry(0.1) {
         let mut one = 0usize;
         let mut two = 0usize;
         let mut more = 0usize;
         let mut missed = 0usize;
+        let mut benign = 0usize;
         let mut total_runs = 0usize;
         let mut detected = 0usize;
-        let mut effective_trials = 0usize;
+        let mut faults = 0usize;
         for seed in 0..trials as u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let Ok((buggy, _)) = qcirc::errors::inject(&g, kind, &mut rng) else {
+            let Ok((buggy, _)) = mutator.apply(&g, &mut rng) else {
                 continue;
             };
-            effective_trials += 1;
+            if guard.classify(&buggy).is_benign() {
+                benign += 1;
+                continue;
+            }
+            faults += 1;
             let config = Config::new()
                 .with_simulations(max_r)
                 .with_fallback(Fallback::None)
@@ -76,11 +77,8 @@ fn main() {
                         _ => more += 1,
                     }
                 }
-                _ => {
-                    // Either the injection produced an (unlikely) equivalent
-                    // circuit, or r runs missed the difference.
-                    missed += 1;
-                }
+                // A real fault that r runs did not expose.
+                _ => missed += 1,
             }
         }
         let mean = if detected > 0 {
@@ -89,12 +87,14 @@ fn main() {
             "-".into()
         };
         println!(
-            "{:<22} {:>6}% {:>6}% {:>6}% {:>7}% {:>10}",
-            kind.to_string(),
-            percent(one, effective_trials),
-            percent(two, effective_trials),
-            percent(more, effective_trials),
-            percent(missed, effective_trials),
+            "{:<22} {:>7} {:>6}% {:>6}% {:>6}% {:>7}% {:>7} {:>10}",
+            mutator.kind().slug(),
+            faults,
+            percent(one, faults),
+            percent(two, faults),
+            percent(more, faults),
+            percent(missed, faults),
+            benign,
             mean
         );
     }

@@ -795,14 +795,16 @@ pub fn dd_for_flow(config: &Config) -> qdd::DdBackend {
     qdd::DdBackend::with_node_limit(config.dd_node_limit)
 }
 
-/// A check generic over the probe engine, run by [`with_engine`] on the
-/// engine a configuration names.
+/// A task generic over the probe engine, run by [`with_engine`] on the
+/// engine a configuration names. The task value carries whatever the
+/// task needs beyond the circuits and the configuration.
 pub(crate) trait EngineTask {
-    /// What the check returns.
+    /// What the task returns.
     type Output;
 
-    /// Checks `g` against `g_prime` on `backend`.
+    /// Runs the task for `g` against `g_prime` on `backend`.
     fn run<B: SimBackend>(
+        self,
         backend: &B,
         g: &Circuit,
         g_prime: &Circuit,
@@ -811,23 +813,24 @@ pub(crate) trait EngineTask {
 }
 
 /// Builds the engine `config.backend` names, configured by `config`, and
-/// runs `T` on it — the flow's one `BackendKind → engine` dispatch.
+/// runs `task` on it — the crate's one `BackendKind → engine` dispatch.
 ///
 /// # Panics
 ///
-/// Panics on [`BackendKind::Auto`]; the flow resolves it first.
+/// Panics on [`BackendKind::Auto`]; callers resolve it first.
 pub(crate) fn with_engine<T: EngineTask>(
+    task: T,
     g: &Circuit,
     g_prime: &Circuit,
     config: &Config,
 ) -> T::Output {
     match config.backend {
         BackendKind::Statevector => {
-            T::run(&StatevectorBackend::for_flow(config), g, g_prime, config)
+            task.run(&StatevectorBackend::for_flow(config), g, g_prime, config)
         }
-        BackendKind::DecisionDiagram => T::run(&dd_for_flow(config), g, g_prime, config),
-        BackendKind::Stab => T::run(&StabBackend::for_flow(config), g, g_prime, config),
-        BackendKind::Mps => T::run(&MpsBackend::for_flow(config), g, g_prime, config),
+        BackendKind::DecisionDiagram => task.run(&dd_for_flow(config), g, g_prime, config),
+        BackendKind::Stab => task.run(&StabBackend::for_flow(config), g, g_prime, config),
+        BackendKind::Mps => task.run(&MpsBackend::for_flow(config), g, g_prime, config),
         BackendKind::Auto => unreachable!("BackendKind::Auto is resolved before dispatch"),
     }
 }

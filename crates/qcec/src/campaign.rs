@@ -11,6 +11,10 @@
 //! statistics — sims-to-first-counterexample histograms, detection rates
 //! after `r` runs, per-family breakdowns, and stage timings.
 //!
+//! Every trial is checked once per combination of ablation-[`Axis`] arms
+//! (stimulus strategy, backend, scheme, χ, batch size), against the same
+//! injected fault, and each arm aggregates its own statistics.
+//!
 //! The whole campaign is a pure function of its seed: every injected fault
 //! is reproducible from `(seed, benchmark index, class index, trial
 //! index)`, and the default JSON rendering excludes wall-clock time so two
@@ -22,11 +26,11 @@
 //! the contract above:
 //!
 //! * **trial-level parallelism** ([`CampaignConfig::with_trial_threads`]):
-//!   the (benchmark × class × trial) cells fan across a worker pool. Trial
-//!   seeds are independent SplitMix derivations, workers claim cells from
-//!   a shared counter, and results are merged in deterministic trial order
-//!   — never completion order — so the reproducible JSON is byte-identical
-//!   for any worker count;
+//!   the (benchmark × arms × class × trial) cells fan across a worker pool.
+//!   Trial seeds are independent SplitMix derivations, workers claim cells
+//!   from a shared counter, and results are merged in deterministic trial
+//!   order — never completion order — so the reproducible JSON is
+//!   byte-identical for any worker count;
 //! * **memoized guarding** ([`CampaignConfig::with_guard_cache`], default
 //!   on): golden-side guard work is done once per benchmark
 //!   ([`qfault::GuardCache`]) instead of once per trial — each mutant is
@@ -38,16 +42,22 @@
 //! # Examples
 //!
 //! ```
-//! use qcec::campaign::{run_campaign, CampaignBenchmark, CampaignConfig};
+//! use qcec::campaign::{run_campaign, Axis, CampaignBenchmark, CampaignConfig};
+//! use qcec::BackendKind;
 //!
 //! let bench = CampaignBenchmark::optimized("qft4", "qft", &qcirc::generators::qft(4, true));
-//! let config = CampaignConfig::default().with_trials(2).with_simulations(4);
+//! let config = CampaignConfig::default()
+//!     .with_trials(2)
+//!     .with_simulations(4)
+//!     .with_axis(Axis::Backend(vec![BackendKind::Statevector, BackendKind::DecisionDiagram]));
 //! let result = run_campaign(&[bench], &config);
 //! assert_eq!(result.classes.len(), qfault::MutationKind::ALL.len());
+//! assert_eq!(result.arms[1].len(), 2);
 //! assert_eq!(result.to_json(false), result.to_json(false));
 //! ```
 
 use std::fmt;
+use std::mem::discriminant;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -140,6 +150,194 @@ impl CampaignBenchmark {
     }
 }
 
+/// One ablation axis of a campaign, holding its arms. Every trial is
+/// checked once per combination of arms, one arm per axis; trial seeds
+/// exclude every axis, so all arms face the same injected faults and a
+/// detection difference is attributable to the axis alone.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Axis {
+    /// Stimulus strategies ([`Config::with_stimuli`]).
+    Stimuli(Vec<StimulusStrategy>),
+    /// Probe engines ([`Config::with_backend`]).
+    Backend(Vec<BackendKind>),
+    /// Application schemes of the alternating complete check
+    /// ([`Config::with_scheme`]).
+    Scheme(Vec<ApplicationScheme>),
+    /// Bond-dimension caps ([`Config::with_chi_max`]); dense engines
+    /// ignore χ, so only MPS arms consult it.
+    Chi(Vec<usize>),
+    /// Probe batch sizes ([`Config::with_batch_size`]). Per-stimulus probe
+    /// outcomes are bit-identical at any batch size, so the arms must agree
+    /// outright while the wall-clock shows the amortization.
+    Batch(Vec<usize>),
+}
+
+/// The names an [`Axis`] renders under.
+struct AxisNames {
+    /// The CLI flag (without dashes), and the config key of a single arm.
+    flag: &'static str,
+    /// The arm key in the breakdown section, and the Markdown column.
+    arm: &'static str,
+    /// The breakdown section key, and the config key of several arms.
+    plural: &'static str,
+    /// The Markdown table's heading, after "Detection by".
+    heading: &'static str,
+}
+
+impl Axis {
+    /// Every axis at its default arm, in render order: the paper's random
+    /// basis states on the dense statevector engine, the proportional
+    /// scheme, χ = [`qmpo::DEFAULT_CHI_MAX`] and one stimulus per probe.
+    #[must_use]
+    pub fn defaults() -> Vec<Axis> {
+        vec![
+            Axis::Stimuli(vec![StimulusStrategy::Random]),
+            Axis::Backend(vec![BackendKind::Statevector]),
+            Axis::Scheme(vec![ApplicationScheme::Proportional]),
+            Axis::Chi(vec![qmpo::DEFAULT_CHI_MAX]),
+            Axis::Batch(vec![1]),
+        ]
+    }
+
+    /// The default axis whose CLI flag (without dashes) is `flag`:
+    /// `stimuli`, `backend`, `scheme`, `chi` or `batch`.
+    #[must_use]
+    pub fn named(flag: &str) -> Option<Axis> {
+        Axis::defaults().into_iter().find(|a| a.flag() == flag)
+    }
+
+    /// This axis with its arms parsed from a comma-separated list.
+    ///
+    /// # Errors
+    ///
+    /// Names the first arm that does not parse (χ caps and batch sizes
+    /// must be positive integers).
+    pub fn parse_arms(&self, spec: &str) -> Result<Axis, String> {
+        fn arms<T>(
+            spec: &str,
+            parse: impl Fn(&str) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            spec.split(',').map(parse).collect()
+        }
+        let positive = |s: &str| match s.trim().parse::<usize>() {
+            Ok(v) if v > 0 => Ok(v),
+            _ => Err(format!(
+                "--{} expects positive integers (got `{s}`)",
+                self.flag()
+            )),
+        };
+        match self {
+            Axis::Stimuli(_) => arms(spec, StimulusStrategy::parse).map(Axis::Stimuli),
+            Axis::Backend(_) => arms(spec, BackendKind::parse).map(Axis::Backend),
+            Axis::Scheme(_) => arms(spec, ApplicationScheme::parse).map(Axis::Scheme),
+            Axis::Chi(_) => arms(spec, positive).map(Axis::Chi),
+            Axis::Batch(_) => arms(spec, positive).map(Axis::Batch),
+        }
+    }
+
+    /// The CLI flag (without dashes) that sets this axis.
+    #[must_use]
+    pub fn flag(&self) -> &'static str {
+        self.names().flag
+    }
+
+    /// The number of arms.
+    #[must_use]
+    pub fn arm_count(&self) -> usize {
+        match self {
+            Axis::Stimuli(arms) => arms.len(),
+            Axis::Backend(arms) => arms.len(),
+            Axis::Scheme(arms) => arms.len(),
+            Axis::Chi(arms) | Axis::Batch(arms) => arms.len(),
+        }
+    }
+
+    fn names(&self) -> AxisNames {
+        let (flag, arm, plural, heading) = match self {
+            Axis::Stimuli(_) => ("stimuli", "strategy", "strategies", "stimulus strategy"),
+            Axis::Backend(_) => ("backend", "backend", "backends", "backend"),
+            Axis::Scheme(_) => ("scheme", "scheme", "schemes", "application scheme"),
+            Axis::Chi(_) => ("chi", "chi", "chis", "bond dimension"),
+            Axis::Batch(_) => ("batch", "batch", "batches", "batch size"),
+        };
+        AxisNames {
+            flag,
+            arm,
+            plural,
+            heading,
+        }
+    }
+
+    /// Whether the axis renders at its default too. The stimulus axis came
+    /// first and has always rendered; the later axes render only when set,
+    /// so campaigns that predate them stay byte-identical.
+    fn always_rendered(&self) -> bool {
+        matches!(self, Axis::Stimuli(_))
+    }
+
+    /// Whether the Markdown table's last column is each arm's
+    /// complete-check wall-clock instead of its detection rate: a scheme
+    /// only reorders the complete check's multiplications, so the arms'
+    /// verdicts agree by construction and what differs is time.
+    fn reports_ec_time(&self) -> bool {
+        matches!(self, Axis::Scheme(_))
+    }
+
+    /// Arm `i` as a table label: `sv`, or `64`.
+    fn label(&self, i: usize) -> String {
+        match self {
+            Axis::Stimuli(arms) => arms[i].slug().to_string(),
+            Axis::Backend(arms) => arms[i].slug().to_string(),
+            Axis::Scheme(arms) => arms[i].slug().to_string(),
+            Axis::Chi(arms) | Axis::Batch(arms) => arms[i].to_string(),
+        }
+    }
+
+    /// Arm `i` as a JSON value: `"sv"`, or `64`.
+    fn arm_json(&self, i: usize) -> String {
+        match self {
+            Axis::Chi(_) | Axis::Batch(_) => self.label(i),
+            _ => format!("\"{}\"", self.label(i)),
+        }
+    }
+
+    /// Sets arm `i` on a flow configuration.
+    fn configure(&self, i: usize, config: Config) -> Config {
+        match self {
+            Axis::Stimuli(arms) => config.with_stimuli(arms[i]),
+            Axis::Backend(arms) => config.with_backend(arms[i]),
+            Axis::Scheme(arms) => config.with_scheme(arms[i]),
+            Axis::Chi(arms) => config.with_chi_max(arms[i]),
+            Axis::Batch(arms) => config.with_batch_size(arms[i]),
+        }
+    }
+
+    /// Adds the axis to the reproducible config object: one arm under the
+    /// flag's key, several under the plural key, nothing at the default
+    /// unless the axis always renders.
+    fn render_config(&self, cfg: &mut json::Obj) {
+        let names = self.names();
+        let all = || json::array((0..self.arm_count()).map(|i| self.arm_json(i)));
+        if self.always_rendered() {
+            cfg.raw(names.flag, all());
+        } else if self.arm_count() > 1 {
+            cfg.raw(names.plural, all());
+        } else if !Axis::defaults().contains(self) {
+            cfg.raw(names.flag, self.arm_json(0));
+        }
+    }
+}
+
+/// Every combination of one arm per axis, the last axis turning fastest:
+/// an odometer over the axes' arm counts.
+fn arm_grid(axes: &[Axis]) -> Vec<Vec<usize>> {
+    axes.iter().fold(vec![Vec::new()], |grid, axis| {
+        grid.iter()
+            .flat_map(|prefix| (0..axis.arm_count()).map(move |i| [&prefix[..], &[i]].concat()))
+            .collect()
+    })
+}
+
 /// Parameters of a campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -161,11 +359,11 @@ pub struct CampaignConfig {
     pub simulations: usize,
     /// Simulation workers per check ([`Config::threads`]).
     pub threads: usize,
-    /// Worker threads at the *trial* level: (benchmark × class × trial)
-    /// cells are fanned across this many workers. Every trial is a pure
-    /// function of its derived seed and results are merged in trial order,
-    /// so the campaign's reproducible JSON is byte-identical for any value
-    /// here (1 = the sequential inner loop).
+    /// Worker threads at the *trial* level: (benchmark × arms × class ×
+    /// trial) cells are fanned across this many workers. Every trial is a
+    /// pure function of its derived seed and results are merged in trial
+    /// order, so the campaign's reproducible JSON is byte-identical for any
+    /// value here (1 = the sequential inner loop).
     pub trial_threads: usize,
     /// Memoize the golden circuit `G'`'s decision diagram per benchmark
     /// (build once, check every mutant against the cached DD) instead of
@@ -178,41 +376,10 @@ pub struct CampaignConfig {
     pub guard: GuardOptions,
     /// Wall-clock budget for each complete check inside the flow.
     pub deadline: Option<Duration>,
-    /// Simulation engines to ablate over: every (benchmark × strategy ×
-    /// class × trial) cell is checked once per backend, against the *same*
-    /// injected fault (the trial seed is keyed on the cell coordinates,
-    /// not the backend), so per-backend detection statistics are directly
-    /// comparable. Default: just the dense statevector engine.
-    pub backends: Vec<BackendKind>,
-    /// Stimulus strategies to ablate over: every (benchmark × class ×
-    /// trial) cell is checked once per strategy, against the *same*
-    /// injected fault (the trial seed is keyed on the cell coordinates,
-    /// not the strategy), so per-strategy detection rates are directly
-    /// comparable. Default: just the paper's random basis states.
-    pub strategies: Vec<StimulusStrategy>,
-    /// Application schemes of the alternating complete check to ablate
-    /// over: every (benchmark × backend × strategy × class × trial) cell
-    /// is checked once per scheme, against the *same* injected fault (the
-    /// trial seed is keyed on the cell coordinates, not the scheme), so
-    /// per-scheme detection statistics *and* complete-check wall-clock
-    /// are directly comparable. Default: just the proportional scheme.
-    pub schemes: Vec<ApplicationScheme>,
-    /// Bond-dimension caps to ablate over — the tensor-network accuracy
-    /// axis. Every cell is checked once per χ, against the *same*
-    /// injected fault (the trial seed excludes the χ coordinate), so the
-    /// detection-power cost of truncation is directly measurable. Only
-    /// meaningful for [`BackendKind::Mps`] arms (dense engines ignore χ).
-    /// Default: just [`qmpo::DEFAULT_CHI_MAX`].
-    pub chis: Vec<usize>,
-    /// Probe batch sizes to ablate over — the throughput axis. Every cell
-    /// is checked once per batch size, against the *same* injected fault
-    /// (the trial seed excludes the batch coordinate). Per-stimulus probe
-    /// outcomes are bit-identical at any batch size
-    /// ([`Config::batch_size`]), so the arms must report identical
-    /// verdicts; the axis exists to demonstrate exactly that while the
-    /// wall-clock ([`StageTimings`]) shows the amortization win.
-    /// Default: just `1` (the historical one-stimulus-at-a-time path).
-    pub batches: Vec<usize>,
+    /// The ablation axes in render order, each with its arms. Default:
+    /// [`Axis::defaults`], one arm each; [`CampaignConfig::with_axis`]
+    /// replaces one axis's arms.
+    pub axes: Vec<Axis>,
     /// Fault classes to inject, in reporting order. Default: all of
     /// [`MutationKind::ALL`]. Trial seeds are keyed on each class's
     /// position in `ALL` (not its position here), so a filtered campaign
@@ -242,11 +409,7 @@ impl Default for CampaignConfig {
             epsilon: 0.1,
             guard: GuardOptions::default(),
             deadline: Some(Duration::from_secs(30)),
-            backends: vec![BackendKind::Statevector],
-            strategies: vec![StimulusStrategy::Random],
-            schemes: vec![ApplicationScheme::Proportional],
-            chis: vec![qmpo::DEFAULT_CHI_MAX],
-            batches: vec![1],
+            axes: Axis::defaults(),
             classes: MutationKind::ALL.to_vec(),
             peel: false,
         }
@@ -262,15 +425,25 @@ impl CampaignConfig {
     }
 
     /// Sets the trials per (benchmark, class) pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trials` is zero.
     #[must_use]
     pub fn with_trials(mut self, trials: usize) -> Self {
+        assert!(trials >= 1, "need at least one trial");
         self.trials = trials;
         self
     }
 
     /// Sets the number of faults injected per trial.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `faults` is zero.
     #[must_use]
     pub fn with_faults(mut self, faults: usize) -> Self {
+        assert!(faults >= 1, "need at least one fault per trial");
         self.faults = faults;
         self
     }
@@ -305,8 +478,13 @@ impl CampaignConfig {
     }
 
     /// Sets the flow's worker thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads >= 1, "need at least one thread");
         self.threads = threads;
         self
     }
@@ -332,100 +510,34 @@ impl CampaignConfig {
         self
     }
 
-    /// Replaces the backend ablation set.
+    /// Replaces the arms of `axis`'s kind with `axis`'s arms.
     ///
     /// # Panics
     ///
-    /// Panics if `backends` is empty.
+    /// Panics if `axis` has no arm, or a zero χ cap or batch size.
     #[must_use]
-    pub fn with_backends(mut self, backends: Vec<BackendKind>) -> Self {
-        assert!(!backends.is_empty(), "need at least one backend");
-        self.backends = backends;
-        self
-    }
-
-    /// Shorthand for a single-backend campaign.
-    #[must_use]
-    pub fn with_backend(self, backend: BackendKind) -> Self {
-        self.with_backends(vec![backend])
-    }
-
-    /// Replaces the stimulus-strategy ablation set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `strategies` is empty.
-    #[must_use]
-    pub fn with_strategies(mut self, strategies: Vec<StimulusStrategy>) -> Self {
-        assert!(!strategies.is_empty(), "need at least one strategy");
-        self.strategies = strategies;
-        self
-    }
-
-    /// Shorthand for a single-strategy campaign.
-    #[must_use]
-    pub fn with_stimuli(self, strategy: StimulusStrategy) -> Self {
-        self.with_strategies(vec![strategy])
-    }
-
-    /// Replaces the application-scheme ablation set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schemes` is empty.
-    #[must_use]
-    pub fn with_schemes(mut self, schemes: Vec<ApplicationScheme>) -> Self {
-        assert!(!schemes.is_empty(), "need at least one application scheme");
-        self.schemes = schemes;
-        self
-    }
-
-    /// Shorthand for a single-scheme campaign.
-    #[must_use]
-    pub fn with_scheme(self, scheme: ApplicationScheme) -> Self {
-        self.with_schemes(vec![scheme])
-    }
-
-    /// Replaces the bond-dimension ablation set (MPS arms only; dense
-    /// engines ignore χ).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chis` is empty or contains a zero.
-    #[must_use]
-    pub fn with_chis(mut self, chis: Vec<usize>) -> Self {
-        assert!(!chis.is_empty(), "need at least one bond-dimension cap");
-        assert!(chis.iter().all(|&c| c > 0), "χ caps must be positive");
-        self.chis = chis;
-        self
-    }
-
-    /// Shorthand for a single-χ campaign.
-    #[must_use]
-    pub fn with_chi(self, chi: usize) -> Self {
-        self.with_chis(vec![chi])
-    }
-
-    /// Replaces the probe-batch-size ablation set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batches` is empty or contains a zero.
-    #[must_use]
-    pub fn with_batches(mut self, batches: Vec<usize>) -> Self {
-        assert!(!batches.is_empty(), "need at least one batch size");
+    pub fn with_axis(mut self, axis: Axis) -> Self {
         assert!(
-            batches.iter().all(|&k| k > 0),
-            "batch sizes must be positive"
+            axis.arm_count() > 0,
+            "the {} axis needs at least one arm",
+            axis.flag()
         );
-        self.batches = batches;
+        if let Axis::Chi(arms) | Axis::Batch(arms) = &axis {
+            assert!(
+                arms.iter().all(|&a| a > 0),
+                "{} arms must be positive",
+                axis.flag()
+            );
+        }
+        match self
+            .axes
+            .iter_mut()
+            .find(|a| discriminant(*a) == discriminant(&axis))
+        {
+            Some(slot) => *slot = axis,
+            None => self.axes.push(axis),
+        }
         self
-    }
-
-    /// Shorthand for a single-batch-size campaign.
-    #[must_use]
-    pub fn with_batch(self, batch: usize) -> Self {
-        self.with_batches(vec![batch])
     }
 
     /// Restricts injection to the given fault classes (e.g. a `--inject`
@@ -441,6 +553,30 @@ impl CampaignConfig {
         assert!(!classes.is_empty(), "need at least one fault class");
         self.classes = classes;
         self
+    }
+
+    /// The first axis other than the stimulus strategies with more than
+    /// one arm: a pair audit ablates stimuli only, so [`audit_pair`]
+    /// refuses such a configuration.
+    #[must_use]
+    pub fn pair_audit_conflict(&self) -> Option<&Axis> {
+        self.axes
+            .iter()
+            .find(|a| a.arm_count() > 1 && !matches!(a, Axis::Stimuli(_)))
+    }
+
+    /// The flow configuration of one arm combination (`arms[a]` indexes
+    /// `self.axes[a]`), before the trial's seed and event sink are set.
+    fn flow_config(&self, arms: &[usize]) -> Config {
+        let base = Config::new()
+            .with_simulations(self.simulations)
+            .with_threads(self.threads)
+            .with_deadline(self.deadline)
+            .with_peel(self.peel);
+        self.axes
+            .iter()
+            .zip(arms)
+            .fold(base, |config, (axis, &i)| axis.configure(i, config))
     }
 }
 
@@ -460,24 +596,29 @@ pub enum Detection {
     Missed,
 }
 
+impl Detection {
+    fn of(outcome: &Outcome) -> Detection {
+        match outcome {
+            Outcome::NotEquivalent {
+                counterexample: Some(ce),
+            } => Detection::Simulation { sims: ce.run },
+            Outcome::NotEquivalent {
+                counterexample: None,
+            } => Detection::Complete,
+            _ => Detection::Missed,
+        }
+    }
+}
+
 /// One trial of a campaign: the injected mutations, the guard's label, and
 /// the flow's verdict.
 #[derive(Debug, Clone)]
 pub struct TrialRecord {
     /// Index of the benchmark in the campaign's benchmark list.
     pub benchmark: usize,
-    /// The probe backend the flow checked this trial with.
-    pub backend: BackendKind,
-    /// The stimulus strategy the flow checked this trial with.
-    pub strategy: StimulusStrategy,
-    /// The application scheme the flow's complete check used this trial.
-    pub scheme: ApplicationScheme,
-    /// The bond-dimension cap the flow ran under (only consequential for
-    /// MPS arms).
-    pub chi: usize,
-    /// The probe batch size the flow ran under (verdict-neutral by the
-    /// batch contract; ablated for throughput).
-    pub batch: usize,
+    /// The arm the flow ran on each axis: `arms[a]` indexes
+    /// `config.axes[a]`.
+    pub arms: Vec<usize>,
     /// The injected error class.
     pub kind: MutationKind,
     /// Trial index within the (benchmark, class) pair.
@@ -566,6 +707,26 @@ impl ClassStats {
         }
     }
 
+    /// Adds another aggregate field by field (histograms bin by bin).
+    pub fn add(&mut self, other: &ClassStats) {
+        self.trials += other.trials;
+        self.inapplicable += other.inapplicable;
+        self.benign += other.benign;
+        self.unchecked += other.unchecked;
+        self.faults += other.faults;
+        self.detected_by_sim += other.detected_by_sim;
+        self.detected_by_complete += other.detected_by_complete;
+        self.missed += other.missed;
+        self.false_positives += other.false_positives;
+        self.total_sims += other.total_sims;
+        if self.sims_histogram.len() < other.sims_histogram.len() {
+            self.sims_histogram.resize(other.sims_histogram.len(), 0);
+        }
+        for (acc, c) in self.sims_histogram.iter_mut().zip(&other.sims_histogram) {
+            *acc += c;
+        }
+    }
+
     /// Fraction of guard-confirmed faults detected (by either stage);
     /// `None` when no faults were confirmed.
     #[must_use]
@@ -628,6 +789,17 @@ pub struct GuardStats {
     pub checks: usize,
 }
 
+/// One arm's share of a campaign: the per-class aggregates and the stage
+/// timings of the trials that ran on it.
+#[derive(Debug, Clone)]
+pub struct ArmStats {
+    /// Per-class aggregates, in `config.classes` order.
+    pub classes: Vec<(MutationKind, ClassStats)>,
+    /// Scheduler-event summary of the arm's flow invocations (wall-clock
+    /// fields are only rendered on request).
+    pub timings: StageTimings,
+}
+
 /// The complete outcome of [`run_campaign`].
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
@@ -635,34 +807,14 @@ pub struct CampaignResult {
     pub config: CampaignConfig,
     /// Benchmark metadata in campaign order: `(name, family, n, |G|, |G'|)`.
     pub benchmarks: Vec<(String, String, usize, usize, usize)>,
-    /// Per-class aggregates over *all* strategies, in
-    /// [`MutationKind::ALL`] order.
+    /// Per-class aggregates over *all* arms, in `config.classes` order.
     pub classes: Vec<(MutationKind, ClassStats)>,
-    /// Per-strategy breakdown of the same aggregates, in
-    /// `config.strategies` order — the stimulus-ablation axis.
-    pub strategy_classes: Vec<(StimulusStrategy, Vec<(MutationKind, ClassStats)>)>,
-    /// Per-backend breakdown of the same aggregates, in `config.backends`
-    /// order — the engine-ablation axis. Identical trial seeds per cell
-    /// mean every backend faces the same injected faults.
-    pub backend_classes: Vec<(BackendKind, Vec<(MutationKind, ClassStats)>)>,
-    /// Per-application-scheme breakdown of the same aggregates, in
-    /// `config.schemes` order — the complete-check ablation axis. Trial
-    /// seeds exclude the scheme, so every arm faces the same faults; the
-    /// per-scheme complete-check wall-clock lives in
-    /// [`StageTimings::functional_time_for`].
-    pub scheme_classes: Vec<(ApplicationScheme, Vec<(MutationKind, ClassStats)>)>,
-    /// Per-χ breakdown of the same aggregates, in `config.chis` order —
-    /// the tensor-network truncation-ablation axis. Trial seeds exclude
-    /// the χ coordinate, so every cap faces the same faults.
-    pub chi_classes: Vec<(usize, Vec<(MutationKind, ClassStats)>)>,
-    /// Per-batch-size breakdown of the same aggregates, in
-    /// `config.batches` order — the probe-throughput ablation axis. Trial
-    /// seeds exclude the batch coordinate and per-stimulus outcomes are
-    /// bit-identical at any batch size, so matching rows here are the
-    /// campaign-level witness of the batch contract.
-    pub batch_classes: Vec<(usize, Vec<(MutationKind, ClassStats)>)>,
+    /// Per-arm breakdown of the same aggregates: `arms[a][i]` covers the
+    /// trials that ran arm `i` of `config.axes[a]`, so each axis's arms
+    /// sum to `classes`.
+    pub arms: Vec<Vec<ArmStats>>,
     /// `families[f]` is the family name; `cells[f][k]` the counts for
-    /// family `f` under class `MutationKind::ALL[k]`.
+    /// family `f` under class `config.classes[k]`.
     pub families: Vec<String>,
     /// The family × class detection matrix.
     pub cells: Vec<Vec<FamilyCell>>,
@@ -694,18 +846,13 @@ pub fn trial_seed(seed: u64, benchmark: usize, class: usize, trial: usize) -> u6
     z
 }
 
-/// One (benchmark × backend × scheme × strategy × χ × batch × class ×
-/// trial) cell of the campaign's work list. The seed is keyed on
-/// everything *except* the backend, scheme, strategy, χ, and batch size,
-/// so all ablation arms face the identical injected fault.
-#[derive(Debug, Clone, Copy)]
+/// One (benchmark × arms × class × trial) cell of the campaign's work
+/// list. The seed is keyed on everything *except* the arms, so all
+/// ablation arms face the identical injected fault.
+#[derive(Debug)]
 struct TrialCell {
     benchmark: usize,
-    backend: usize,
-    scheme: usize,
-    strategy: usize,
-    chi: usize,
-    batch: usize,
+    arms: Vec<usize>,
     class: usize,
     trial: usize,
     seed: u64,
@@ -718,9 +865,10 @@ struct TrialOutput {
     guard_time: Duration,
 }
 
-/// Runs the detection-power experiment: for every benchmark × error class ×
-/// trial, inject `faults` seeded mutations into `G'`, label them with the
-/// guard, and run the full checking flow against `G`.
+/// Runs the detection-power experiment: for every benchmark × arm
+/// combination × error class × trial, inject `faults` seeded mutations
+/// into `G'`, label them with the guard, and run the full checking flow
+/// against `G`.
 ///
 /// Cells are executed by `config.trial_threads` workers. Each trial is a
 /// pure function of its [`trial_seed`]-derived seed, and results are merged
@@ -757,48 +905,23 @@ pub fn run_campaign(benchmarks: &[CampaignBenchmark], config: &CampaignConfig) -
     }
 
     // The work list, in the deterministic order results are merged in.
-    let cells: Vec<TrialCell> = benchmarks
-        .iter()
-        .enumerate()
-        .flat_map(|(b_idx, _)| {
-            let trials = config.trials;
-            let n_backends = config.backends.len();
-            let n_schemes = config.schemes.len();
-            let n_strategies = config.strategies.len();
-            let n_chis = config.chis.len();
-            let n_batches = config.batches.len();
-            let n_classes = mutators.len();
-            let class_seed_idx = &class_seed_idx;
-            (0..n_backends).flat_map(move |e_idx| {
-                (0..n_schemes).flat_map(move |a_idx| {
-                    (0..n_strategies).flat_map(move |s_idx| {
-                        (0..n_chis).flat_map(move |x_idx| {
-                            (0..n_batches).flat_map(move |q_idx| {
-                                (0..n_classes).flat_map(move |k_idx| {
-                                    (0..trials).map(move |t_idx| TrialCell {
-                                        benchmark: b_idx,
-                                        backend: e_idx,
-                                        scheme: a_idx,
-                                        strategy: s_idx,
-                                        chi: x_idx,
-                                        batch: q_idx,
-                                        class: k_idx,
-                                        trial: t_idx,
-                                        seed: trial_seed(
-                                            config.seed,
-                                            b_idx,
-                                            class_seed_idx[k_idx],
-                                            t_idx,
-                                        ),
-                                    })
-                                })
-                            })
-                        })
-                    })
-                })
-            })
-        })
-        .collect();
+    let grid = arm_grid(&config.axes);
+    let mut cells = Vec::new();
+    for benchmark in 0..benchmarks.len() {
+        for arms in &grid {
+            for (class, &class_seed) in class_seed_idx.iter().enumerate() {
+                for trial in 0..config.trials {
+                    cells.push(TrialCell {
+                        benchmark,
+                        arms: arms.clone(),
+                        class,
+                        trial,
+                        seed: trial_seed(config.seed, benchmark, class_seed, trial),
+                    });
+                }
+            }
+        }
+    }
 
     // One memoized guard per benchmark: golden-side work (the gate list
     // mutants are diffed against, and the golden DD for whole-circuit
@@ -818,7 +941,14 @@ pub fn run_campaign(benchmarks: &[CampaignBenchmark], config: &CampaignConfig) -
     // order out, byte-identical at any worker count.
     let outputs: Vec<TrialOutput> =
         crate::pool::run_ordered(cells.len(), config.trial_threads, |i| {
-            run_cell(benchmarks, &mutators, guards.as_deref(), &cells[i], config)
+            let cell = &cells[i];
+            run_trial(
+                &benchmarks[cell.benchmark],
+                mutators[cell.class].as_ref(),
+                guards.as_ref().map(|g| &g[cell.benchmark]),
+                cell,
+                config,
+            )
         });
 
     // Deterministic merge: aggregate in trial order, exactly as the
@@ -828,52 +958,37 @@ pub fn run_campaign(benchmarks: &[CampaignBenchmark], config: &CampaignConfig) -
         .iter()
         .map(|m| (m.kind(), ClassStats::default()))
         .collect();
-    let mut strategy_classes: Vec<(StimulusStrategy, Vec<(MutationKind, ClassStats)>)> = config
-        .strategies
+    let empty_arm = ArmStats {
+        classes: classes.clone(),
+        timings: StageTimings::default(),
+    };
+    let mut arms: Vec<Vec<ArmStats>> = config
+        .axes
         .iter()
-        .map(|s| (*s, classes.clone()))
-        .collect();
-    let mut backend_classes: Vec<(BackendKind, Vec<(MutationKind, ClassStats)>)> = config
-        .backends
-        .iter()
-        .map(|b| (*b, classes.clone()))
-        .collect();
-    let mut scheme_classes: Vec<(ApplicationScheme, Vec<(MutationKind, ClassStats)>)> = config
-        .schemes
-        .iter()
-        .map(|s| (*s, classes.clone()))
-        .collect();
-    let mut chi_classes: Vec<(usize, Vec<(MutationKind, ClassStats)>)> =
-        config.chis.iter().map(|c| (*c, classes.clone())).collect();
-    let mut batch_classes: Vec<(usize, Vec<(MutationKind, ClassStats)>)> = config
-        .batches
-        .iter()
-        .map(|k| (*k, classes.clone()))
+        .map(|axis| vec![empty_arm.clone(); axis.arm_count()])
         .collect();
     let mut trials = Vec::with_capacity(outputs.len());
     let mut stage_timings = StageTimings::default();
     let mut guard_stats = GuardStats::default();
-    for output in outputs {
+    for (cell, output) in cells.iter().zip(outputs) {
+        let record = output.record;
         stage_timings = stage_timings.merged(output.timings);
         guard_stats.guard_time += output.guard_time;
-        let record = output.record;
-        let cell = cells[trials.len()];
-        let k_idx = cell.class;
-        let family = families
-            .iter()
-            .position(|f| f == &benchmarks[record.benchmark].family)
-            .expect("every benchmark's family is registered");
-        classes[k_idx].1.record(&record);
-        strategy_classes[cell.strategy].1[k_idx].1.record(&record);
-        backend_classes[cell.backend].1[k_idx].1.record(&record);
-        scheme_classes[cell.scheme].1[k_idx].1.record(&record);
-        chi_classes[cell.chi].1[k_idx].1.record(&record);
-        batch_classes[cell.batch].1[k_idx].1.record(&record);
+        classes[cell.class].1.record(&record);
+        for (axis_arms, &i) in arms.iter_mut().zip(&cell.arms) {
+            let arm = &mut axis_arms[i];
+            arm.classes[cell.class].1.record(&record);
+            arm.timings = arm.timings.merged(output.timings);
+        }
         if record.guard.is_fault() {
-            let cell = &mut cell_stats[family][k_idx];
-            cell.faults += 1;
+            let family = families
+                .iter()
+                .position(|f| f == &benchmarks[cell.benchmark].family)
+                .expect("every benchmark's family is registered");
+            let family_cell = &mut cell_stats[family][cell.class];
+            family_cell.faults += 1;
             if !matches!(record.detection, Some(Detection::Missed) | None) {
-                cell.detected += 1;
+                family_cell.detected += 1;
             }
         }
         trials.push(record);
@@ -907,11 +1022,7 @@ pub fn run_campaign(benchmarks: &[CampaignBenchmark], config: &CampaignConfig) -
             })
             .collect(),
         classes,
-        strategy_classes,
-        backend_classes,
-        scheme_classes,
-        chi_classes,
-        batch_classes,
+        arms,
         families,
         cells: cell_stats,
         trials,
@@ -921,73 +1032,38 @@ pub fn run_campaign(benchmarks: &[CampaignBenchmark], config: &CampaignConfig) -
     }
 }
 
-fn run_cell(
-    benchmarks: &[CampaignBenchmark],
-    mutators: &[Box<dyn Mutator>],
-    guards: Option<&[GuardCache]>,
+fn run_trial(
+    bench: &CampaignBenchmark,
+    mutator: &dyn Mutator,
+    guard_cache: Option<&GuardCache>,
     cell: &TrialCell,
     config: &CampaignConfig,
 ) -> TrialOutput {
-    run_trial(
-        &benchmarks[cell.benchmark],
-        cell.benchmark,
-        config.backends[cell.backend],
-        config.schemes[cell.scheme],
-        config.strategies[cell.strategy],
-        config.chis[cell.chi],
-        config.batches[cell.batch],
-        mutators[cell.class].as_ref(),
-        guards.map(|g| &g[cell.benchmark]),
-        cell.trial,
-        cell.seed,
-        config,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_trial(
-    bench: &CampaignBenchmark,
-    b_idx: usize,
-    backend: BackendKind,
-    scheme: ApplicationScheme,
-    strategy: StimulusStrategy,
-    chi: usize,
-    batch: usize,
-    mutator: &dyn Mutator,
-    guard_cache: Option<&GuardCache>,
-    t_idx: usize,
-    seed: u64,
-    config: &CampaignConfig,
-) -> TrialOutput {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut record = TrialRecord {
+        benchmark: cell.benchmark,
+        arms: cell.arms.clone(),
+        kind: mutator.kind(),
+        trial: cell.trial,
+        seed: cell.seed,
+        mutations: Vec::new(),
+        guard: GuardVerdict::Unchecked {
+            reason: "inapplicable".to_string(),
+        },
+        detection: None,
+        sims_run: 0,
+    };
+    let mut rng = StdRng::seed_from_u64(cell.seed);
     let mut mutated = bench.alternative.clone();
-    let mut mutations = Vec::new();
-    for _ in 0..config.faults.max(1) {
+    for _ in 0..config.faults {
         match mutator.apply(&mutated, &mut rng) {
-            Ok((next, record)) => {
+            Ok((next, mutation)) => {
                 mutated = next;
-                mutations.push(record.to_string());
+                record.mutations.push(mutation.to_string());
             }
-            Err(_) if mutations.is_empty() => {
-                // The class has no applicable site at all — record and bail.
+            // The class has no applicable site at all — record and bail.
+            Err(_) if record.mutations.is_empty() => {
                 return TrialOutput {
-                    record: TrialRecord {
-                        benchmark: b_idx,
-                        backend,
-                        scheme,
-                        strategy,
-                        chi,
-                        batch,
-                        kind: mutator.kind(),
-                        trial: t_idx,
-                        seed,
-                        mutations,
-                        guard: GuardVerdict::Unchecked {
-                            reason: "inapplicable".to_string(),
-                        },
-                        detection: None,
-                        sims_run: 0,
-                    },
+                    record,
                     timings: StageTimings::default(),
                     guard_time: Duration::ZERO,
                 };
@@ -1003,75 +1079,48 @@ fn run_trial(
     // keep injecting bit-identical faults. A drawn class with no
     // applicable site is skipped — unlike the cell's own class, it says
     // nothing about this cell.
-    for _ in 1..config.compose.max(1) {
+    for _ in 1..config.compose {
         let kind = config.classes[rng.gen_range(0..config.classes.len())];
-        if let Ok((next, record)) = mutator_for(kind, config.epsilon).apply(&mutated, &mut rng) {
+        if let Ok((next, mutation)) = mutator_for(kind, config.epsilon).apply(&mutated, &mut rng) {
             mutated = next;
-            mutations.push(record.to_string());
+            record.mutations.push(mutation.to_string());
         }
     }
 
     let guard_start = Instant::now();
-    let guard = match guard_cache {
+    record.guard = match guard_cache {
         Some(cache) => cache.classify(&mutated),
         None => qfault::guard::classify(&bench.alternative, &mutated, &config.guard),
     };
     let guard_time = guard_start.elapsed();
 
     let sink = Arc::new(CollectingSink::new());
-    let flow_config = Config::new()
-        .with_simulations(config.simulations)
-        .with_seed(seed)
-        .with_stimuli(strategy)
-        .with_threads(config.threads.max(1))
-        .with_backend(backend)
-        .with_fallback(Fallback::Alternating)
-        .with_deadline(config.deadline)
-        .with_peel(config.peel)
-        .with_scheme(scheme)
-        .with_chi_max(chi)
-        .with_batch_size(batch)
+    let flow_config = config
+        .flow_config(&cell.arms)
+        .with_seed(cell.seed)
         .with_event_sink(sink.clone());
     let result = check_equivalence(&bench.original, &mutated, &flow_config)
         .expect("mutators preserve the register, so the flow must accept the pair");
-    let mut timings = StageTimings::from_events(&sink.events());
-    // Charge this trial's complete-check time to its scheme's bucket, so
-    // the ablation report can compare wall-clock per scheme. The buckets
-    // render only under `with_timings`, so reproducible JSON is untouched.
-    timings.attribute_functional_to_scheme(scheme);
-
-    let detection = Some(match &result.outcome {
-        Outcome::NotEquivalent {
-            counterexample: Some(ce),
-        } => Detection::Simulation { sims: ce.run },
-        Outcome::NotEquivalent {
-            counterexample: None,
-        } => Detection::Complete,
-        _ => Detection::Missed,
-    });
-
+    record.detection = Some(Detection::of(&result.outcome));
+    record.sims_run = result.stats.simulations_run;
     TrialOutput {
-        record: TrialRecord {
-            benchmark: b_idx,
-            backend,
-            scheme,
-            strategy,
-            chi,
-            batch,
-            kind: mutator.kind(),
-            trial: t_idx,
-            seed,
-            mutations,
-            guard,
-            detection,
-            sims_run: result.stats.simulations_run,
-        },
-        timings,
+        record,
+        timings: StageTimings::from_events(&sink.events()),
         guard_time,
     }
 }
 
 impl CampaignResult {
+    /// The axes that render a breakdown section and a Markdown table, with
+    /// their arms: those with several arms, and those that always render.
+    fn rendered_axes(&self) -> impl Iterator<Item = (&Axis, &Vec<ArmStats>)> {
+        self.config
+            .axes
+            .iter()
+            .zip(&self.arms)
+            .filter(|(axis, arms)| axis.always_rendered() || arms.len() > 1)
+    }
+
     /// Renders the campaign as deterministic JSON. With
     /// `with_timings = false` (the reproducible default) wall-clock fields
     /// are omitted and two same-seed runs are byte-identical.
@@ -1093,80 +1142,12 @@ impl CampaignResult {
         }
         cfg.int("simulations", self.config.simulations as u64)
             .int("threads", self.config.threads as u64)
-            .num("epsilon", self.config.epsilon)
-            .raw(
-                "stimuli",
-                json::array(
-                    self.config
-                        .strategies
-                        .iter()
-                        .map(|s| format!("\"{}\"", s.slug())),
-                ),
-            );
-        // The backend field is stable across reruns but only rendered for
-        // non-default selections, keeping campaigns that predate backend
-        // ablation byte-identical.
-        if self.config.backends != [BackendKind::Statevector] {
-            if let [backend] = self.config.backends[..] {
-                cfg.str("backend", backend.slug());
-            } else {
-                cfg.raw(
-                    "backends",
-                    json::array(
-                        self.config
-                            .backends
-                            .iter()
-                            .map(|b| format!("\"{}\"", b.slug())),
-                    ),
-                );
-            }
+            .num("epsilon", self.config.epsilon);
+        for axis in &self.config.axes {
+            axis.render_config(&mut cfg);
         }
-        // Like the backend field: the scheme only renders for non-default
-        // selections, keeping campaigns that predate scheme ablation
-        // byte-identical.
-        if self.config.schemes != [ApplicationScheme::Proportional] {
-            if let [scheme] = self.config.schemes[..] {
-                cfg.str("scheme", scheme.slug());
-            } else {
-                cfg.raw(
-                    "schemes",
-                    json::array(
-                        self.config
-                            .schemes
-                            .iter()
-                            .map(|s| format!("\"{}\"", s.slug())),
-                    ),
-                );
-            }
-        }
-        // Like the backend field: the χ cap only renders for non-default
-        // selections, keeping campaigns that predate the tensor-network
-        // axis byte-identical.
-        if self.config.chis != [qmpo::DEFAULT_CHI_MAX] {
-            if let [chi] = self.config.chis[..] {
-                cfg.int("chi", chi as u64);
-            } else {
-                cfg.raw(
-                    "chis",
-                    json::array(self.config.chis.iter().map(ToString::to_string)),
-                );
-            }
-        }
-        // Like the backend field: the batch size only renders for
-        // non-default selections, keeping campaigns that predate the
-        // batched probe path byte-identical.
-        if self.config.batches != [1] {
-            if let [batch] = self.config.batches[..] {
-                cfg.int("batch", batch as u64);
-            } else {
-                cfg.raw(
-                    "batches",
-                    json::array(self.config.batches.iter().map(ToString::to_string)),
-                );
-            }
-        }
-        // Like the backend field: only a filtered class selection renders,
-        // keeping full campaigns byte-identical to pre-filter goldens.
+        // Like the axes: only a filtered class selection renders, keeping
+        // full campaigns byte-identical to pre-filter goldens.
         if self.config.classes != MutationKind::ALL {
             cfg.raw(
                 "inject",
@@ -1195,69 +1176,17 @@ impl CampaignResult {
 
         root.raw("classes", class_stats_json(&self.classes));
 
-        root.raw(
-            "strategies",
-            json::array(self.strategy_classes.iter().map(|(strategy, classes)| {
-                let mut o = json::Obj::new();
-                o.str("strategy", strategy.slug())
-                    .raw("classes", class_stats_json(classes));
-                o.render()
-            })),
-        );
-
-        // The per-backend breakdown only exists when there is an ablation
-        // to report (≥ 2 backends); a single-backend campaign's aggregate
-        // is already the `classes` section.
-        if self.backend_classes.len() > 1 {
+        for (axis, arms) in self.rendered_axes() {
+            let names = axis.names();
             root.raw(
-                "backends",
-                json::array(self.backend_classes.iter().map(|(backend, classes)| {
+                names.plural,
+                json::array(arms.iter().enumerate().map(|(i, arm)| {
                     let mut o = json::Obj::new();
-                    o.str("backend", backend.slug())
-                        .raw("classes", class_stats_json(classes));
-                    o.render()
-                })),
-            );
-        }
-
-        // Likewise the per-scheme breakdown: only rendered when there is a
-        // scheme ablation to report.
-        if self.scheme_classes.len() > 1 {
-            root.raw(
-                "schemes",
-                json::array(self.scheme_classes.iter().map(|(scheme, classes)| {
-                    let mut o = json::Obj::new();
-                    o.str("scheme", scheme.slug())
-                        .raw("classes", class_stats_json(classes));
-                    o.render()
-                })),
-            );
-        }
-
-        // Likewise the per-χ breakdown: only rendered when there is a
-        // truncation ablation to report.
-        if self.chi_classes.len() > 1 {
-            root.raw(
-                "chis",
-                json::array(self.chi_classes.iter().map(|(chi, classes)| {
-                    let mut o = json::Obj::new();
-                    o.int("chi", *chi as u64)
-                        .raw("classes", class_stats_json(classes));
-                    o.render()
-                })),
-            );
-        }
-
-        // Likewise the per-batch-size breakdown: only rendered when there
-        // is a throughput ablation to report. Identical rows are expected
-        // — that is the batch contract made visible.
-        if self.batch_classes.len() > 1 {
-            root.raw(
-                "batches",
-                json::array(self.batch_classes.iter().map(|(batch, classes)| {
-                    let mut o = json::Obj::new();
-                    o.int("batch", *batch as u64)
-                        .raw("classes", class_stats_json(classes));
+                    o.raw(names.arm, axis.arm_json(i))
+                        .raw("classes", class_stats_json(&arm.classes));
+                    if with_timings {
+                        o.num("t_ec_s", arm.timings.functional_time.as_secs_f64());
+                    }
                     o.render()
                 })),
             );
@@ -1355,79 +1284,21 @@ impl CampaignResult {
             ));
         }
 
-        out.push_str(
-            "\n## Detection by stimulus strategy\n\n\
-             | strategy | faults | det. sim | det. complete | missed | mean #sims | rate |\n\
-             |---|---|---|---|---|---|---|\n",
-        );
-        for (strategy, classes) in &self.strategy_classes {
-            out.push_str(&ablation_row(strategy.slug(), classes));
-        }
-
-        if self.backend_classes.len() > 1 {
-            out.push_str(
-                "\n## Detection by backend\n\n\
-                 | backend | faults | det. sim | det. complete | missed | mean #sims | rate |\n\
+        for (axis, arms) in self.rendered_axes() {
+            let names = axis.names();
+            let last = if axis.reports_ec_time() {
+                "t_ec (s)"
+            } else {
+                "rate"
+            };
+            out.push_str(&format!(
+                "\n## Detection by {}\n\n\
+                 | {} | faults | det. sim | det. complete | missed | mean #sims | {last} |\n\
                  |---|---|---|---|---|---|---|\n",
-            );
-            for (backend, classes) in &self.backend_classes {
-                out.push_str(&ablation_row(backend.slug(), classes));
-            }
-        }
-
-        if self.chi_classes.len() > 1 {
-            out.push_str(
-                "\n## Detection by bond dimension\n\n\
-                 | chi | faults | det. sim | det. complete | missed | mean #sims | rate |\n\
-                 |---|---|---|---|---|---|---|\n",
-            );
-            for (chi, classes) in &self.chi_classes {
-                out.push_str(&ablation_row(&chi.to_string(), classes));
-            }
-        }
-
-        if self.batch_classes.len() > 1 {
-            out.push_str(
-                "\n## Detection by batch size\n\n\
-                 | batch | faults | det. sim | det. complete | missed | mean #sims | rate |\n\
-                 |---|---|---|---|---|---|---|\n",
-            );
-            // Rows here must be identical by construction (per-stimulus
-            // outcomes are bit-identical at any batch size); what differs
-            // between arms is only wall-clock.
-            for (batch, classes) in &self.batch_classes {
-                out.push_str(&ablation_row(&batch.to_string(), classes));
-            }
-        }
-
-        if self.scheme_classes.len() > 1 {
-            out.push_str(
-                "\n## Detection by application scheme\n\n\
-                 | scheme | faults | det. sim | det. complete | missed | mean #sims | t_ec (s) |\n\
-                 |---|---|---|---|---|---|---|\n",
-            );
-            // The last column is the scheme's complete-check wall-clock
-            // rather than a detection rate: the verdicts per arm are
-            // identical by construction (same faults, same flow); what
-            // differs between schemes is how long the alternating check
-            // takes to reach them.
-            for (scheme, classes) in &self.scheme_classes {
-                let total = ablation_totals(classes);
-                let mean = total
-                    .mean_sims_to_detect()
-                    .map_or_else(|| "—".to_string(), |m| format!("{m:.2}"));
-                out.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {:.3} |\n",
-                    scheme.slug(),
-                    total.faults,
-                    total.detected_by_sim,
-                    total.detected_by_complete,
-                    total.missed,
-                    mean,
-                    self.stage_timings
-                        .functional_time_for(*scheme)
-                        .as_secs_f64(),
-                ));
+                names.heading, names.arm,
+            ));
+            for (i, arm) in arms.iter().enumerate() {
+                out.push_str(&ablation_row(&axis.label(i), arm, axis.reports_ec_time()));
             }
         }
 
@@ -1613,8 +1484,9 @@ impl PairAudit {
 
 /// Audits one explicit `(golden, faulty)` pair: labels it with the guard,
 /// then runs the simulation stage alone (`Fallback::None`) `config.trials`
-/// times per configured strategy, so the per-strategy detection power is
-/// measured without the complete check masking misses.
+/// times per configured stimulus strategy, so the per-strategy detection
+/// power is measured without the complete check masking misses. Every
+/// other axis contributes its one arm.
 ///
 /// The trial seeds are shared across strategies
 /// ([`trial_seed`]`(seed, 0, 0, t)`), making rows directly comparable; the
@@ -1622,7 +1494,9 @@ impl PairAudit {
 ///
 /// # Panics
 ///
-/// Panics if the circuits' qubit counts differ.
+/// Panics if the circuits' qubit counts differ, or if an axis other than
+/// the stimulus strategies has more than one arm (a pair audit ablates
+/// stimuli only).
 #[must_use]
 pub fn audit_pair(
     name: impl Into<String>,
@@ -1635,43 +1509,32 @@ pub fn audit_pair(
         faulty.n_qubits(),
         "pair audit requires equal qubit counts"
     );
+    if let Some(axis) = config.pair_audit_conflict() {
+        panic!(
+            "a pair audit ablates stimuli only, but the {} axis has {} arms",
+            axis.flag(),
+            axis.arm_count()
+        );
+    }
     let guard = qfault::guard::classify(golden, faulty, &config.guard);
-    let strategies = config
-        .strategies
+    let strategies = arm_grid(&config.axes)
         .iter()
-        .map(|&strategy| {
-            let trials = (0..config.trials.max(1))
+        .map(|arms| {
+            let flow_config = config.flow_config(arms).with_fallback(Fallback::None);
+            let trials = (0..config.trials)
                 .map(|t| {
                     let seed = trial_seed(config.seed, 0, 0, t);
-                    let flow_config = Config::new()
-                        .with_simulations(config.simulations)
-                        .with_seed(seed)
-                        .with_stimuli(strategy)
-                        .with_threads(config.threads.max(1))
-                        .with_backend(config.backends[0])
-                        .with_chi_max(config.chis[0])
-                        .with_batch_size(config.batches[0])
-                        .with_peel(config.peel)
-                        .with_fallback(Fallback::None);
-                    let result = check_equivalence(golden, faulty, &flow_config)
-                        .expect("equal registers were asserted above");
-                    let detection = match &result.outcome {
-                        Outcome::NotEquivalent {
-                            counterexample: Some(ce),
-                        } => Detection::Simulation { sims: ce.run },
-                        Outcome::NotEquivalent {
-                            counterexample: None,
-                        } => Detection::Complete,
-                        _ => Detection::Missed,
-                    };
+                    let result =
+                        check_equivalence(golden, faulty, &flow_config.clone().with_seed(seed))
+                            .expect("equal registers were asserted above");
                     PairTrial {
                         seed,
-                        detection,
+                        detection: Detection::of(&result.outcome),
                         sims_run: result.stats.simulations_run,
                     }
                 })
                 .collect();
-            (strategy, trials)
+            (flow_config.stimuli, trials)
         })
         .collect();
     PairAudit {
@@ -1682,42 +1545,27 @@ pub fn audit_pair(
     }
 }
 
-/// Renders one row of an ablation Markdown table (strategy or backend):
-/// the class-summed detection counts behind a single label.
-fn ablation_totals(classes: &[(MutationKind, ClassStats)]) -> ClassStats {
+/// Renders one arm's row of an ablation Markdown table: the class-summed
+/// detection counts, then the detection rate or, with `ec_time`, the arm's
+/// complete-check wall-clock.
+fn ablation_row(label: &str, arm: &ArmStats, ec_time: bool) -> String {
     let mut total = ClassStats::default();
-    for (_, s) in classes {
-        total.faults += s.faults;
-        total.detected_by_sim += s.detected_by_sim;
-        total.detected_by_complete += s.detected_by_complete;
-        total.missed += s.missed;
-        if total.sims_histogram.len() < s.sims_histogram.len() {
-            total.sims_histogram.resize(s.sims_histogram.len(), 0);
-        }
-        for (i, c) in s.sims_histogram.iter().enumerate() {
-            total.sims_histogram[i] += c;
-        }
+    for (_, s) in &arm.classes {
+        total.add(s);
     }
-    total
-}
-
-fn ablation_row(label: &str, classes: &[(MutationKind, ClassStats)]) -> String {
-    let total = ablation_totals(classes);
     let mean = total
         .mean_sims_to_detect()
         .map_or_else(|| "—".to_string(), |m| format!("{m:.2}"));
-    let rate = total
-        .detection_rate()
-        .map_or_else(|| "—".to_string(), |r| format!("{:.0}%", r * 100.0));
+    let last = if ec_time {
+        format!("{:.3}", arm.timings.functional_time.as_secs_f64())
+    } else {
+        total
+            .detection_rate()
+            .map_or_else(|| "—".to_string(), |r| format!("{:.0}%", r * 100.0))
+    };
     format!(
-        "| {} | {} | {} | {} | {} | {} | {} |\n",
-        label,
-        total.faults,
-        total.detected_by_sim,
-        total.detected_by_complete,
-        total.missed,
-        mean,
-        rate,
+        "| {label} | {} | {} | {} | {} | {mean} | {last} |\n",
+        total.faults, total.detected_by_sim, total.detected_by_complete, total.missed,
     )
 }
 
@@ -1757,6 +1605,14 @@ fn class_stats_json(classes: &[(MutationKind, ClassStats)]) -> String {
 mod tests {
     use super::*;
     use qcirc::generators;
+
+    /// Position of the axis set by `--flag` in the axis list.
+    fn axis(flag: &str) -> usize {
+        Axis::defaults()
+            .iter()
+            .position(|a| a.flag() == flag)
+            .expect("a known axis flag")
+    }
 
     fn tiny_campaign() -> (Vec<CampaignBenchmark>, CampaignConfig) {
         let benches = vec![
@@ -1910,9 +1766,12 @@ mod tests {
         let config = CampaignConfig::default()
             .with_trials(1)
             .with_simulations(4)
-            .with_strategies(vec![StimulusStrategy::Random, StimulusStrategy::Stabilizer]);
+            .with_axis(Axis::Stimuli(vec![
+                StimulusStrategy::Random,
+                StimulusStrategy::Stabilizer,
+            ]));
         let result = run_campaign(&benches, &config);
-        assert_eq!(result.strategy_classes.len(), 2);
+        assert_eq!(result.arms[axis("stimuli")].len(), 2);
         assert_eq!(result.trials.len(), 2 * MutationKind::ALL.len());
         // The strategy axis re-checks the *same* faults: trial seeds and
         // injected mutations repeat between the two halves.
@@ -1920,8 +1779,8 @@ mod tests {
         for (a, b) in result.trials[..half].iter().zip(&result.trials[half..]) {
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.mutations, b.mutations);
-            assert_eq!(a.strategy, StimulusStrategy::Random);
-            assert_eq!(b.strategy, StimulusStrategy::Stabilizer);
+            assert_eq!(a.arms[axis("stimuli")], 0);
+            assert_eq!(b.arms[axis("stimuli")], 1);
         }
         let js = result.to_json(false);
         assert!(js.contains(r#""stimuli":["basis","stabilizer"]"#));
@@ -1946,9 +1805,12 @@ mod tests {
         let config = CampaignConfig::default()
             .with_trials(1)
             .with_simulations(4)
-            .with_backends(vec![BackendKind::Statevector, BackendKind::DecisionDiagram]);
+            .with_axis(Axis::Backend(vec![
+                BackendKind::Statevector,
+                BackendKind::DecisionDiagram,
+            ]));
         let result = run_campaign(&benches, &config);
-        assert_eq!(result.backend_classes.len(), 2);
+        assert_eq!(result.arms[axis("backend")].len(), 2);
         assert_eq!(result.trials.len(), 2 * MutationKind::ALL.len());
         // The backend axis re-checks the *same* faults with the same
         // stimuli: seeds and mutations repeat between the halves, and the
@@ -1957,8 +1819,8 @@ mod tests {
         for (a, b) in result.trials[..half].iter().zip(&result.trials[half..]) {
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.mutations, b.mutations);
-            assert_eq!(a.backend, BackendKind::Statevector);
-            assert_eq!(b.backend, BackendKind::DecisionDiagram);
+            assert_eq!(a.arms[axis("backend")], 0);
+            assert_eq!(b.arms[axis("backend")], 1);
             assert_eq!(a.guard.is_fault(), b.guard.is_fault());
             assert_eq!(a.detection, b.detection, "engines disagree: {a:?} {b:?}");
         }
@@ -1981,19 +1843,19 @@ mod tests {
         let config = CampaignConfig::default()
             .with_trials(1)
             .with_simulations(4)
-            .with_backend(BackendKind::Mps)
+            .with_axis(Axis::Backend(vec![BackendKind::Mps]))
             .with_classes(vec![MutationKind::RemoveGate, MutationKind::AddGate])
-            .with_chis(vec![1, 64]);
+            .with_axis(Axis::Chi(vec![1, 64]));
         let result = run_campaign(&benches, &config);
-        assert_eq!(result.chi_classes.len(), 2);
+        assert_eq!(result.arms[axis("chi")].len(), 2);
         // The χ axis re-checks the *same* faults: seeds and mutations
         // repeat between the two arms.
         let half = result.trials.len() / 2;
         for (a, b) in result.trials[..half].iter().zip(&result.trials[half..]) {
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.mutations, b.mutations);
-            assert_eq!(a.chi, 1);
-            assert_eq!(b.chi, 64);
+            assert_eq!(a.arms[axis("chi")], 0);
+            assert_eq!(b.arms[axis("chi")], 1);
         }
         // Soundness survives truncation: even at χ = 1 no benign mutation
         // is flagged non-equivalent (truncated runs abort, never accuse).
@@ -2032,9 +1894,10 @@ mod tests {
             .with_trials(2)
             .with_simulations(6)
             .with_classes(vec![MutationKind::RemoveGate, MutationKind::AddGate])
-            .with_batches(vec![1, 8]);
+            .with_axis(Axis::Batch(vec![1, 8]));
         let result = run_campaign(&benches, &config);
-        assert_eq!(result.batch_classes.len(), 2);
+        let batch_arms = &result.arms[axis("batch")];
+        assert_eq!(batch_arms.len(), 2);
         // The batch axis re-checks the *same* faults, and per-stimulus
         // outcomes are bit-identical at any batch size — so the arms must
         // agree not only on seeds and mutations but on every verdict and
@@ -2043,12 +1906,12 @@ mod tests {
         for (a, b) in result.trials[..half].iter().zip(&result.trials[half..]) {
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.mutations, b.mutations);
-            assert_eq!(a.batch, 1);
-            assert_eq!(b.batch, 8);
+            assert_eq!(a.arms[axis("batch")], 0);
+            assert_eq!(b.arms[axis("batch")], 1);
             assert_eq!(a.detection, b.detection, "batch changed a verdict");
             assert_eq!(a.sims_run, b.sims_run);
         }
-        assert_eq!(result.batch_classes[0].1, result.batch_classes[1].1);
+        assert_eq!(batch_arms[0].classes, batch_arms[1].classes);
         let js = result.to_json(false);
         assert!(js.contains(r#""batches":[1,8]"#));
         assert!(js.contains(r#""batch":8"#));
@@ -2078,7 +1941,7 @@ mod tests {
         let config = CampaignConfig::default()
             .with_trials(1)
             .with_simulations(4)
-            .with_backend(BackendKind::DecisionDiagram);
+            .with_axis(Axis::Backend(vec![BackendKind::DecisionDiagram]));
         let js = run_campaign(&benches, &config).to_json(false);
         assert!(js.contains(r#""backend":"dd""#));
         // A single non-default backend is a selection, not an ablation:
@@ -2099,7 +1962,10 @@ mod tests {
         let config = CampaignConfig::default()
             .with_trials(3)
             .with_simulations(10)
-            .with_strategies(vec![StimulusStrategy::Random, StimulusStrategy::Stabilizer]);
+            .with_axis(Axis::Stimuli(vec![
+                StimulusStrategy::Random,
+                StimulusStrategy::Stabilizer,
+            ]));
         let audit = audit_pair("mcz escapee", &golden, &faulty, &config);
         assert!(audit.guard.is_fault());
         let (basis_hits, total) = audit.detection_counts(StimulusStrategy::Random).unwrap();
@@ -2121,6 +1987,56 @@ mod tests {
         assert!(md.contains("| basis |"));
         assert!(md.contains("| stabilizer |"));
         assert!(md.contains("real fault"));
+    }
+
+    #[test]
+    #[should_panic(expected = "ablates stimuli only, but the backend axis has 2 arms")]
+    fn pair_audit_refuses_a_second_ablated_axis() {
+        let golden = generators::ghz(3);
+        let config = CampaignConfig::default().with_axis(Axis::Backend(vec![
+            BackendKind::Statevector,
+            BackendKind::DecisionDiagram,
+        ]));
+        let _ = audit_pair("ghz", &golden, &golden, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one trial")]
+    fn zero_trials_are_refused() {
+        let _ = CampaignConfig::default().with_trials(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one fault per trial")]
+    fn zero_faults_are_refused() {
+        let _ = CampaignConfig::default().with_faults(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one thread")]
+    fn zero_threads_are_refused() {
+        let _ = CampaignConfig::default().with_threads(0);
+    }
+
+    #[test]
+    fn axis_flags_parse_their_arms() {
+        for axis in Axis::defaults() {
+            assert_eq!(Axis::named(axis.flag()), Some(axis));
+        }
+        assert_eq!(Axis::named("compose"), None);
+        let backend = Axis::named("backend").unwrap();
+        assert_eq!(
+            backend.parse_arms("sv,dd"),
+            Ok(Axis::Backend(vec![
+                BackendKind::Statevector,
+                BackendKind::DecisionDiagram
+            ]))
+        );
+        assert!(backend.parse_arms("sv,warp").is_err());
+        let chi = Axis::named("chi").unwrap();
+        assert_eq!(chi.parse_arms("4, 64"), Ok(Axis::Chi(vec![4, 64])));
+        let e = chi.parse_arms("4,0").unwrap_err();
+        assert!(e.contains("--chi") && e.contains("`0`"), "{e}");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use qcirc::Circuit;
 use qnum::Complex;
 
-use crate::backend::{dd_for_flow, SimBackend, StabBackend, StatevectorBackend};
-use crate::config::{BackendKind, Config};
+use crate::backend::{with_engine, EngineTask, SimBackend, StatevectorBackend};
+use crate::config::Config;
 use crate::flow::resolve_auto;
 use crate::outcome::Counterexample;
 
@@ -111,20 +111,31 @@ pub fn explain_for(
     top: usize,
     config: &Config,
 ) -> Result<Diagnosis, qdd::DdLimitError> {
-    let config = resolve_auto(g, g_prime, config);
-    match config.backend {
-        BackendKind::Statevector => explain_on(&StatevectorBackend::new(), g, g_prime, ce, top),
-        BackendKind::DecisionDiagram => explain_on(&dd_for_flow(&config), g, g_prime, ce, top),
-        // The stab engine replays densely anyway; use its fallback directly.
-        BackendKind::Stab => explain_on(&StabBackend::new(), g, g_prime, ce, top),
-        BackendKind::Mps => explain_on(
-            &crate::backend::MpsBackend::for_flow(&config),
-            g,
-            g_prime,
-            ce,
-            top,
-        ),
-        BackendKind::Auto => unreachable!("resolved above"),
+    with_engine(
+        Replay { ce, top },
+        g,
+        g_prime,
+        &resolve_auto(g, g_prime, config),
+    )
+}
+
+/// [`explain_on`] as an [`EngineTask`].
+struct Replay {
+    ce: Counterexample,
+    top: usize,
+}
+
+impl EngineTask for Replay {
+    type Output = Result<Diagnosis, qdd::DdLimitError>;
+
+    fn run<B: SimBackend>(
+        self,
+        backend: &B,
+        g: &Circuit,
+        g_prime: &Circuit,
+        _config: &Config,
+    ) -> Self::Output {
+        explain_on(backend, g, g_prime, self.ce, self.top)
     }
 }
 
@@ -205,7 +216,7 @@ fn diagnose_outputs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{check_equivalence_default, Outcome};
+    use crate::{check_equivalence_default, BackendKind, Outcome};
     use qcirc::generators;
 
     fn counterexample_for(g: &Circuit, buggy: &Circuit) -> Counterexample {
@@ -256,20 +267,28 @@ mod tests {
         let mut buggy = g.clone();
         buggy.x(2);
         let ce = counterexample_for(&g, &buggy);
-        let sv = explain_for(&g, &buggy, ce.clone(), 4, &Config::default()).unwrap();
-        let dd = explain_for(
-            &g,
-            &buggy,
-            ce,
-            4,
-            &Config::default().with_backend(BackendKind::DecisionDiagram),
-        )
-        .unwrap();
-        assert_eq!(sv.suspicious_qubits, dd.suspicious_qubits);
-        assert_eq!(sv.top_diffs.len(), dd.top_diffs.len());
-        for (a, b) in sv.top_diffs.iter().zip(&dd.top_diffs) {
-            assert_eq!(a.basis, b.basis);
-            assert!((a.magnitude - b.magnitude).abs() < 1e-9);
+        // Every differing amplitude (`top` = 2⁴), compared by basis state:
+        // engines round the last bit differently, which reorders ties.
+        let by_basis = |config: &Config| {
+            let mut d = explain_for(&g, &buggy, ce.clone(), 16, config).unwrap();
+            d.top_diffs.sort_by_key(|diff| diff.basis);
+            d
+        };
+        let sv = by_basis(&Config::default());
+        assert_eq!(sv.top_diffs.len(), 6);
+        for backend in [
+            BackendKind::DecisionDiagram,
+            BackendKind::Stab,
+            BackendKind::Mps,
+            BackendKind::Auto,
+        ] {
+            let other = by_basis(&Config::default().with_backend(backend));
+            assert_eq!(sv.suspicious_qubits, other.suspicious_qubits, "{backend}");
+            assert_eq!(sv.top_diffs.len(), other.top_diffs.len(), "{backend}");
+            for (a, b) in sv.top_diffs.iter().zip(&other.top_diffs) {
+                assert_eq!(a.basis, b.basis, "{backend}");
+                assert!((a.magnitude - b.magnitude).abs() < 1e-9, "{backend}");
+            }
         }
     }
 

@@ -159,6 +159,7 @@ mod tests {
     use crate::config::Fallback;
     use crate::outcome::{AbortReason, Outcome};
     use qcirc::generators;
+    use qfault::{GuardCache, GuardOptions};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::Duration;
@@ -179,15 +180,16 @@ mod tests {
     #[test]
     fn injected_errors_are_found_by_simulation() {
         let g = generators::grover(5, 17, 3);
+        let lowered = qcirc::decompose::decompose_to_cx_and_single_qubit(&g);
+        let guard = GuardCache::new(&lowered, &GuardOptions::default());
         let mut rng = StdRng::seed_from_u64(11);
-        for kind in [
-            qcirc::errors::ErrorKind::RemoveGate,
-            qcirc::errors::ErrorKind::MisplaceCx,
-            qcirc::errors::ErrorKind::ReplaceSingleQubitGate,
-        ] {
-            let lowered = qcirc::decompose::decompose_to_cx_and_single_qubit(&g);
-            let (buggy, record) = qcirc::errors::inject(&lowered, kind, &mut rng).unwrap();
+        for mutator in qfault::registry(0.1) {
+            let (buggy, record) = mutator.apply(&lowered, &mut rng).unwrap();
             let result = check_equivalence_default(&lowered, &buggy).unwrap();
+            if guard.classify(&buggy).is_benign() {
+                assert!(result.outcome.is_equivalent(), "benign '{record}' flagged");
+                continue;
+            }
             match &result.outcome {
                 Outcome::NotEquivalent {
                     counterexample: Some(ce),
@@ -203,11 +205,19 @@ mod tests {
     fn most_errors_fall_to_the_first_simulation() {
         // The paper's headline observation: #sims = 1 in almost every row.
         let g = generators::trotter_heisenberg(2, 4, 2, 0.13, 0.7);
-        let mut first_run_hits = 0;
+        let guard = GuardCache::new(&g, &GuardOptions::default());
+        let mutators = qfault::registry(0.1);
         let total = 20;
+        let mut faults = 0;
+        let mut first_run_hits = 0;
         for seed in 0..total {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (buggy, _) = qcirc::errors::inject_random(&g, &mut rng).unwrap();
+            let mutator = &mutators[seed as usize % mutators.len()];
+            let (buggy, _) = mutator.apply(&g, &mut rng).unwrap();
+            if !guard.classify(&buggy).is_fault() {
+                continue;
+            }
+            faults += 1;
             let result = check_equivalence_default(&g, &buggy).unwrap();
             if let Outcome::NotEquivalent {
                 counterexample: Some(ce),
@@ -220,7 +230,7 @@ mod tests {
         }
         assert!(
             first_run_hits >= total * 7 / 10,
-            "only {first_run_hits}/{total} errors caught on run 1"
+            "only {first_run_hits}/{total} errors ({faults} guard-confirmed) caught on run 1"
         );
     }
 

@@ -9,7 +9,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::config::{ApplicationScheme, BackendKind};
+use crate::config::BackendKind;
 use crate::outcome::{FlowResult, Outcome};
 use crate::scheduler::{CancelCause, RunEvent, Stage};
 
@@ -367,23 +367,6 @@ pub struct StageTimings {
     /// claimed work was still useful when the batch ran (claims partially
     /// superseded by an earlier counterexample lower it).
     pub batch_slots_probed: usize,
-    /// Functional (complete-check) wall time attributed per application
-    /// scheme, indexed in [`ApplicationScheme::ALL`] order. Events carry
-    /// no scheme, so this is populated by
-    /// [`StageTimings::attribute_functional_to_scheme`] — callers that
-    /// know which scheme drove a run (the campaign runner) file its
-    /// functional time here; untouched summaries render without the
-    /// buckets.
-    pub scheme_functional_time: [Duration; 4],
-}
-
-/// Index of a scheme in [`ApplicationScheme::ALL`] (and in
-/// [`StageTimings::scheme_functional_time`]).
-fn scheme_index(scheme: ApplicationScheme) -> usize {
-    ApplicationScheme::ALL
-        .iter()
-        .position(|s| *s == scheme)
-        .expect("every scheme is in ALL")
 }
 
 impl StageTimings {
@@ -455,27 +438,7 @@ impl StageTimings {
             batches_finished: self.batches_finished + other.batches_finished,
             batch_slots_claimed: self.batch_slots_claimed + other.batch_slots_claimed,
             batch_slots_probed: self.batch_slots_probed + other.batch_slots_probed,
-            scheme_functional_time: {
-                let mut sum = self.scheme_functional_time;
-                for (acc, t) in sum.iter_mut().zip(other.scheme_functional_time) {
-                    *acc += t;
-                }
-                sum
-            },
         }
-    }
-
-    /// Files this summary's functional wall time under `scheme`'s bucket.
-    /// The scheduler's events do not carry the scheme, so per-scheme
-    /// attribution happens where the driving `Config` is known.
-    pub fn attribute_functional_to_scheme(&mut self, scheme: ApplicationScheme) {
-        self.scheme_functional_time[scheme_index(scheme)] += self.functional_time;
-    }
-
-    /// Functional wall time attributed to one scheme's complete checks.
-    #[must_use]
-    pub fn functional_time_for(&self, scheme: ApplicationScheme) -> Duration {
-        self.scheme_functional_time[scheme_index(scheme)]
     }
 
     /// Probe wall time spent in one backend's engine.
@@ -515,17 +478,8 @@ impl StageTimings {
         let mut o = json::Obj::new();
         if with_timings {
             o.num("t_sim_s", self.simulation_time.as_secs_f64())
-                .num("t_ec_s", self.functional_time.as_secs_f64());
-            // Scheme buckets only exist when a caller attributed them;
-            // rendering conditionally keeps single-scheme output
-            // byte-identical to pre-scheme goldens.
-            for scheme in ApplicationScheme::ALL {
-                let t = self.functional_time_for(scheme);
-                if t > Duration::ZERO {
-                    o.num(&format!("t_ec_{}_s", scheme.slug()), t.as_secs_f64());
-                }
-            }
-            o.num("t_probe_sv_s", self.sv_probe_time.as_secs_f64())
+                .num("t_ec_s", self.functional_time.as_secs_f64())
+                .num("t_probe_sv_s", self.sv_probe_time.as_secs_f64())
                 .num("t_probe_dd_s", self.dd_probe_time.as_secs_f64())
                 .num("t_probe_stab_s", self.stab_probe_time.as_secs_f64())
                 .num("t_probe_mps_s", self.mps_probe_time.as_secs_f64());

@@ -72,7 +72,7 @@ pub fn run_scheduled(
     g_prime: &Circuit,
     config: &Config,
 ) -> Result<FlowResult, FlowError> {
-    with_engine::<Scheduled>(g, g_prime, &resolve_auto(g, g_prime, config))
+    with_engine(Scheduled, g, g_prime, &resolve_auto(g, g_prime, config))
 }
 
 /// [`run_scheduled_on`] as an [`EngineTask`].
@@ -82,6 +82,7 @@ impl EngineTask for Scheduled {
     type Output = Result<FlowResult, FlowError>;
 
     fn run<B: SimBackend>(
+        self,
         backend: &B,
         g: &Circuit,
         g_prime: &Circuit,

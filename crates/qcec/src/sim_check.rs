@@ -58,7 +58,7 @@ pub fn run_simulations(
     g_prime: &Circuit,
     config: &Config,
 ) -> Result<SimVerdict, qdd::DdLimitError> {
-    with_engine::<Simulations>(g, g_prime, &resolve_auto(g, g_prime, config))
+    with_engine(Simulations, g, g_prime, &resolve_auto(g, g_prime, config))
 }
 
 /// [`run_simulations_on`] as an [`EngineTask`].
@@ -68,6 +68,7 @@ impl EngineTask for Simulations {
     type Output = Result<SimVerdict, qdd::DdLimitError>;
 
     fn run<B: SimBackend>(
+        self,
         backend: &B,
         g: &Circuit,
         g_prime: &Circuit,

@@ -13,8 +13,6 @@
 //! * [`mapping`] — coupling maps and SWAP-insertion routing (\[6\]–\[10\]),
 //! * [`optimize`] — exact, unitary-preserving optimization passes
 //!   (\[11\], \[12\]),
-//! * [`errors`] — the paper's fault model for producing non-equivalent
-//!   instances,
 //! * [`dense`] — reference dense unitaries for ground-truth checks,
 //! * [`dag`] — dependency/layer views of circuits.
 //!
@@ -44,7 +42,6 @@ mod circuit;
 pub mod dag;
 pub mod decompose;
 pub mod dense;
-pub mod errors;
 mod gate;
 pub mod generators;
 pub mod mapping;

@@ -405,11 +405,22 @@ mod tests {
 
     #[test]
     fn detects_single_gate_errors() {
+        // One rotation offset by 0.2: `cp(π/2) q[1], q[2]` becomes
+        // `cp(π/2 + 0.2)`.
         let g = generators::qft(4, true);
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
-        let (buggy, _) =
-            qcirc::errors::inject(&g, qcirc::errors::ErrorKind::PerturbRotation(0.2), &mut rng)
-                .unwrap();
+        let old = &g.gates()[5];
+        let qcirc::GateKind::Phase(lambda) = *old.kind() else {
+            panic!("qft(4)'s gate 5 is a controlled phase, got {old}");
+        };
+        let mut buggy = g.clone();
+        buggy.replace(
+            5,
+            qcirc::Gate::controlled(
+                qcirc::GateKind::Phase(lambda + 0.2),
+                old.controls().to_vec(),
+                old.target(),
+            ),
+        );
         let mut p = Package::new(4);
         let v = check_equivalence_alternating(&mut p, &g, &buggy, None).unwrap();
         assert_eq!(v, DdEquivalence::NotEquivalent);

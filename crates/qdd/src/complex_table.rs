@@ -134,7 +134,9 @@ impl ComplexTable {
         // bucket boundary still alias.
         for dr in -1..=1 {
             for di in -1..=1 {
-                if let Some(candidates) = self.buckets.get(&(key.0 + dr, key.1 + di)) {
+                // Saturating: a huge value's key sits at the edge of `i64`.
+                let neighbour = (key.0.saturating_add(dr), key.1.saturating_add(di));
+                if let Some(candidates) = self.buckets.get(&neighbour) {
                     for &idx in candidates {
                         if self.values[idx as usize].approx_eq_with(value, self.tolerance) {
                             return Cx(idx);
@@ -225,6 +227,20 @@ impl ComplexTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn values_at_the_edge_of_the_key_range_intern() {
+        // A near-zero divisor in the DD package yields weights this large.
+        let mut t = ComplexTable::new();
+        for v in [
+            Complex::new(1e300, -1e300),
+            Complex::new(f64::INFINITY, 0.0),
+        ] {
+            let idx = t.intern(v);
+            assert_ne!(idx, t.intern(Complex::ONE));
+            assert_eq!(t.value(idx).re, v.re);
+        }
+    }
 
     #[test]
     fn zero_and_one_are_preseeded() {

@@ -1,8 +1,9 @@
 //! Detect an injected design-flow bug — the paper's core scenario.
 //!
 //! A supremacy-style circuit is mapped to a grid device; a seeded "mapping
-//! tool bug" (a misplaced CX, as in the paper's Example 6) is injected into
-//! the mapped artifact. The sole complete check grinds on the 16-qubit
+//! tool bug" is injected into the mapped artifact: two qubits swap labels
+//! from one gate on, as when a SWAP is not applied correctly (the paper's
+//! Example 6). The sole complete check grinds on the 16-qubit
 //! unstructured circuit, while one random simulation exposes the bug.
 //!
 //! Run with `cargo run --release -p qcec-examples --bin detect_bug`.
@@ -10,8 +11,8 @@
 use std::time::{Duration, Instant};
 
 use qcec::{Config, Fallback, Outcome};
-use qcirc::errors::{inject, ErrorKind};
 use qcirc::generators;
+use qfault::{Mutator, RelabelQubits};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The mapping tool "bug".
     let mut rng = StdRng::seed_from_u64(7);
-    let (buggy, record) = inject(&routed.circuit, ErrorKind::MisplaceCx, &mut rng)?;
+    let (buggy, record) = RelabelQubits.apply(&routed.circuit, &mut rng)?;
     println!("injected: {record}");
 
     // Attempt 1: the state-of-the-art complete check, small budget.

@@ -2,7 +2,7 @@
 //! runner: small-scale oracles against the complete DD check, the
 //! determinism contract, and the shape of the aggregated report.
 
-use qcec::campaign::{run_campaign, CampaignBenchmark, CampaignConfig, CompileRoute};
+use qcec::campaign::{run_campaign, Axis, CampaignBenchmark, CampaignConfig, CompileRoute};
 use qcec::{check_equivalence, Config, Outcome};
 use qcirc::generators;
 use qcirc::mapping::CouplingMap;
@@ -285,7 +285,7 @@ fn default_backend_json_matches_pre_refactor_golden() {
     assert_eq!(json, golden.trim_end(), "default campaign JSON drifted");
     // The batch axis is verdict-neutral and digest-exempt: spelling out
     // the default batch size explicitly must not move a byte either.
-    let explicit = run_campaign(&benches, &config.with_batches(vec![1])).to_json(false);
+    let explicit = run_campaign(&benches, &config.with_axis(Axis::Batch(vec![1]))).to_json(false);
     assert_eq!(explicit, golden.trim_end(), "explicit batch=1 drifted");
 }
 
@@ -310,7 +310,7 @@ fn scheme_ablation_campaign_is_deterministic_and_arms_agree() {
         .with_seed(17)
         .with_trials(2)
         .with_simulations(6)
-        .with_schemes(ApplicationScheme::ALL.to_vec());
+        .with_axis(Axis::Scheme(ApplicationScheme::ALL.to_vec()));
 
     let first = run_campaign(&benches, &base);
     let rerun = run_campaign(&benches, &base).to_json(false);
@@ -334,9 +334,13 @@ fn scheme_ablation_campaign_is_deterministic_and_arms_agree() {
     }
     // Identical faults, identical verdicts: each arm's per-class stats
     // must equal the first arm's exactly.
-    let (_, reference) = &first.scheme_classes[0];
-    for (scheme, classes) in &first.scheme_classes[1..] {
-        assert_eq!(classes, reference, "{scheme}: detection stats diverged");
+    let scheme_arms = &first.arms[2];
+    assert!(matches!(first.config.axes[2], Axis::Scheme(_)));
+    for (scheme, arm) in ApplicationScheme::ALL.iter().zip(scheme_arms).skip(1) {
+        assert_eq!(
+            arm.classes, scheme_arms[0].classes,
+            "{scheme}: detection stats diverged"
+        );
     }
     // The markdown gains its own ablation section only in this mode.
     assert!(first
@@ -358,7 +362,9 @@ fn single_scheme_campaign_renders_config_field_only() {
     let base = CampaignConfig::default().with_trials(1).with_simulations(4);
     let gatecost = run_campaign(
         &benches,
-        &base.clone().with_scheme(ApplicationScheme::GateCost),
+        &base
+            .clone()
+            .with_axis(Axis::Scheme(vec![ApplicationScheme::GateCost])),
     );
     let json = gatecost.to_json(false);
     assert!(json.contains("\"scheme\":\"gatecost\""));
@@ -373,6 +379,73 @@ fn single_scheme_campaign_renders_config_field_only() {
     );
 }
 
+/// Three verdict-neutral axes ablated at once: every combination of arms
+/// runs, each axis's arms split the trials between them, and the arms of
+/// each axis agree row for row.
+#[test]
+fn multi_axis_campaign_covers_every_arm_combination() {
+    use qcec::campaign::ClassStats;
+    use qcec::{ApplicationScheme, BackendKind};
+    let benches = vec![
+        CampaignBenchmark::optimized("qft 4", "qft", &generators::qft(4, true)),
+        CampaignBenchmark::compile(
+            "grover 3",
+            "grover",
+            &generators::grover(3, 5, 1),
+            &CompileRoute::Decompose,
+        ),
+    ];
+    let config = CampaignConfig::default()
+        .with_seed(19)
+        .with_trials(2)
+        .with_simulations(6)
+        .with_axis(Axis::Backend(vec![
+            BackendKind::Statevector,
+            BackendKind::DecisionDiagram,
+        ]))
+        .with_axis(Axis::Scheme(vec![
+            ApplicationScheme::Proportional,
+            ApplicationScheme::GateCost,
+        ]))
+        .with_axis(Axis::Batch(vec![1, 8]));
+    let result = run_campaign(&benches, &config);
+    let combinations: usize = config.axes.iter().map(Axis::arm_count).product();
+    assert_eq!(combinations, 8);
+    assert_eq!(
+        result.trials.len(),
+        combinations * config.classes.len() * config.trials * benches.len()
+    );
+
+    for (axis, arms) in config.axes.iter().zip(&result.arms) {
+        assert_eq!(arms.len(), axis.arm_count());
+        for (k, (kind, whole)) in result.classes.iter().enumerate() {
+            let mut sum = ClassStats::default();
+            for arm in arms {
+                sum.add(&arm.classes[k].1);
+            }
+            assert_eq!(&sum, whole, "{} arms do not sum to {kind}", axis.flag());
+        }
+        for arm in &arms[1..] {
+            assert_eq!(
+                arm.classes,
+                arms[0].classes,
+                "{} arms disagree",
+                axis.flag()
+            );
+        }
+    }
+
+    let json = result.to_json(false);
+    let pooled = run_campaign(&benches, &config.clone().with_trial_threads(3));
+    assert_eq!(json, pooled.to_json(false), "trial_threads = 3 drifted");
+    assert!(!json.contains("t_ec_s"));
+    // One `t_ec_s` per rendered arm — the strategy, two backends, two
+    // schemes and two batch sizes — plus the stage summary's own.
+    let timed = result.to_json(true);
+    assert_eq!(timed.matches("\"t_ec_s\"").count(), 7 + 1);
+    assert!(!timed.contains("t_ec_proportional_s"));
+}
+
 /// Double faults that cancel are guard-labelled benign; the accounting must
 /// file such trials under `benign` and never under `missed`, whatever the
 /// flow answered.
@@ -381,11 +454,7 @@ fn benign_trials_are_never_counted_as_detection_misses() {
     use qcec::campaign::{ClassStats, Detection, TrialRecord};
     let benign_trial = |detection| TrialRecord {
         benchmark: 0,
-        backend: qcec::BackendKind::Statevector,
-        scheme: qcec::ApplicationScheme::Proportional,
-        strategy: qcec::StimulusStrategy::Random,
-        chi: 64,
-        batch: 1,
+        arms: vec![0; 5],
         kind: MutationKind::AddGate,
         trial: 0,
         seed: 7,

@@ -115,21 +115,22 @@ proptest! {
         prop_assert!(result.outcome.is_equivalent());
     }
 
-    /// Injected random errors essentially never survive the default flow on
-    /// elementary circuits (statistically; equivalent-after-injection cases
-    /// are tolerated when proven equivalent by the complete check).
+    /// Injected random errors never survive the default flow on elementary
+    /// circuits: a guard-confirmed fault is proven different, a
+    /// guard-benign mutant proven equivalent.
     #[test]
     fn injected_errors_do_not_slip_through(seed in any::<u64>()) {
-        use rand::SeedableRng;
+        use rand::{Rng, SeedableRng};
         let c = generators::trotter_heisenberg(2, 3, 1, 0.17, 0.6);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let (buggy, _) = qcirc::errors::inject_random(&c, &mut rng).unwrap();
+        let kind = qfault::MutationKind::ALL[rng.gen_range(0..qfault::MutationKind::ALL.len())];
+        let (buggy, _) = qfault::mutator_for(kind, rng.gen_range(0.01..0.5))
+            .apply(&c, &mut rng)
+            .unwrap();
         let result = qcec::check_equivalence_default(&c, &buggy).unwrap();
-        // Either proven different, or proven equivalent (injection was a
-        // no-op semantically); never an inconclusive timeout on 6 qubits.
-        prop_assert!(
-            result.outcome.is_not_equivalent() || result.outcome.is_equivalent()
-        );
+        let guard = qfault::guard::classify(&c, &buggy, &qfault::GuardOptions::default());
+        prop_assert_eq!(result.outcome.is_not_equivalent(), guard.is_fault());
+        prop_assert_eq!(result.outcome.is_equivalent(), guard.is_benign());
     }
 }
 

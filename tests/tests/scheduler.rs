@@ -8,6 +8,7 @@ use std::sync::Arc;
 use qcec::scheduler::CollectingSink;
 use qcec::{check_equivalence, BackendKind, Config, Mismatch, Outcome, StimulusStrategy};
 use qcirc::Circuit;
+use qfault::Mutator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -228,7 +229,7 @@ fn fixture_pairs() -> Vec<(String, Circuit, Circuit)> {
     let peres_expanded = qcirc::real::parse_file(fixture("peres_3_expanded.real")).unwrap();
 
     let mut rng = StdRng::seed_from_u64(99);
-    let (adder_buggy, _) = qcirc::errors::inject_random(&adder, &mut rng).unwrap();
+    let (adder_buggy, _) = qfault::RemoveGate.apply(&adder, &mut rng).unwrap();
     let grover_opt = qcirc::optimize::optimize(&grover);
 
     vec![
