@@ -43,10 +43,9 @@ fn bench_alternating_scheme(c: &mut Criterion) {
                     b.iter_batched(
                         || Package::new(g.n_qubits()),
                         |mut p| {
-                            qdd::check_equivalence_alternating_scheme(
-                                &mut p, g, g_prime, None, scheme,
-                            )
-                            .unwrap()
+                            let budget = qdd::Budget::new(None);
+                            qdd::check_equivalence_alternating(&mut p, g, g_prime, &budget, scheme)
+                                .unwrap()
                         },
                         criterion::BatchSize::SmallInput,
                     );

@@ -57,14 +57,21 @@ fn bench_alternating_vs_construct(c: &mut Criterion) {
     group.bench_function("alternating", |b| {
         b.iter_batched(
             || Package::new(8),
-            |mut p| qdd::check_equivalence_alternating(&mut p, &g, &routed, None).unwrap(),
+            |mut p| {
+                let budget = qdd::Budget::new(None);
+                let scheme = qdd::ApplicationScheme::default();
+                qdd::check_equivalence_alternating(&mut p, &g, &routed, &budget, scheme).unwrap()
+            },
             criterion::BatchSize::SmallInput,
         );
     });
     group.bench_function("construct", |b| {
         b.iter_batched(
             || Package::new(8),
-            |mut p| qdd::check_equivalence_construct(&mut p, &g, &routed, None).unwrap(),
+            |mut p| {
+                let budget = qdd::Budget::new(None);
+                qdd::check_equivalence_construct(&mut p, &g, &routed, &budget).unwrap()
+            },
             criterion::BatchSize::SmallInput,
         );
     });

@@ -29,11 +29,13 @@ fn bench_non_equivalent(c: &mut Criterion) {
         // The sole DD check on this non-equivalent pair runs for minutes —
         // exactly the paper's point. Benchmark it under a 2 s budget (the
         // realistic deployment) rather than to completion.
-        let budget = Some(std::time::Duration::from_secs(2));
+        let deadline = Some(std::time::Duration::from_secs(2));
+        let scheme = qdd::ApplicationScheme::default();
         b.iter_batched(
             || qdd::Package::new(g.n_qubits()),
             |mut p| {
-                let _ = qdd::check_equivalence_alternating(&mut p, &g, &buggy, budget);
+                let budget = qdd::Budget::new(deadline);
+                let _ = qdd::check_equivalence_alternating(&mut p, &g, &buggy, &budget, scheme);
             },
             criterion::BatchSize::SmallInput,
         );

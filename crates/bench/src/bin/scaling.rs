@@ -81,7 +81,9 @@ fn row(family: &str, g: &qcirc::Circuit, sv_ok: bool, deadline: Duration) {
     let t_ec = {
         let mut p = qdd::Package::with_node_limit(n, 2_000_000);
         let start = Instant::now();
-        match qdd::check_equivalence_alternating(&mut p, g, &optimized, Some(deadline)) {
+        let budget = qdd::Budget::new(Some(deadline));
+        let scheme = qdd::ApplicationScheme::default();
+        match qdd::check_equivalence_alternating(&mut p, g, &optimized, &budget, scheme) {
             Ok(v) => {
                 assert!(v.is_equivalent());
                 fmt_secs(start.elapsed())

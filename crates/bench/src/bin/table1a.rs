@@ -76,7 +76,8 @@ fn main() {
             &mut package,
             &pair.original,
             &buggy,
-            Some(deadline),
+            &qdd::Budget::new(Some(deadline)),
+            qdd::ApplicationScheme::default(),
         );
         let ec_elapsed = ec_start.elapsed();
         let t_ec = match ec {

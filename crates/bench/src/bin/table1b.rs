@@ -41,7 +41,8 @@ fn main() {
             &mut package,
             &pair.original,
             &pair.alternative,
-            Some(deadline),
+            &qdd::Budget::new(Some(deadline)),
+            qdd::ApplicationScheme::default(),
         );
         let ec_elapsed = ec_start.elapsed();
         let ec_finished = ec.is_ok();

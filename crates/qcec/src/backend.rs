@@ -27,7 +27,7 @@
 //!   [`ProbeMetrics::truncation_error`] — `0.0` is a certificate that the
 //!   probe was exact.
 //!
-//! [`BackendKind::Auto`](crate::BackendKind::Auto) is not a fifth engine
+//! [`BackendKind::Auto`] is not a fifth engine
 //! but a selector: [`auto_backend`] resolves it to one of the four from
 //! the register width and gate mix before any probe runs. The flow builds
 //! the configured engine in one place, `with_engine`.
@@ -66,7 +66,7 @@ use qnum::Complex;
 use qsim::{ProbeWorkspace, Simulator};
 use qstim::Stimulus;
 
-use crate::config::{BackendKind, Config, Criterion};
+use crate::config::{BackendKind, Config, Criterion, StimulusStrategy};
 
 /// What one completed probe hands back: the overlap plus backend-specific
 /// effort instrumentation.
@@ -526,10 +526,9 @@ fn tableau_probe(
     keep_going: &dyn Fn() -> bool,
 ) -> TableauProbe {
     let prefix = stimulus.prefix_circuit();
-    let all_clifford = |c: &Circuit| c.gates().iter().all(qcirc::Gate::is_clifford);
-    if !all_clifford(g)
-        || !all_clifford(g_prime)
-        || prefix.as_ref().is_some_and(|p| !all_clifford(p))
+    if !clifford_only(g)
+        || !clifford_only(g_prime)
+        || prefix.as_ref().is_some_and(|p| !clifford_only(p))
     {
         return TableauProbe::NonClifford;
     }
@@ -864,7 +863,6 @@ pub(crate) fn with_engine<T: EngineTask>(
 /// ```
 #[must_use]
 pub fn auto_backend(g: &Circuit, g_prime: &Circuit) -> BackendKind {
-    let clifford_only = |c: &Circuit| c.gates().iter().all(qcirc::Gate::is_clifford);
     if clifford_only(g) && clifford_only(g_prime) {
         return BackendKind::Stab;
     }
@@ -875,6 +873,34 @@ pub fn auto_backend(g: &Circuit, g_prime: &Circuit) -> BackendKind {
         BackendKind::DecisionDiagram
     } else {
         BackendKind::Mps
+    }
+}
+
+/// Whether every gate of `c` is Clifford.
+fn clifford_only(c: &Circuit) -> bool {
+    c.gates().iter().all(qcirc::Gate::is_clifford)
+}
+
+/// Whether the flow's `kind` engine would run some probe of the pair on
+/// dense `2ⁿ` buffers: the statevector engine always does, and the stab
+/// engine falls back to them when its tableau path is off
+/// ([`Criterion::Strict`]), for product stimuli (their `U3` prefixes are
+/// never Clifford) and for pairs with a non-Clifford gate.
+pub(crate) fn probes_densely(
+    kind: BackendKind,
+    g: &Circuit,
+    g_prime: &Circuit,
+    config: &Config,
+) -> bool {
+    match kind {
+        BackendKind::Statevector => true,
+        BackendKind::Stab => {
+            !StabBackend::for_flow(config).tableau_enabled
+                || config.stimuli == StimulusStrategy::Product
+                || !clifford_only(g)
+                || !clifford_only(g_prime)
+        }
+        _ => false,
     }
 }
 

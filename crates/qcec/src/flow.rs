@@ -28,14 +28,17 @@ pub enum FlowError {
         /// The configured node limit.
         node_limit: usize,
     },
-    /// The statevector backend was asked to probe a register wider than
-    /// its dense buffers can hold ([`qsim::StateVector::MAX_QUBITS`]); the
-    /// check stops before allocating any.
+    /// The engine would probe a register wider than dense buffers can
+    /// hold ([`qsim::StateVector::MAX_QUBITS`]): the statevector backend
+    /// always probes densely, the stab backend on its dense fallback. The
+    /// check stops before any stage starts.
     RegisterTooWide {
         /// Qubits of the circuits.
         n_qubits: usize,
-        /// The widest register the statevector backend supports.
+        /// The widest register dense probes support.
         max_qubits: usize,
+        /// The engine that would have probed densely.
+        backend: BackendKind,
     },
 }
 
@@ -50,7 +53,19 @@ impl fmt::Display for FlowError {
                 f,
                 "decision-diagram simulation exceeded the node limit of {node_limit}; raise it or use the statevector backend"
             ),
-            FlowError::RegisterTooWide { n_qubits, max_qubits } => write!(
+            FlowError::RegisterTooWide {
+                n_qubits,
+                max_qubits,
+                backend: BackendKind::Stab,
+            } => write!(
+                f,
+                "the stab backend's dense fallback (taken for non-Clifford gates, product stimuli and the strict criterion) supports at most {max_qubits} qubits, but the circuits act on {n_qubits}; use the dd or mps backend"
+            ),
+            FlowError::RegisterTooWide {
+                n_qubits,
+                max_qubits,
+                ..
+            } => write!(
                 f,
                 "the statevector backend supports at most {max_qubits} qubits, but the circuits act on {n_qubits}; use the dd, stab, mps or auto backend"
             ),
@@ -81,9 +96,9 @@ impl std::error::Error for FlowError {}
 /// # Errors
 ///
 /// Returns [`FlowError`] if the circuits have different qubit counts, if
-/// the statevector backend is asked for a register wider than
-/// [`qsim::StateVector::MAX_QUBITS`], or if the decision-diagram
-/// *simulation* backend overflows its node budget.
+/// the statevector backend or the stab backend's dense fallback would
+/// probe a register wider than [`qsim::StateVector::MAX_QUBITS`], or if
+/// the decision-diagram *simulation* backend overflows its node budget.
 ///
 /// # Examples
 ///

@@ -1,9 +1,10 @@
-//! The complete (functional) check stage — wraps the DD routines of `qdd`
-//! (and, under [`BackendKind::Mps`], the MPO routines of `qmpo`).
+//! The complete (functional) check stage — one body over both complete
+//! checkers: the DD routines of `qdd` and, under [`BackendKind::Mps`], the
+//! MPO routines of `qmpo`, which share `qdd`'s budget, verdict and abort
+//! vocabulary.
 
 use qcirc::Circuit;
-use qdd::{DdCheckAbort, DdEquivalence, Package};
-use qmpo::{MpoCheckAbort, MpoEquivalence, MpoVerdict};
+use qdd::{Budget, DdCheckAbort, DdEquivalence, Package};
 
 use crate::config::{BackendKind, Config, Criterion, Fallback};
 use crate::outcome::AbortReason;
@@ -21,39 +22,11 @@ pub enum FunctionalVerdict {
     /// Matrices differ.
     NotEquivalent,
     /// The check could not finish.
-    Aborted(AbortKind),
+    Aborted(AbortReason),
 }
 
-/// Why the functional stage stopped (plain-copy mirror of
-/// [`AbortReason`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AbortKind {
-    /// Deadline elapsed.
-    Timeout,
-    /// Node limit exceeded.
-    NodeLimit,
-    /// Disabled by configuration.
-    Disabled,
-    /// The MPO check truncated bond dimensions and found no difference —
-    /// evidence of equivalence, not proof.
-    Truncated {
-        /// The accumulated truncation error.
-        error: f64,
-    },
-}
-
-impl From<AbortKind> for AbortReason {
-    fn from(k: AbortKind) -> Self {
-        match k {
-            AbortKind::Timeout => AbortReason::Timeout,
-            AbortKind::NodeLimit => AbortReason::NodeLimit,
-            AbortKind::Disabled => AbortReason::FallbackDisabled,
-            AbortKind::Truncated { error } => AbortReason::Truncation { error },
-        }
-    }
-}
-
-/// Runs the configured complete equivalence check.
+/// Runs the configured complete equivalence check within
+/// `config.deadline`.
 ///
 /// With [`Criterion::Strict`], matrices that agree only up to a global
 /// phase are classified as [`FunctionalVerdict::NotEquivalent`]; with the
@@ -64,150 +37,66 @@ impl From<AbortKind> for AbortReason {
 /// Panics if the circuits' qubit counts differ.
 #[must_use]
 pub fn run_functional_check(g: &Circuit, g_prime: &Circuit, config: &Config) -> FunctionalVerdict {
-    if config.backend == BackendKind::Mps {
-        let result = match config.fallback {
-            Fallback::None => return FunctionalVerdict::Aborted(AbortKind::Disabled),
-            Fallback::Alternating => qmpo::check_equivalence_alternating(
-                g,
-                g_prime,
-                config.chi_max,
-                config.deadline,
-                config.scheme,
-            ),
-            Fallback::ConstructAndCompare => {
-                qmpo::check_equivalence_construct(g, g_prime, config.chi_max, config.deadline)
-            }
-        };
-        return classify_mpo(result, config)
-            .expect("a check without a cancel flag cannot be cancelled");
-    }
-    let mut package = Package::with_node_limit(g.n_qubits(), config.dd_node_limit);
-    let result = match config.fallback {
-        Fallback::None => return FunctionalVerdict::Aborted(AbortKind::Disabled),
-        Fallback::Alternating => qdd::check_equivalence_alternating_scheme(
-            &mut package,
-            g,
-            g_prime,
-            config.deadline,
-            config.scheme,
-        ),
-        Fallback::ConstructAndCompare => {
-            qdd::check_equivalence_construct(&mut package, g, g_prime, config.deadline)
-        }
-    };
-    classify(result, config).expect("a check without a cancel flag cannot be cancelled")
+    check_within(g, g_prime, config, &Budget::new(config.deadline))
+        .expect("a budget without a cancel flag cannot be cancelled")
 }
 
-/// [`run_functional_check`] with an external cancellation flag, polled
-/// between DD operations. Returns `None` if the flag was raised before the
-/// check finished — the scheduler's way of stopping a racer whose answer a
-/// simulation counterexample has already made moot.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ.
-pub fn run_functional_check_cancellable(
+/// [`run_functional_check`] within an explicit budget. Returns `None` once
+/// the budget's cancel flag is raised — the scheduler's way of stopping a
+/// racer whose answer a simulation counterexample has already made moot.
+pub(crate) fn check_within(
     g: &Circuit,
     g_prime: &Circuit,
     config: &Config,
-    cancel: &std::sync::atomic::AtomicBool,
+    budget: &Budget<'_>,
 ) -> Option<FunctionalVerdict> {
-    if config.backend == BackendKind::Mps {
-        let result = match config.fallback {
-            Fallback::None => return Some(FunctionalVerdict::Aborted(AbortKind::Disabled)),
-            Fallback::Alternating => qmpo::check_equivalence_alternating_cancellable(
-                g,
-                g_prime,
-                config.chi_max,
-                config.deadline,
-                cancel,
-                config.scheme,
-            ),
-            Fallback::ConstructAndCompare => qmpo::check_equivalence_construct_cancellable(
-                g,
-                g_prime,
-                config.chi_max,
-                config.deadline,
-                cancel,
-            ),
-        };
-        return classify_mpo(result, config);
-    }
-    let mut package = Package::with_node_limit(g.n_qubits(), config.dd_node_limit);
-    let result = match config.fallback {
-        Fallback::None => return Some(FunctionalVerdict::Aborted(AbortKind::Disabled)),
-        Fallback::Alternating => qdd::check_equivalence_alternating_scheme_cancellable(
-            &mut package,
-            g,
-            g_prime,
-            config.deadline,
-            cancel,
-            config.scheme,
-        ),
-        Fallback::ConstructAndCompare => qdd::check_equivalence_construct_cancellable(
-            &mut package,
-            g,
-            g_prime,
-            config.deadline,
-            cancel,
-        ),
+    let alternating = match config.fallback {
+        Fallback::None => return Some(FunctionalVerdict::Aborted(AbortReason::FallbackDisabled)),
+        Fallback::Alternating => true,
+        Fallback::ConstructAndCompare => false,
     };
-    classify(result, config)
-}
-
-/// Maps a DD-check result onto the flow's verdict; `None` only for
-/// [`DdCheckAbort::Cancelled`].
-fn classify(
-    result: Result<DdEquivalence, DdCheckAbort>,
-    config: &Config,
-) -> Option<FunctionalVerdict> {
+    let result = if config.backend == BackendKind::Mps {
+        let chi = config.chi_max;
+        let run = if alternating {
+            qmpo::check_equivalence_alternating(g, g_prime, chi, budget, config.scheme)
+        } else {
+            qmpo::check_equivalence_construct(g, g_prime, chi, budget)
+        };
+        match run {
+            // A truncated run can still disprove equivalence — the engine's
+            // decision window already absorbs the accumulated error — but
+            // its "no difference found" is evidence, not proof.
+            Ok(v) if v.is_equivalent() && !v.is_exact() => {
+                let error = v.truncation_error;
+                return Some(FunctionalVerdict::Aborted(AbortReason::Truncation {
+                    error,
+                }));
+            }
+            run => run.map(|v| v.equivalence),
+        }
+    } else {
+        let mut package = Package::with_node_limit(g.n_qubits(), config.dd_node_limit);
+        if alternating {
+            qdd::check_equivalence_alternating(&mut package, g, g_prime, budget, config.scheme)
+        } else {
+            qdd::check_equivalence_construct(&mut package, g, g_prime, budget)
+        }
+    };
     Some(match result {
         Ok(DdEquivalence::Equivalent) => FunctionalVerdict::Equivalent,
+        // Under the strict notion a global phase is a difference.
+        Ok(DdEquivalence::EquivalentUpToGlobalPhase { .. })
+            if config.criterion == Criterion::Strict =>
+        {
+            FunctionalVerdict::NotEquivalent
+        }
         Ok(DdEquivalence::EquivalentUpToGlobalPhase { phase }) => {
-            if config.criterion == Criterion::Strict {
-                // Under the strict notion a global phase is a difference.
-                FunctionalVerdict::NotEquivalent
-            } else {
-                FunctionalVerdict::EquivalentUpToGlobalPhase { phase }
-            }
+            FunctionalVerdict::EquivalentUpToGlobalPhase { phase }
         }
         Ok(DdEquivalence::NotEquivalent) => FunctionalVerdict::NotEquivalent,
-        Err(DdCheckAbort::Timeout { .. }) => FunctionalVerdict::Aborted(AbortKind::Timeout),
-        Err(DdCheckAbort::NodeLimit(_)) => FunctionalVerdict::Aborted(AbortKind::NodeLimit),
+        Err(DdCheckAbort::Timeout { .. }) => FunctionalVerdict::Aborted(AbortReason::Timeout),
+        Err(DdCheckAbort::NodeLimit(_)) => FunctionalVerdict::Aborted(AbortReason::NodeLimit),
         Err(DdCheckAbort::Cancelled) => return None,
-    })
-}
-
-/// Maps an MPO-check result onto the flow's verdict; `None` only for
-/// [`MpoCheckAbort::Cancelled`].
-///
-/// A verdict from an *exact* run (`truncation_error == 0.0`, the engine's
-/// exactness certificate) keeps its class. A truncated run can still
-/// *disprove* equivalence — the engine's decision window already absorbs
-/// the accumulated error — but its "no difference found" is only evidence,
-/// so equivalent-looking truncated verdicts demote to
-/// [`AbortKind::Truncated`].
-fn classify_mpo(
-    result: Result<MpoVerdict, MpoCheckAbort>,
-    config: &Config,
-) -> Option<FunctionalVerdict> {
-    Some(match result {
-        Ok(v) => match v.equivalence {
-            MpoEquivalence::NotEquivalent => FunctionalVerdict::NotEquivalent,
-            _ if !v.is_exact() => FunctionalVerdict::Aborted(AbortKind::Truncated {
-                error: v.truncation_error,
-            }),
-            MpoEquivalence::Equivalent => FunctionalVerdict::Equivalent,
-            MpoEquivalence::EquivalentUpToGlobalPhase { phase } => {
-                if config.criterion == Criterion::Strict {
-                    FunctionalVerdict::NotEquivalent
-                } else {
-                    FunctionalVerdict::EquivalentUpToGlobalPhase { phase }
-                }
-            }
-        },
-        Err(MpoCheckAbort::Timeout { .. }) => FunctionalVerdict::Aborted(AbortKind::Timeout),
-        Err(MpoCheckAbort::Cancelled) => return None,
     })
 }
 
@@ -231,16 +120,24 @@ mod tests {
         a.h(0);
         let mut b = a.clone();
         b.rz(2.0 * std::f64::consts::PI, 0);
-        let strict = Config::default().with_criterion(Criterion::Strict);
-        assert_eq!(
-            run_functional_check(&a, &b, &strict),
-            FunctionalVerdict::NotEquivalent
-        );
-        let relaxed = Config::default();
-        assert!(matches!(
-            run_functional_check(&a, &b, &relaxed),
-            FunctionalVerdict::EquivalentUpToGlobalPhase { .. }
-        ));
+        for backend in [BackendKind::Statevector, BackendKind::Mps] {
+            for fb in [Fallback::Alternating, Fallback::ConstructAndCompare] {
+                let relaxed = Config::default().with_backend(backend).with_fallback(fb);
+                let strict = relaxed.clone().with_criterion(Criterion::Strict);
+                assert_eq!(
+                    run_functional_check(&a, &b, &strict),
+                    FunctionalVerdict::NotEquivalent,
+                    "{backend:?} {fb:?}"
+                );
+                assert!(
+                    matches!(
+                        run_functional_check(&a, &b, &relaxed),
+                        FunctionalVerdict::EquivalentUpToGlobalPhase { .. }
+                    ),
+                    "{backend:?} {fb:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -249,7 +146,7 @@ mod tests {
         let config = Config::default().with_fallback(Fallback::None);
         assert_eq!(
             run_functional_check(&g, &g, &config),
-            FunctionalVerdict::Aborted(AbortKind::Disabled)
+            FunctionalVerdict::Aborted(AbortReason::FallbackDisabled)
         );
     }
 
@@ -259,7 +156,7 @@ mod tests {
         let config = Config::default().with_deadline(Some(Duration::ZERO));
         assert_eq!(
             run_functional_check(&g, &g, &config),
-            FunctionalVerdict::Aborted(AbortKind::Timeout)
+            FunctionalVerdict::Aborted(AbortReason::Timeout)
         );
     }
 
@@ -271,7 +168,7 @@ mod tests {
             .with_fallback(Fallback::ConstructAndCompare);
         assert_eq!(
             run_functional_check(&g, &g, &config),
-            FunctionalVerdict::Aborted(AbortKind::NodeLimit)
+            FunctionalVerdict::Aborted(AbortReason::NodeLimit)
         );
     }
 
@@ -282,21 +179,22 @@ mod tests {
         let routed = qcirc::mapping::route_or_panic(&g, &qcirc::mapping::CouplingMap::linear(4));
         let config = Config::default();
         let flag = AtomicBool::new(false);
+        let budget = Budget::new(config.deadline).with_cancel(&flag);
         assert_eq!(
-            run_functional_check_cancellable(&g, &routed.circuit, &config, &flag),
+            check_within(&g, &routed.circuit, &config, &budget),
             Some(run_functional_check(&g, &routed.circuit, &config))
         );
         flag.store(true, Ordering::Relaxed);
         assert_eq!(
-            run_functional_check_cancellable(&g, &routed.circuit, &config, &flag),
+            check_within(&g, &routed.circuit, &config, &budget),
             None,
             "a pre-raised flag cancels before any work"
         );
         // A disabled fallback is never cancelled: the answer is immediate.
         let disabled = Config::default().with_fallback(Fallback::None);
         assert_eq!(
-            run_functional_check_cancellable(&g, &routed.circuit, &disabled, &flag),
-            Some(FunctionalVerdict::Aborted(AbortKind::Disabled))
+            check_within(&g, &routed.circuit, &disabled, &budget),
+            Some(FunctionalVerdict::Aborted(AbortReason::FallbackDisabled))
         );
     }
 
@@ -352,7 +250,7 @@ mod tests {
             matches!(
                 v,
                 FunctionalVerdict::NotEquivalent
-                    | FunctionalVerdict::Aborted(AbortKind::Truncated { .. })
+                    | FunctionalVerdict::Aborted(AbortReason::Truncation { .. })
             ),
             "χ = 1 forces truncation, so the verdict must not be a proof: {v:?}"
         );
@@ -360,23 +258,23 @@ mod tests {
 
     #[test]
     fn mps_timeout_and_cancellation() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::AtomicBool;
         let g = generators::supremacy_2d(3, 3, 12, 2);
         let config = Config::default()
             .with_backend(BackendKind::Mps)
             .with_deadline(Some(Duration::ZERO));
         assert_eq!(
             run_functional_check(&g, &g, &config),
-            FunctionalVerdict::Aborted(AbortKind::Timeout)
+            FunctionalVerdict::Aborted(AbortReason::Timeout)
         );
         let flag = AtomicBool::new(true);
-        flag.store(true, Ordering::Relaxed);
+        let budget = Budget::new(None).with_cancel(&flag);
         for fb in [Fallback::Alternating, Fallback::ConstructAndCompare] {
             let config = Config::default()
                 .with_backend(BackendKind::Mps)
                 .with_fallback(fb);
             assert_eq!(
-                run_functional_check_cancellable(&g, &g, &config, &flag),
+                check_within(&g, &g, &config, &budget),
                 None,
                 "a pre-raised flag cancels the MPO check ({fb:?})"
             );

@@ -65,11 +65,10 @@ pub use backend::{
 };
 pub use config::{ApplicationScheme, BackendKind, Config, Criterion, Fallback, StimulusStrategy};
 pub use flow::{check_equivalence, check_equivalence_default, FlowError};
-pub use functional::{run_functional_check, run_functional_check_cancellable, FunctionalVerdict};
+pub use functional::{run_functional_check, FunctionalVerdict};
 pub use outcome::{AbortReason, Counterexample, FlowResult, FlowStats, Mismatch, Outcome};
 pub use service::{
-    CachedVerdict, CircuitId, ConfigDigest, EquivalenceCheckingManager, EvictionPolicy, JobKey,
-    VerdictCache,
+    CachedVerdict, CircuitId, ConfigDigest, EquivalenceCheckingManager, JobKey, VerdictCache,
 };
 pub use sim_check::{draw_stimuli, run_simulations, run_simulations_on, SimVerdict};
 // The stimulus vocabulary types, so downstream code can match on

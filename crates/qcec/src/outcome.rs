@@ -66,7 +66,7 @@ impl fmt::Display for Counterexample {
 }
 
 /// Why the complete check did not finish.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AbortReason {
     /// The wall-clock deadline elapsed.
     Timeout,

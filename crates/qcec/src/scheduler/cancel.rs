@@ -78,12 +78,6 @@ impl CancelToken {
         self.sim_halt.store(true, Ordering::Relaxed);
     }
 
-    /// Stops the functional racer (orchestrator shutdown or a simulation
-    /// counterexample).
-    pub fn cancel_functional(&self) {
-        self.functional_cancel.store(true, Ordering::Relaxed);
-    }
-
     /// The lowest failing stimulus index recorded so far.
     #[must_use]
     pub fn lowest_failure(&self) -> Option<usize> {
@@ -116,7 +110,7 @@ impl CancelToken {
         self.functional_cancel.load(Ordering::Relaxed)
     }
 
-    /// The raw flag handed to `qdd`'s cancellable check routines.
+    /// The raw flag the functional racer's [`qdd::Budget`] polls.
     pub(crate) fn functional_flag(&self) -> &AtomicBool {
         &self.functional_cancel
     }

@@ -41,22 +41,23 @@ mod worker;
 pub use cancel::{CancelCause, CancelToken};
 pub use events::{CollectingSink, EventSink, NullSink, RunEvent, Stage};
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qcirc::Circuit;
+use qdd::Budget;
 
-use crate::backend::{with_engine, EngineTask, SimBackend};
-use crate::config::{BackendKind, Config, Fallback};
+use crate::backend::{probes_densely, with_engine, EngineTask, SimBackend};
+use crate::config::{Config, Fallback};
 use crate::flow::{resolve_auto, FlowError};
-use crate::functional::{
-    run_functional_check, run_functional_check_cancellable, AbortKind, FunctionalVerdict,
-};
+use crate::functional::{check_within, FunctionalVerdict};
 use crate::outcome::{AbortReason, FlowResult, FlowStats, Outcome};
 use crate::sim_check::{draw_stimuli, SimVerdict};
 
 /// Runs the full flow (simulate, then complete check) on the engine
-/// `config.backend` names, resolving [`BackendKind::Auto`] first.
+/// `config.backend` names, resolving
+/// [`BackendKind::Auto`](crate::BackendKind::Auto) first.
 ///
 /// [`check_equivalence`](crate::check_equivalence) calls this after
 /// resolving `Auto` and peeling; calling it directly skips peeling.
@@ -64,9 +65,9 @@ use crate::sim_check::{draw_stimuli, SimVerdict};
 /// # Errors
 ///
 /// Returns [`FlowError`] if the circuits' qubit counts differ, if the
-/// statevector backend is asked for a register wider than
-/// [`qsim::StateVector::MAX_QUBITS`], or if the decision-diagram
-/// *simulation* backend overflows its node budget.
+/// statevector backend or the stab backend's dense fallback would probe a
+/// register wider than [`qsim::StateVector::MAX_QUBITS`], or if the
+/// decision-diagram *simulation* backend overflows its node budget.
 pub fn run_scheduled(
     g: &Circuit,
     g_prime: &Circuit,
@@ -102,7 +103,8 @@ impl EngineTask for Scheduled {
 /// # Errors
 ///
 /// Returns [`FlowError`] if the circuits' qubit counts differ, if the
-/// backend is the statevector engine and the register is wider than
+/// backend is the statevector engine, or the stab engine about to take its
+/// dense fallback, and the register is wider than
 /// [`qsim::StateVector::MAX_QUBITS`], or if the backend overflows its node
 /// budget before any stimulus proves non-equivalence.
 pub fn run_scheduled_on<B: SimBackend>(
@@ -118,10 +120,11 @@ pub fn run_scheduled_on<B: SimBackend>(
         });
     }
     let max_qubits = qsim::StateVector::MAX_QUBITS;
-    if backend.kind() == BackendKind::Statevector && g.n_qubits() > max_qubits {
+    if g.n_qubits() > max_qubits && probes_densely(backend.kind(), g, g_prime, config) {
         return Err(FlowError::RegisterTooWide {
             n_qubits: g.n_qubits(),
             max_qubits,
+            backend: backend.kind(),
         });
     }
     let sink = event_sink(config);
@@ -131,42 +134,44 @@ pub fn run_scheduled_on<B: SimBackend>(
     // "aborted: disabled" answer; skip the extra thread.
     let race = config.portfolio && config.threads > 1 && config.fallback != Fallback::None;
 
-    let sim_start = Instant::now();
-    // `raced` is `Some((verdict, wall_time))` once the racer has been
-    // joined; `verdict == None` means it was cancelled.
-    let (simulated, simulation_time, raced) = std::thread::scope(|scope| {
-        let racer = race.then(|| {
-            sink.record(RunEvent::StageStarted {
-                stage: Stage::Functional,
-            });
-            scope.spawn(|| {
-                let start = Instant::now();
-                let verdict =
-                    run_functional_check_cancellable(g, g_prime, config, token.functional_flag());
-                if matches!(
-                    verdict,
-                    Some(
-                        FunctionalVerdict::Equivalent
-                            | FunctionalVerdict::EquivalentUpToGlobalPhase { .. }
-                            | FunctionalVerdict::NotEquivalent
-                    )
-                ) {
-                    // A definitive answer makes the remaining runs moot.
-                    token.halt_simulations();
-                }
-                (verdict, start.elapsed())
-            })
+    // The functional stage, on the racer thread (cancelled through the
+    // token's flag) or inline once the simulations agreed. A `None`
+    // verdict means it was cancelled.
+    let functional = |cancel: Option<&AtomicBool>| {
+        sink.record(RunEvent::StageStarted {
+            stage: Stage::Functional,
         });
+        let start = Instant::now();
+        let mut budget = Budget::new(config.deadline);
+        if let Some(flag) = cancel {
+            budget = budget.with_cancel(flag);
+        }
+        let verdict = check_within(g, g_prime, config, &budget);
+        if matches!(
+            verdict,
+            Some(
+                FunctionalVerdict::Equivalent
+                    | FunctionalVerdict::EquivalentUpToGlobalPhase { .. }
+                    | FunctionalVerdict::NotEquivalent
+            )
+        ) {
+            // A definitive answer makes any remaining runs moot.
+            token.halt_simulations();
+        }
+        let wall_time = start.elapsed();
+        sink.record(RunEvent::StageFinished {
+            stage: Stage::Functional,
+            wall_time,
+        });
+        (verdict, wall_time)
+    };
+
+    let sim_start = Instant::now();
+    let (simulated, simulation_time, raced) = std::thread::scope(|scope| {
+        let racer = race.then(|| scope.spawn(|| functional(Some(token.functional_flag()))));
         let simulated = simulate(backend, g, g_prime, config, &token);
         let simulation_time = sim_start.elapsed();
-        let raced = racer.map(|racer| {
-            let (verdict, wall_time) = racer.join().expect("functional racer panicked");
-            sink.record(RunEvent::StageFinished {
-                stage: Stage::Functional,
-                wall_time,
-            });
-            (verdict, wall_time)
-        });
+        let raced = racer.map(|racer| racer.join().expect("functional racer panicked"));
         (simulated, simulation_time, raced)
     });
 
@@ -197,26 +202,9 @@ pub fn run_scheduled_on<B: SimBackend>(
     };
 
     // All completed simulations agreed: the complete check decides.
-    let (verdict, functional_time) = match raced {
-        Some((verdict, wall_time)) => {
-            let verdict = verdict
-                .expect("the functional racer is only cancelled after a simulation counterexample");
-            (verdict, wall_time)
-        }
-        None => {
-            sink.record(RunEvent::StageStarted {
-                stage: Stage::Functional,
-            });
-            let start = Instant::now();
-            let verdict = run_functional_check(g, g_prime, config);
-            let wall_time = start.elapsed();
-            sink.record(RunEvent::StageFinished {
-                stage: Stage::Functional,
-                wall_time,
-            });
-            (verdict, wall_time)
-        }
-    };
+    let (verdict, functional_time) = raced.unwrap_or_else(|| functional(None));
+    let verdict =
+        verdict.expect("the functional stage is only cancelled after a simulation counterexample");
 
     let outcome = match verdict {
         // An exact complete check is a proof regardless of how the
@@ -231,7 +219,7 @@ pub fn run_scheduled_on<B: SimBackend>(
         // With no complete check configured, truncated simulations are the
         // *only* evidence — surface the accumulated error instead of the
         // bare "no fallback" notice.
-        FunctionalVerdict::Aborted(AbortKind::Disabled) if truncation_error > 0.0 => {
+        FunctionalVerdict::Aborted(AbortReason::FallbackDisabled) if truncation_error > 0.0 => {
             Outcome::ProbablyEquivalent {
                 passed_simulations: runs,
                 abort: AbortReason::Truncation {
@@ -239,9 +227,9 @@ pub fn run_scheduled_on<B: SimBackend>(
                 },
             }
         }
-        FunctionalVerdict::Aborted(kind) => Outcome::ProbablyEquivalent {
+        FunctionalVerdict::Aborted(abort) => Outcome::ProbablyEquivalent {
             passed_simulations: runs,
-            abort: kind.into(),
+            abort,
         },
     };
     Ok(FlowResult {

@@ -7,23 +7,12 @@
 //!
 //! The cache is sharded (key-hash-selected `Mutex<HashMap>` shards) so
 //! batch workers rarely contend, bounded by a total capacity with
-//! per-shard eviction under a pluggable [`EvictionPolicy`], and
-//! instrumented with atomic hit/miss/insertion/eviction counters
-//! ([`CacheStats`]).
-//!
-//! The default policy is plain LRU. [`EvictionPolicy::CostWeighted`]
-//! additionally weighs each entry by its recomputation cost (the
-//! wall-clock time of the run that produced it, supplied via
-//! [`VerdictCache::insert_with_cost`]): a verdict that took minutes of
-//! simulation to reach outlives one that took microseconds, even when the
-//! cheap one was touched more recently. Cost is eviction metadata only —
-//! it never enters [`CachedVerdict`], so hits stay byte-identical to the
-//! misses that populated them.
+//! per-shard least-recently-used eviction, and instrumented with atomic
+//! hit/miss/insertion/eviction counters ([`CacheStats`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use crate::outcome::{FlowResult, Outcome};
 use crate::report::json::Obj;
@@ -97,47 +86,10 @@ impl CacheStats {
     }
 }
 
-/// How a full shard chooses its victim.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict the least recently used entry (the default).
-    #[default]
-    Lru,
-    /// Evict the entry cheapest to recompute, breaking ties by recency.
-    ///
-    /// The cost is the wall-clock time of the run that produced the
-    /// verdict, recorded by [`VerdictCache::insert_with_cost`]. Entries
-    /// inserted without a cost count as free and are evicted first.
-    CostWeighted,
-}
-
-impl EvictionPolicy {
-    /// Stable lowercase identifier (`lru` / `cost`).
-    #[must_use]
-    pub fn slug(self) -> &'static str {
-        match self {
-            EvictionPolicy::Lru => "lru",
-            EvictionPolicy::CostWeighted => "cost",
-        }
-    }
-
-    /// Parses the identifiers accepted by `slug`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "lru" => Some(EvictionPolicy::Lru),
-            "cost" | "cost-weighted" => Some(EvictionPolicy::CostWeighted),
-            _ => None,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
     verdict: CachedVerdict,
     last_used: u64,
-    /// Recomputation cost in microseconds; eviction metadata only.
-    cost_us: u64,
 }
 
 /// A sharded, bounded, thread-safe `JobKey → CachedVerdict` map.
@@ -160,7 +112,6 @@ struct Entry {
 pub struct VerdictCache {
     shards: Vec<Mutex<HashMap<JobKey, Entry>>>,
     shard_capacity: usize,
-    policy: EvictionPolicy,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -180,29 +131,15 @@ impl VerdictCache {
         Self::with_shards(capacity, Self::DEFAULT_SHARDS)
     }
 
-    /// Creates a cache of the default shard count with an explicit
-    /// eviction policy.
-    #[must_use]
-    pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> Self {
-        Self::with_shards_and_policy(capacity, Self::DEFAULT_SHARDS, policy)
-    }
-
     /// Creates a cache with an explicit shard count (power of two not
     /// required). Each shard holds up to `⌈capacity / shards⌉` entries,
     /// with a minimum of one.
     #[must_use]
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        Self::with_shards_and_policy(capacity, shards, EvictionPolicy::Lru)
-    }
-
-    /// Creates a cache with explicit shard count and eviction policy.
-    #[must_use]
-    pub fn with_shards_and_policy(capacity: usize, shards: usize, policy: EvictionPolicy) -> Self {
         let shards = shards.max(1);
         VerdictCache {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             shard_capacity: capacity.div_ceil(shards).max(1),
-            policy,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -234,30 +171,16 @@ impl VerdictCache {
         }
     }
 
-    /// Inserts (or refreshes) a verdict with zero recomputation cost,
-    /// evicting one entry of the target shard (per the cache's policy)
-    /// when it is full.
+    /// Inserts (or refreshes) a verdict, evicting the least recently used
+    /// entry of the target shard when it is full.
     pub fn insert(&self, key: JobKey, verdict: CachedVerdict) {
-        self.insert_with_cost(key, verdict, Duration::ZERO);
-    }
-
-    /// Inserts (or refreshes) a verdict, recording the wall-clock time the
-    /// producing run took. Under [`EvictionPolicy::Lru`] the cost is
-    /// ignored; under [`EvictionPolicy::CostWeighted`] a full shard evicts
-    /// its cheapest entry (ties broken least-recently-used first), so
-    /// expensive verdicts outlive churn from cheap ones.
-    pub fn insert_with_cost(&self, key: JobKey, verdict: CachedVerdict, cost: Duration) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let cost_us = u64::try_from(cost.as_micros()).unwrap_or(u64::MAX);
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         if !shard.contains_key(&key) && shard.len() >= self.shard_capacity {
-            let victim = match self.policy {
-                EvictionPolicy::Lru => shard.iter().min_by_key(|(_, e)| e.last_used),
-                EvictionPolicy::CostWeighted => {
-                    shard.iter().min_by_key(|(_, e)| (e.cost_us, e.last_used))
-                }
-            }
-            .map(|(k, _)| *k);
+            let victim = shard
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| *k);
             if let Some(victim) = victim {
                 shard.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -269,7 +192,6 @@ impl VerdictCache {
             Entry {
                 verdict,
                 last_used: now,
-                cost_us,
             },
         );
     }
@@ -359,53 +281,6 @@ mod tests {
         assert!(cache.get(&keys[0]).is_some());
         assert!(cache.get(&keys[3]).is_some());
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn cost_weighted_keeps_expensive_entries() {
-        let cache = VerdictCache::with_shards_and_policy(3, 1, EvictionPolicy::CostWeighted);
-        let keys: Vec<JobKey> = (0..5).map(key_for).collect();
-        cache.insert_with_cost(keys[0], verdict(0), Duration::from_secs(60));
-        cache.insert_with_cost(keys[1], verdict(1), Duration::from_millis(1));
-        cache.insert_with_cost(keys[2], verdict(2), Duration::from_millis(1));
-        // Touch the cheap entries so pure LRU would evict the expensive
-        // one; the cost-weighted policy evicts the older cheap entry.
-        assert!(cache.get(&keys[1]).is_some());
-        assert!(cache.get(&keys[2]).is_some());
-        cache.insert_with_cost(keys[3], verdict(3), Duration::from_millis(1));
-        assert!(cache.get(&keys[0]).is_some(), "expensive entry survives");
-        assert!(cache.get(&keys[1]).is_none(), "older cheap entry evicted");
-        // A plain `insert` counts as free and is the next victim.
-        cache.insert(keys[1], verdict(1));
-        cache.insert_with_cost(keys[4], verdict(4), Duration::from_millis(1));
-        assert!(cache.get(&keys[1]).is_none(), "free entry evicted first");
-        assert!(cache.get(&keys[0]).is_some());
-    }
-
-    #[test]
-    fn lru_policy_ignores_costs() {
-        // The default policy must behave identically whether or not costs
-        // were recorded: recency alone picks the victim.
-        let cache = VerdictCache::with_shards(2, 1);
-        let keys: Vec<JobKey> = (0..3).map(key_for).collect();
-        cache.insert_with_cost(keys[0], verdict(0), Duration::from_secs(60));
-        cache.insert_with_cost(keys[1], verdict(1), Duration::from_millis(1));
-        cache.insert_with_cost(keys[2], verdict(2), Duration::from_millis(1));
-        assert!(cache.get(&keys[0]).is_none(), "LRU evicts oldest");
-        assert!(cache.get(&keys[1]).is_some());
-    }
-
-    #[test]
-    fn policy_slugs_round_trip() {
-        for policy in [EvictionPolicy::Lru, EvictionPolicy::CostWeighted] {
-            assert_eq!(EvictionPolicy::parse(policy.slug()), Some(policy));
-        }
-        assert_eq!(
-            EvictionPolicy::parse("cost-weighted"),
-            Some(EvictionPolicy::CostWeighted)
-        );
-        assert_eq!(EvictionPolicy::parse("mru"), None);
-        assert_eq!(EvictionPolicy::default(), EvictionPolicy::Lru);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! default line is **timings-free and provenance-free**: a cache hit
 //! replays byte-identical lines to the miss that populated it, which is
 //! what makes the stream replayable and diffable across runs. Wall-clock
-//! data and provenance are opt-in via [`with_timings`]
-//! (EquivalenceCheckingManager::with_timings).
+//! data and provenance are opt-in via
+//! [`with_timings`](EquivalenceCheckingManager::with_timings).
 
 use std::fs::OpenOptions;
 use std::io::{self, BufRead, BufReader, Write};
@@ -29,7 +29,7 @@ use crate::report::json::Obj;
 use crate::report::StageTimings;
 use crate::Config;
 
-use super::cache::{CacheStats, EvictionPolicy, VerdictCache};
+use super::cache::{CacheStats, VerdictCache};
 use super::fingerprint::{derive_seed, CircuitId, ConfigDigest, JobKey};
 use super::queue::{run_batch, Job, JobResult};
 
@@ -110,22 +110,6 @@ impl EquivalenceCheckingManager {
         )
     }
 
-    /// Creates a manager with a fresh default-capacity cache under the
-    /// given eviction policy. [`EvictionPolicy::CostWeighted`] makes the
-    /// cache prefer keeping verdicts that were expensive to compute —
-    /// the right choice when a long-lived service mixes large, slow pairs
-    /// with high-churn small ones.
-    #[must_use]
-    pub fn with_eviction_policy(config: Config, policy: EvictionPolicy) -> Self {
-        Self::with_cache(
-            config,
-            Arc::new(VerdictCache::with_policy(
-                Self::DEFAULT_CACHE_CAPACITY,
-                policy,
-            )),
-        )
-    }
-
     /// Creates a manager sharing an existing cache (several managers — or
     /// several runs of one driver — can pool their verdicts).
     #[must_use]
@@ -161,8 +145,8 @@ impl EquivalenceCheckingManager {
     }
 
     /// Persists the report stream to a JSONL file (append-only; one line
-    /// per completed job, written as each [`run`]
-    /// (EquivalenceCheckingManager::run) completes).
+    /// per completed job, written as each
+    /// [`run`](EquivalenceCheckingManager::run) completes).
     #[must_use]
     pub fn with_stream_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.stream_path = Some(path.into());

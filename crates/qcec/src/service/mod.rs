@@ -34,7 +34,7 @@ pub mod fingerprint;
 pub mod manager;
 pub mod queue;
 
-pub use cache::{CacheStats, CachedVerdict, EvictionPolicy, VerdictCache};
+pub use cache::{CacheStats, CachedVerdict, VerdictCache};
 pub use fingerprint::{derive_seed, CircuitId, ConfigDigest, JobKey};
 pub use manager::{EquivalenceCheckingManager, ServiceError};
 pub use queue::{run_batch, Job, JobResult, Provenance};

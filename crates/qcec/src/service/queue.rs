@@ -131,13 +131,9 @@ pub fn run_batch(
             }
             let sink = std::sync::Arc::new(CollectingSink::new());
             let config = job.config.clone().with_event_sink(sink.clone());
-            let start = std::time::Instant::now();
             let result = crate::check_equivalence(&job.g, &job.g_prime, &config)?;
             let verdict = CachedVerdict::from_result(&result);
-            // The job's wall time becomes its eviction weight: under a
-            // cost-weighted cache, slow verdicts outlive cheap churn. The
-            // cached bytes themselves stay timings-free.
-            cache.insert_with_cost(job.key, verdict.clone(), start.elapsed());
+            cache.insert(job.key, verdict.clone());
             let timings = StageTimings::from_events(&sink.events());
             Ok((verdict, Provenance::Computed, timings))
         });

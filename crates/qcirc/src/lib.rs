@@ -13,8 +13,7 @@
 //! * [`mapping`] — coupling maps and SWAP-insertion routing (\[6\]–\[10\]),
 //! * [`optimize`] — exact, unitary-preserving optimization passes
 //!   (\[11\], \[12\]),
-//! * [`dense`] — reference dense unitaries for ground-truth checks,
-//! * [`dag`] — dependency/layer views of circuits.
+//! * [`dense`] — reference dense unitaries for ground-truth checks.
 //!
 //! # Examples
 //!
@@ -39,7 +38,6 @@
 
 pub mod canon;
 mod circuit;
-pub mod dag;
 pub mod decompose;
 pub mod dense;
 mod gate;
@@ -48,7 +46,6 @@ pub mod mapping;
 pub mod optimize;
 pub mod qasm;
 pub mod real;
-pub mod stats;
 
 pub use circuit::{Circuit, GateFitError};
 pub use gate::{Gate, GateKind};

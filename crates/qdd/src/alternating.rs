@@ -13,11 +13,9 @@
 //! interleaving converges to the same `U'† · U`), but the size of the
 //! intermediate DD — and hence the wall-clock — is not.
 
-use std::time::Duration;
-
 use qcirc::{Circuit, Gate};
 
-use crate::check::{compare_roots, DdCheckAbort, DdEquivalence, Deadline};
+use crate::check::{compare_roots, Budget, DdCheckAbort, DdEquivalence};
 use crate::package::Package;
 
 /// The gate-interleaving policy of the alternating check: which side —
@@ -98,127 +96,6 @@ impl std::fmt::Display for ApplicationScheme {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.slug())
     }
-}
-
-/// Checks equivalence with the alternating scheme, advancing whichever
-/// circuit has proportionally more gates left (the "proportional" strategy
-/// of \[22\]). Equivalent to
-/// [`check_equivalence_alternating_scheme`] with
-/// [`ApplicationScheme::Proportional`].
-///
-/// # Errors
-///
-/// Returns [`DdCheckAbort`] on timeout or node-limit exhaustion.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ from the package's.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), qdd::DdCheckAbort> {
-/// use qdd::{check_equivalence_alternating, DdEquivalence, Package};
-///
-/// let g = qcirc::generators::qft(4, true);
-/// let opt = qcirc::optimize::optimize(&g);
-/// let mut p = Package::new(4);
-/// let verdict = check_equivalence_alternating(&mut p, &g, &opt, None)?;
-/// assert!(verdict.is_equivalent());
-/// # Ok(())
-/// # }
-/// ```
-pub fn check_equivalence_alternating(
-    package: &mut Package,
-    g: &Circuit,
-    g_prime: &Circuit,
-    deadline: Option<Duration>,
-) -> Result<DdEquivalence, DdCheckAbort> {
-    alternating_with_budget(
-        package,
-        g,
-        g_prime,
-        Deadline::new(deadline),
-        ApplicationScheme::Proportional,
-    )
-}
-
-/// [`check_equivalence_alternating`] with an explicit gate-interleaving
-/// policy.
-///
-/// # Errors
-///
-/// Returns [`DdCheckAbort`] on timeout or node-limit exhaustion.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ from the package's.
-pub fn check_equivalence_alternating_scheme(
-    package: &mut Package,
-    g: &Circuit,
-    g_prime: &Circuit,
-    deadline: Option<Duration>,
-    scheme: ApplicationScheme,
-) -> Result<DdEquivalence, DdCheckAbort> {
-    alternating_with_budget(package, g, g_prime, Deadline::new(deadline), scheme)
-}
-
-/// [`check_equivalence_alternating`] with an external cancellation flag,
-/// polled between gate applications alongside the deadline. Raising the
-/// flag makes the check return
-/// [`DdCheckAbort::Cancelled`](crate::DdCheckAbort::Cancelled) promptly —
-/// this is how a concurrent checker portfolio stops a losing racer.
-///
-/// # Errors
-///
-/// Returns [`DdCheckAbort`] on timeout, node-limit exhaustion, or
-/// cancellation.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ from the package's.
-pub fn check_equivalence_alternating_cancellable(
-    package: &mut Package,
-    g: &Circuit,
-    g_prime: &Circuit,
-    deadline: Option<Duration>,
-    cancel: &std::sync::atomic::AtomicBool,
-) -> Result<DdEquivalence, DdCheckAbort> {
-    alternating_with_budget(
-        package,
-        g,
-        g_prime,
-        Deadline::cancellable(deadline, cancel),
-        ApplicationScheme::Proportional,
-    )
-}
-
-/// [`check_equivalence_alternating_scheme`] with an external cancellation
-/// flag (see [`check_equivalence_alternating_cancellable`]).
-///
-/// # Errors
-///
-/// Returns [`DdCheckAbort`] on timeout, node-limit exhaustion, or
-/// cancellation.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ from the package's.
-pub fn check_equivalence_alternating_scheme_cancellable(
-    package: &mut Package,
-    g: &Circuit,
-    g_prime: &Circuit,
-    deadline: Option<Duration>,
-    cancel: &std::sync::atomic::AtomicBool,
-    scheme: ApplicationScheme,
-) -> Result<DdEquivalence, DdCheckAbort> {
-    alternating_with_budget(
-        package,
-        g,
-        g_prime,
-        Deadline::cancellable(deadline, cancel),
-        scheme,
-    )
 }
 
 /// Prefix-sum decomposition-cost profiles for the gate-cost scheme, in
@@ -328,11 +205,43 @@ impl SchemeCursor {
     }
 }
 
-fn alternating_with_budget(
+/// Checks equivalence with the alternating scheme (`G → 𝕀 ← G′`, \[22\]):
+/// one DD `E` converges to `U′† · U` as `scheme` interleaves the gates of
+/// `G` (right multiplications) with the inverted gates of `G′` (left
+/// multiplications), and the pair is equivalent iff `E` ends at the
+/// identity, up to a global phase. The budget is polled between gate
+/// applications.
+///
+/// # Errors
+///
+/// Returns [`DdCheckAbort`] on timeout, cancellation or node-limit
+/// exhaustion.
+///
+/// # Panics
+///
+/// Panics if the circuits' qubit counts differ from the package's.
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), qdd::DdCheckAbort> {
+/// use qdd::{check_equivalence_alternating, ApplicationScheme, Budget, Package};
+///
+/// let g = qcirc::generators::qft(4, true);
+/// let opt = qcirc::optimize::optimize(&g);
+/// let mut p = Package::new(4);
+/// let budget = Budget::new(None);
+/// let verdict =
+///     check_equivalence_alternating(&mut p, &g, &opt, &budget, ApplicationScheme::default())?;
+/// assert!(verdict.is_equivalent());
+/// # Ok(())
+/// # }
+/// ```
+pub fn check_equivalence_alternating(
     package: &mut Package,
     g: &Circuit,
     g_prime: &Circuit,
-    deadline: Deadline<'_>,
+    budget: &Budget<'_>,
     scheme: ApplicationScheme,
 ) -> Result<DdEquivalence, DdCheckAbort> {
     assert_eq!(
@@ -353,7 +262,7 @@ fn alternating_with_budget(
     let (mut i, mut j) = (0usize, 0usize); // consumed counts
 
     while i < m || j < mp {
-        deadline.check()?;
+        budget.check()?;
         if cursor.advance_g(i, j) {
             let gate = &g_gates[m - 1 - i];
             let gd = package.gate_medge(gate)?;
@@ -381,11 +290,21 @@ mod tests {
     use qcirc::generators;
     use qcirc::mapping::{route, CouplingMap, RouterOptions};
 
+    /// The unbounded alternating check under `scheme`.
+    fn check(
+        p: &mut Package,
+        a: &Circuit,
+        b: &Circuit,
+        scheme: ApplicationScheme,
+    ) -> DdEquivalence {
+        check_equivalence_alternating(p, a, b, &Budget::new(None), scheme).unwrap()
+    }
+
     #[test]
     fn identical_circuits_stay_at_identity() {
         let g = generators::qft(5, true);
         let mut p = Package::new(5);
-        let v = check_equivalence_alternating(&mut p, &g, &g, None).unwrap();
+        let v = check(&mut p, &g, &g, ApplicationScheme::default());
         assert_eq!(v, DdEquivalence::Equivalent);
     }
 
@@ -395,10 +314,10 @@ mod tests {
             let g = generators::random_clifford_t(4, 60, seed);
             let optimized = qcirc::optimize::optimize(&g);
             let mut p1 = Package::new(4);
-            let a =
-                crate::check::check_equivalence_construct(&mut p1, &g, &optimized, None).unwrap();
+            let budget = Budget::new(None);
+            let a = crate::check_equivalence_construct(&mut p1, &g, &optimized, &budget).unwrap();
             let mut p2 = Package::new(4);
-            let b = check_equivalence_alternating(&mut p2, &g, &optimized, None).unwrap();
+            let b = check(&mut p2, &g, &optimized, ApplicationScheme::default());
             assert_eq!(a.is_equivalent(), b.is_equivalent(), "seed {seed}");
         }
     }
@@ -422,7 +341,7 @@ mod tests {
             ),
         );
         let mut p = Package::new(4);
-        let v = check_equivalence_alternating(&mut p, &g, &buggy, None).unwrap();
+        let v = check(&mut p, &g, &buggy, ApplicationScheme::default());
         assert_eq!(v, DdEquivalence::NotEquivalent);
     }
 
@@ -431,7 +350,7 @@ mod tests {
         let g = generators::qft(6, true);
         let routed = route(&g, &CouplingMap::linear(6), RouterOptions::default()).unwrap();
         let mut p = Package::new(6);
-        let v = check_equivalence_alternating(&mut p, &g, &routed.circuit, None).unwrap();
+        let v = check(&mut p, &g, &routed.circuit, ApplicationScheme::default());
         assert_eq!(v, DdEquivalence::Equivalent);
     }
 
@@ -440,7 +359,7 @@ mod tests {
         let a = qcirc::Circuit::new(3);
         let b = qcirc::Circuit::new(3);
         let mut p = Package::new(3);
-        let v = check_equivalence_alternating(&mut p, &a, &b, None).unwrap();
+        let v = check(&mut p, &a, &b, ApplicationScheme::default());
         assert_eq!(v, DdEquivalence::Equivalent);
     }
 
@@ -452,7 +371,7 @@ mod tests {
         let lowered = qcirc::decompose::decompose_to_cx_and_single_qubit(&g);
         assert!(lowered.len() > g.len() * 3);
         let mut p = Package::new(3);
-        let v = check_equivalence_alternating(&mut p, &g, &lowered, None).unwrap();
+        let v = check(&mut p, &g, &lowered, ApplicationScheme::default());
         assert!(v.is_equivalent());
     }
 
@@ -492,8 +411,7 @@ mod tests {
             ] {
                 for scheme in ApplicationScheme::ALL {
                     let mut p = Package::new(4);
-                    let v =
-                        check_equivalence_alternating_scheme(&mut p, a, b, None, scheme).unwrap();
+                    let v = check(&mut p, a, b, scheme);
                     assert_eq!(
                         v.is_equivalent(),
                         want,
@@ -504,23 +422,22 @@ mod tests {
         }
     }
 
-    /// Proportional via the scheme-taking entry point is the same code
-    /// path as the historical function — byte-compat depends on it.
+    /// Proportional is the default scheme, bit for bit: callers passing
+    /// `ApplicationScheme::default()` keep the historical interleaving,
+    /// intermediate DD sizes included — byte-compat depends on it.
     #[test]
     fn proportional_scheme_matches_the_default_entry_point() {
         let g = generators::qft(5, true);
         let routed = route(&g, &CouplingMap::linear(5), RouterOptions::default()).unwrap();
         let mut p1 = Package::new(5);
-        let a = check_equivalence_alternating(&mut p1, &g, &routed.circuit, None).unwrap();
+        let a = check(&mut p1, &g, &routed.circuit, ApplicationScheme::default());
         let mut p2 = Package::new(5);
-        let b = check_equivalence_alternating_scheme(
+        let b = check(
             &mut p2,
             &g,
             &routed.circuit,
-            None,
             ApplicationScheme::Proportional,
-        )
-        .unwrap();
+        );
         assert_eq!(a, b);
         assert_eq!(p1.stats().matrix_nodes, p2.stats().matrix_nodes);
     }
@@ -533,14 +450,7 @@ mod tests {
         let adder = generators::cuccaro_adder(2);
         let lowered = qcirc::decompose::decompose_to_cx_and_single_qubit(&adder);
         let mut p = Package::new(adder.n_qubits());
-        let v = check_equivalence_alternating_scheme(
-            &mut p,
-            &adder,
-            &lowered,
-            None,
-            ApplicationScheme::GateCost,
-        )
-        .unwrap();
+        let v = check(&mut p, &adder, &lowered, ApplicationScheme::GateCost);
         assert!(v.is_equivalent());
     }
 
@@ -551,8 +461,7 @@ mod tests {
         id.x(0).x(0);
         for scheme in ApplicationScheme::ALL {
             let mut p = Package::new(2);
-            let v =
-                check_equivalence_alternating_scheme(&mut p, &empty, &id, None, scheme).unwrap();
+            let v = check(&mut p, &empty, &id, scheme);
             assert!(v.is_equivalent(), "scheme {scheme}");
         }
     }

@@ -9,9 +9,7 @@
 //! and kept live across [`CachedDd::check`] calls, so each check only pays
 //! for the candidate's DD (plus a pointer comparison of the roots).
 //!
-//! The handle owns its [`Package`], so it is `Send` but not `Sync`;
-//! [`SharedDd`] wraps it in `Arc<Mutex<…>>` for use from a worker pool
-//! (clone the handle, lock per check).
+//! The handle owns its [`Package`], so it is `Send` but not `Sync`.
 //!
 //! [`check_equivalence_construct`]: crate::check_equivalence_construct
 //! [`check_equivalence_alternating`]: crate::check_equivalence_alternating
@@ -33,12 +31,11 @@
 //! # }
 //! ```
 
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use qcirc::Circuit;
 
-use crate::check::{circuit_medge_with_deadline, compare_roots, DdCheckAbort, DdEquivalence};
+use crate::check::{circuit_medge_within, compare_roots, Budget, DdCheckAbort, DdEquivalence};
 use crate::edge::MEdge;
 use crate::package::Package;
 
@@ -66,8 +63,7 @@ impl CachedDd {
         deadline: Option<Duration>,
     ) -> Result<Self, DdCheckAbort> {
         let mut package = Package::with_node_limit(golden.n_qubits(), node_limit);
-        let budget = crate::check::Deadline::new(deadline);
-        let root = circuit_medge_with_deadline(&mut package, golden, &budget, None)?;
+        let root = circuit_medge_within(&mut package, golden, &Budget::new(deadline), None)?;
         // Compact down to the live golden DD, then size the GC threshold to
         // it: a handle that serves many checks must collect every few
         // candidates, or the arena and hash tables balloon across checks
@@ -125,13 +121,12 @@ impl CachedDd {
             self.n_qubits,
             "candidate and cached circuit act on different registers"
         );
-        let budget = crate::check::Deadline::new(deadline);
         // `keep` remaps `self.root` in place across any internal GC, so the
         // golden root stays valid even when the candidate build aborts.
-        let built = circuit_medge_with_deadline(
+        let built = circuit_medge_within(
             &mut self.package,
             candidate,
-            &budget,
+            &Budget::new(deadline),
             Some(&mut self.root),
         );
         let verdict = match built {
@@ -147,79 +142,6 @@ impl CachedDd {
             self.root = roots[0];
         }
         verdict
-    }
-}
-
-/// An `Arc`-shareable [`CachedDd`]: clone the handle into each worker,
-/// every [`SharedDd::check`] locks for the duration of one check.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), qdd::DdCheckAbort> {
-/// use qdd::SharedDd;
-///
-/// let golden = qcirc::generators::ghz(3);
-/// let shared = SharedDd::build(&golden, qdd::Package::DEFAULT_NODE_LIMIT, None)?;
-/// let worker = shared.clone();
-/// assert!(worker.check(&golden, None)?.is_equivalent());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SharedDd {
-    inner: Arc<Mutex<CachedDd>>,
-}
-
-impl SharedDd {
-    /// Builds the golden DD once and wraps it for sharing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdCheckAbort`] if the build times out or exhausts the
-    /// node limit.
-    pub fn build(
-        golden: &Circuit,
-        node_limit: usize,
-        deadline: Option<Duration>,
-    ) -> Result<Self, DdCheckAbort> {
-        Ok(SharedDd {
-            inner: Arc::new(Mutex::new(CachedDd::build(golden, node_limit, deadline)?)),
-        })
-    }
-
-    /// Locks the cache and checks one candidate (see [`CachedDd::check`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdCheckAbort`] on timeout or node-limit exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidate` acts on a different register size, or if a
-    /// previous holder of the lock panicked.
-    pub fn check(
-        &self,
-        candidate: &Circuit,
-        deadline: Option<Duration>,
-    ) -> Result<DdEquivalence, DdCheckAbort> {
-        self.inner
-            .lock()
-            .expect("a previous check panicked")
-            .check(candidate, deadline)
-    }
-
-    /// How many candidate checks the shared cache has served so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the lock panicked.
-    #[must_use]
-    pub fn checks_served(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("a previous check panicked")
-            .checks_served()
     }
 }
 
@@ -249,8 +171,9 @@ mod tests {
         for candidate in &candidates {
             let cached = cache.check(candidate, None).unwrap();
             let mut p = Package::new(4);
+            let budget = Budget::new(None);
             let fresh =
-                crate::check_equivalence_construct(&mut p, &golden, candidate, None).unwrap();
+                crate::check_equivalence_construct(&mut p, &golden, candidate, &budget).unwrap();
             assert_eq!(cached, fresh);
         }
         assert_eq!(cache.checks_served(), candidates.len());
@@ -308,29 +231,6 @@ mod tests {
             cache.check(&buggy, None).unwrap(),
             DdEquivalence::NotEquivalent
         );
-    }
-
-    #[test]
-    fn shared_handle_works_from_scoped_threads() {
-        let golden = generators::qft(4, true);
-        let shared = SharedDd::build(&golden, Package::DEFAULT_NODE_LIMIT, None).unwrap();
-        let mut buggy = golden.clone();
-        buggy.t(2);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let shared = shared.clone();
-                let golden = &golden;
-                let buggy = &buggy;
-                scope.spawn(move || {
-                    assert!(shared.check(golden, None).unwrap().is_equivalent());
-                    assert_eq!(
-                        shared.check(buggy, None).unwrap(),
-                        DdEquivalence::NotEquivalent
-                    );
-                });
-            }
-        });
-        assert_eq!(shared.checks_served(), 8);
     }
 
     #[test]

@@ -81,45 +81,71 @@ impl From<DdLimitError> for DdCheckAbort {
     }
 }
 
-/// A cooperative abort budget checked between gate applications: an
-/// optional wall-clock deadline plus an optional external cancellation
-/// flag (raised by a concurrent checker that reached a verdict first).
+/// The bound on one complete check: an optional wall-clock deadline,
+/// counted from the budget's creation, plus an optional cancellation flag
+/// raised by a concurrent checker that reached a verdict first. Every
+/// complete check — DD and MPO alike — polls it between gate applications.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::atomic::AtomicBool;
+/// use std::time::Duration;
+/// use qdd::{Budget, DdCheckAbort};
+///
+/// assert_eq!(Budget::new(None).check(), Ok(()));
+/// let cancel = AtomicBool::new(true);
+/// let racer = Budget::new(Some(Duration::from_secs(60))).with_cancel(&cancel);
+/// assert_eq!(racer.check(), Err(DdCheckAbort::Cancelled));
+/// ```
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Deadline<'a> {
+pub struct Budget<'a> {
     start: Instant,
-    limit: Option<Duration>,
+    deadline: Option<Duration>,
     cancel: Option<&'a AtomicBool>,
 }
 
-impl<'a> Deadline<'a> {
-    pub(crate) fn new(limit: Option<Duration>) -> Self {
-        Deadline {
+impl<'a> Budget<'a> {
+    /// A budget of `deadline` from now (`None` is unbounded) and no
+    /// cancellation flag.
+    #[must_use]
+    pub fn new(deadline: Option<Duration>) -> Self {
+        Budget {
             start: Instant::now(),
-            limit,
+            deadline,
             cancel: None,
         }
     }
 
-    pub(crate) fn cancellable(limit: Option<Duration>, cancel: &'a AtomicBool) -> Self {
-        Deadline {
-            start: Instant::now(),
-            limit,
+    /// This budget, also exhausted once `cancel` is raised — how a
+    /// concurrent checker portfolio stops a losing racer.
+    #[must_use]
+    pub fn with_cancel(self, cancel: &'a AtomicBool) -> Self {
+        Budget {
             cancel: Some(cancel),
+            ..self
         }
     }
 
-    pub(crate) fn check(&self) -> Result<(), DdCheckAbort> {
-        if let Some(cancel) = self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(DdCheckAbort::Cancelled);
-            }
+    /// Polls the budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DdCheckAbort::Cancelled`] once the flag is raised, else
+    /// [`DdCheckAbort::Timeout`] once the deadline has elapsed.
+    pub fn check(&self) -> Result<(), DdCheckAbort> {
+        if self
+            .cancel
+            .is_some_and(|cancel| cancel.load(Ordering::Relaxed))
+        {
+            return Err(DdCheckAbort::Cancelled);
         }
-        if let Some(limit) = self.limit {
-            if self.start.elapsed() > limit {
-                return Err(DdCheckAbort::Timeout { deadline: limit });
+        match self.deadline {
+            Some(deadline) if self.start.elapsed() > deadline => {
+                Err(DdCheckAbort::Timeout { deadline })
             }
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -127,13 +153,13 @@ impl<'a> Deadline<'a> {
 /// matrices as DDs — the classic approach the paper contrasts its flow
 /// against.
 ///
-/// The deadline is checked between gate applications; DD growth is bounded
+/// The budget is polled between gate applications; DD growth is bounded
 /// by the package's node limit.
 ///
 /// # Errors
 ///
-/// Returns [`DdCheckAbort`] on timeout or node-limit exhaustion — the cases
-/// the paper reports as `> 3600 s`.
+/// Returns [`DdCheckAbort`] on timeout, cancellation or node-limit
+/// exhaustion — the cases the paper reports as `> 3600 s`.
 ///
 /// # Panics
 ///
@@ -143,11 +169,11 @@ impl<'a> Deadline<'a> {
 ///
 /// ```
 /// # fn main() -> Result<(), qdd::DdCheckAbort> {
-/// use qdd::{check_equivalence_construct, DdEquivalence, Package};
+/// use qdd::{check_equivalence_construct, Budget, DdEquivalence, Package};
 ///
 /// let g = qcirc::generators::ghz(3);
 /// let mut p = Package::new(3);
-/// let verdict = check_equivalence_construct(&mut p, &g, &g, None)?;
+/// let verdict = check_equivalence_construct(&mut p, &g, &g, &Budget::new(None))?;
 /// assert_eq!(verdict, DdEquivalence::Equivalent);
 /// # Ok(())
 /// # }
@@ -156,64 +182,32 @@ pub fn check_equivalence_construct(
     package: &mut Package,
     g: &Circuit,
     g_prime: &Circuit,
-    deadline: Option<Duration>,
-) -> Result<DdEquivalence, DdCheckAbort> {
-    construct_with_budget(package, g, g_prime, Deadline::new(deadline))
-}
-
-/// [`check_equivalence_construct`] with an external cancellation flag,
-/// polled between gate applications alongside the deadline. Raising the
-/// flag makes the check return [`DdCheckAbort::Cancelled`] promptly —
-/// this is how a concurrent checker portfolio stops a losing racer.
-///
-/// # Errors
-///
-/// Returns [`DdCheckAbort`] on timeout, node-limit exhaustion, or
-/// cancellation.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ from the package's.
-pub fn check_equivalence_construct_cancellable(
-    package: &mut Package,
-    g: &Circuit,
-    g_prime: &Circuit,
-    deadline: Option<Duration>,
-    cancel: &AtomicBool,
-) -> Result<DdEquivalence, DdCheckAbort> {
-    construct_with_budget(package, g, g_prime, Deadline::cancellable(deadline, cancel))
-}
-
-fn construct_with_budget(
-    package: &mut Package,
-    g: &Circuit,
-    g_prime: &Circuit,
-    deadline: Deadline<'_>,
+    budget: &Budget<'_>,
 ) -> Result<DdEquivalence, DdCheckAbort> {
     assert_eq!(
         g.n_qubits(),
         g_prime.n_qubits(),
         "circuits must have equal qubit counts"
     );
-    let mut u = circuit_medge_with_deadline(package, g, &deadline, None)?;
-    let u_prime = circuit_medge_with_deadline(package, g_prime, &deadline, Some(&mut u))?;
+    let mut u = circuit_medge_within(package, g, budget, None)?;
+    let u_prime = circuit_medge_within(package, g_prime, budget, Some(&mut u))?;
     Ok(compare_roots(package, u, u_prime))
 }
 
-/// Builds a circuit DD under a deadline, garbage-collecting as it goes.
+/// Builds a circuit DD within a budget, garbage-collecting as it goes.
 /// `keep` is an extra root that must survive GC; it is remapped in place so
 /// it stays valid even when the build aborts mid-circuit (a caller like
 /// `qdd::CachedDd` relies on that to keep its golden root usable after a
 /// timed-out check).
-pub(crate) fn circuit_medge_with_deadline(
+pub(crate) fn circuit_medge_within(
     package: &mut Package,
     circuit: &Circuit,
-    deadline: &Deadline<'_>,
+    budget: &Budget<'_>,
     mut keep: Option<&mut crate::edge::MEdge>,
 ) -> Result<crate::edge::MEdge, DdCheckAbort> {
     let mut u = package.identity_medge();
     for gate in circuit.gates() {
-        deadline.check()?;
+        budget.check()?;
         let g = package.gate_medge(gate)?;
         u = package.mul_mm(g, u)?;
         if package.wants_gc() {
@@ -289,7 +283,7 @@ mod tests {
     fn identical_circuits_are_equivalent() {
         let g = generators::qft(4, true);
         let mut p = Package::new(4);
-        let v = check_equivalence_construct(&mut p, &g, &g, None).unwrap();
+        let v = check_equivalence_construct(&mut p, &g, &g, &Budget::new(None)).unwrap();
         assert_eq!(v, DdEquivalence::Equivalent);
         assert!(v.is_equivalent());
     }
@@ -299,7 +293,8 @@ mod tests {
         let g = generators::qft(5, true);
         let routed = route(&g, &CouplingMap::linear(5), RouterOptions::default()).unwrap();
         let mut p = Package::new(5);
-        let v = check_equivalence_construct(&mut p, &g, &routed.circuit, None).unwrap();
+        let v =
+            check_equivalence_construct(&mut p, &g, &routed.circuit, &Budget::new(None)).unwrap();
         assert_eq!(v, DdEquivalence::Equivalent);
     }
 
@@ -308,7 +303,7 @@ mod tests {
         let g = generators::grover(4, 0b0110, 2);
         let lowered = qcirc::decompose::decompose_to_cx_and_single_qubit(&g);
         let mut p = Package::new(4);
-        let v = check_equivalence_construct(&mut p, &g, &lowered, None).unwrap();
+        let v = check_equivalence_construct(&mut p, &g, &lowered, &Budget::new(None)).unwrap();
         assert!(v.is_equivalent(), "got {v}");
     }
 
@@ -319,7 +314,7 @@ mod tests {
         let old = buggy.replace(2, qcirc::Gate::controlled(qcirc::GateKind::X, vec![0], 2));
         assert_eq!(old.to_string(), "cx q[1], q[2]");
         let mut p = Package::new(4);
-        let v = check_equivalence_construct(&mut p, &g, &buggy, None).unwrap();
+        let v = check_equivalence_construct(&mut p, &g, &buggy, &Budget::new(None)).unwrap();
         assert_eq!(v, DdEquivalence::NotEquivalent);
     }
 
@@ -331,7 +326,7 @@ mod tests {
         // Rz(2π) = −I contributes a global phase of π.
         b.rz(2.0 * std::f64::consts::PI, 0);
         let mut p = Package::new(2);
-        let v = check_equivalence_construct(&mut p, &a, &b, None).unwrap();
+        let v = check_equivalence_construct(&mut p, &a, &b, &Budget::new(None)).unwrap();
         match v {
             DdEquivalence::EquivalentUpToGlobalPhase { phase } => {
                 assert!((phase.abs() - std::f64::consts::PI).abs() < 1e-9);
@@ -396,7 +391,8 @@ mod tests {
     fn zero_deadline_times_out() {
         let g = generators::supremacy_2d(3, 3, 10, 1);
         let mut p = Package::new(9);
-        let e = check_equivalence_construct(&mut p, &g, &g, Some(Duration::ZERO)).unwrap_err();
+        let budget = Budget::new(Some(Duration::ZERO));
+        let e = check_equivalence_construct(&mut p, &g, &g, &budget).unwrap_err();
         assert!(matches!(e, DdCheckAbort::Timeout { .. }));
         assert!(e.to_string().contains("timed out"));
     }
@@ -405,13 +401,14 @@ mod tests {
     fn raised_cancel_flag_aborts_promptly() {
         let g = generators::qft(5, true);
         let cancel = AtomicBool::new(true);
+        let budget = Budget::new(None).with_cancel(&cancel);
         let mut p = Package::new(5);
-        let e = check_equivalence_construct_cancellable(&mut p, &g, &g, None, &cancel).unwrap_err();
+        let e = check_equivalence_construct(&mut p, &g, &g, &budget).unwrap_err();
         assert!(matches!(e, DdCheckAbort::Cancelled));
         assert!(e.to_string().contains("cancelled"));
         let mut p = Package::new(5);
-        let e = crate::check_equivalence_alternating_cancellable(&mut p, &g, &g, None, &cancel)
-            .unwrap_err();
+        let scheme = crate::ApplicationScheme::default();
+        let e = crate::check_equivalence_alternating(&mut p, &g, &g, &budget, scheme).unwrap_err();
         assert!(matches!(e, DdCheckAbort::Cancelled));
     }
 
@@ -420,15 +417,15 @@ mod tests {
         let g = generators::qft(4, true);
         let opt = qcirc::optimize::optimize(&g);
         let cancel = AtomicBool::new(false);
+        let budget = Budget::new(None).with_cancel(&cancel);
         let mut p = Package::new(4);
-        let with_flag =
-            check_equivalence_construct_cancellable(&mut p, &g, &opt, None, &cancel).unwrap();
+        let with_flag = check_equivalence_construct(&mut p, &g, &opt, &budget).unwrap();
         let mut p = Package::new(4);
-        let without = check_equivalence_construct(&mut p, &g, &opt, None).unwrap();
+        let without = check_equivalence_construct(&mut p, &g, &opt, &Budget::new(None)).unwrap();
         assert_eq!(with_flag, without);
         let mut p = Package::new(4);
-        let alt = crate::check_equivalence_alternating_cancellable(&mut p, &g, &opt, None, &cancel)
-            .unwrap();
+        let scheme = crate::ApplicationScheme::default();
+        let alt = crate::check_equivalence_alternating(&mut p, &g, &opt, &budget, scheme).unwrap();
         assert!(alt.is_equivalent());
     }
 
@@ -436,7 +433,7 @@ mod tests {
     fn node_limit_aborts_check() {
         let g = generators::supremacy_2d(3, 4, 10, 2);
         let mut p = Package::with_node_limit(12, 200);
-        let e = check_equivalence_construct(&mut p, &g, &g, None).unwrap_err();
+        let e = check_equivalence_construct(&mut p, &g, &g, &Budget::new(None)).unwrap_err();
         assert!(matches!(e, DdCheckAbort::NodeLimit(_)));
     }
 }

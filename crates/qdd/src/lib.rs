@@ -9,7 +9,11 @@
 //! * the DD *equivalence checker* of references \[21\], \[22\], \[26\] —
 //!   [`check_equivalence_construct`] builds and compares both complete
 //!   system matrices, and [`check_equivalence_alternating`] keeps a single
-//!   difference DD near the identity (`G → 𝕀 ← G'`).
+//!   difference DD near the identity (`G → 𝕀 ← G'`) under a pluggable
+//!   [`ApplicationScheme`]. Both run within one [`Budget`] (an optional
+//!   deadline plus an optional cancellation flag) and answer with a
+//!   [`DdEquivalence`] or a [`DdCheckAbort`] — the vocabulary `qmpo`'s
+//!   MPO check shares.
 //!
 //! Canonicity (normalized, hash-consed nodes with tolerance-interned edge
 //! weights via [`ComplexTable`]) makes semantic equality a pointer
@@ -21,12 +25,12 @@
 //!
 //! ```
 //! # fn main() -> Result<(), qdd::DdCheckAbort> {
-//! use qdd::{check_equivalence_construct, DdEquivalence, Package};
+//! use qdd::{check_equivalence_construct, Budget, Package};
 //!
 //! let g = qcirc::generators::ghz(3);
 //! let optimized = qcirc::optimize::optimize(&g);
 //! let mut package = Package::new(3);
-//! let verdict = check_equivalence_construct(&mut package, &g, &optimized, None)?;
+//! let verdict = check_equivalence_construct(&mut package, &g, &optimized, &Budget::new(None))?;
 //! assert!(verdict.is_equivalent());
 //! # Ok(())
 //! # }
@@ -39,21 +43,13 @@ mod alternating;
 mod cached;
 mod check;
 mod complex_table;
-pub mod dot;
 mod edge;
 mod package;
 mod probe;
 
-pub use alternating::{
-    check_equivalence_alternating, check_equivalence_alternating_cancellable,
-    check_equivalence_alternating_scheme, check_equivalence_alternating_scheme_cancellable,
-    ApplicationScheme, SchemeCursor,
-};
-pub use cached::{CachedDd, SharedDd};
-pub use check::{
-    check_equivalence_construct, check_equivalence_construct_cancellable, DdCheckAbort,
-    DdEquivalence,
-};
+pub use alternating::{check_equivalence_alternating, ApplicationScheme, SchemeCursor};
+pub use cached::CachedDd;
+pub use check::{check_equivalence_construct, Budget, DdCheckAbort, DdEquivalence};
 pub use complex_table::{ComplexTable, Cx};
 pub use edge::{MEdge, MNode, NodeId, VEdge, VNode};
 pub use package::{DdLimitError, Package, PackageStats};

@@ -13,7 +13,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use qcirc::Circuit;
-use qdd::{check_equivalence_alternating, CachedDd, DdEquivalence, Package};
+use qdd::{
+    check_equivalence_alternating, ApplicationScheme, Budget, CachedDd, DdEquivalence, Package,
+};
 
 /// Budget for the guard's complete check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,7 +114,8 @@ pub fn classify(original: &Circuit, mutated: &Circuit, opts: &GuardOptions) -> G
         &mut package,
         original,
         mutated,
-        opts.deadline,
+        &Budget::new(opts.deadline),
+        ApplicationScheme::Proportional,
     ))
 }
 
@@ -264,7 +267,8 @@ impl GuardCache {
                 &mut package,
                 &mid_golden,
                 &mid_mutated,
-                self.opts.deadline,
+                &Budget::new(self.opts.deadline),
+                ApplicationScheme::Proportional,
             ));
         }
         // No overlap at all: trimming and alternating both lose their

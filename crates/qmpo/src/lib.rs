@@ -27,7 +27,11 @@
 //!   as the decision-diagram check — then test closeness to the identity
 //!   via the normalized trace `t = Tr(E) / (√2ⁿ · ‖E‖_F)`, which equals a
 //!   phase of magnitude 1 exactly when `U′ = e^{iφ} U` (Cauchy–Schwarz in
-//!   the Hilbert–Schmidt inner product).
+//!   the Hilbert–Schmidt inner product). [`check_equivalence_construct`]
+//!   is the construct-and-compare baseline. Both take the DD checks'
+//!   [`qdd::Budget`] and answer in their vocabulary: a
+//!   [`qdd::DdEquivalence`] inside an [`MpoVerdict`] that adds the
+//!   truncation telemetry, or a [`qdd::DdCheckAbort`].
 //!
 //! Everything is plain `qnum` complex arithmetic: the SVD is a one-sided
 //! complex Jacobi orthogonalization ([`svd`]), dependency-free and fully
@@ -41,11 +45,7 @@ mod mpo;
 mod mps;
 mod svd;
 
-pub use mpo::{
-    check_equivalence_alternating, check_equivalence_alternating_cancellable,
-    check_equivalence_construct, check_equivalence_construct_cancellable, MpoCheckAbort,
-    MpoEquivalence, MpoVerdict,
-};
+pub use mpo::{check_equivalence_alternating, check_equivalence_construct, MpoVerdict};
 pub use mps::{Mps, OperatorSide};
 pub use svd::svd;
 

@@ -8,7 +8,10 @@
 //! difference is the resource cap: instead of an exact DD that may blow up
 //! (`DdLimitError`), the MPO's bond dimension is truncated at `χ_max` and
 //! the discarded weight is *reported*, trading a possible exact answer for
-//! a guaranteed bounded-memory one.
+//! a guaranteed bounded-memory one. Both checks share the DD checks'
+//! vocabulary: they run within a [`qdd::Budget`], classify into
+//! [`qdd::DdEquivalence`] and abort with [`qdd::DdCheckAbort`] (never its
+//! `NodeLimit`: the bond cap truncates instead of failing).
 //!
 //! Closeness to the identity is measured by the normalized trace
 //! `t = Tr(E) / (√2ⁿ · ‖E‖_F)` — computed as the Hilbert–Schmidt inner
@@ -20,11 +23,8 @@
 //! convicted as non-equivalence; upstream, a truncated equivalent-class
 //! verdict is downgraded to *probably equivalent*.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
-
 use qcirc::Circuit;
-use qdd::{ApplicationScheme, SchemeCursor};
+use qdd::{ApplicationScheme, Budget, DdCheckAbort, DdEquivalence, SchemeCursor};
 
 use crate::mps::{Mps, OperatorSide};
 
@@ -37,62 +37,14 @@ const DEFAULT_TOLERANCE: f64 = 1e-9;
 /// instead of producing spurious `NotEquivalent` convictions.
 const TRUNCATION_SLACK: f64 = 8.0;
 
-/// The equivalence classes of the MPO check, matching
-/// [`qdd::DdEquivalence`] shape for uniform handling upstream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MpoEquivalence {
-    /// `U′ = U` within tolerance.
-    Equivalent,
-    /// `U′ = e^{iφ}·U` with a non-trivial global phase `φ`.
-    EquivalentUpToGlobalPhase {
-        /// The global phase `φ` (radians), from the argument of the
-        /// normalized trace.
-        phase: f64,
-    },
-    /// The normalized trace magnitude falls short of 1 by more than the
-    /// (truncation-widened) tolerance: the circuits differ.
-    NotEquivalent,
-}
-
-impl MpoEquivalence {
-    /// `true` for both exact and up-to-global-phase equivalence.
-    #[must_use]
-    pub fn is_equivalent(&self) -> bool {
-        !matches!(self, MpoEquivalence::NotEquivalent)
-    }
-}
-
-/// Why an MPO check gave up before reaching a verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MpoCheckAbort {
-    /// The wall-clock budget expired.
-    Timeout {
-        /// The budget that was exhausted.
-        deadline: Duration,
-    },
-    /// An external cancellation flag was raised (portfolio racing).
-    Cancelled,
-}
-
-impl std::fmt::Display for MpoCheckAbort {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MpoCheckAbort::Timeout { deadline } => {
-                write!(f, "mpo check timed out after {deadline:?}")
-            }
-            MpoCheckAbort::Cancelled => f.write_str("mpo check cancelled"),
-        }
-    }
-}
-
-impl std::error::Error for MpoCheckAbort {}
-
 /// The outcome of a completed MPO check: the equivalence class plus the
 /// compression telemetry that decides how much the class can be trusted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpoVerdict {
-    /// The equivalence class under the truncation-widened tolerance.
-    pub equivalence: MpoEquivalence,
+    /// The equivalence class under the truncation-widened tolerance; the
+    /// phase of [`DdEquivalence::EquivalentUpToGlobalPhase`] is the
+    /// argument of the normalized trace.
+    pub equivalence: DdEquivalence,
     /// Accumulated truncation error of the run; `0.0` means the check was
     /// numerically exact and the class is as trustworthy as a DD verdict.
     pub truncation_error: f64,
@@ -115,38 +67,15 @@ impl MpoVerdict {
     }
 }
 
-/// Wall-clock + cancellation budget, polled between gate applications.
-/// (`qdd`'s deadline helper is crate-private; the semantics match.)
-struct Budget<'a> {
-    start: Instant,
-    limit: Option<Duration>,
-    cancel: Option<&'a AtomicBool>,
-}
-
-impl Budget<'_> {
-    fn check(&self) -> Result<(), MpoCheckAbort> {
-        if let Some(cancel) = self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(MpoCheckAbort::Cancelled);
-            }
-        }
-        if let Some(limit) = self.limit {
-            if self.start.elapsed() > limit {
-                return Err(MpoCheckAbort::Timeout { deadline: limit });
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Runs the alternating MPO check with the given bond cap and
-/// interleaving scheme.
+/// interleaving scheme, polling the budget between gate applications.
 ///
 /// # Errors
 ///
-/// Returns [`MpoCheckAbort`] on timeout. (Unlike the DD check there is no
-/// node-limit failure mode: the bond cap *is* the resource bound, enforced
-/// by truncation rather than abortion.)
+/// Returns [`DdCheckAbort::Timeout`] or [`DdCheckAbort::Cancelled`] when
+/// the budget runs out. (Unlike the DD check there is no node-limit
+/// failure mode: the bond cap *is* the resource bound, enforced by
+/// truncation rather than abortion.)
 ///
 /// # Panics
 ///
@@ -156,12 +85,13 @@ impl Budget<'_> {
 /// # Examples
 ///
 /// ```
-/// use qdd::ApplicationScheme;
+/// use qdd::{ApplicationScheme, Budget};
 /// use qmpo::check_equivalence_alternating;
 ///
 /// let g = qcirc::generators::qft(4, true);
 /// let opt = qcirc::optimize::optimize(&g);
-/// let v = check_equivalence_alternating(&g, &opt, 32, None, ApplicationScheme::Proportional)
+/// let budget = Budget::new(None);
+/// let v = check_equivalence_alternating(&g, &opt, 32, &budget, ApplicationScheme::Proportional)
 ///     .unwrap();
 /// assert!(v.is_equivalent());
 /// assert!(v.is_exact());
@@ -170,62 +100,9 @@ pub fn check_equivalence_alternating(
     g: &Circuit,
     g_prime: &Circuit,
     chi_max: usize,
-    deadline: Option<Duration>,
+    budget: &Budget<'_>,
     scheme: ApplicationScheme,
-) -> Result<MpoVerdict, MpoCheckAbort> {
-    alternating_with_budget(
-        g,
-        g_prime,
-        chi_max,
-        Budget {
-            start: Instant::now(),
-            limit: deadline,
-            cancel: None,
-        },
-        scheme,
-    )
-}
-
-/// [`check_equivalence_alternating`] with an external cancellation flag,
-/// polled between gate applications alongside the deadline — how a
-/// concurrent checker portfolio stops a losing racer.
-///
-/// # Errors
-///
-/// Returns [`MpoCheckAbort`] on timeout or cancellation.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ or are zero, or if
-/// `chi_max == 0`.
-pub fn check_equivalence_alternating_cancellable(
-    g: &Circuit,
-    g_prime: &Circuit,
-    chi_max: usize,
-    deadline: Option<Duration>,
-    cancel: &AtomicBool,
-    scheme: ApplicationScheme,
-) -> Result<MpoVerdict, MpoCheckAbort> {
-    alternating_with_budget(
-        g,
-        g_prime,
-        chi_max,
-        Budget {
-            start: Instant::now(),
-            limit: deadline,
-            cancel: Some(cancel),
-        },
-        scheme,
-    )
-}
-
-fn alternating_with_budget(
-    g: &Circuit,
-    g_prime: &Circuit,
-    chi_max: usize,
-    budget: Budget<'_>,
-    scheme: ApplicationScheme,
-) -> Result<MpoVerdict, MpoCheckAbort> {
+) -> Result<MpoVerdict, DdCheckAbort> {
     assert_eq!(
         g.n_qubits(),
         g_prime.n_qubits(),
@@ -265,7 +142,8 @@ fn alternating_with_budget(
 ///
 /// # Errors
 ///
-/// Returns [`MpoCheckAbort`] on timeout.
+/// Returns [`DdCheckAbort::Timeout`] or [`DdCheckAbort::Cancelled`] when
+/// the budget runs out.
 ///
 /// # Panics
 ///
@@ -275,63 +153,15 @@ pub fn check_equivalence_construct(
     g: &Circuit,
     g_prime: &Circuit,
     chi_max: usize,
-    deadline: Option<Duration>,
-) -> Result<MpoVerdict, MpoCheckAbort> {
-    construct_with_budget(
-        g,
-        g_prime,
-        chi_max,
-        Budget {
-            start: Instant::now(),
-            limit: deadline,
-            cancel: None,
-        },
-    )
-}
-
-/// [`check_equivalence_construct`] with an external cancellation flag,
-/// polled between gate applications alongside the deadline.
-///
-/// # Errors
-///
-/// Returns [`MpoCheckAbort`] on timeout or cancellation.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ or are zero, or if
-/// `chi_max == 0`.
-pub fn check_equivalence_construct_cancellable(
-    g: &Circuit,
-    g_prime: &Circuit,
-    chi_max: usize,
-    deadline: Option<Duration>,
-    cancel: &AtomicBool,
-) -> Result<MpoVerdict, MpoCheckAbort> {
-    construct_with_budget(
-        g,
-        g_prime,
-        chi_max,
-        Budget {
-            start: Instant::now(),
-            limit: deadline,
-            cancel: Some(cancel),
-        },
-    )
-}
-
-fn construct_with_budget(
-    g: &Circuit,
-    g_prime: &Circuit,
-    chi_max: usize,
-    budget: Budget<'_>,
-) -> Result<MpoVerdict, MpoCheckAbort> {
+    budget: &Budget<'_>,
+) -> Result<MpoVerdict, DdCheckAbort> {
     assert_eq!(
         g.n_qubits(),
         g_prime.n_qubits(),
         "circuits must have equal qubit counts"
     );
     let n = g.n_qubits();
-    let build = |circuit: &Circuit| -> Result<Mps, MpoCheckAbort> {
+    let build = |circuit: &Circuit| -> Result<Mps, DdCheckAbort> {
         let mut op = Mps::identity_operator(n);
         for gate in circuit.gates().iter().rev() {
             budget.check()?;
@@ -373,11 +203,11 @@ fn verdict_from_trace(t: qnum::Complex, truncation_error: f64, peak_bond: usize)
     let window = DEFAULT_TOLERANCE + TRUNCATION_SLACK * truncation_error;
     let infidelity = (1.0 - t.norm_sqr()).max(0.0);
     let equivalence = if infidelity > window {
-        MpoEquivalence::NotEquivalent
+        DdEquivalence::NotEquivalent
     } else if (t - qnum::Complex::ONE).norm_sqr() <= window {
-        MpoEquivalence::Equivalent
+        DdEquivalence::Equivalent
     } else {
-        MpoEquivalence::EquivalentUpToGlobalPhase { phase: t.arg() }
+        DdEquivalence::EquivalentUpToGlobalPhase { phase: t.arg() }
     };
     MpoVerdict {
         equivalence,
@@ -390,15 +220,21 @@ fn verdict_from_trace(t: qnum::Complex, truncation_error: f64, peak_bond: usize)
 mod tests {
     use super::*;
     use qcirc::generators;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     const CHI: usize = 64;
+
+    /// The unbounded alternating check.
+    fn alternating(a: &Circuit, b: &Circuit, chi: usize, scheme: ApplicationScheme) -> MpoVerdict {
+        check_equivalence_alternating(a, b, chi, &Budget::new(None), scheme).unwrap()
+    }
 
     #[test]
     fn identical_circuits_are_equivalent_and_exact() {
         let g = generators::qft(4, true);
-        let v = check_equivalence_alternating(&g, &g, CHI, None, ApplicationScheme::Proportional)
-            .unwrap();
-        assert_eq!(v.equivalence, MpoEquivalence::Equivalent);
+        let v = alternating(&g, &g, CHI, ApplicationScheme::Proportional);
+        assert_eq!(v.equivalence, DdEquivalence::Equivalent);
         assert!(v.is_exact());
     }
 
@@ -406,8 +242,7 @@ mod tests {
     fn optimized_pairs_are_equivalent() {
         let g = generators::random_clifford_t(4, 50, 11);
         let opt = qcirc::optimize::optimize(&g);
-        let v = check_equivalence_alternating(&g, &opt, CHI, None, ApplicationScheme::Proportional)
-            .unwrap();
+        let v = alternating(&g, &opt, CHI, ApplicationScheme::Proportional);
         assert!(v.is_equivalent());
         assert!(v.is_exact());
     }
@@ -417,10 +252,8 @@ mod tests {
         let g = generators::qft(4, true);
         let mut buggy = g.clone();
         buggy.t(1);
-        let v =
-            check_equivalence_alternating(&g, &buggy, CHI, None, ApplicationScheme::Proportional)
-                .unwrap();
-        assert_eq!(v.equivalence, MpoEquivalence::NotEquivalent);
+        let v = alternating(&g, &buggy, CHI, ApplicationScheme::Proportional);
+        assert_eq!(v.equivalence, DdEquivalence::NotEquivalent);
     }
 
     #[test]
@@ -429,16 +262,9 @@ mod tests {
         let empty = qcirc::Circuit::new(2);
         let mut phased = qcirc::Circuit::new(2);
         phased.x(0).z(0).x(0).z(0);
-        let v = check_equivalence_alternating(
-            &empty,
-            &phased,
-            CHI,
-            None,
-            ApplicationScheme::Proportional,
-        )
-        .unwrap();
+        let v = alternating(&empty, &phased, CHI, ApplicationScheme::Proportional);
         match v.equivalence {
-            MpoEquivalence::EquivalentUpToGlobalPhase { phase } => {
+            DdEquivalence::EquivalentUpToGlobalPhase { phase } => {
                 assert!((phase.abs() - std::f64::consts::PI).abs() < 1e-9, "{phase}");
             }
             other => panic!("expected global phase, got {other:?}"),
@@ -447,6 +273,7 @@ mod tests {
 
     #[test]
     fn all_schemes_agree_with_the_dd_check() {
+        let budget = Budget::new(None);
         for seed in 0..3u64 {
             let g = generators::random_clifford_t(4, 40, seed);
             let opt = qcirc::optimize::optimize(&g);
@@ -454,9 +281,10 @@ mod tests {
             buggy.t((seed % 4) as usize);
             for (label, a, b) in [("optimized", &g, &opt), ("buggy", &g, &buggy)] {
                 let mut p = qdd::Package::new(4);
-                let dd = qdd::check_equivalence_alternating(&mut p, a, b, None).unwrap();
+                let scheme = ApplicationScheme::default();
+                let dd = qdd::check_equivalence_alternating(&mut p, a, b, &budget, scheme).unwrap();
                 for scheme in ApplicationScheme::ALL {
-                    let v = check_equivalence_alternating(a, b, CHI, None, scheme).unwrap();
+                    let v = alternating(a, b, CHI, scheme);
                     assert!(v.is_exact(), "seed {seed} {label} {scheme}");
                     assert_eq!(
                         v.is_equivalent(),
@@ -474,10 +302,11 @@ mod tests {
         let opt = qcirc::optimize::optimize(&g);
         let mut buggy = g.clone();
         buggy.z(1);
-        let a = check_equivalence_construct(&g, &opt, CHI, None).unwrap();
+        let budget = Budget::new(None);
+        let a = check_equivalence_construct(&g, &opt, CHI, &budget).unwrap();
         assert!(a.is_equivalent() && a.is_exact());
-        let b = check_equivalence_construct(&g, &buggy, CHI, None).unwrap();
-        assert_eq!(b.equivalence, MpoEquivalence::NotEquivalent);
+        let b = check_equivalence_construct(&g, &buggy, CHI, &budget).unwrap();
+        assert_eq!(b.equivalence, DdEquivalence::NotEquivalent);
     }
 
     #[test]
@@ -485,8 +314,7 @@ mod tests {
         // Identical volume-law circuits at a tiny bond cap: the class
         // stays equivalent (slack window) but the run is not exact.
         let g = generators::supremacy_2d(2, 3, 8, 5);
-        let v =
-            check_equivalence_alternating(&g, &g, 2, None, ApplicationScheme::Sequential).unwrap();
+        let v = alternating(&g, &g, 2, ApplicationScheme::Sequential);
         assert!(v.truncation_error > 0.0);
         assert!(v.peak_bond <= 2);
     }
@@ -495,29 +323,20 @@ mod tests {
     fn cancellation_aborts_promptly() {
         let g = generators::qft(5, true);
         let cancel = AtomicBool::new(true);
-        let err = check_equivalence_alternating_cancellable(
-            &g,
-            &g,
-            CHI,
-            None,
-            &cancel,
-            ApplicationScheme::Proportional,
-        )
-        .unwrap_err();
-        assert_eq!(err, MpoCheckAbort::Cancelled);
+        let budget = Budget::new(None).with_cancel(&cancel);
+        let scheme = ApplicationScheme::Proportional;
+        let err = check_equivalence_alternating(&g, &g, CHI, &budget, scheme).unwrap_err();
+        assert_eq!(err, DdCheckAbort::Cancelled);
+        let err = check_equivalence_construct(&g, &g, CHI, &budget).unwrap_err();
+        assert_eq!(err, DdCheckAbort::Cancelled);
     }
 
     #[test]
     fn zero_deadline_times_out() {
         let g = generators::qft(5, true);
-        let err = check_equivalence_alternating(
-            &g,
-            &g,
-            CHI,
-            Some(Duration::ZERO),
-            ApplicationScheme::Proportional,
-        )
-        .unwrap_err();
-        assert!(matches!(err, MpoCheckAbort::Timeout { .. }));
+        let budget = Budget::new(Some(Duration::ZERO));
+        let scheme = ApplicationScheme::Proportional;
+        let err = check_equivalence_alternating(&g, &g, CHI, &budget, scheme).unwrap_err();
+        assert!(matches!(err, DdCheckAbort::Timeout { .. }));
     }
 }

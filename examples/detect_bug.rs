@@ -44,7 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget = Duration::from_secs(5);
     let start = Instant::now();
     let mut package = qdd::Package::with_node_limit(g.n_qubits(), 1_000_000);
-    let ec = qdd::check_equivalence_alternating(&mut package, &g, &buggy, Some(budget));
+    let ec = qdd::check_equivalence_alternating(
+        &mut package,
+        &g,
+        &buggy,
+        &qdd::Budget::new(Some(budget)),
+        qdd::ApplicationScheme::default(),
+    );
     match ec {
         Ok(v) => println!(
             "complete DD check: {v} after {:.2} s",

@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
-use qcec::scheduler::CollectingSink;
+use qcec::scheduler::{CollectingSink, RunEvent};
 use qcec::{
-    check_equivalence, check_equivalence_default, Config, Criterion, Fallback, FlowError, Outcome,
-    StimulusStrategy,
+    check_equivalence, check_equivalence_default, BackendKind, Config, Criterion, Fallback,
+    FlowError, Outcome, StimulusStrategy,
 };
 use qcirc::{generators, Circuit};
 
@@ -181,34 +181,90 @@ fn register_mismatch_is_rejected_not_guessed() {
     assert!(check_equivalence_default(&a, &b).is_err());
 }
 
-/// A register past the dense engine's width under the default
-/// (statevector) backend is refused with a typed error naming the width and
-/// the limit, instead of a panic inside qsim. The refusal comes before the
-/// simulation stage starts — the event sink sees no stage at all — so no
-/// `2ⁿ` buffer is ever allocated.
+/// A register past the dense engine's width is refused with a typed error
+/// naming the width, the limit and the engine, instead of a panic inside
+/// qsim: under the default (statevector) backend, and wherever the stab
+/// engine would take its dense fallback — a non-Clifford gate, product
+/// stimuli or the strict criterion, on `stab` or picked by `Auto`. The
+/// refusal comes before the simulation stage starts — the event sink sees
+/// no stage at all, only `Auto`'s pick — so no `2ⁿ` buffer is ever
+/// allocated. Where the tableau serves every probe, `Auto` still proves a
+/// 30-qubit pair.
 #[test]
 fn over_wide_dense_register_is_refused_before_any_stage_starts() {
     let max_qubits = qsim::StateVector::MAX_QUBITS;
-    for n_qubits in [29, 40] {
-        let g = generators::ghz(n_qubits);
+    let stab = Config::default().with_backend(BackendKind::Stab);
+    let auto = Config::default().with_backend(BackendKind::Auto);
+    let mut non_clifford = generators::ghz(30);
+    non_clifford.t(0);
+    let cases = [
+        (
+            generators::ghz(29),
+            Config::default(),
+            BackendKind::Statevector,
+        ),
+        (
+            generators::ghz(40),
+            Config::default(),
+            BackendKind::Statevector,
+        ),
+        (non_clifford, stab.clone(), BackendKind::Stab),
+        (
+            generators::ghz(30),
+            stab.clone().with_stimuli(StimulusStrategy::Product),
+            BackendKind::Stab,
+        ),
+        (
+            generators::ghz(30),
+            stab.with_criterion(Criterion::Strict),
+            BackendKind::Stab,
+        ),
+        (
+            generators::ghz(30),
+            auto.clone().with_criterion(Criterion::Strict),
+            BackendKind::Stab,
+        ),
+        (
+            generators::ghz(30),
+            auto.clone().with_stimuli(StimulusStrategy::Product),
+            BackendKind::Stab,
+        ),
+    ];
+    for (g, config, backend) in cases {
+        let n_qubits = g.n_qubits();
         let sink = Arc::new(CollectingSink::new());
-        let config = Config::default().with_event_sink(sink.clone());
+        let config = config.with_event_sink(sink.clone());
         let err = check_equivalence(&g, &g.clone(), &config).unwrap_err();
         assert_eq!(
             err,
             FlowError::RegisterTooWide {
                 n_qubits,
-                max_qubits
+                max_qubits,
+                backend
             }
         );
+        let engine = match backend {
+            BackendKind::Stab => "the stab backend's dense fallback",
+            _ => "the statevector backend",
+        };
         let message = err.to_string();
         assert!(
-            message.contains(&format!("at most {max_qubits} qubits"))
+            message.contains(engine)
+                && message.contains(&format!("at most {max_qubits} qubits"))
                 && message.contains(&format!("act on {n_qubits}")),
             "{message}"
         );
-        assert_eq!(sink.events(), Vec::new(), "n = {n_qubits}");
+        let picked =
+            (config.backend == BackendKind::Auto).then_some(RunEvent::BackendSelected { backend });
+        assert_eq!(
+            sink.events(),
+            picked.into_iter().collect::<Vec<_>>(),
+            "{backend}, n = {n_qubits}"
+        );
     }
+    let ghz = generators::ghz(30);
+    let result = check_equivalence(&ghz, &ghz.clone(), &auto).unwrap();
+    assert_eq!(result.outcome, Outcome::Equivalent);
 }
 
 // ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ fn simulation_overhead_is_negligible_on_hard_instances() {
 
     let ec_start = Instant::now();
     let mut p = qdd::Package::with_node_limit(12, 300_000);
-    let ec = qdd::check_equivalence_construct(&mut p, &g, &g, None);
+    let ec = qdd::check_equivalence_construct(&mut p, &g, &g, &qdd::Budget::new(None));
     let t_ec = ec_start.elapsed();
     // Construct-and-compare either exhausts its node budget or takes far
     // longer than the simulations.
