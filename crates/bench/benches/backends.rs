@@ -79,8 +79,8 @@ fn bench_probe_backends(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("dd_adder", n), &adder, |b, g| {
             let backend = qdd::DdBackend::new();
-            let mut ws = SimBackend::workspace(&backend, g.n_qubits());
-            b.iter(|| SimBackend::probe(&backend, g, &optimized, &stimulus, &mut ws).unwrap());
+            let mut ws = backend.workspace(g.n_qubits());
+            b.iter(|| backend.probe(g, &optimized, &stimulus, &mut ws).unwrap());
         });
     }
     group.finish();
@@ -125,8 +125,8 @@ fn bench_stab_probe(c: &mut Criterion) {
         if n <= 24 {
             group.bench_with_input(BenchmarkId::new("dd_basis", n), &adder, |b, g| {
                 let backend = qdd::DdBackend::new();
-                let mut ws = SimBackend::workspace(&backend, g.n_qubits());
-                b.iter(|| SimBackend::probe(&backend, g, &optimized, &basis, &mut ws).unwrap());
+                let mut ws = backend.workspace(g.n_qubits());
+                b.iter(|| backend.probe(g, &optimized, &basis, &mut ws).unwrap());
             });
         }
         if n <= 16 {

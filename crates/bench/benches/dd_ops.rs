@@ -26,7 +26,10 @@ fn bench_circuit_dd(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("qft", n), &circuit, |b, circuit| {
             b.iter_batched(
                 || Package::new(circuit.n_qubits()),
-                |mut p| p.circuit_medge(circuit).unwrap(),
+                |mut p| {
+                    p.circuit_medge(circuit, &qdd::Budget::new(None), &mut [])
+                        .unwrap()
+                },
                 criterion::BatchSize::SmallInput,
             );
         });

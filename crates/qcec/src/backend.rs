@@ -337,10 +337,12 @@ impl SimBackend for StatevectorBackend {
 /// probe trait.
 ///
 /// The workspace is a *pooled* [`qdd::Package`]: allocated once per worker
-/// and [`reset`](qdd::Package::reset) before every probe, which keeps the
-/// arena and table allocations warm without sacrificing purity — a reset
-/// package is observationally identical to a fresh one, so pooled probes
-/// return results bitwise equal to the historical fresh-package path.
+/// and [`reset`](qdd::Package::reset) by [`qdd::DdBackend::probe_in`]
+/// before every probe, which keeps the arena and table allocations warm
+/// without sacrificing purity — a reset package is observationally
+/// identical to a fresh one. Probes and replays run the same two-pass
+/// routine, so a replay keeps its edges alive across garbage collection
+/// exactly as a probe does.
 impl SimBackend for qdd::DdBackend {
     type Workspace = qdd::Package;
 
@@ -361,15 +363,9 @@ impl SimBackend for qdd::DdBackend {
         keep_going: &dyn Fn() -> bool,
     ) -> Result<Option<ProbeOutcome>, qdd::DdLimitError> {
         let prefix = stimulus.prefix_circuit();
+        let basis = stimulus.basis_state();
         Ok(self
-            .probe_while_in(
-                workspace,
-                g,
-                g_prime,
-                prefix.as_ref(),
-                stimulus.basis_state(),
-                keep_going,
-            )?
+            .probe_in(workspace, g, g_prime, prefix.as_ref(), basis, keep_going)?
             .map(|run| ProbeOutcome {
                 overlap: run.overlap,
                 metrics: ProbeMetrics {
@@ -387,16 +383,12 @@ impl SimBackend for qdd::DdBackend {
         stimulus: &Stimulus,
         workspace: &mut qdd::Package,
     ) -> Result<(Vec<Complex>, Vec<Complex>), qdd::DdLimitError> {
-        workspace.reset();
-        let input = {
-            let b = workspace.basis_vedge(stimulus.basis_state())?;
-            match stimulus.prefix_circuit() {
-                None => b,
-                Some(prefix) => workspace.apply_to_vedge(&prefix, b)?,
-            }
-        };
-        let a = workspace.apply_to_vedge(g, input)?;
-        let b = workspace.apply_to_vedge(g_prime, input)?;
+        let prefix = stimulus.prefix_circuit();
+        let basis = stimulus.basis_state();
+        let run = self
+            .probe_in(workspace, g, g_prime, prefix.as_ref(), basis, &|| true)?
+            .expect("unconditional probe cannot be cancelled");
+        let [a, b] = run.outputs;
         Ok((workspace.to_statevector(a), workspace.to_statevector(b)))
     }
 }
@@ -961,29 +953,36 @@ mod tests {
         let out = sv.probe(&g, &g, &s, &mut ws).unwrap();
         assert_eq!(out.metrics, ProbeMetrics::default());
         let dd = qdd::DdBackend::new();
-        let out = SimBackend::probe(&dd, &g, &g, &s, &mut SimBackend::workspace(&dd, 6)).unwrap();
+        let out = dd.probe(&g, &g, &s, &mut dd.workspace(6)).unwrap();
         assert!(out.metrics.peak_nodes > 0);
         assert!(out.metrics.complex_values > 0);
     }
 
     #[test]
     fn replay_returns_matching_dense_outputs() {
-        let g = generators::w_state(3);
-        let mut buggy = g.clone();
-        buggy.x(1);
-        let s = Stimulus::Basis(0);
+        // The second case garbage-collects inside both passes (GC
+        // threshold 1,024 at a 2,048-node limit), so the replay must keep
+        // the prepared input and the first output alive across compaction.
+        let cases = [
+            (generators::w_state(3), 0, qdd::DdBackend::new()),
+            (
+                generators::random_clifford_t(4, 300, 7),
+                5,
+                qdd::DdBackend::with_node_limit(2048),
+            ),
+        ];
         let sv = StatevectorBackend::new();
-        let dd = qdd::DdBackend::new();
-        let (a_sv, b_sv) = sv.replay(&g, &buggy, &s, &mut sv.workspace(3)).unwrap();
-        let (a_dd, b_dd) = dd
-            .replay(&g, &buggy, &s, &mut SimBackend::workspace(&dd, 3))
-            .unwrap();
-        assert_eq!(a_sv.len(), 8);
-        for (x, y) in a_sv.iter().zip(&a_dd) {
-            assert!((*x - *y).norm_sqr() < 1e-18);
-        }
-        for (x, y) in b_sv.iter().zip(&b_dd) {
-            assert!((*x - *y).norm_sqr() < 1e-18);
+        for (g, basis, dd) in cases {
+            let n = g.n_qubits();
+            let mut buggy = g.clone();
+            buggy.x(1);
+            let s = Stimulus::Basis(basis);
+            let (a_sv, b_sv) = sv.replay(&g, &buggy, &s, &mut sv.workspace(n)).unwrap();
+            let (a_dd, b_dd) = dd.replay(&g, &buggy, &s, &mut dd.workspace(n)).unwrap();
+            assert_eq!(a_sv.len(), 1 << n);
+            for (x, y) in a_sv.iter().zip(&a_dd).chain(b_sv.iter().zip(&b_dd)) {
+                assert!((*x - *y).norm_sqr() < 1e-18, "{n} qubits");
+            }
         }
     }
 
@@ -998,8 +997,8 @@ mod tests {
             .unwrap();
         assert!(out.is_none());
         let dd = qdd::DdBackend::new();
-        let mut ws = SimBackend::workspace(&dd, 5);
-        let out = SimBackend::probe_while(&dd, &g, &g, &s, &mut ws, &never).unwrap();
+        let mut ws = dd.workspace(5);
+        let out = dd.probe_while(&g, &g, &s, &mut ws, &never).unwrap();
         assert!(out.is_none());
     }
 
@@ -1007,8 +1006,8 @@ mod tests {
     fn dd_node_budget_errors_surface_through_the_trait() {
         let g = generators::supremacy_2d(3, 4, 12, 1);
         let dd = dd_for_flow(&Config::default().with_dd_node_limit(50));
-        let mut ws = SimBackend::workspace(&dd, g.n_qubits());
-        let e = SimBackend::probe(&dd, &g, &g, &Stimulus::Basis(0), &mut ws).unwrap_err();
+        let mut ws = dd.workspace(g.n_qubits());
+        let e = dd.probe(&g, &g, &Stimulus::Basis(0), &mut ws).unwrap_err();
         assert_eq!(e.node_limit, 50);
     }
 
@@ -1224,12 +1223,13 @@ mod tests {
         }
         // The default implementation (dd here) loops the single path.
         let dd = qdd::DdBackend::new();
-        let mut dd_ws = SimBackend::workspace(&dd, 4);
-        let batch = SimBackend::probe_batch_while(&dd, &g, &buggy, &stimuli, &mut dd_ws, &|| true)
+        let mut dd_ws = dd.workspace(4);
+        let batch = dd
+            .probe_batch_while(&g, &buggy, &stimuli, &mut dd_ws, &|| true)
             .unwrap()
             .expect("not cancelled");
         for (s, got) in stimuli.iter().zip(&batch) {
-            let want = SimBackend::probe(&dd, &g, &buggy, s, &mut dd_ws).unwrap();
+            let want = dd.probe(&g, &buggy, s, &mut dd_ws).unwrap();
             assert_eq!(got.overlap, want.overlap, "dd {}", s.kind());
         }
         // Cancellation abandons the whole batch.

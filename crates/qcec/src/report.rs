@@ -350,11 +350,6 @@ pub struct StageTimings {
     /// Cancellations where the functional check's definitive verdict
     /// halted the pool — the complete DD check won the race.
     pub functional_wins: usize,
-    /// Jobs answered from the service-layer verdict cache (populated by
-    /// [`crate::service`], never by the scheduler's event stream).
-    pub cache_hits: usize,
-    /// Jobs that missed the verdict cache and ran the full flow.
-    pub cache_misses: usize,
     /// Flow invocations whose [`BackendKind::Auto`] selector was resolved
     /// to a concrete engine (one `BackendSelected` event each).
     pub auto_selections: usize,
@@ -432,8 +427,6 @@ impl StageTimings {
             cancellations: self.cancellations + other.cancellations,
             simulation_wins: self.simulation_wins + other.simulation_wins,
             functional_wins: self.functional_wins + other.functional_wins,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
             auto_selections: self.auto_selections + other.auto_selections,
             batches_finished: self.batches_finished + other.batches_finished,
             batch_slots_claimed: self.batch_slots_claimed + other.batch_slots_claimed,
@@ -494,18 +487,11 @@ impl StageTimings {
         }
         if self.batches_finished > 0 {
             // Also conditional: every probing run emits batch events, so
-            // only summaries without any (cache hits, hand-built totals)
-            // omit the counters, as they did before batching existed.
+            // only hand-built totals omit the counters, as every summary
+            // did before batching existed.
             o.int("batches", self.batches_finished as u64)
                 .int("batch_slots_claimed", self.batch_slots_claimed as u64)
                 .int("batch_slots_probed", self.batch_slots_probed as u64);
-        }
-        if self.cache_hits > 0 || self.cache_misses > 0 {
-            // Only the service layer populates these; rendering them
-            // conditionally keeps campaign output byte-identical to
-            // pre-service goldens.
-            o.int("cache_hits", self.cache_hits as u64)
-                .int("cache_misses", self.cache_misses as u64);
         }
         if with_timings {
             o.int("simulation_wins", self.simulation_wins as u64)

@@ -381,35 +381,52 @@ mod tests {
         // index must have reported (finished or aborted) before the
         // `Cancelled` marker appears — counters derived from the stream
         // are deterministic even though the finished/aborted split is not.
+        // The faulty pair's leading X makes every basis stimulus a
+        // counterexample (orthogonal outputs), so a refutation — the
+        // simulation's or the racer's — always cancels the stage and the
+        // marker must appear.
         let g = generators::qft(6, true);
         let opt = qcirc::optimize::optimize(&g);
-        for trial in 0..5 {
-            let sink = Arc::new(CollectingSink::new());
-            let config = Config::default()
-                .with_threads(4)
-                .with_portfolio(true)
-                .with_simulations(24)
-                .with_seed(trial)
-                .with_event_sink(sink.clone());
-            let result = run_scheduled(&g, &opt, &config).unwrap();
-            assert!(result.outcome.is_equivalent(), "{}", result.outcome);
-            assert_eq!(
-                sink.simulations_finished() + sink.simulations_aborted(),
-                24,
-                "every claimed index reports exactly once"
-            );
-            let events = sink.events();
-            if let Some(pos) = events
-                .iter()
-                .position(|e| matches!(e, RunEvent::Cancelled { .. }))
-            {
-                assert!(
-                    events[pos..].iter().all(|e| !matches!(
-                        e,
-                        RunEvent::SimulationFinished { .. } | RunEvent::SimulationAborted { .. }
-                    )),
-                    "simulation events may not trail the cancellation marker"
+        let mut faulty = g.clone();
+        faulty.insert(0, qcirc::Gate::single(qcirc::GateKind::X, 3));
+        for (g_prime, equivalent) in [(&opt, true), (&faulty, false)] {
+            for trial in 0..5 {
+                let sink = Arc::new(CollectingSink::new());
+                let config = Config::default()
+                    .with_threads(4)
+                    .with_portfolio(true)
+                    .with_simulations(24)
+                    .with_seed(trial)
+                    .with_event_sink(sink.clone());
+                let result = run_scheduled(&g, g_prime, &config).unwrap();
+                assert_eq!(
+                    result.outcome.is_equivalent(),
+                    equivalent,
+                    "{}",
+                    result.outcome
                 );
+                if equivalent {
+                    assert_eq!(
+                        sink.simulations_finished() + sink.simulations_aborted(),
+                        24,
+                        "every claimed index reports exactly once"
+                    );
+                }
+                let events = sink.events();
+                let cancelled = events
+                    .iter()
+                    .position(|e| matches!(e, RunEvent::Cancelled { .. }));
+                assert!(equivalent || cancelled.is_some(), "a refutation cancels");
+                if let Some(pos) = cancelled {
+                    assert!(
+                        events[pos..].iter().all(|e| !matches!(
+                            e,
+                            RunEvent::SimulationFinished { .. }
+                                | RunEvent::SimulationAborted { .. }
+                        )),
+                        "simulation events may not trail the cancellation marker"
+                    );
+                }
             }
         }
     }

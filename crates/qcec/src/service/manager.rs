@@ -26,7 +26,6 @@ use qcirc::Circuit;
 
 use crate::flow::FlowError;
 use crate::report::json::Obj;
-use crate::report::StageTimings;
 use crate::Config;
 
 use super::cache::{CacheStats, VerdictCache};
@@ -93,7 +92,6 @@ pub struct EquivalenceCheckingManager {
     pending: Vec<Job>,
     results: Vec<JobResult>,
     lines: Vec<String>,
-    timings: StageTimings,
 }
 
 impl EquivalenceCheckingManager {
@@ -123,7 +121,6 @@ impl EquivalenceCheckingManager {
             pending: Vec::new(),
             results: Vec::new(),
             lines: Vec::new(),
-            timings: StageTimings::default(),
         }
     }
 
@@ -226,16 +223,10 @@ impl EquivalenceCheckingManager {
         let start = Instant::now();
         let completed = run_batch(&batch, &self.cache, self.workers)?;
         let wall = start.elapsed();
-        let mut new_lines = Vec::with_capacity(completed.len());
-        for result in &completed {
-            self.timings = self.timings.merged(result.timings);
-            if result.provenance.is_cached() {
-                self.timings.cache_hits += 1;
-            } else {
-                self.timings.cache_misses += 1;
-            }
-            new_lines.push(render_line(result, self.with_timings, wall));
-        }
+        let new_lines: Vec<String> = completed
+            .iter()
+            .map(|result| render_line(result, self.with_timings, wall))
+            .collect();
         if let Some(path) = &self.stream_path {
             append_lines(path, &new_lines)?;
         }
@@ -267,14 +258,6 @@ impl EquivalenceCheckingManager {
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Aggregated scheduler-event summary across every computed job, with
-    /// [`StageTimings::cache_hits`]/[`StageTimings::cache_misses`]
-    /// counting served-without-running vs computed jobs.
-    #[must_use]
-    pub fn stage_timings(&self) -> StageTimings {
-        self.timings
     }
 
     /// Reads a persisted report stream back as lines — the replay half of

@@ -15,8 +15,6 @@
 use qcirc::Circuit;
 
 use crate::flow::FlowError;
-use crate::report::StageTimings;
-use crate::scheduler::CollectingSink;
 use crate::Config;
 
 use super::cache::{CachedVerdict, VerdictCache};
@@ -84,16 +82,14 @@ pub struct JobResult {
     pub verdict: CachedVerdict,
     /// Where the verdict came from.
     pub provenance: Provenance,
-    /// Scheduler-event summary for this job (zero when the verdict was
-    /// served without running).
-    pub timings: StageTimings,
 }
 
 /// Runs a batch through the cache and the worker pool.
 ///
 /// Results come back in submission order regardless of `workers`. The
 /// cache is consulted once per *unique* key; unique misses run
-/// [`crate::check_equivalence`] and populate the cache.
+/// [`crate::check_equivalence`] under the job's own configuration (its
+/// event sink included) and populate the cache.
 ///
 /// # Errors
 ///
@@ -123,23 +119,19 @@ pub fn run_batch(
 
     // Run every unique job (cache lookup inside the worker so hits cost
     // no pool slot time beyond the probe itself).
-    let outcomes: Vec<Result<(CachedVerdict, Provenance, StageTimings), FlowError>> =
+    let outcomes: Vec<Result<(CachedVerdict, Provenance), FlowError>> =
         crate::pool::run_ordered(first_of.len(), workers, |u| {
             let job = &jobs[first_of[u]];
             if let Some(verdict) = cache.get(&job.key) {
-                return Ok((verdict, Provenance::CacheHit, StageTimings::default()));
+                return Ok((verdict, Provenance::CacheHit));
             }
-            let sink = std::sync::Arc::new(CollectingSink::new());
-            let config = job.config.clone().with_event_sink(sink.clone());
-            let result = crate::check_equivalence(&job.g, &job.g_prime, &config)?;
+            let result = crate::check_equivalence(&job.g, &job.g_prime, &job.config)?;
             let verdict = CachedVerdict::from_result(&result);
             cache.insert(job.key, verdict.clone());
-            let timings = StageTimings::from_events(&sink.events());
-            Ok((verdict, Provenance::Computed, timings))
+            Ok((verdict, Provenance::Computed))
         });
 
-    let mut unique_results: Vec<(CachedVerdict, Provenance, StageTimings)> =
-        Vec::with_capacity(outcomes.len());
+    let mut unique_results: Vec<(CachedVerdict, Provenance)> = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
         unique_results.push(outcome?);
     }
@@ -149,7 +141,7 @@ pub fn run_batch(
         .enumerate()
         .map(|(job_idx, job)| {
             let u = alias[job_idx];
-            let (verdict, provenance, timings) = &unique_results[u];
+            let (verdict, provenance) = &unique_results[u];
             let is_first = first_of[u] == job_idx;
             JobResult {
                 name: job.name.clone(),
@@ -162,11 +154,6 @@ pub fn run_batch(
                     *provenance
                 } else {
                     Provenance::Deduped
-                },
-                timings: if is_first {
-                    *timings
-                } else {
-                    StageTimings::default()
                 },
             }
         })

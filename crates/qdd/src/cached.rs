@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use qcirc::Circuit;
 
-use crate::check::{circuit_medge_within, compare_roots, Budget, DdCheckAbort, DdEquivalence};
+use crate::check::{compare_roots, Budget, DdCheckAbort, DdEquivalence};
 use crate::edge::MEdge;
 use crate::package::Package;
 
@@ -45,8 +45,6 @@ use crate::package::Package;
 pub struct CachedDd {
     package: Package,
     root: MEdge,
-    n_qubits: usize,
-    checks: usize,
 }
 
 impl CachedDd {
@@ -63,7 +61,7 @@ impl CachedDd {
         deadline: Option<Duration>,
     ) -> Result<Self, DdCheckAbort> {
         let mut package = Package::with_node_limit(golden.n_qubits(), node_limit);
-        let root = circuit_medge_within(&mut package, golden, &Budget::new(deadline), None)?;
+        let root = package.circuit_medge(golden, &Budget::new(deadline), &mut [])?;
         // Compact down to the live golden DD, then size the GC threshold to
         // it: a handle that serves many checks must collect every few
         // candidates, or the arena and hash tables balloon across checks
@@ -73,24 +71,13 @@ impl CachedDd {
         let root = roots[0];
         let live = package.stats().matrix_nodes;
         package.set_gc_threshold(live * 16 + 4_096);
-        Ok(CachedDd {
-            package,
-            root,
-            n_qubits: golden.n_qubits(),
-            checks: 0,
-        })
+        Ok(CachedDd { package, root })
     }
 
     /// The register size of the cached circuit.
     #[must_use]
     pub fn n_qubits(&self) -> usize {
-        self.n_qubits
-    }
-
-    /// How many candidate checks this handle has served.
-    #[must_use]
-    pub fn checks_served(&self) -> usize {
-        self.checks
+        self.package.n_qubits()
     }
 
     /// Checks `candidate` against the cached golden DD: builds the
@@ -116,24 +103,17 @@ impl CachedDd {
         candidate: &Circuit,
         deadline: Option<Duration>,
     ) -> Result<DdEquivalence, DdCheckAbort> {
-        assert_eq!(
-            candidate.n_qubits(),
-            self.n_qubits,
-            "candidate and cached circuit act on different registers"
-        );
         // `keep` remaps `self.root` in place across any internal GC, so the
         // golden root stays valid even when the candidate build aborts.
-        let built = circuit_medge_within(
-            &mut self.package,
+        let built = self.package.circuit_medge(
             candidate,
             &Budget::new(deadline),
-            Some(&mut self.root),
+            std::slice::from_mut(&mut self.root),
         );
         let verdict = match built {
             Ok(candidate_root) => Ok(compare_roots(&mut self.package, self.root, candidate_root)),
             Err(abort) => Err(abort),
         };
-        self.checks += 1;
         // Candidate nodes (and, after an abort, half-built garbage) pile up
         // in the arena across checks; compact down to the golden root
         // before they threaten the node budget.
@@ -176,7 +156,6 @@ mod tests {
                 crate::check_equivalence_construct(&mut p, &golden, candidate, &budget).unwrap();
             assert_eq!(cached, fresh);
         }
-        assert_eq!(cache.checks_served(), candidates.len());
     }
 
     #[test]

@@ -189,40 +189,9 @@ pub fn check_equivalence_construct(
         g_prime.n_qubits(),
         "circuits must have equal qubit counts"
     );
-    let mut u = circuit_medge_within(package, g, budget, None)?;
-    let u_prime = circuit_medge_within(package, g_prime, budget, Some(&mut u))?;
-    Ok(compare_roots(package, u, u_prime))
-}
-
-/// Builds a circuit DD within a budget, garbage-collecting as it goes.
-/// `keep` is an extra root that must survive GC; it is remapped in place so
-/// it stays valid even when the build aborts mid-circuit (a caller like
-/// `qdd::CachedDd` relies on that to keep its golden root usable after a
-/// timed-out check).
-pub(crate) fn circuit_medge_within(
-    package: &mut Package,
-    circuit: &Circuit,
-    budget: &Budget<'_>,
-    mut keep: Option<&mut crate::edge::MEdge>,
-) -> Result<crate::edge::MEdge, DdCheckAbort> {
-    let mut u = package.identity_medge();
-    for gate in circuit.gates() {
-        budget.check()?;
-        let g = package.gate_medge(gate)?;
-        u = package.mul_mm(g, u)?;
-        if package.wants_gc() {
-            let mut roots = vec![u];
-            if let Some(k) = keep.as_deref() {
-                roots.push(*k);
-            }
-            let (remapped, _) = package.compact(&roots, &[]);
-            u = remapped[0];
-            if let Some(k) = keep.as_deref_mut() {
-                *k = remapped[1];
-            }
-        }
-    }
-    Ok(u)
+    let mut keep = [package.circuit_medge(g, budget, &mut [])?];
+    let u_prime = package.circuit_medge(g_prime, budget, &mut keep)?;
+    Ok(compare_roots(package, keep[0], u_prime))
 }
 
 /// Tolerance for the drift-robust entry-wise comparison (well above the
@@ -235,7 +204,7 @@ pub(crate) fn compare_roots(
     u_prime: crate::edge::MEdge,
 ) -> DdEquivalence {
     // Fast path: canonical (pointer) equality.
-    if package.medges_equal(u, u_prime) {
+    if u == u_prime {
         return DdEquivalence::Equivalent;
     }
     if package.medges_equal_up_to_phase(u, u_prime) {
@@ -342,9 +311,9 @@ mod tests {
         // must still classify as equivalent.
         let g = generators::qft(5, true);
         let mut p = Package::new(5);
-        let u = p.circuit_medge(&g).unwrap();
+        let u = p.circuit_medge(&g, &Budget::new(None), &mut []).unwrap();
         let drifted = p.scale_medge(u, qnum::Complex::real(1.0 + 1e-11));
-        assert!(!p.medges_equal(u, drifted));
+        assert_ne!(u, drifted);
         assert!(p.medges_close(u, drifted, 1e-9).unwrap());
         let verdict = compare_roots(&mut p, u, drifted);
         assert_eq!(verdict, DdEquivalence::Equivalent);
@@ -359,7 +328,9 @@ mod tests {
         // And a real difference stays a difference.
         let mut buggy = g.clone();
         buggy.x(2);
-        let ub = p.circuit_medge(&buggy).unwrap();
+        let ub = p
+            .circuit_medge(&buggy, &Budget::new(None), &mut [])
+            .unwrap();
         assert_eq!(compare_roots(&mut p, u, ub), DdEquivalence::NotEquivalent);
     }
 
@@ -368,10 +339,12 @@ mod tests {
         let mut p = Package::new(3);
         let id = p.identity_medge();
         assert!((p.max_abs(id) - 1.0).abs() < 1e-12);
-        let u = p.circuit_medge(&generators::ghz(3)).unwrap();
+        let u = p
+            .circuit_medge(&generators::ghz(3), &Budget::new(None), &mut [])
+            .unwrap();
         // Largest amplitude of the GHZ unitary is 1/√2.
         assert!((p.max_abs(u) - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-9);
-        let sum = p.add_mm(id, id).unwrap();
+        let sum = p.add(id, id).unwrap();
         assert!((p.max_abs(sum) - 2.0).abs() < 1e-12);
     }
 
@@ -381,7 +354,7 @@ mod tests {
         // X on qubit 1: column 0 has its 1 at row 2.
         let mut c = qcirc::Circuit::new(2);
         c.x(1);
-        let u = p.circuit_medge(&c).unwrap();
+        let u = p.circuit_medge(&c, &Budget::new(None), &mut []).unwrap();
         let (row, value) = p.first_entry_in_column0(u).unwrap();
         assert_eq!(row, 2);
         assert!(value.approx_one());

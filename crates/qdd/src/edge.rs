@@ -1,4 +1,5 @@
-//! Edges and nodes of the decision diagrams.
+//! Edges and nodes of the decision diagrams, generic over the arity `K`:
+//! a matrix node has `K = 4` children, a vector node `K = 2`.
 
 use crate::complex_table::Cx;
 
@@ -19,37 +20,39 @@ impl NodeId {
     }
 }
 
-/// A weighted edge into a *matrix* DD node.
+/// A weighted edge into a DD node with `K` children.
 ///
-/// The matrix represented by an edge is `weight ·` (the node's matrix).
-/// Canonicity: after normalization and unique-table lookup, two edges
-/// represent the same matrix iff they are `==`.
+/// The matrix (`K = 4`) or vector (`K = 2`) an edge represents is
+/// `weight ·` (the node's matrix or vector). Canonicity: after
+/// normalization and unique-table lookup, two edges represent the same
+/// matrix or vector iff they are `==`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MEdge {
+pub struct Edge<const K: usize> {
     /// Target node.
     pub node: NodeId,
     /// Interned weight.
     pub weight: Cx,
 }
 
-impl MEdge {
-    /// The zero matrix (terminal with weight 0) — valid at any level.
-    pub const ZERO: MEdge = MEdge {
+impl<const K: usize> Edge<K> {
+    /// The zero matrix or vector (terminal with weight 0) — valid at any
+    /// level.
+    pub const ZERO: Self = Edge {
         node: NodeId::TERMINAL,
         weight: Cx::ZERO,
     };
 
-    /// A terminal edge with the given weight (a 1×1 "matrix", i.e. a scalar).
+    /// A terminal edge with the given weight (a scalar).
     #[inline]
     #[must_use]
     pub fn terminal(weight: Cx) -> Self {
-        MEdge {
+        Edge {
             node: NodeId::TERMINAL,
             weight,
         }
     }
 
-    /// Returns `true` if this edge denotes the zero matrix.
+    /// Returns `true` if this edge denotes the zero matrix or vector.
     #[inline]
     #[must_use]
     pub fn is_zero(self) -> bool {
@@ -57,60 +60,28 @@ impl MEdge {
     }
 }
 
-/// A weighted edge into a *vector* DD node.
+/// A DD node: the variable level it decides and its `K` child edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VEdge {
-    /// Target node.
-    pub node: NodeId,
-    /// Interned weight.
-    pub weight: Cx,
-}
-
-impl VEdge {
-    /// The zero vector.
-    pub const ZERO: VEdge = VEdge {
-        node: NodeId::TERMINAL,
-        weight: Cx::ZERO,
-    };
-
-    /// A terminal edge with the given weight (a scalar amplitude).
-    #[inline]
-    #[must_use]
-    pub fn terminal(weight: Cx) -> Self {
-        VEdge {
-            node: NodeId::TERMINAL,
-            weight,
-        }
-    }
-
-    /// Returns `true` if this edge denotes the zero vector.
-    #[inline]
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        self.weight == Cx::ZERO
-    }
-}
-
-/// A matrix DD node: variable level and the four sub-block edges in
-/// row-major order `[e00, e01, e10, e11]` (block `e_rc` is rows with qubit
-/// bit `r`, columns with qubit bit `c`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MNode {
+pub struct Node<const K: usize> {
     /// The qubit level this node decides (qubit 0 is the bottom level).
     pub var: u16,
-    /// Sub-block edges `[e00, e01, e10, e11]`.
-    pub children: [MEdge; 4],
+    /// Child edges, indexed by the qubit's bits: `[e00, e01, e10, e11]`
+    /// for a matrix (block `e_rc` is rows with bit `r`, columns with bit
+    /// `c`), `[e0, e1]` for a vector.
+    pub children: [Edge<K>; K],
 }
 
-/// A vector DD node: variable level and the two sub-vector edges
-/// `[e0, e1]` (qubit bit 0 / 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VNode {
-    /// The qubit level this node decides.
-    pub var: u16,
-    /// Sub-vector edges `[e0, e1]`.
-    pub children: [VEdge; 2],
-}
+/// A weighted edge into a matrix DD node.
+pub type MEdge = Edge<4>;
+
+/// A weighted edge into a vector DD node.
+pub type VEdge = Edge<2>;
+
+/// A matrix DD node: four sub-block edges.
+pub type MNode = Node<4>;
+
+/// A vector DD node: two sub-vector edges.
+pub type VNode = Node<2>;
 
 #[cfg(test)]
 mod tests {

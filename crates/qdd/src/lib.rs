@@ -5,7 +5,8 @@
 //!
 //! * the DD *simulator* of reference \[25\] — [`Package::apply_to_basis`]
 //!   simulates a circuit on a basis state entirely in decision-diagram
-//!   form;
+//!   form, and [`DdBackend::probe_in`] runs one stimulus through both
+//!   circuits of a pair in a pooled, reset package;
 //! * the DD *equivalence checker* of references \[21\], \[22\], \[26\] —
 //!   [`check_equivalence_construct`] builds and compares both complete
 //!   system matrices, and [`check_equivalence_alternating`] keeps a single
@@ -15,11 +16,14 @@
 //!   [`DdEquivalence`] or a [`DdCheckAbort`] — the vocabulary `qmpo`'s
 //!   MPO check shares.
 //!
-//! Canonicity (normalized, hash-consed nodes with tolerance-interned edge
-//! weights via [`ComplexTable`]) makes semantic equality a pointer
-//! comparison, which is what makes the complete check possible at all — and
-//! its exponential blow-up on unstructured circuits (node limits, timeouts)
-//! is exactly the weakness the paper's simulation-first flow exploits.
+//! States and operators are one diagram type at two arities ([`Edge`] and
+//! [`Node`] with `K = 2` and `K = 4` children), so node making, garbage
+//! collection and addition exist once for both. Canonicity (normalized,
+//! hash-consed nodes with tolerance-interned edge weights via
+//! [`ComplexTable`]) makes semantic equality a pointer comparison, which is
+//! what makes the complete check possible at all — and its exponential
+//! blow-up on unstructured circuits (node limits, timeouts) is exactly the
+//! weakness the paper's simulation-first flow exploits.
 //!
 //! # Examples
 //!
@@ -51,6 +55,6 @@ pub use alternating::{check_equivalence_alternating, ApplicationScheme, SchemeCu
 pub use cached::CachedDd;
 pub use check::{check_equivalence_construct, Budget, DdCheckAbort, DdEquivalence};
 pub use complex_table::{ComplexTable, Cx};
-pub use edge::{MEdge, MNode, NodeId, VEdge, VNode};
+pub use edge::{Edge, MEdge, MNode, Node, NodeId, VEdge, VNode};
 pub use package::{DdLimitError, Package, PackageStats};
 pub use probe::{DdBackend, DdProbeRun};

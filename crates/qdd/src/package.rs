@@ -1,14 +1,20 @@
 //! The decision-diagram package: arenas, unique tables, compute tables and
 //! the DD algebra (add, multiply, adjoint, gate construction).
+//!
+//! Matrices and vectors share one core, generic over the node arity `K`:
+//! node making, normalization, compaction copying, addition and path walks
+//! exist once and are monomorphised per arity through [`Arity`], which
+//! picks the arity's [`NodeTable`] at compile time.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use qcirc::{Gate, GateKind};
+use qcirc::{Circuit, Gate, GateKind};
 use qnum::Complex;
 
+use crate::check::{Budget, DdCheckAbort};
 use crate::complex_table::{ComplexTable, Cx};
-use crate::edge::{MEdge, MNode, NodeId, VEdge, VNode};
+use crate::edge::{Edge, MEdge, MNode, Node, NodeId, VEdge, VNode};
 
 /// Error raised when a DD operation would exceed the package's node limit —
 /// the "resource-out" analogue of the paper's timeouts (DD sizes explode on
@@ -42,6 +48,42 @@ pub struct PackageStats {
     pub complex_values: usize,
 }
 
+/// The node storage of one arity: the arena, its unique table and its
+/// addition cache.
+#[derive(Debug, Default)]
+pub struct NodeTable<const K: usize> {
+    nodes: Vec<Node<K>>,
+    unique: HashMap<Node<K>, NodeId>,
+    add_cache: HashMap<(NodeId, NodeId, Cx), Edge<K>>,
+}
+
+/// Selects the package's [`NodeTable`] for nodes with `K` children — matrices
+/// (`K = 4`) or vectors (`K = 2`) — at compile time.
+pub trait Arity<const K: usize> {
+    /// The storage of nodes with `K` children.
+    fn table(&self) -> &NodeTable<K>;
+    /// The storage of nodes with `K` children, mutably.
+    fn table_mut(&mut self) -> &mut NodeTable<K>;
+}
+
+impl Arity<4> for Package {
+    fn table(&self) -> &NodeTable<4> {
+        &self.matrices
+    }
+    fn table_mut(&mut self) -> &mut NodeTable<4> {
+        &mut self.matrices
+    }
+}
+
+impl Arity<2> for Package {
+    fn table(&self) -> &NodeTable<2> {
+        &self.vectors
+    }
+    fn table_mut(&mut self) -> &mut NodeTable<2> {
+        &mut self.vectors
+    }
+}
+
 /// A QMDD-style decision diagram package over a fixed number of qubits.
 ///
 /// Matrix DDs decompose a `2ⁿ×2ⁿ` matrix by the top qubit into four
@@ -57,12 +99,12 @@ pub struct PackageStats {
 /// # Examples
 ///
 /// ```
-/// # fn main() -> Result<(), qdd::DdLimitError> {
-/// use qdd::Package;
+/// # fn main() -> Result<(), qdd::DdCheckAbort> {
+/// use qdd::{Budget, Package};
 ///
 /// let mut p = Package::new(2);
 /// let bell = qcirc::generators::bell();
-/// let u = p.circuit_medge(&bell)?;
+/// let u = p.circuit_medge(&bell, &Budget::new(None), &mut [])?;
 /// let v = p.apply_to_basis(&bell, 0)?;
 /// assert!((p.amplitude(v, 0).abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-10);
 /// let _ = u;
@@ -73,15 +115,11 @@ pub struct PackageStats {
 pub struct Package {
     n_qubits: usize,
     ct: ComplexTable,
-    mnodes: Vec<MNode>,
-    vnodes: Vec<VNode>,
-    munique: HashMap<MNode, NodeId>,
-    vunique: HashMap<VNode, NodeId>,
+    matrices: NodeTable<4>,
+    vectors: NodeTable<2>,
     identity: Vec<MEdge>,
-    madd_cache: HashMap<(NodeId, NodeId, Cx), MEdge>,
     mmul_cache: HashMap<(NodeId, NodeId), MEdge>,
     mv_cache: HashMap<(NodeId, NodeId), VEdge>,
-    vadd_cache: HashMap<(NodeId, NodeId, Cx), VEdge>,
     adj_cache: HashMap<NodeId, MEdge>,
     ip_cache: HashMap<(NodeId, NodeId), Complex>,
     maxabs_cache: HashMap<NodeId, f64>,
@@ -120,15 +158,11 @@ impl Package {
         let mut package = Package {
             n_qubits,
             ct: ComplexTable::new(),
-            mnodes: Vec::new(),
-            vnodes: Vec::new(),
-            munique: HashMap::new(),
-            vunique: HashMap::new(),
+            matrices: NodeTable::default(),
+            vectors: NodeTable::default(),
             identity: Vec::new(),
-            madd_cache: HashMap::new(),
             mmul_cache: HashMap::new(),
             mv_cache: HashMap::new(),
-            vadd_cache: HashMap::new(),
             adj_cache: HashMap::new(),
             ip_cache: HashMap::new(),
             maxabs_cache: HashMap::new(),
@@ -143,7 +177,7 @@ impl Package {
         let mut below = MEdge::terminal(Cx::ONE);
         for level in 0..self.n_qubits {
             let e = self
-                .make_mnode(level as u16, [below, MEdge::ZERO, MEdge::ZERO, below])
+                .make_node(level as u16, [below, MEdge::ZERO, MEdge::ZERO, below])
                 .expect("identity fits any sane node limit");
             self.identity.push(e);
             below = e;
@@ -174,8 +208,8 @@ impl Package {
     #[must_use]
     pub fn stats(&self) -> PackageStats {
         PackageStats {
-            matrix_nodes: self.mnodes.len(),
-            vector_nodes: self.vnodes.len(),
+            matrix_nodes: self.matrices.nodes.len(),
+            vector_nodes: self.vectors.nodes.len(),
             complex_values: self.ct.len(),
         }
     }
@@ -189,93 +223,54 @@ impl Package {
     /// complex table is kept (weight indices stay valid).
     ///
     /// Long-running consumers ([`Package::circuit_medge`],
-    /// [`Package::apply_to_basis`], the equivalence checkers) call this
+    /// [`Package::apply_to_vedge`], the equivalence checkers) call this
     /// automatically when the arenas pass [`Package::gc_threshold`].
     pub fn compact(&mut self, mroots: &[MEdge], vroots: &[VEdge]) -> (Vec<MEdge>, Vec<VEdge>) {
-        let old_mnodes = std::mem::take(&mut self.mnodes);
-        let old_vnodes = std::mem::take(&mut self.vnodes);
-        self.munique.clear();
-        self.vunique.clear();
-        self.clear_compute_tables();
-        self.identity.clear();
-        self.build_identity_cache();
-
-        let mut mmemo: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut vmemo: HashMap<NodeId, NodeId> = HashMap::new();
+        let old_matrices = std::mem::take(&mut self.matrices.nodes);
+        let old_vectors = std::mem::take(&mut self.vectors.nodes);
+        self.restart();
+        let mut memo = HashMap::new();
         let new_mroots = mroots
             .iter()
-            .map(|&e| self.copy_medge(e, &old_mnodes, &mut mmemo))
+            .map(|&e| self.copy(e, &old_matrices, &mut memo))
             .collect();
+        memo.clear();
         let new_vroots = vroots
             .iter()
-            .map(|&e| self.copy_vedge(e, &old_vnodes, &mut vmemo))
+            .map(|&e| self.copy(e, &old_vectors, &mut memo))
             .collect();
         (new_mroots, new_vroots)
     }
 
-    fn copy_medge(
+    /// Re-creates `edge`'s subgraph from the old arena `old` in the
+    /// current one; `memo` maps old node ids to their copies.
+    fn copy<const K: usize>(
         &mut self,
-        edge: MEdge,
-        old_nodes: &[MNode],
+        edge: Edge<K>,
+        old: &[Node<K>],
         memo: &mut HashMap<NodeId, NodeId>,
-    ) -> MEdge {
+    ) -> Edge<K>
+    where
+        Self: Arity<K>,
+    {
         if edge.node.is_terminal() {
             return edge;
         }
-        if let Some(&new_id) = memo.get(&edge.node) {
-            return MEdge {
-                node: new_id,
-                weight: edge.weight,
-            };
+        if let Some(&node) = memo.get(&edge.node) {
+            return Edge { node, ..edge };
         }
-        let old = old_nodes[edge.node.0 as usize];
-        let children = [
-            self.copy_medge(old.children[0], old_nodes, memo),
-            self.copy_medge(old.children[1], old_nodes, memo),
-            self.copy_medge(old.children[2], old_nodes, memo),
-            self.copy_medge(old.children[3], old_nodes, memo),
-        ];
+        let old_node = old[edge.node.0 as usize];
+        let children = old_node.children.map(|c| self.copy(c, old, memo));
         // Children were already normalized, so re-making the node cannot
         // change weights; the arena shrank, so the limit cannot trip.
         let made = self
-            .make_mnode(old.var, children)
+            .make_node(old_node.var, children)
             .expect("compaction shrinks the arena");
         debug_assert_eq!(made.weight, Cx::ONE, "re-normalization must be trivial");
         memo.insert(edge.node, made.node);
-        MEdge {
+        Edge {
             node: made.node,
-            weight: edge.weight,
-        }
-    }
-
-    fn copy_vedge(
-        &mut self,
-        edge: VEdge,
-        old_nodes: &[VNode],
-        memo: &mut HashMap<NodeId, NodeId>,
-    ) -> VEdge {
-        if edge.node.is_terminal() {
-            return edge;
-        }
-        if let Some(&new_id) = memo.get(&edge.node) {
-            return VEdge {
-                node: new_id,
-                weight: edge.weight,
-            };
-        }
-        let old = old_nodes[edge.node.0 as usize];
-        let children = [
-            self.copy_vedge(old.children[0], old_nodes, memo),
-            self.copy_vedge(old.children[1], old_nodes, memo),
-        ];
-        let made = self
-            .make_vnode(old.var, children)
-            .expect("compaction shrinks the arena");
-        debug_assert_eq!(made.weight, Cx::ONE, "re-normalization must be trivial");
-        memo.insert(edge.node, made.node);
-        VEdge {
-            node: made.node,
-            weight: edge.weight,
+            ..edge
         }
     }
 
@@ -293,7 +288,7 @@ impl Package {
     /// Returns `true` if the arenas have outgrown the GC threshold.
     #[must_use]
     pub fn wants_gc(&self) -> bool {
-        self.mnodes.len() + self.vnodes.len() > self.gc_threshold
+        self.allocated() > self.gc_threshold
     }
 
     /// Resets the package to its freshly constructed state while keeping
@@ -308,10 +303,17 @@ impl Package {
     /// between runs. Every edge obtained before the reset is dangling.
     pub fn reset(&mut self) {
         self.ct.clear();
-        self.mnodes.clear();
-        self.vnodes.clear();
-        self.munique.clear();
-        self.vunique.clear();
+        self.matrices.nodes.clear();
+        self.vectors.nodes.clear();
+        self.restart();
+    }
+
+    /// Empties the unique and compute tables and rebuilds the identity
+    /// cache — the common tail of [`Package::reset`] and
+    /// [`Package::compact`], run once the arenas are emptied.
+    fn restart(&mut self) {
+        self.matrices.unique.clear();
+        self.vectors.unique.clear();
         self.clear_compute_tables();
         self.identity.clear();
         self.build_identity_cache();
@@ -321,10 +323,10 @@ impl Package {
     ///
     /// Useful between independent problems to keep cache lookups fast.
     pub fn clear_compute_tables(&mut self) {
-        self.madd_cache.clear();
+        self.matrices.add_cache.clear();
         self.mmul_cache.clear();
         self.mv_cache.clear();
-        self.vadd_cache.clear();
+        self.vectors.add_cache.clear();
         self.adj_cache.clear();
         self.ip_cache.clear();
         self.maxabs_cache.clear();
@@ -332,19 +334,22 @@ impl Package {
 
     // ---- node construction --------------------------------------------------
 
-    fn check_limit(&self) -> Result<(), DdLimitError> {
-        if self.mnodes.len() + self.vnodes.len() >= self.node_limit {
-            return Err(DdLimitError {
-                node_limit: self.node_limit,
-            });
-        }
-        Ok(())
+    /// Allocated nodes, both arenas combined.
+    pub(crate) fn allocated(&self) -> usize {
+        self.matrices.nodes.len() + self.vectors.nodes.len()
     }
 
-    /// Creates (or finds) the normalized, hash-consed matrix node.
-    fn make_mnode(&mut self, var: u16, children: [MEdge; 4]) -> Result<MEdge, DdLimitError> {
+    /// Creates (or finds) the normalized, hash-consed node.
+    fn make_node<const K: usize>(
+        &mut self,
+        var: u16,
+        children: [Edge<K>; K],
+    ) -> Result<Edge<K>, DdLimitError>
+    where
+        Self: Arity<K>,
+    {
         if children.iter().all(|c| c.is_zero()) {
-            return Ok(MEdge::ZERO);
+            return Ok(Edge::ZERO);
         }
         #[cfg(debug_assertions)]
         for c in &children {
@@ -353,7 +358,7 @@ impl Package {
                     debug_assert!(c.node.is_terminal(), "level-0 child must be terminal");
                 } else {
                     debug_assert!(!c.node.is_terminal(), "skipped level below var {var}");
-                    debug_assert_eq!(self.mnodes[c.node.0 as usize].var, var - 1);
+                    debug_assert_eq!(self.node::<K>(c.node).var, var - 1);
                 }
             }
         }
@@ -366,114 +371,35 @@ impl Package {
                 c.weight = self.ct.div(c.weight, norm);
             }
         }
-        let node = MNode {
+        let node = Node {
             var,
             children: normalized,
         };
-        let id = if let Some(&id) = self.munique.get(&node) {
+        let id = if let Some(&id) = self.table().unique.get(&node) {
             id
         } else {
-            self.check_limit()?;
-            let id = NodeId(u32::try_from(self.mnodes.len()).expect("arena index overflow"));
-            self.mnodes.push(node);
-            self.munique.insert(node, id);
+            if self.allocated() >= self.node_limit {
+                return Err(DdLimitError {
+                    node_limit: self.node_limit,
+                });
+            }
+            let table = self.table_mut();
+            let id = NodeId(u32::try_from(table.nodes.len()).expect("arena index overflow"));
+            table.nodes.push(node);
+            table.unique.insert(node, id);
             id
         };
-        Ok(MEdge {
+        Ok(Edge {
             node: id,
             weight: norm,
         })
     }
 
-    /// Creates (or finds) the normalized, hash-consed vector node.
-    fn make_vnode(&mut self, var: u16, children: [VEdge; 2]) -> Result<VEdge, DdLimitError> {
-        if children.iter().all(|c| c.is_zero()) {
-            return Ok(VEdge::ZERO);
-        }
-        #[cfg(debug_assertions)]
-        for c in &children {
-            if !c.is_zero() {
-                if var == 0 {
-                    debug_assert!(c.node.is_terminal(), "level-0 child must be terminal");
-                } else {
-                    debug_assert!(!c.node.is_terminal(), "skipped level below var {var}");
-                    debug_assert_eq!(self.vnodes[c.node.0 as usize].var, var - 1);
-                }
-            }
-        }
-        let norm_idx = max_weight_index(&self.ct, children.iter().map(|c| c.weight));
-        let norm = children[norm_idx].weight;
-        let mut normalized = children;
-        for c in &mut normalized {
-            if !c.is_zero() {
-                c.weight = self.ct.div(c.weight, norm);
-            }
-        }
-        let node = VNode {
-            var,
-            children: normalized,
-        };
-        let id = if let Some(&id) = self.vunique.get(&node) {
-            id
-        } else {
-            self.check_limit()?;
-            let id = NodeId(u32::try_from(self.vnodes.len()).expect("arena index overflow"));
-            self.vnodes.push(node);
-            self.vunique.insert(node, id);
-            id
-        };
-        Ok(VEdge {
-            node: id,
-            weight: norm,
-        })
-    }
-
-    fn mnode(&self, id: NodeId) -> &MNode {
-        &self.mnodes[id.0 as usize]
-    }
-
-    fn vnode(&self, id: NodeId) -> &VNode {
-        &self.vnodes[id.0 as usize]
-    }
-
-    /// The four sub-block edges of a matrix node (`[e00, e01, e10, e11]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is the terminal or not a live matrix node.
-    #[must_use]
-    pub fn mnode_children(&self, id: NodeId) -> [MEdge; 4] {
-        self.mnode(id).children
-    }
-
-    /// The variable level a matrix node decides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is the terminal or not a live matrix node.
-    #[must_use]
-    pub fn mnode_var(&self, id: NodeId) -> u16 {
-        self.mnode(id).var
-    }
-
-    /// The two sub-vector edges of a vector node (`[e0, e1]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is the terminal or not a live vector node.
-    #[must_use]
-    pub fn vnode_children(&self, id: NodeId) -> [VEdge; 2] {
-        self.vnode(id).children
-    }
-
-    /// The variable level a vector node decides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is the terminal or not a live vector node.
-    #[must_use]
-    pub fn vnode_var(&self, id: NodeId) -> u16 {
-        self.vnode(id).var
+    fn node<const K: usize>(&self, id: NodeId) -> &Node<K>
+    where
+        Self: Arity<K>,
+    {
+        &self.table().nodes[id.0 as usize]
     }
 
     // ---- gate construction --------------------------------------------------
@@ -528,31 +454,31 @@ impl Package {
                     let below_id = self.identity_below(z);
                     if is_control(z) {
                         em = [
-                            self.make_mnode(z as u16, [below_id, MEdge::ZERO, MEdge::ZERO, em[0]])?,
-                            self.make_mnode(
+                            self.make_node(z as u16, [below_id, MEdge::ZERO, MEdge::ZERO, em[0]])?,
+                            self.make_node(
                                 z as u16,
                                 [MEdge::ZERO, MEdge::ZERO, MEdge::ZERO, em[1]],
                             )?,
-                            self.make_mnode(
+                            self.make_node(
                                 z as u16,
                                 [MEdge::ZERO, MEdge::ZERO, MEdge::ZERO, em[2]],
                             )?,
-                            self.make_mnode(z as u16, [below_id, MEdge::ZERO, MEdge::ZERO, em[3]])?,
+                            self.make_node(z as u16, [below_id, MEdge::ZERO, MEdge::ZERO, em[3]])?,
                         ];
                     } else {
                         for e in &mut em {
-                            *e = self.make_mnode(z as u16, [*e, MEdge::ZERO, MEdge::ZERO, *e])?;
+                            *e = self.make_node(z as u16, [*e, MEdge::ZERO, MEdge::ZERO, *e])?;
                         }
                     }
                 }
-                let mut e = self.make_mnode(target as u16, em)?;
+                let mut e = self.make_node(target as u16, em)?;
                 // Levels above the target.
                 for z in target + 1..self.n_qubits {
                     if is_control(z) {
                         let below_id = self.identity_below(z);
-                        e = self.make_mnode(z as u16, [below_id, MEdge::ZERO, MEdge::ZERO, e])?;
+                        e = self.make_node(z as u16, [below_id, MEdge::ZERO, MEdge::ZERO, e])?;
                     } else {
-                        e = self.make_mnode(z as u16, [e, MEdge::ZERO, MEdge::ZERO, e])?;
+                        e = self.make_node(z as u16, [e, MEdge::ZERO, MEdge::ZERO, e])?;
                     }
                 }
                 Ok(e)
@@ -569,16 +495,29 @@ impl Package {
         }
     }
 
-    /// Builds the full system matrix DD `U = U_{m−1} ⋯ U₀` of a circuit.
+    /// Builds the full system matrix DD `U = U_{m−1} ⋯ U₀` of a circuit,
+    /// polling `budget` before every gate and garbage-collecting as it
+    /// goes.
+    ///
+    /// Each edge in `keep` rides along as a GC root and is remapped in
+    /// place, so it stays valid after the build — also after one that
+    /// aborts mid-circuit, which a caller holding a long-lived root (like
+    /// [`CachedDd`](crate::CachedDd)'s golden DD) relies on.
     ///
     /// # Errors
     ///
-    /// Returns [`DdLimitError`] if the node limit is exceeded.
+    /// Returns [`DdCheckAbort`] on timeout, cancellation or node-limit
+    /// exhaustion.
     ///
     /// # Panics
     ///
     /// Panics if the circuit's qubit count differs from the package's.
-    pub fn circuit_medge(&mut self, circuit: &qcirc::Circuit) -> Result<MEdge, DdLimitError> {
+    pub fn circuit_medge(
+        &mut self,
+        circuit: &Circuit,
+        budget: &Budget<'_>,
+        keep: &mut [MEdge],
+    ) -> Result<MEdge, DdCheckAbort> {
         assert_eq!(
             circuit.n_qubits(),
             self.n_qubits,
@@ -586,24 +525,29 @@ impl Package {
         );
         let mut u = self.identity_medge();
         for gate in circuit.gates() {
+            budget.check()?;
             let g = self.gate_medge(gate)?;
             u = self.mul_mm(g, u)?;
             if self.wants_gc() {
-                let (mroots, _) = self.compact(&[u], &[]);
-                u = mroots[0];
+                let (roots, _) = self.compact(&[&[u][..], &*keep].concat(), &[]);
+                u = roots[0];
+                keep.copy_from_slice(&roots[1..]);
             }
         }
         Ok(u)
     }
 
-    // ---- matrix algebra -------------------------------------------------------
+    // ---- algebra --------------------------------------------------------------
 
-    /// Matrix addition `a + b`.
+    /// Addition `a + b` of two matrices or two vectors.
     ///
     /// # Errors
     ///
     /// Returns [`DdLimitError`] if the node limit is exceeded.
-    pub fn add_mm(&mut self, a: MEdge, b: MEdge) -> Result<MEdge, DdLimitError> {
+    pub fn add<const K: usize>(&mut self, a: Edge<K>, b: Edge<K>) -> Result<Edge<K>, DdLimitError>
+    where
+        Self: Arity<K>,
+    {
         if a.is_zero() {
             return Ok(b);
         }
@@ -611,7 +555,7 @@ impl Package {
             return Ok(a);
         }
         if a.node.is_terminal() && b.node.is_terminal() {
-            return Ok(MEdge::terminal(self.ct.add(a.weight, b.weight)));
+            return Ok(Edge::terminal(self.ct.add(a.weight, b.weight)));
         }
         debug_assert!(!a.node.is_terminal() && !b.node.is_terminal());
         // Canonical operand order (addition commutes).
@@ -622,27 +566,28 @@ impl Package {
         };
         // Factor a's weight out: result = a.w · (A₁ + (b.w/a.w)·B₁).
         let rel = self.ct.div(b.weight, a.weight);
-        if let Some(&cached) = self.madd_cache.get(&(a.node, b.node, rel)) {
-            return Ok(MEdge {
+        if let Some(&cached) = self.table().add_cache.get(&(a.node, b.node, rel)) {
+            return Ok(Edge {
                 node: cached.node,
                 weight: self.ct.mul(a.weight, cached.weight),
             });
         }
-        let an = *self.mnode(a.node);
-        let bn = *self.mnode(b.node);
+        let an: Node<K> = *self.node(a.node);
+        let bn: Node<K> = *self.node(b.node);
         debug_assert_eq!(an.var, bn.var, "misaligned add");
-        let mut children = [MEdge::ZERO; 4];
+        let mut children = [Edge::ZERO; K];
         for ((child, &ac), &bc) in children.iter_mut().zip(&an.children).zip(&bn.children) {
-            let bw = self.ct.mul(bc.weight, rel);
-            let b_child = MEdge {
+            let b_child = Edge {
                 node: bc.node,
-                weight: bw,
+                weight: self.ct.mul(bc.weight, rel),
             };
-            *child = self.add_mm(ac, b_child)?;
+            *child = self.add(ac, b_child)?;
         }
-        let result = self.make_mnode(an.var, children)?;
-        self.madd_cache.insert((a.node, b.node, rel), result);
-        Ok(MEdge {
+        let result = self.make_node(an.var, children)?;
+        self.table_mut()
+            .add_cache
+            .insert((a.node, b.node, rel), result);
+        Ok(Edge {
             node: result.node,
             weight: self.ct.mul(a.weight, result.weight),
         })
@@ -668,18 +613,18 @@ impl Package {
                 weight: self.ct.mul(w, cached.weight),
             });
         }
-        let an = *self.mnode(a.node);
-        let bn = *self.mnode(b.node);
+        let an: MNode = *self.node(a.node);
+        let bn: MNode = *self.node(b.node);
         debug_assert_eq!(an.var, bn.var, "misaligned multiply");
         let mut children = [MEdge::ZERO; 4];
         for row in 0..2 {
             for col in 0..2 {
                 let p0 = self.mul_mm(an.children[row * 2], bn.children[col])?;
                 let p1 = self.mul_mm(an.children[row * 2 + 1], bn.children[2 + col])?;
-                children[row * 2 + col] = self.add_mm(p0, p1)?;
+                children[row * 2 + col] = self.add(p0, p1)?;
             }
         }
-        let result = self.make_mnode(an.var, children)?;
+        let result = self.make_node(an.var, children)?;
         self.mmul_cache.insert((a.node, b.node), result);
         Ok(MEdge {
             node: result.node,
@@ -706,22 +651,20 @@ impl Package {
                 weight: self.ct.mul(w, cached.weight),
             });
         }
-        let an = *self.mnode(a.node);
+        let an: MNode = *self.node(a.node);
         let children = [
             self.adjoint(an.children[0])?,
             self.adjoint(an.children[2])?,
             self.adjoint(an.children[1])?,
             self.adjoint(an.children[3])?,
         ];
-        let result = self.make_mnode(an.var, children)?;
+        let result = self.make_node(an.var, children)?;
         self.adj_cache.insert(a.node, result);
         Ok(MEdge {
             node: result.node,
             weight: self.ct.mul(w, result.weight),
         })
     }
-
-    // ---- vector algebra -------------------------------------------------------
 
     /// Builds the basis-state vector DD `|i⟩`.
     ///
@@ -748,94 +691,9 @@ impl Package {
             } else {
                 [VEdge::ZERO, e]
             };
-            e = self.make_vnode(z as u16, children)?;
+            e = self.make_node(z as u16, children)?;
         }
         Ok(e)
-    }
-
-    /// Builds a vector DD from a dense amplitude array (length `2ⁿ`),
-    /// recursively splitting on the top qubit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdLimitError`] if the node limit is exceeded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitudes.len() != 2ⁿ`.
-    pub fn vedge_from_amplitudes(&mut self, amplitudes: &[Complex]) -> Result<VEdge, DdLimitError> {
-        assert_eq!(
-            amplitudes.len(),
-            1usize << self.n_qubits,
-            "amplitude count must be 2^n"
-        );
-        self.vedge_from_slice(amplitudes, self.n_qubits)
-    }
-
-    fn vedge_from_slice(&mut self, amps: &[Complex], levels: usize) -> Result<VEdge, DdLimitError> {
-        if levels == 0 {
-            let a = amps[0];
-            if a.approx_zero() {
-                return Ok(VEdge::ZERO);
-            }
-            return Ok(VEdge::terminal(self.ct.intern(a)));
-        }
-        let half = amps.len() / 2;
-        // Qubit `levels-1` is the most significant bit of the index: the
-        // low half of the array has it 0, the high half 1.
-        let lo = self.vedge_from_slice(&amps[..half], levels - 1)?;
-        let hi = self.vedge_from_slice(&amps[half..], levels - 1)?;
-        self.make_vnode((levels - 1) as u16, [lo, hi])
-    }
-
-    /// Vector addition `a + b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdLimitError`] if the node limit is exceeded.
-    pub fn add_vv(&mut self, a: VEdge, b: VEdge) -> Result<VEdge, DdLimitError> {
-        if a.is_zero() {
-            return Ok(b);
-        }
-        if b.is_zero() {
-            return Ok(a);
-        }
-        if a.node.is_terminal() && b.node.is_terminal() {
-            return Ok(VEdge::terminal(self.ct.add(a.weight, b.weight)));
-        }
-        debug_assert!(!a.node.is_terminal() && !b.node.is_terminal());
-        let (a, b) = if (b.node, b.weight) < (a.node, a.weight) {
-            (b, a)
-        } else {
-            (a, b)
-        };
-        let rel = self.ct.div(b.weight, a.weight);
-        if let Some(&cached) = self.vadd_cache.get(&(a.node, b.node, rel)) {
-            return Ok(VEdge {
-                node: cached.node,
-                weight: self.ct.mul(a.weight, cached.weight),
-            });
-        }
-        let an = *self.vnode(a.node);
-        let bn = *self.vnode(b.node);
-        debug_assert_eq!(an.var, bn.var, "misaligned vector add");
-        let mut children = [VEdge::ZERO; 2];
-        for ((child, &ac), &bc) in children.iter_mut().zip(&an.children).zip(&bn.children) {
-            let bw = self.ct.mul(bc.weight, rel);
-            *child = self.add_vv(
-                ac,
-                VEdge {
-                    node: bc.node,
-                    weight: bw,
-                },
-            )?;
-        }
-        let result = self.make_vnode(an.var, children)?;
-        self.vadd_cache.insert((a.node, b.node, rel), result);
-        Ok(VEdge {
-            node: result.node,
-            weight: self.ct.mul(a.weight, result.weight),
-        })
     }
 
     /// Matrix-vector product `m · v` — one simulation step.
@@ -858,16 +716,16 @@ impl Package {
                 weight: self.ct.mul(w, cached.weight),
             });
         }
-        let mn = *self.mnode(m.node);
-        let vn = *self.vnode(v.node);
+        let mn: MNode = *self.node(m.node);
+        let vn: VNode = *self.node(v.node);
         debug_assert_eq!(mn.var, vn.var, "misaligned matrix-vector multiply");
         let mut children = [VEdge::ZERO; 2];
         for (row, child) in children.iter_mut().enumerate() {
             let p0 = self.mul_mv(mn.children[row * 2], vn.children[0])?;
             let p1 = self.mul_mv(mn.children[row * 2 + 1], vn.children[1])?;
-            *child = self.add_vv(p0, p1)?;
+            *child = self.add(p0, p1)?;
         }
-        let result = self.make_vnode(mn.var, children)?;
+        let result = self.make_node(mn.var, children)?;
         self.mv_cache.insert((m.node, v.node), result);
         Ok(VEdge {
             node: result.node,
@@ -885,13 +743,9 @@ impl Package {
     /// # Panics
     ///
     /// Panics if the circuit's qubit count differs from the package's.
-    pub fn apply_to_basis(
-        &mut self,
-        circuit: &qcirc::Circuit,
-        basis: u64,
-    ) -> Result<VEdge, DdLimitError> {
+    pub fn apply_to_basis(&mut self, circuit: &Circuit, basis: u64) -> Result<VEdge, DdLimitError> {
         let v = self.basis_vedge(basis)?;
-        self.apply_to_vedge(circuit, v)
+        self.apply_to_vedge(circuit, v, &mut [])
     }
 
     /// Applies a circuit to an arbitrary vector DD — the general form of
@@ -899,10 +753,12 @@ impl Package {
     /// the output of a preparation circuit (e.g. a stabilizer stimulus).
     ///
     /// The pass garbage-collects when the arena outgrows the threshold,
-    /// which **invalidates every other edge the caller holds** — any edge
-    /// that must survive the pass (the initial state for a second pass,
-    /// the first pass's output) has to ride along as a keep root via
-    /// [`Package::apply_to_vedge_keeping`].
+    /// which invalidates every edge the caller holds outside `keep`: each
+    /// edge in `keep` rides along as a GC root and is remapped in place,
+    /// so it stays valid after the pass. An edge held past the pass
+    /// without that protection (the initial state for a second pass, the
+    /// first pass's output) would point into the old arena — a stale
+    /// [`NodeId`] that aliases an unrelated node or indexes out of bounds.
     ///
     /// # Errors
     ///
@@ -913,29 +769,7 @@ impl Package {
     /// Panics if the circuit's qubit count differs from the package's.
     pub fn apply_to_vedge(
         &mut self,
-        circuit: &qcirc::Circuit,
-        initial: VEdge,
-    ) -> Result<VEdge, DdLimitError> {
-        self.apply_to_vedge_keeping(circuit, initial, &mut [])
-    }
-
-    /// [`Package::apply_to_vedge`], keeping the caller's extra edges alive
-    /// across internal garbage collections: each edge in `keep` is passed
-    /// as a GC root and remapped in place, so it stays valid after the
-    /// pass. Without this, a mid-pass `compact` leaves caller-held edges
-    /// pointing into the old arena — a stale [`NodeId`](crate::NodeId)
-    /// that aliases an unrelated node or indexes out of bounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdLimitError`] if the node limit is exceeded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit's qubit count differs from the package's.
-    pub fn apply_to_vedge_keeping(
-        &mut self,
-        circuit: &qcirc::Circuit,
+        circuit: &Circuit,
         initial: VEdge,
         keep: &mut [VEdge],
     ) -> Result<VEdge, DdLimitError> {
@@ -949,15 +783,36 @@ impl Package {
             let g = self.gate_medge(gate)?;
             v = self.mul_mv(g, v)?;
             if self.wants_gc() {
-                let mut roots = Vec::with_capacity(keep.len() + 1);
-                roots.push(v);
-                roots.extend_from_slice(keep);
-                let (_, vroots) = self.compact(&[], &roots);
-                v = vroots[0];
-                keep.copy_from_slice(&vroots[1..]);
+                let (_, roots) = self.compact(&[], &[&[v][..], &*keep].concat());
+                v = roots[0];
+                keep.copy_from_slice(&roots[1..]);
             }
         }
         Ok(v)
+    }
+
+    /// The value at the end of one root-to-terminal path: the product of
+    /// the edge weights along it, where `child(level)` picks the child
+    /// taken at each level; zero once the path meets a zero edge.
+    fn path_value<const K: usize>(&self, e: Edge<K>, child: impl Fn(usize) -> usize) -> Complex
+    where
+        Self: Arity<K>,
+    {
+        if e.is_zero() {
+            return Complex::ZERO;
+        }
+        let mut w = self.ct.value(e.weight);
+        let mut node = e.node;
+        while !node.is_terminal() {
+            let n = self.node::<K>(node);
+            let c = n.children[child(n.var as usize)];
+            if c.is_zero() {
+                return Complex::ZERO;
+            }
+            w *= self.ct.value(c.weight);
+            node = c.node;
+        }
+        w
     }
 
     /// The amplitude `⟨basis|v⟩` of a vector DD.
@@ -971,19 +826,7 @@ impl Package {
             (basis >> self.n_qubits) == 0,
             "basis state {basis} out of range"
         );
-        let mut w = self.ct.value(v.weight);
-        let mut node = v.node;
-        while !node.is_terminal() {
-            let n = self.vnode(node);
-            let level = n.var as usize;
-            let child = n.children[((basis >> level) & 1) as usize];
-            if child.is_zero() {
-                return Complex::ZERO;
-            }
-            w *= self.ct.value(child.weight);
-            node = child.node;
-        }
-        w
+        self.path_value(v, |level| ((basis >> level) & 1) as usize)
     }
 
     /// Expands a vector DD into a dense amplitude vector (tests and tiny
@@ -997,11 +840,6 @@ impl Package {
         assert!(self.n_qubits <= 20, "dense expansion limited to 20 qubits");
         let dim = 1usize << self.n_qubits;
         (0..dim as u64).map(|i| self.amplitude(v, i)).collect()
-    }
-
-    /// The squared norm `⟨v|v⟩` of a vector DD (1 for simulation outputs).
-    pub fn vector_norm_sqr(&mut self, v: VEdge) -> f64 {
-        self.inner_product(v, v).re
     }
 
     /// Samples one full-register measurement outcome from a vector DD
@@ -1018,7 +856,7 @@ impl Package {
         let mut outcome = 0u64;
         let mut node = v.node;
         while !node.is_terminal() {
-            let n = *self.vnode(node);
+            let n: VNode = *self.node(node);
             let weight = |p: &mut Self, e: VEdge| -> f64 {
                 if e.is_zero() {
                     0.0
@@ -1069,8 +907,8 @@ impl Package {
         if let Some(&cached) = self.ip_cache.get(&(a.node, b.node)) {
             return factor * cached;
         }
-        let an = *self.vnode(a.node);
-        let bn = *self.vnode(b.node);
+        let an: VNode = *self.node(a.node);
+        let bn: VNode = *self.node(b.node);
         debug_assert_eq!(an.var, bn.var, "misaligned inner product");
         let mut sum = Complex::ZERO;
         for i in 0..2 {
@@ -1080,13 +918,7 @@ impl Package {
         factor * sum
     }
 
-    // ---- equality -------------------------------------------------------------
-
-    /// Exact (structural = semantic) equality of matrix DDs.
-    #[must_use]
-    pub fn medges_equal(&self, a: MEdge, b: MEdge) -> bool {
-        a == b
-    }
+    // ---- comparison -----------------------------------------------------------
 
     /// The largest entry magnitude `max_{ij} |M_{ij}|` of a matrix DD,
     /// computed recursively (memoized per node).
@@ -1104,7 +936,7 @@ impl Package {
         if let Some(&cached) = self.maxabs_cache.get(&node) {
             return cached;
         }
-        let children = self.mnode(node).children;
+        let children = self.node::<4>(node).children;
         let mut best = 0.0f64;
         for c in children {
             if c.is_zero() {
@@ -1152,7 +984,7 @@ impl Package {
             return Ok(true);
         }
         let minus_b = self.scale_medge(b, Complex::real(-1.0));
-        let diff = self.add_mm(a, minus_b)?;
+        let diff = self.add(a, minus_b)?;
         Ok(self.max_abs(diff) <= tolerance)
     }
 
@@ -1167,7 +999,7 @@ impl Package {
         let mut node = e.node;
         let mut row = 0u64;
         while !node.is_terminal() {
-            let n = self.mnode(node);
+            let n: &MNode = self.node(node);
             // Column bit is 0 at every level; prefer the row-0 block.
             let (child, bit) = if !n.children[0].is_zero() {
                 (n.children[0], 0u64)
@@ -1196,25 +1028,6 @@ impl Package {
         e == self.identity_medge()
     }
 
-    /// Returns `true` if the matrix DD is the identity up to a global phase.
-    #[must_use]
-    pub fn is_identity_up_to_phase(&self, e: MEdge) -> bool {
-        self.medges_equal_up_to_phase(e, self.identity_medge())
-    }
-
-    /// Exact equality of vector DDs.
-    #[must_use]
-    pub fn vedges_equal(&self, a: VEdge, b: VEdge) -> bool {
-        a == b
-    }
-
-    /// Equality of vector DDs up to one global phase factor.
-    #[must_use]
-    pub fn vedges_equal_up_to_phase(&self, a: VEdge, b: VEdge) -> bool {
-        a.node == b.node
-            && qnum::approx::approx_eq(self.ct.value(a.weight).abs(), self.ct.value(b.weight).abs())
-    }
-
     /// Expands a matrix DD into a dense matrix (tests and the Fig. 1
     /// reproduction only).
     ///
@@ -1228,33 +1041,12 @@ impl Package {
         let dim = 1usize << self.n_qubits;
         for row in 0..dim {
             for col in 0..dim {
-                m.set(row, col, self.matrix_entry(e, row, col));
+                let entry =
+                    self.path_value(e, |level| ((row >> level) & 1) * 2 + ((col >> level) & 1));
+                m.set(row, col, entry);
             }
         }
         m
-    }
-
-    /// A single matrix entry `⟨row|M|col⟩` of a matrix DD.
-    #[must_use]
-    fn matrix_entry(&self, e: MEdge, row: usize, col: usize) -> Complex {
-        let mut w = self.ct.value(e.weight);
-        if e.is_zero() {
-            return Complex::ZERO;
-        }
-        let mut node = e.node;
-        while !node.is_terminal() {
-            let n = self.mnode(node);
-            let level = n.var as usize;
-            let r = (row >> level) & 1;
-            let c = (col >> level) & 1;
-            let child = n.children[r * 2 + c];
-            if child.is_zero() {
-                return Complex::ZERO;
-            }
-            w *= self.ct.value(child.weight);
-            node = child.node;
-        }
-        w
     }
 }
 
@@ -1289,7 +1081,11 @@ fn max_weight_index(ct: &ComplexTable, weights: impl Iterator<Item = Cx>) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcirc::{generators, Circuit};
+    use qcirc::generators;
+
+    fn build(p: &mut Package, c: &Circuit) -> MEdge {
+        p.circuit_medge(c, &Budget::new(None), &mut []).unwrap()
+    }
 
     #[test]
     fn identity_dd_matches_dense() {
@@ -1329,7 +1125,7 @@ mod tests {
         for seed in 0..4 {
             let c = generators::random_clifford_t(4, 40, seed);
             let mut p = Package::new(4);
-            let u = p.circuit_medge(&c).unwrap();
+            let u = build(&mut p, &c);
             assert!(
                 p.to_matrix(u).approx_eq(&qcirc::dense::unitary(&c)),
                 "seed {seed}"
@@ -1341,18 +1137,18 @@ mod tests {
     fn equal_circuits_share_one_canonical_edge() {
         let c = generators::qft(4, true);
         let mut p = Package::new(4);
-        let u1 = p.circuit_medge(&c).unwrap();
-        let u2 = p.circuit_medge(&c).unwrap();
+        let u1 = build(&mut p, &c);
+        let u2 = build(&mut p, &c);
         assert_eq!(u1, u2, "canonical DDs must be pointer-identical");
     }
 
     #[test]
     fn different_circuits_have_different_edges() {
         let mut p = Package::new(3);
-        let a = p.circuit_medge(&generators::ghz(3)).unwrap();
+        let a = build(&mut p, &generators::ghz(3));
         let mut buggy = generators::ghz(3);
         buggy.x(1);
-        let b = p.circuit_medge(&buggy).unwrap();
+        let b = build(&mut p, &buggy);
         assert_ne!(a, b);
     }
 
@@ -1360,10 +1156,9 @@ mod tests {
     fn adjoint_inverts_unitary_dds() {
         let c = generators::random_clifford_t(4, 30, 9);
         let mut p = Package::new(4);
-        let u = p.circuit_medge(&c).unwrap();
+        let u = build(&mut p, &c);
         let udag = p.adjoint(u).unwrap();
         let prod = p.mul_mm(udag, u).unwrap();
-        assert!(p.is_identity_up_to_phase(prod));
         assert!(p.is_identity(prod), "U†U must be exactly I");
     }
 
@@ -1371,7 +1166,7 @@ mod tests {
     fn add_and_scalar_structure() {
         let mut p = Package::new(2);
         let id = p.identity_medge();
-        let sum = p.add_mm(id, id).unwrap();
+        let sum = p.add(id, id).unwrap();
         // I + I = 2I: same node, weight 2.
         assert_eq!(sum.node, id.node);
         assert!(p.weight_value(sum.weight).approx_eq(Complex::real(2.0)));
@@ -1388,7 +1183,7 @@ mod tests {
             .sdg(1)
             .swap(0, 1);
         let mut p = Package::new(3);
-        let u = p.circuit_medge(&c).unwrap();
+        let u = build(&mut p, &c);
         assert!(p.to_matrix(u).approx_eq(&qcirc::dense::unitary(&c)));
     }
 
@@ -1455,50 +1250,12 @@ mod tests {
     }
 
     #[test]
-    fn vector_phase_equality() {
-        let mut p = Package::new(2);
-        let mut a = Circuit::new(2);
-        a.h(0).cx(0, 1);
-        let mut b = a.clone();
-        b.rz(2.0 * std::f64::consts::PI, 0); // −1 global phase on the support
-        let va = p.apply_to_basis(&a, 0).unwrap();
-        let vb = p.apply_to_basis(&b, 0).unwrap();
-        assert!(!p.vedges_equal(va, vb));
-        assert!(p.vedges_equal_up_to_phase(va, vb));
-    }
-
-    #[test]
-    fn vedge_from_amplitudes_roundtrips() {
-        let mut p = Package::new(3);
-        let c = generators::qft(3, true);
-        let sv = qsim::Simulator::new().run_basis(&c, 5);
-        let v = p.vedge_from_amplitudes(sv.amplitudes()).unwrap();
-        for (i, amp) in p.to_statevector(v).iter().enumerate() {
-            assert!(amp.approx_eq(sv.amplitudes()[i]), "index {i}");
-        }
-        // Canonicity across construction paths: the DD built from dense
-        // amplitudes equals the DD built by simulation.
-        let direct = p.apply_to_basis(&c, 5).unwrap();
-        assert_eq!(v, direct);
-    }
-
-    #[test]
-    fn vedge_from_amplitudes_handles_sparsity() {
-        let mut p = Package::new(4);
-        let mut amps = vec![Complex::ZERO; 16];
-        amps[9] = Complex::ONE;
-        let v = p.vedge_from_amplitudes(&amps).unwrap();
-        let basis = p.basis_vedge(9).unwrap();
-        assert_eq!(v, basis);
-    }
-
-    #[test]
     fn dd_sampling_matches_the_distribution() {
         use rand::SeedableRng;
         // GHZ: outcomes must be all-zeros or all-ones, roughly balanced.
         let mut p = Package::new(6);
         let v = p.apply_to_basis(&generators::ghz(6), 0).unwrap();
-        assert!((p.vector_norm_sqr(v) - 1.0).abs() < 1e-9);
+        assert!((p.inner_product(v, v).re - 1.0).abs() < 1e-9);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut ones = 0;
         let trials = 400;
@@ -1541,17 +1298,22 @@ mod tests {
         let mut p = Package::with_node_limit(12, 40);
         // A supremacy-style circuit blows past 40 nodes immediately.
         let c = generators::supremacy_2d(3, 4, 8, 1);
-        let err = p.circuit_medge(&c).unwrap_err();
-        assert_eq!(err.node_limit, 40);
+        let err = p
+            .circuit_medge(&c, &Budget::new(None), &mut [])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DdCheckAbort::NodeLimit(DdLimitError { node_limit: 40 })
+        );
         assert!(err.to_string().contains("node limit"));
     }
 
     #[test]
     fn clear_compute_tables_keeps_results_valid() {
         let mut p = Package::new(3);
-        let u1 = p.circuit_medge(&generators::ghz(3)).unwrap();
+        let u1 = build(&mut p, &generators::ghz(3));
         p.clear_compute_tables();
-        let u2 = p.circuit_medge(&generators::ghz(3)).unwrap();
+        let u2 = build(&mut p, &generators::ghz(3));
         assert_eq!(u1, u2);
     }
 
@@ -1559,7 +1321,7 @@ mod tests {
     fn compact_preserves_semantics_and_shrinks() {
         let c = generators::qft(6, true);
         let mut p = Package::new(6);
-        let u = p.circuit_medge(&c).unwrap();
+        let u = build(&mut p, &c);
         let dense_before = p.to_matrix(u);
         let v = p.apply_to_basis(&c, 5).unwrap();
         let amps_before = p.to_statevector(v);
@@ -1575,7 +1337,7 @@ mod tests {
         }
         // Remapped edges stay canonical: rebuilding the circuit after the
         // collection yields the same edge again.
-        let u2 = p.circuit_medge(&c).unwrap();
+        let u2 = build(&mut p, &c);
         assert_eq!(u2, mroots[0]);
     }
 
@@ -1609,7 +1371,7 @@ mod tests {
     fn stats_grow_with_work() {
         let mut p = Package::new(4);
         let before = p.stats();
-        let _ = p.circuit_medge(&generators::qft(4, false)).unwrap();
+        let _ = build(&mut p, &generators::qft(4, false));
         let after = p.stats();
         assert!(after.matrix_nodes > before.matrix_nodes);
         assert!(after.complex_values > before.complex_values);

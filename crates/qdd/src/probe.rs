@@ -1,36 +1,43 @@
 //! Decision-diagram stimulus probes: the DD analogue of `qsim`'s
 //! statevector equivalence probe.
 //!
-//! One probe simulates a stimulus through both circuits as vector-edge
-//! passes ([`Package::apply_to_vedge`]) in a *fresh* package and compares
-//! the two output edges. A fresh package per run keeps the probe a pure
-//! function of `(circuits, stimulus)`: reusing a package across runs would
-//! make interned edge weights — and thus bitwise overlap values — depend on
-//! which stimuli were probed before, scheduling-dependent numerics that a
-//! deterministic worker pool cannot afford. Garbage collection still
-//! happens *within* a run ([`Package::wants_gc`] fires inside
-//! `apply_to_vedge` whenever live nodes cross the threshold), so long
-//! circuits do not accumulate dead nodes; dropping the package at the end
-//! of the run reclaims everything else.
+//! One probe pushes a stimulus through both circuits as two vector-edge
+//! passes ([`Package::apply_to_vedge`]) in a caller-pooled package and
+//! compares the two output edges. The package is [`reset`](Package::reset)
+//! first, which makes it observationally identical to a fresh one, so a
+//! probe is a pure function of `(circuits, stimulus)`: without the reset,
+//! interned edge weights — and thus bitwise overlap values — would depend
+//! on which stimuli were probed before, scheduling-dependent numerics that
+//! a deterministic worker pool cannot afford. Garbage collection still
+//! happens *within* a run whenever live nodes cross the threshold; the
+//! edges the run still needs (the prepared stimulus across both passes,
+//! `G`'s output across the second) ride along as keep roots.
 
 use qcirc::Circuit;
 use qnum::Complex;
 
+use crate::edge::VEdge;
 use crate::package::{DdLimitError, Package};
 
 /// The decision-diagram probe engine.
 ///
-/// Stateless apart from its configuration — every probe builds its own
-/// [`Package`], so one engine may be shared freely across worker threads.
+/// Stateless apart from its node limit, which sizes the packages callers
+/// pool (one per worker thread); every probe resets the package it runs
+/// in, so one engine may be shared freely across worker threads.
 ///
 /// # Examples
 ///
 /// ```
-/// use qdd::DdBackend;
+/// use qdd::{DdBackend, Package};
 ///
 /// let g = qcirc::generators::ghz(4);
 /// let opt = qcirc::optimize::optimize(&g);
-/// let run = DdBackend::new().probe(&g, &opt, None, 0).unwrap();
+/// let engine = DdBackend::new();
+/// let mut package = Package::with_node_limit(4, engine.node_limit());
+/// let run = engine
+///     .probe_in(&mut package, &g, &opt, None, 0, &|| true)
+///     .unwrap()
+///     .expect("never cancelled");
 /// assert!((run.overlap.norm_sqr() - 1.0).abs() < 1e-12);
 /// assert!(run.peak_nodes > 0);
 /// ```
@@ -45,13 +52,16 @@ impl Default for DdBackend {
     }
 }
 
-/// What one completed DD probe hands back: the overlap plus node-count
-/// instrumentation sampled at the run's three boundaries (stimulus
-/// prepared, `G` applied, `G'` applied).
+/// What one completed DD probe hands back: the overlap and the two output
+/// states, plus node-count instrumentation sampled at the run's three
+/// boundaries (stimulus prepared, `G` applied, `G'` applied).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdProbeRun {
     /// The overlap `⟨u|u′⟩` of the two output states.
     pub overlap: Complex,
+    /// The output states `[u, u′]`, valid in the probe's package until its
+    /// next reset or compaction.
+    pub outputs: [VEdge; 2],
     /// Peak live nodes (matrix + vector) observed across the boundary
     /// samples — the run's working-set size, directly comparable to the
     /// dense backend's fixed `2·2ⁿ` amplitudes.
@@ -70,22 +80,27 @@ impl DdBackend {
         }
     }
 
-    /// Creates an engine whose per-probe packages abort beyond
-    /// `node_limit` live nodes.
+    /// Creates an engine whose packages abort beyond `node_limit` live
+    /// nodes.
     #[must_use]
     pub fn with_node_limit(node_limit: usize) -> Self {
         DdBackend { node_limit }
     }
 
-    /// The configured per-probe node budget.
+    /// The node budget of the packages this engine's probes run in.
     #[must_use]
     pub fn node_limit(&self) -> usize {
         self.node_limit
     }
 
-    /// Probes one stimulus: prepares `|basis⟩` (running the optional
-    /// `prefix` preparation circuit on top), pushes the prepared edge
-    /// through both circuits, and returns the overlap of the outputs.
+    /// Probes one stimulus in `package`: resets it, prepares `|basis⟩`
+    /// (running the optional `prefix` preparation circuit on top), pushes
+    /// the prepared edge through `G` and then through `G′`, and returns the
+    /// overlap of the outputs together with the outputs themselves.
+    ///
+    /// `keep_going` is polled once, between the two passes — DD passes are
+    /// not gate-granular cancellable, as intermediate edges are only valid
+    /// states at pass boundaries — and a `false` poll returns `None`.
     ///
     /// Equal canonical edges short-circuit to an exact overlap of `1`:
     /// hash-consing makes semantic equality a pointer comparison, so
@@ -93,67 +108,13 @@ impl DdBackend {
     ///
     /// # Errors
     ///
-    /// Returns [`DdLimitError`] if a pass exceeds the node limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuits' qubit counts differ.
-    pub fn probe(
-        &self,
-        g: &Circuit,
-        g_prime: &Circuit,
-        prefix: Option<&Circuit>,
-        basis: u64,
-    ) -> Result<DdProbeRun, DdLimitError> {
-        Ok(self
-            .probe_while(g, g_prime, prefix, basis, &|| true)?
-            .expect("unconditional probe cannot be cancelled"))
-    }
-
-    /// Like [`DdBackend::probe`], but polls `keep_going` between the two
-    /// halves of the probe (DD passes are not gate-granular cancellable —
-    /// intermediate edges are only valid states at pass boundaries) and
-    /// returns `None` if the run became moot in between.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdLimitError`] if a pass exceeds the node limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuits' qubit counts differ.
-    pub fn probe_while(
-        &self,
-        g: &Circuit,
-        g_prime: &Circuit,
-        prefix: Option<&Circuit>,
-        basis: u64,
-        keep_going: &dyn Fn() -> bool,
-    ) -> Result<Option<DdProbeRun>, DdLimitError> {
-        let mut package = Package::with_node_limit(g.n_qubits(), self.node_limit);
-        self.probe_while_in(&mut package, g, g_prime, prefix, basis, keep_going)
-    }
-
-    /// Like [`DdBackend::probe_while`], but runs inside a caller-pooled
-    /// [`Package`] instead of constructing a fresh one, avoiding the
-    /// per-probe arena and table allocations.
-    ///
-    /// The package is [`reset`](Package::reset) before the run, which makes
-    /// it observationally identical to a fresh one — pooled probes return
-    /// results bitwise equal to the fresh-package path, preserving the
-    /// purity contract the deterministic scheduler relies on. Any edges
-    /// previously obtained from the package are dangling afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdLimitError`] if a pass exceeds the *package's* node
+    /// Returns [`DdLimitError`] if a pass exceeds the package's node
     /// limit.
     ///
     /// # Panics
     ///
-    /// Panics if the circuits' qubit counts differ from each other or from
-    /// the package's.
-    pub fn probe_while_in(
+    /// Panics if a circuit's qubit count differs from the package's.
+    pub fn probe_in(
         &self,
         package: &mut Package,
         g: &Circuit,
@@ -162,55 +123,37 @@ impl DdBackend {
         basis: u64,
         keep_going: &dyn Fn() -> bool,
     ) -> Result<Option<DdProbeRun>, DdLimitError> {
-        assert_eq!(
-            g.n_qubits(),
-            g_prime.n_qubits(),
-            "circuits must have equal qubit counts"
-        );
-        assert_eq!(
-            package.n_qubits(),
-            g.n_qubits(),
-            "package sized for a different register"
-        );
         package.reset();
-        let input = {
-            let b = package.basis_vedge(basis)?;
-            match prefix {
-                None => b,
-                Some(prefix) => package.apply_to_vedge(prefix, b)?,
-            }
-        };
-        let mut peak_nodes = live_nodes(package);
-        // `input` is needed again for the second pass and `a` must survive
-        // it: both ride along as GC keep roots, or a mid-pass compaction
-        // would leave them dangling in the old arena.
-        let mut keep = [input];
-        let a = package.apply_to_vedge_keeping(g, input, &mut keep)?;
-        let input = keep[0];
-        peak_nodes = peak_nodes.max(live_nodes(package));
+        let mut input = package.basis_vedge(basis)?;
+        if let Some(prefix) = prefix {
+            input = package.apply_to_vedge(prefix, input, &mut [])?;
+        }
+        let mut peak_nodes = package.allocated();
+        // `input` feeds the second pass and `a` must survive it: both ride
+        // along as GC keep roots, or a mid-pass compaction would leave them
+        // dangling in the old arena.
+        let mut kept_input = [input];
+        let a = package.apply_to_vedge(g, input, &mut kept_input)?;
+        peak_nodes = peak_nodes.max(package.allocated());
         if !keep_going() {
             return Ok(None);
         }
-        let mut keep = [a];
-        let b = package.apply_to_vedge_keeping(g_prime, input, &mut keep)?;
-        let a = keep[0];
-        peak_nodes = peak_nodes.max(live_nodes(package));
-        let overlap = if package.vedges_equal(a, b) {
+        let mut kept_a = [a];
+        let b = package.apply_to_vedge(g_prime, kept_input[0], &mut kept_a)?;
+        let a = kept_a[0];
+        peak_nodes = peak_nodes.max(package.allocated());
+        let overlap = if a == b {
             Complex::ONE
         } else {
             package.inner_product(a, b)
         };
         Ok(Some(DdProbeRun {
             overlap,
+            outputs: [a, b],
             peak_nodes,
             complex_values: package.stats().complex_values,
         }))
     }
-}
-
-fn live_nodes(package: &Package) -> usize {
-    let stats = package.stats();
-    stats.matrix_nodes + stats.vector_nodes
 }
 
 #[cfg(test)]
@@ -218,18 +161,33 @@ mod tests {
     use super::*;
     use qcirc::generators;
 
+    /// One probe in a fresh package sized by the engine.
+    fn probe(
+        engine: DdBackend,
+        g: &Circuit,
+        g_prime: &Circuit,
+        prefix: Option<&Circuit>,
+        basis: u64,
+    ) -> Result<DdProbeRun, DdLimitError> {
+        let mut package = Package::with_node_limit(g.n_qubits(), engine.node_limit());
+        Ok(engine
+            .probe_in(&mut package, g, g_prime, prefix, basis, &|| true)?
+            .expect("unconditional probe cannot be cancelled"))
+    }
+
     #[test]
     fn probe_matches_explicit_package_passes() {
         let g = generators::qft(4, true);
         let mut buggy = g.clone();
         buggy.t(2);
-        let run = DdBackend::new().probe(&g, &buggy, None, 5).unwrap();
+        let run = probe(DdBackend::new(), &g, &buggy, None, 5).unwrap();
         let mut package = Package::new(4);
         let input = package.basis_vedge(5).unwrap();
-        let a = package.apply_to_vedge(&g, input).unwrap();
-        let b = package.apply_to_vedge(&buggy, input).unwrap();
+        let a = package.apply_to_vedge(&g, input, &mut []).unwrap();
+        let b = package.apply_to_vedge(&buggy, input, &mut []).unwrap();
         let expected = package.inner_product(a, b);
-        assert_eq!(run.overlap, expected, "fresh-package probe is bitwise");
+        assert_eq!(run.overlap, expected, "the probe is bitwise");
+        assert_eq!(run.outputs, [a, b]);
     }
 
     #[test]
@@ -238,14 +196,20 @@ mod tests {
         let mut buggy = g.clone();
         buggy.s(1);
         let engine = DdBackend::new();
-        // Probing other stimuli in between must not change a run's bits —
-        // the property the fresh-package design exists for.
-        let first = engine.probe(&g, &buggy, None, 9).unwrap();
+        let mut pool = Package::new(4);
+        let mut run = |basis| {
+            engine
+                .probe_in(&mut pool, &g, &buggy, None, basis, &|| true)
+                .unwrap()
+                .unwrap()
+        };
+        // Probing other stimuli in between through the same package must
+        // not change a run's bits — the property the reset exists for.
+        let first = run(9);
         for basis in [0u64, 3, 11, 7] {
-            engine.probe(&g, &buggy, None, basis).unwrap();
+            run(basis);
         }
-        let again = engine.probe(&g, &buggy, None, 9).unwrap();
-        assert_eq!(first, again);
+        assert_eq!(first, run(9));
     }
 
     /// Satellite contract of the pooled workspace: probing through one
@@ -259,11 +223,10 @@ mod tests {
         buggy.s(1);
         let engine = DdBackend::new();
         let mut pool = Package::new(4);
-        let keep_going = || true;
         for basis in [9u64, 0, 3, 11, 7, 9] {
-            let fresh = engine.probe(&g, &buggy, None, basis).unwrap();
+            let fresh = probe(engine, &g, &buggy, None, basis).unwrap();
             let pooled = engine
-                .probe_while_in(&mut pool, &g, &buggy, None, basis, &keep_going)
+                .probe_in(&mut pool, &g, &buggy, None, basis, &|| true)
                 .unwrap()
                 .unwrap();
             assert_eq!(fresh, pooled, "basis {basis}");
@@ -276,7 +239,7 @@ mod tests {
         let mut p = Package::new(4);
         let fresh_stats = p.stats();
         let input = p.basis_vedge(3).unwrap();
-        p.apply_to_vedge(&g, input).unwrap();
+        p.apply_to_vedge(&g, input, &mut []).unwrap();
         assert!(p.stats().complex_values > fresh_stats.complex_values);
         p.reset();
         assert_eq!(p.stats(), fresh_stats, "reset must drop interned state");
@@ -285,7 +248,7 @@ mod tests {
     #[test]
     fn equal_edges_short_circuit_to_exact_one() {
         let g = generators::ghz(5);
-        let run = DdBackend::new().probe(&g, &g, None, 3).unwrap();
+        let run = probe(DdBackend::new(), &g, &g, None, 3).unwrap();
         assert_eq!(run.overlap, Complex::ONE);
     }
 
@@ -301,7 +264,7 @@ mod tests {
         let id = Circuit::new(n);
         let mut z = Circuit::new(n);
         z.z(0);
-        let run = DdBackend::new().probe(&id, &z, Some(&prefix), 0).unwrap();
+        let run = probe(DdBackend::new(), &id, &z, Some(&prefix), 0).unwrap();
         assert!(run.overlap.norm_sqr() < 1.0 - 1e-6);
     }
 
@@ -315,7 +278,7 @@ mod tests {
             false
         };
         let out = DdBackend::new()
-            .probe_while(&g, &g, None, 0, &keep_going)
+            .probe_in(&mut Package::new(4), &g, &g, None, 0, &keep_going)
             .unwrap();
         assert_eq!(out, None);
         assert_eq!(polls.get(), 1, "polled exactly once, between the halves");
@@ -324,9 +287,7 @@ mod tests {
     #[test]
     fn node_limit_is_enforced_per_probe() {
         let g = generators::supremacy_2d(3, 4, 12, 1);
-        let e = DdBackend::with_node_limit(50)
-            .probe(&g, &g, None, 0)
-            .unwrap_err();
+        let e = probe(DdBackend::with_node_limit(50), &g, &g, None, 0).unwrap_err();
         assert_eq!(e.node_limit, 50);
     }
 
@@ -339,7 +300,13 @@ mod tests {
         let adder = generators::clifford_adder(15); // 2·15 + 2 = 32 qubits
         let prefix = generators::random_clifford_t(32, 400, 11);
         let limit = 40_000;
-        match DdBackend::with_node_limit(limit).probe(&adder, &adder, Some(&prefix), 0) {
+        match probe(
+            DdBackend::with_node_limit(limit),
+            &adder,
+            &adder,
+            Some(&prefix),
+            0,
+        ) {
             Err(e) => assert_eq!(e.node_limit, limit),
             Ok(run) => assert!(run.peak_nodes <= limit, "survived within budget"),
         }
@@ -358,14 +325,13 @@ mod tests {
     fn gc_during_a_pass_keeps_caller_edges_valid() {
         let prefix = generators::random_clifford_t(12, 300, 11);
         let g = prefix.inverse();
-        let run = DdBackend::with_node_limit(8_000)
-            .probe(&g, &g, Some(&prefix), 0)
+        let run = probe(DdBackend::with_node_limit(8_000), &g, &g, Some(&prefix), 0)
             .expect("probe must survive mid-pass GC");
         assert_eq!(run.overlap, Complex::ONE);
     }
 
     /// The package-level contract behind the fix: edges passed as keep
-    /// roots to [`Package::apply_to_vedge_keeping`] are remapped through
+    /// roots to [`Package::apply_to_vedge`] are remapped through
     /// every internal compaction and stay semantically intact.
     #[test]
     fn keep_roots_survive_compaction_semantically() {
@@ -374,10 +340,10 @@ mod tests {
         let mut p = Package::new(n);
         p.set_gc_threshold(1200);
         let b = p.basis_vedge(0).unwrap();
-        let input = p.apply_to_vedge(&prefix, b).unwrap();
+        let input = p.apply_to_vedge(&prefix, b, &mut []).unwrap();
         let mut keep = [input];
         let back = p
-            .apply_to_vedge_keeping(&prefix.inverse(), input, &mut keep)
+            .apply_to_vedge(&prefix.inverse(), input, &mut keep)
             .unwrap();
         // The shrinking pass returns to |0⟩ …
         assert_eq!(p.amplitude(back, 0), Complex::ONE);
@@ -396,7 +362,7 @@ mod tests {
         // though the dense state has 2ⁿ amplitudes.
         let n = 12;
         let g = generators::ghz(n);
-        let run = DdBackend::new().probe(&g, &g, None, 0).unwrap();
+        let run = probe(DdBackend::new(), &g, &g, None, 0).unwrap();
         assert!(run.peak_nodes > 0);
         assert!(
             run.peak_nodes < 1 << n,

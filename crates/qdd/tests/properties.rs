@@ -1,8 +1,12 @@
 //! Property-based tests of the decision-diagram algebra.
 
 use proptest::prelude::*;
-use qcirc::generators;
-use qdd::Package;
+use qcirc::{generators, Circuit};
+use qdd::{Budget, MEdge, Package};
+
+fn build(p: &mut Package, c: &Circuit) -> MEdge {
+    p.circuit_medge(c, &Budget::new(None), &mut []).unwrap()
+}
 
 /// A seeded random circuit: proptest shrinks over (qubits, gates, seed).
 fn circuit_params() -> impl Strategy<Value = (usize, usize, u64)> {
@@ -17,7 +21,7 @@ proptest! {
     fn circuit_dd_matches_dense((n, m, seed) in circuit_params()) {
         let c = generators::random_clifford_t(n, m, seed);
         let mut p = Package::new(n);
-        let u = p.circuit_medge(&c).unwrap();
+        let u = build(&mut p, &c);
         prop_assert!(p.to_matrix(u).approx_eq(&qcirc::dense::unitary(&c)));
     }
 
@@ -26,8 +30,8 @@ proptest! {
     fn construction_is_canonical((n, m, seed) in circuit_params()) {
         let c = generators::random_clifford_t(n, m, seed);
         let mut p = Package::new(n);
-        let u1 = p.circuit_medge(&c).unwrap();
-        let u2 = p.circuit_medge(&c).unwrap();
+        let u1 = build(&mut p, &c);
+        let u2 = build(&mut p, &c);
         prop_assert_eq!(u1, u2);
     }
 
@@ -36,7 +40,7 @@ proptest! {
     fn adjoint_is_inverse((n, m, seed) in circuit_params()) {
         let c = generators::random_clifford_t(n, m, seed);
         let mut p = Package::new(n);
-        let u = p.circuit_medge(&c).unwrap();
+        let u = build(&mut p, &c);
         let udag = p.adjoint(u).unwrap();
         let prod = p.mul_mm(udag, u).unwrap();
         prop_assert!(p.is_identity(prod));
@@ -47,7 +51,7 @@ proptest! {
     fn adjoint_involution((n, m, seed) in circuit_params()) {
         let c = generators::random_clifford_t(n, m, seed);
         let mut p = Package::new(n);
-        let u = p.circuit_medge(&c).unwrap();
+        let u = build(&mut p, &c);
         let back = {
             let ud = p.adjoint(u).unwrap();
             p.adjoint(ud).unwrap()
@@ -63,20 +67,20 @@ proptest! {
         let b_circ = generators::random_clifford_t(n, m, seed.wrapping_add(1));
         let c_circ = generators::random_clifford_t(n, m, seed.wrapping_add(2));
         let mut p = Package::new(n);
-        let a = p.circuit_medge(&a_circ).unwrap();
-        let b = p.circuit_medge(&b_circ).unwrap();
-        let c = p.circuit_medge(&c_circ).unwrap();
+        let a = build(&mut p, &a_circ);
+        let b = build(&mut p, &b_circ);
+        let c = build(&mut p, &c_circ);
         // a + b = b + a (canonical edges must be equal).
-        let ab = p.add_mm(a, b).unwrap();
-        let ba = p.add_mm(b, a).unwrap();
+        let ab = p.add(a, b).unwrap();
+        let ba = p.add(b, a).unwrap();
         prop_assert_eq!(ab, ba);
         // a·(b + c) ≈ a·b + a·c (densely, within tolerance).
-        let bc = p.add_mm(b, c).unwrap();
+        let bc = p.add(b, c).unwrap();
         let lhs = p.mul_mm(a, bc).unwrap();
         let rhs = {
             let ab2 = p.mul_mm(a, b).unwrap();
             let ac = p.mul_mm(a, c).unwrap();
-            p.add_mm(ab2, ac).unwrap()
+            p.add(ab2, ac).unwrap()
         };
         prop_assert!(p.to_matrix(lhs).approx_eq(&p.to_matrix(rhs)));
     }
@@ -97,11 +101,11 @@ proptest! {
     fn compaction_is_transparent((n, m, seed) in circuit_params()) {
         let c = generators::random_clifford_t(n, m, seed);
         let mut p = Package::new(n);
-        let u = p.circuit_medge(&c).unwrap();
+        let u = build(&mut p, &c);
         let dense = p.to_matrix(u);
         let (roots, _) = p.compact(&[u], &[]);
         prop_assert!(p.to_matrix(roots[0]).approx_eq(&dense));
-        let rebuilt = p.circuit_medge(&c).unwrap();
+        let rebuilt = build(&mut p, &c);
         prop_assert_eq!(rebuilt, roots[0]);
     }
 
@@ -111,7 +115,7 @@ proptest! {
         let c = generators::random_clifford_t(n, m, seed);
         let basis = basis_sel % (1 << n);
         let mut p = Package::new(n);
-        let u = p.circuit_medge(&c).unwrap();
+        let u = build(&mut p, &c);
         let b = p.basis_vedge(basis).unwrap();
         let v = p.mul_mv(u, b).unwrap();
         let direct = p.apply_to_basis(&c, basis).unwrap();

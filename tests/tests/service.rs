@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use qcec::scheduler::{CollectingSink, RunEvent, Stage};
 use qcec::service::Provenance;
 use qcec::{CircuitId, Config, EquivalenceCheckingManager, VerdictCache};
 use qcirc::{generators, Circuit};
@@ -142,4 +143,25 @@ fn stream_file_replays_report_lines() {
     let replayed = EquivalenceCheckingManager::read_stream(&path).unwrap();
     assert_eq!(replayed, manager.report_lines());
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A computed job runs under the configuration it was submitted with,
+/// event sink included: the caller's sink sees the job's stage events.
+#[test]
+fn computed_jobs_report_to_the_callers_event_sink() {
+    let g = generators::qft(4, true);
+    let mut faulty = g.clone();
+    faulty.x(1);
+    let sink = Arc::new(CollectingSink::new());
+    let mut manager =
+        EquivalenceCheckingManager::new(Config::default().with_event_sink(sink.clone()));
+    manager.submit("qft4_faulty", g, faulty);
+    manager.run().unwrap();
+    assert_eq!(manager.results()[0].provenance, Provenance::Computed);
+    assert!(sink.events().iter().any(|e| matches!(
+        e,
+        RunEvent::StageStarted {
+            stage: Stage::Simulation
+        }
+    )));
 }
