@@ -1,7 +1,6 @@
-//! Scheduler benchmarks: one worker against 2/4/8-worker pools
-//! (and the DD-racing portfolio) on an equivalent and a non-equivalent
-//! pair. Parallel speed-up on the simulation stage, cancellation payoff on
-//! the counterexample case.
+//! Scheduler benchmarks: one worker against 2/4/8-worker pools on an
+//! equivalent and a non-equivalent pair. Parallel speed-up on the
+//! simulation stage, cancellation payoff on the counterexample case.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcec::{Config, Fallback};
@@ -69,27 +68,5 @@ fn bench_counterexample_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_portfolio(c: &mut Criterion) {
-    let (g, g_prime) = equivalent_pair();
-    let mut group = c.benchmark_group("scheduler_portfolio_equivalent");
-    group.bench_function("sequential_then_fallback", |b| {
-        let config = Config::new().with_simulations(10);
-        b.iter(|| qcec::check_equivalence(&g, &g_prime, &config).unwrap());
-    });
-    group.bench_function("portfolio_4_workers", |b| {
-        let config = Config::new()
-            .with_simulations(10)
-            .with_threads(4)
-            .with_portfolio(true);
-        b.iter(|| qcec::check_equivalence(&g, &g_prime, &config).unwrap());
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_worker_sweep,
-    bench_counterexample_sweep,
-    bench_portfolio
-);
+criterion_group!(benches, bench_worker_sweep, bench_counterexample_sweep);
 criterion_main!(benches);

@@ -235,13 +235,6 @@ pub struct Config {
     /// the flow reports the accumulated error and never claims plain
     /// equivalence.
     pub chi_max: usize,
-    /// Portfolio mode: with `threads > 1`, race the complete DD check on
-    /// one more thread against the simulation workers instead of running
-    /// it afterwards — first definitive verdict wins. No effect with
-    /// `threads == 1`. The verdict *class* is unchanged, but whether a
-    /// non-equivalence comes with a simulation counterexample may then
-    /// depend on which side wins the race.
-    pub portfolio: bool,
     /// Clifford peeling: before any simulation or complete check, strip
     /// the longest common prefix and suffix of *canonically identical
     /// Clifford* gates from both circuits (see [`peel`](crate::peel)).
@@ -298,7 +291,6 @@ impl PartialEq for Config {
             && self.deadline == other.deadline
             && self.dd_node_limit == other.dd_node_limit
             && self.chi_max == other.chi_max
-            && self.portfolio == other.portfolio
             && self.peel == other.peel
             && self.batch_size == other.batch_size
             && self.scheme == other.scheme
@@ -320,7 +312,6 @@ impl Default for Config {
             deadline: None,
             dd_node_limit: qdd::Package::DEFAULT_NODE_LIMIT,
             chi_max: qmpo::DEFAULT_CHI_MAX,
-            portfolio: false,
             peel: false,
             batch_size: 1,
             scheme: ApplicationScheme::default(),
@@ -388,27 +379,6 @@ impl Config {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
         self.threads = threads;
-        self
-    }
-
-    /// Enables or disables portfolio mode (racing the complete check
-    /// against the simulation pool; see [`Config::portfolio`]). Has no
-    /// effect unless `threads > 1`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use qcec::Config;
-    ///
-    /// let config = Config::new().with_threads(4).with_portfolio(true);
-    /// let g = qcirc::generators::qft(4, true);
-    /// let opt = qcirc::optimize::optimize(&g);
-    /// let result = qcec::check_equivalence(&g, &opt, &config).unwrap();
-    /// assert!(result.outcome.is_equivalent());
-    /// ```
-    #[must_use]
-    pub fn with_portfolio(mut self, portfolio: bool) -> Self {
-        self.portfolio = portfolio;
         self
     }
 
@@ -548,17 +518,11 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.threads, 1);
         assert_eq!(c.batch_size, 1);
-        assert!(!c.portfolio);
         assert!(!c.peel);
         assert!(c.event_sink.is_none());
-        let c = c
-            .with_threads(4)
-            .with_portfolio(true)
-            .with_peel(true)
-            .with_batch_size(8);
+        let c = c.with_threads(4).with_peel(true).with_batch_size(8);
         assert_eq!(c.threads, 4);
         assert_eq!(c.batch_size, 8);
-        assert!(c.portfolio);
         assert!(c.peel);
         assert_ne!(Config::default(), Config::default().with_batch_size(8));
     }

@@ -89,9 +89,8 @@ impl std::error::Error for FlowError {}
 ///
 /// The flow runs on the [`scheduler`](crate::scheduler): the stimuli fan
 /// out across `config.threads` workers, the calling thread being one of
-/// them (and, with [`Config::with_portfolio`] and `threads > 1`, the
-/// complete check races the pool). The verdict is deterministic per seed
-/// at any thread count.
+/// them, and the complete check then runs on the calling thread. The
+/// verdict is deterministic per seed at any thread count.
 ///
 /// # Errors
 ///

@@ -37,30 +37,18 @@ pub enum FunctionalVerdict {
 /// Panics if the circuits' qubit counts differ.
 #[must_use]
 pub fn run_functional_check(g: &Circuit, g_prime: &Circuit, config: &Config) -> FunctionalVerdict {
-    check_within(g, g_prime, config, &Budget::new(config.deadline))
-        .expect("a budget without a cancel flag cannot be cancelled")
-}
-
-/// [`run_functional_check`] within an explicit budget. Returns `None` once
-/// the budget's cancel flag is raised — the scheduler's way of stopping a
-/// racer whose answer a simulation counterexample has already made moot.
-pub(crate) fn check_within(
-    g: &Circuit,
-    g_prime: &Circuit,
-    config: &Config,
-    budget: &Budget<'_>,
-) -> Option<FunctionalVerdict> {
     let alternating = match config.fallback {
-        Fallback::None => return Some(FunctionalVerdict::Aborted(AbortReason::FallbackDisabled)),
+        Fallback::None => return FunctionalVerdict::Aborted(AbortReason::FallbackDisabled),
         Fallback::Alternating => true,
         Fallback::ConstructAndCompare => false,
     };
+    let budget = Budget::new(config.deadline);
     let result = if config.backend == BackendKind::Mps {
         let chi = config.chi_max;
         let run = if alternating {
-            qmpo::check_equivalence_alternating(g, g_prime, chi, budget, config.scheme)
+            qmpo::check_equivalence_alternating(g, g_prime, chi, &budget, config.scheme)
         } else {
-            qmpo::check_equivalence_construct(g, g_prime, chi, budget)
+            qmpo::check_equivalence_construct(g, g_prime, chi, &budget)
         };
         match run {
             // A truncated run can still disprove equivalence — the engine's
@@ -68,21 +56,19 @@ pub(crate) fn check_within(
             // its "no difference found" is evidence, not proof.
             Ok(v) if v.is_equivalent() && !v.is_exact() => {
                 let error = v.truncation_error;
-                return Some(FunctionalVerdict::Aborted(AbortReason::Truncation {
-                    error,
-                }));
+                return FunctionalVerdict::Aborted(AbortReason::Truncation { error });
             }
             run => run.map(|v| v.equivalence),
         }
     } else {
         let mut package = Package::with_node_limit(g.n_qubits(), config.dd_node_limit);
         if alternating {
-            qdd::check_equivalence_alternating(&mut package, g, g_prime, budget, config.scheme)
+            qdd::check_equivalence_alternating(&mut package, g, g_prime, &budget, config.scheme)
         } else {
-            qdd::check_equivalence_construct(&mut package, g, g_prime, budget)
+            qdd::check_equivalence_construct(&mut package, g, g_prime, &budget)
         }
     };
-    Some(match result {
+    match result {
         Ok(DdEquivalence::Equivalent) => FunctionalVerdict::Equivalent,
         // Under the strict notion a global phase is a difference.
         Ok(DdEquivalence::EquivalentUpToGlobalPhase { .. })
@@ -96,8 +82,7 @@ pub(crate) fn check_within(
         Ok(DdEquivalence::NotEquivalent) => FunctionalVerdict::NotEquivalent,
         Err(DdCheckAbort::Timeout { .. }) => FunctionalVerdict::Aborted(AbortReason::Timeout),
         Err(DdCheckAbort::NodeLimit(_)) => FunctionalVerdict::Aborted(AbortReason::NodeLimit),
-        Err(DdCheckAbort::Cancelled) => return None,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -173,32 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_check_matches_uncancelled_and_stops_when_raised() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let g = generators::qft(4, true);
-        let routed = qcirc::mapping::route_or_panic(&g, &qcirc::mapping::CouplingMap::linear(4));
-        let config = Config::default();
-        let flag = AtomicBool::new(false);
-        let budget = Budget::new(config.deadline).with_cancel(&flag);
-        assert_eq!(
-            check_within(&g, &routed.circuit, &config, &budget),
-            Some(run_functional_check(&g, &routed.circuit, &config))
-        );
-        flag.store(true, Ordering::Relaxed);
-        assert_eq!(
-            check_within(&g, &routed.circuit, &config, &budget),
-            None,
-            "a pre-raised flag cancels before any work"
-        );
-        // A disabled fallback is never cancelled: the answer is immediate.
-        let disabled = Config::default().with_fallback(Fallback::None);
-        assert_eq!(
-            check_within(&g, &routed.circuit, &disabled, &budget),
-            Some(FunctionalVerdict::Aborted(AbortReason::FallbackDisabled))
-        );
-    }
-
-    #[test]
     fn both_fallbacks_detect_errors() {
         let g = generators::qft(4, true);
         let mut buggy = g.clone();
@@ -257,8 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn mps_timeout_and_cancellation() {
-        use std::sync::atomic::AtomicBool;
+    fn mps_timeout_aborts() {
         let g = generators::supremacy_2d(3, 3, 12, 2);
         let config = Config::default()
             .with_backend(BackendKind::Mps)
@@ -267,17 +225,5 @@ mod tests {
             run_functional_check(&g, &g, &config),
             FunctionalVerdict::Aborted(AbortReason::Timeout)
         );
-        let flag = AtomicBool::new(true);
-        let budget = Budget::new(None).with_cancel(&flag);
-        for fb in [Fallback::Alternating, Fallback::ConstructAndCompare] {
-            let config = Config::default()
-                .with_backend(BackendKind::Mps)
-                .with_fallback(fb);
-            assert_eq!(
-                check_within(&g, &g, &config, &budget),
-                None,
-                "a pre-raised flag cancels the MPO check ({fb:?})"
-            );
-        }
     }
 }

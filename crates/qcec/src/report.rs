@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use crate::config::BackendKind;
 use crate::outcome::{FlowResult, Outcome};
-use crate::scheduler::{CancelCause, RunEvent, Stage};
+use crate::scheduler::{RunEvent, Stage};
 
 pub mod json {
     //! A minimal, dependency-free JSON emitter.
@@ -342,14 +342,9 @@ pub struct StageTimings {
     pub simulations_finished: usize,
     /// Simulations abandoned after a cancellation.
     pub simulations_aborted: usize,
-    /// Cancellations (first counterexample or first definitive verdict).
+    /// Simulation stages a counterexample ended (one `Cancelled` event
+    /// each).
     pub cancellations: usize,
-    /// Cancellations where the simulation pool's counterexample made the
-    /// functional racer moot — the probe engine "won" the portfolio race.
-    pub simulation_wins: usize,
-    /// Cancellations where the functional check's definitive verdict
-    /// halted the pool — the complete DD check won the race.
-    pub functional_wins: usize,
     /// Flow invocations whose [`BackendKind::Auto`] selector was resolved
     /// to a concrete engine (one `BackendSelected` event each).
     pub auto_selections: usize,
@@ -398,13 +393,7 @@ impl StageTimings {
                     t.batch_slots_probed += probed;
                 }
                 RunEvent::SimulationAborted { .. } => t.simulations_aborted += 1,
-                RunEvent::Cancelled { cause } => {
-                    t.cancellations += 1;
-                    match cause {
-                        CancelCause::SimulationCounterexample => t.simulation_wins += 1,
-                        CancelCause::FunctionalVerdict => t.functional_wins += 1,
-                    }
-                }
+                RunEvent::Cancelled => t.cancellations += 1,
                 _ => {}
             }
         }
@@ -425,8 +414,6 @@ impl StageTimings {
             simulations_finished: self.simulations_finished + other.simulations_finished,
             simulations_aborted: self.simulations_aborted + other.simulations_aborted,
             cancellations: self.cancellations + other.cancellations,
-            simulation_wins: self.simulation_wins + other.simulation_wins,
-            functional_wins: self.functional_wins + other.functional_wins,
             auto_selections: self.auto_selections + other.auto_selections,
             batches_finished: self.batches_finished + other.batches_finished,
             batch_slots_claimed: self.batch_slots_claimed + other.batch_slots_claimed,
@@ -444,20 +431,6 @@ impl StageTimings {
             BackendKind::Mps => self.mps_probe_time,
             // The selector never probes itself.
             BackendKind::Auto => Duration::ZERO,
-        }
-    }
-
-    /// Which side of the portfolio race produced more decisive
-    /// cancellations: `Some(Stage::Simulation)` when probe
-    /// counterexamples dominated, `Some(Stage::Functional)` when the
-    /// complete check did, `None` when the race never ended early (or
-    /// tied across an aggregated campaign).
-    #[must_use]
-    pub fn portfolio_winner(&self) -> Option<Stage> {
-        match self.simulation_wins.cmp(&self.functional_wins) {
-            std::cmp::Ordering::Greater => Some(Stage::Simulation),
-            std::cmp::Ordering::Less => Some(Stage::Functional),
-            std::cmp::Ordering::Equal => None,
         }
     }
 
@@ -492,10 +465,6 @@ impl StageTimings {
             o.int("batches", self.batches_finished as u64)
                 .int("batch_slots_claimed", self.batch_slots_claimed as u64)
                 .int("batch_slots_probed", self.batch_slots_probed as u64);
-        }
-        if with_timings {
-            o.int("simulation_wins", self.simulation_wins as u64)
-                .int("functional_wins", self.functional_wins as u64);
         }
         o.render()
     }
@@ -612,7 +581,6 @@ mod tests {
             simulations_finished: 7,
             simulations_aborted: 1,
             cancellations: 1,
-            simulation_wins: 1,
             ..StageTimings::default()
         };
         assert_eq!(
@@ -622,9 +590,7 @@ mod tests {
         let timed = t.to_json(true);
         assert!(timed.starts_with(r#"{"t_sim_s":1.5,"t_ec_s":0.25,"#));
         assert!(timed.contains(r#""t_probe_sv_s":0.9"#));
-        assert!(timed.contains(r#""simulation_wins":1"#));
         assert_eq!(t.probe_time(BackendKind::Statevector), t.sv_probe_time);
-        assert_eq!(t.portfolio_winner(), Some(Stage::Simulation));
     }
 
     #[test]

@@ -15,7 +15,6 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::config::BackendKind;
-use crate::scheduler::cancel::CancelCause;
 
 /// A stage of the equivalence checking flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +42,7 @@ pub enum RunEvent {
         /// Which stage.
         stage: Stage,
     },
-    /// A stage ended (in portfolio mode the two stages overlap, so their
-    /// wall times do not add up to the flow's total).
+    /// A stage ended.
     StageFinished {
         /// Which stage.
         stage: Stage,
@@ -66,13 +64,12 @@ pub enum RunEvent {
         /// The measured fidelity `|⟨uᵢ|uᵢ′⟩|²`.
         fidelity: f64,
         /// Which probe engine ran this simulation — lets timing consumers
-        /// bucket probe time per backend (and the portfolio report name
-        /// the engine that won).
+        /// bucket probe time per backend.
         backend: BackendKind,
     },
     /// One simulation was abandoned (superseded by a counterexample at a
-    /// lower stimulus index, or by a definitive functional verdict) —
-    /// either skipped outright or cancelled mid-circuit.
+    /// lower stimulus index) — either skipped outright or cancelled
+    /// mid-circuit.
     SimulationAborted {
         /// Stimulus index into the pre-drawn list (0-based).
         index: usize,
@@ -95,11 +92,10 @@ pub enum RunEvent {
         /// Wall-clock duration of the whole batch probe.
         wall_time: Duration,
     },
-    /// In-flight work was cancelled.
-    Cancelled {
-        /// What made the remaining work moot.
-        cause: CancelCause,
-    },
+    /// A simulation counterexample ended the simulation stage: every run
+    /// above it was abandoned. Recorded once per stage, after every
+    /// worker has returned.
+    Cancelled,
     /// [`BackendKind::Auto`] was resolved to a concrete engine, before any
     /// stage ran — emitted at most once per flow invocation (the paper's
     /// flow never switches engines mid-run).
@@ -190,7 +186,7 @@ impl CollectingSink {
     /// Number of recorded cancellations.
     #[must_use]
     pub fn cancellations(&self) -> usize {
-        self.count(|e| matches!(e, RunEvent::Cancelled { .. }))
+        self.count(|e| matches!(e, RunEvent::Cancelled))
     }
 
     /// Number of completed stimulus batches.
@@ -232,9 +228,7 @@ mod tests {
             backend: BackendKind::Statevector,
         });
         sink.record(RunEvent::SimulationAborted { index: 1 });
-        sink.record(RunEvent::Cancelled {
-            cause: CancelCause::SimulationCounterexample,
-        });
+        sink.record(RunEvent::Cancelled);
         assert_eq!(sink.simulations_finished(), 1);
         assert_eq!(sink.simulations_aborted(), 1);
         assert_eq!(sink.cancellations(), 1);

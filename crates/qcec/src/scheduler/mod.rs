@@ -1,5 +1,5 @@
 //! The one flow path: the simulation stage on a pool of worker threads,
-//! then (or, in portfolio mode, racing it) the complete check.
+//! then the complete check on the calling thread.
 //!
 //! The paper's flow is embarrassingly parallel in its first stage: the `r`
 //! random basis-state simulations are independent, and the *first*
@@ -8,10 +8,9 @@
 //! [`run_simulations`](crate::run_simulations) alike. The pre-drawn
 //! stimuli fan out across [`Config::threads`](crate::Config::threads)
 //! workers: the calling thread always runs worker 0 and `threads − 1` more
-//! are spawned, so `threads == 1` spawns nothing. In *portfolio* mode
-//! ([`Config::with_portfolio`](crate::Config::with_portfolio), with
-//! `threads > 1`) one more thread races the complete decision-diagram
-//! check against the pool, first definitive verdict wins.
+//! are spawned, so `threads == 1` spawns nothing. Only when every
+//! simulation agreed does the complete check run, inline, as in the
+//! paper's Fig. 3.
 //!
 //! # Determinism
 //!
@@ -21,8 +20,8 @@
 //! * stimuli are **pre-drawn** before any thread starts, so the RNG stream
 //!   never depends on scheduling;
 //! * workers claim stimulus indices **in order** from a shared counter,
-//!   and the [`CancelToken`] only abandons runs *above* the lowest failing
-//!   index — every run up to the decisive one always completes;
+//!   and the failure watermark only abandons runs *above* the lowest
+//!   failing index — every run up to the decisive one always completes;
 //! * the flow's judge observes the overlaps **in stimulus order** as they
 //!   land, and the first counterexample it reaches sets the watermark, so
 //!   the reported counterexample is always the earliest failing stimulus;
@@ -31,27 +30,22 @@
 //!
 //! What *is* scheduling-dependent is how many superseded runs were already
 //! in flight when the counterexample appeared — visible only through the
-//! [`EventSink`] (and, in portfolio mode, whether the DD racer or the pool
-//! produced the verdict first; see `with_portfolio` for the caveats).
+//! [`EventSink`].
 
-mod cancel;
 mod events;
 mod worker;
 
-pub use cancel::{CancelCause, CancelToken};
 pub use events::{CollectingSink, EventSink, NullSink, RunEvent, Stage};
 
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qcirc::Circuit;
-use qdd::Budget;
 
 use crate::backend::{probes_densely, with_engine, EngineTask, SimBackend};
-use crate::config::{Config, Fallback};
+use crate::config::Config;
 use crate::flow::{resolve_auto, FlowError};
-use crate::functional::{check_within, FunctionalVerdict};
+use crate::functional::{run_functional_check, FunctionalVerdict};
 use crate::outcome::{AbortReason, FlowResult, FlowStats, Outcome};
 use crate::sim_check::{draw_stimuli, SimVerdict};
 
@@ -95,10 +89,9 @@ impl EngineTask for Scheduled {
 
 /// The backend-generic body of [`run_scheduled`]: the simulation stage on
 /// `config.threads` workers (worker 0 on the calling thread) with the
-/// probe engine injected as any [`SimBackend`], then the complete check —
-/// raced against the stage on one more thread when `config.portfolio` is
-/// set and `threads > 1`. Emits [`RunEvent`]s for both stages to
-/// `config.event_sink`.
+/// probe engine injected as any [`SimBackend`], then — if every
+/// simulation agreed — the complete check on the calling thread. Emits
+/// [`RunEvent`]s for both stages to `config.event_sink`.
 ///
 /// # Errors
 ///
@@ -127,62 +120,15 @@ pub fn run_scheduled_on<B: SimBackend>(
             backend: backend.kind(),
         });
     }
-    let sink = event_sink(config);
-    let sink = sink.as_ref();
-    let token = CancelToken::new();
-    // Racing a disabled fallback would only reproduce the instant
-    // "aborted: disabled" answer; skip the extra thread.
-    let race = config.portfolio && config.threads > 1 && config.fallback != Fallback::None;
-
-    // The functional stage, on the racer thread (cancelled through the
-    // token's flag) or inline once the simulations agreed. A `None`
-    // verdict means it was cancelled.
-    let functional = |cancel: Option<&AtomicBool>| {
-        sink.record(RunEvent::StageStarted {
-            stage: Stage::Functional,
-        });
-        let start = Instant::now();
-        let mut budget = Budget::new(config.deadline);
-        if let Some(flag) = cancel {
-            budget = budget.with_cancel(flag);
-        }
-        let verdict = check_within(g, g_prime, config, &budget);
-        if matches!(
-            verdict,
-            Some(
-                FunctionalVerdict::Equivalent
-                    | FunctionalVerdict::EquivalentUpToGlobalPhase { .. }
-                    | FunctionalVerdict::NotEquivalent
-            )
-        ) {
-            // A definitive answer makes any remaining runs moot.
-            token.halt_simulations();
-        }
-        let wall_time = start.elapsed();
-        sink.record(RunEvent::StageFinished {
-            stage: Stage::Functional,
-            wall_time,
-        });
-        (verdict, wall_time)
-    };
 
     let sim_start = Instant::now();
-    let (simulated, simulation_time, raced) = std::thread::scope(|scope| {
-        let racer = race.then(|| scope.spawn(|| functional(Some(token.functional_flag()))));
-        let simulated = simulate(backend, g, g_prime, config, &token);
-        let simulation_time = sim_start.elapsed();
-        let raced = racer.map(|racer| racer.join().expect("functional racer panicked"));
-        (simulated, simulation_time, raced)
-    });
-
+    let simulated = simulate(backend, g, g_prime, config);
+    let simulation_time = sim_start.elapsed();
     let simulated = simulated.map_err(|e| FlowError::SimulationOverflow {
         node_limit: e.node_limit,
     })?;
     let (runs, truncation_error) = match simulated {
         SimVerdict::CounterexampleFound(ce) => {
-            // A concurrent functional verdict (if any) necessarily agrees
-            // on non-equivalence; the counterexample is the more useful
-            // answer.
             let decisive_run = ce.run;
             return Ok(FlowResult {
                 outcome: Outcome::NotEquivalent {
@@ -191,7 +137,7 @@ pub fn run_scheduled_on<B: SimBackend>(
                 stats: FlowStats {
                     simulations_run: decisive_run,
                     simulation_time,
-                    functional_time: raced.map_or(Duration::ZERO, |(_, t)| t),
+                    functional_time: Duration::ZERO,
                 },
             });
         }
@@ -202,9 +148,17 @@ pub fn run_scheduled_on<B: SimBackend>(
     };
 
     // All completed simulations agreed: the complete check decides.
-    let (verdict, functional_time) = raced.unwrap_or_else(|| functional(None));
-    let verdict =
-        verdict.expect("the functional stage is only cancelled after a simulation counterexample");
+    let sink = event_sink(config);
+    sink.record(RunEvent::StageStarted {
+        stage: Stage::Functional,
+    });
+    let functional_start = Instant::now();
+    let verdict = run_functional_check(g, g_prime, config);
+    let functional_time = functional_start.elapsed();
+    sink.record(RunEvent::StageFinished {
+        stage: Stage::Functional,
+        wall_time: functional_time,
+    });
 
     let outcome = match verdict {
         // An exact complete check is a proof regardless of how the
@@ -252,11 +206,10 @@ fn event_sink(config: &Config) -> Arc<dyn EventSink> {
 
 /// The flow's simulation stage: draws the stimuli, probes them on
 /// `config.threads` workers — worker 0 on the calling thread — and returns
-/// the in-order judge's verdict. `token` is shared with the functional
-/// racer, if any.
+/// the in-order judge's verdict.
 ///
 /// Every worker has returned before the stage records its `Cancelled`
-/// events (drain-then-count), so a sink sees every finished or aborted
+/// event (drain-then-count), so a sink sees every finished or aborted
 /// simulation ahead of the cancellation marker.
 ///
 /// # Errors
@@ -268,7 +221,6 @@ pub(crate) fn simulate<B: SimBackend>(
     g: &Circuit,
     g_prime: &Circuit,
     config: &Config,
-    token: &CancelToken,
 ) -> Result<SimVerdict, qdd::DdLimitError> {
     let sink = event_sink(config);
     let sink = sink.as_ref();
@@ -277,7 +229,7 @@ pub(crate) fn simulate<B: SimBackend>(
     });
     let start = Instant::now();
     let stimuli = draw_stimuli(g.n_qubits(), config);
-    let ctx = worker::SchedulerContext::new(g, g_prime, config, backend, &stimuli, token, sink);
+    let ctx = worker::SchedulerContext::new(g, g_prime, config, backend, &stimuli, sink);
     let pool = std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..config.threads)
             .map(|_| scope.spawn(|| worker::run_worker(&ctx)))
@@ -287,16 +239,9 @@ pub(crate) fn simulate<B: SimBackend>(
             pool.and(worker.join().expect("simulation worker panicked"))
         })
     });
-    if token.simulations_halted() {
-        sink.record(RunEvent::Cancelled {
-            cause: CancelCause::FunctionalVerdict,
-        });
-    }
     let verdict = ctx.into_verdict();
     if matches!(verdict, SimVerdict::CounterexampleFound(_)) {
-        sink.record(RunEvent::Cancelled {
-            cause: CancelCause::SimulationCounterexample,
-        });
+        sink.record(RunEvent::Cancelled);
     }
     sink.record(RunEvent::StageFinished {
         stage: Stage::Simulation,
@@ -367,67 +312,38 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_agrees_on_equivalence() {
-        let g = generators::qft(4, true);
-        let routed = qcirc::mapping::route_or_panic(&g, &qcirc::mapping::CouplingMap::linear(4));
-        let config = Config::default().with_threads(2).with_portfolio(true);
-        let result = run_scheduled(&g, &routed.circuit, &config).unwrap();
-        assert!(result.outcome.is_equivalent(), "{}", result.outcome);
-    }
-
-    #[test]
-    fn portfolio_cancellation_lands_after_every_simulation_event() {
-        // Drain-then-count: whichever side wins the race, every stimulus
-        // index must have reported (finished or aborted) before the
-        // `Cancelled` marker appears — counters derived from the stream
-        // are deterministic even though the finished/aborted split is not.
+    fn cancellation_lands_after_every_simulation_event() {
+        // Drain-then-count: every stimulus index a worker claimed must
+        // have reported (finished or aborted) before the `Cancelled`
+        // marker appears — counters derived from the stream are
+        // deterministic even though the finished/aborted split is not.
         // The faulty pair's leading X makes every basis stimulus a
-        // counterexample (orthogonal outputs), so a refutation — the
-        // simulation's or the racer's — always cancels the stage and the
-        // marker must appear.
+        // counterexample (orthogonal outputs), so the stage is always
+        // cancelled and the marker must appear.
         let g = generators::qft(6, true);
-        let opt = qcirc::optimize::optimize(&g);
         let mut faulty = g.clone();
         faulty.insert(0, qcirc::Gate::single(qcirc::GateKind::X, 3));
-        for (g_prime, equivalent) in [(&opt, true), (&faulty, false)] {
-            for trial in 0..5 {
-                let sink = Arc::new(CollectingSink::new());
-                let config = Config::default()
-                    .with_threads(4)
-                    .with_portfolio(true)
-                    .with_simulations(24)
-                    .with_seed(trial)
-                    .with_event_sink(sink.clone());
-                let result = run_scheduled(&g, g_prime, &config).unwrap();
-                assert_eq!(
-                    result.outcome.is_equivalent(),
-                    equivalent,
-                    "{}",
-                    result.outcome
-                );
-                if equivalent {
-                    assert_eq!(
-                        sink.simulations_finished() + sink.simulations_aborted(),
-                        24,
-                        "every claimed index reports exactly once"
-                    );
-                }
-                let events = sink.events();
-                let cancelled = events
-                    .iter()
-                    .position(|e| matches!(e, RunEvent::Cancelled { .. }));
-                assert!(equivalent || cancelled.is_some(), "a refutation cancels");
-                if let Some(pos) = cancelled {
-                    assert!(
-                        events[pos..].iter().all(|e| !matches!(
-                            e,
-                            RunEvent::SimulationFinished { .. }
-                                | RunEvent::SimulationAborted { .. }
-                        )),
-                        "simulation events may not trail the cancellation marker"
-                    );
-                }
-            }
+        for trial in 0..5 {
+            let sink = Arc::new(CollectingSink::new());
+            let config = Config::default()
+                .with_threads(4)
+                .with_simulations(24)
+                .with_seed(trial)
+                .with_event_sink(sink.clone());
+            let result = run_scheduled(&g, &faulty, &config).unwrap();
+            assert!(result.outcome.is_not_equivalent(), "{}", result.outcome);
+            let events = sink.events();
+            let cancelled = events
+                .iter()
+                .position(|e| matches!(e, RunEvent::Cancelled))
+                .expect("a refutation cancels");
+            assert!(
+                events[cancelled..].iter().all(|e| !matches!(
+                    e,
+                    RunEvent::SimulationFinished { .. } | RunEvent::SimulationAborted { .. }
+                )),
+                "simulation events may not trail the cancellation marker"
+            );
         }
     }
 
@@ -474,15 +390,5 @@ mod tests {
                 backend: crate::BackendKind::Statevector
             }
         )));
-    }
-
-    #[test]
-    fn portfolio_agrees_on_non_equivalence() {
-        let g = generators::qft(4, true);
-        let mut buggy = g.clone();
-        buggy.t(0);
-        let config = Config::default().with_threads(2).with_portfolio(true);
-        let result = run_scheduled(&g, &buggy, &config).unwrap();
-        assert!(result.outcome.is_not_equivalent(), "{}", result.outcome);
     }
 }

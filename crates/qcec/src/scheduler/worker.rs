@@ -6,10 +6,11 @@
 //! After each probe the worker publishes its overlaps and walks the flow's
 //! [`Judge`] over the newly completed prefix, in stimulus order, under the
 //! results lock; the first counterexample the judge reaches lowers the
-//! [`CancelToken`](super::cancel::CancelToken)'s watermark. A run is only
-//! abandoned for indices *above* the lowest known failure, so every
-//! stimulus up to and including the decisive one completes and the judge
-//! reaches the verdict a single worker reaches, at any worker count.
+//! failure watermark — the lowest failing stimulus index, one atomic in
+//! the [`SchedulerContext`]. A run is only abandoned for indices *above*
+//! the watermark, so every stimulus up to and including the decisive one
+//! completes and the judge reaches the verdict a single worker reaches, at
+//! any worker count.
 //!
 //! Two watermarks are set before the judge gets there, and both only
 //! prune work the judge would never read: on exact engines a worker lowers
@@ -47,7 +48,6 @@ use qstim::Stimulus;
 use crate::backend::{ProbeOutcome, SimBackend};
 use crate::config::Config;
 use crate::outcome::Counterexample;
-use crate::scheduler::cancel::CancelToken;
 use crate::scheduler::events::{EventSink, RunEvent};
 use crate::sim_check::{Judge, SimVerdict};
 
@@ -65,10 +65,13 @@ pub(super) struct SchedulerContext<'a, B: SimBackend> {
     pub backend: &'a B,
     /// The pre-drawn stimuli, in judging order.
     pub stimuli: &'a [Stimulus],
-    /// Shared cancellation state.
-    pub token: &'a CancelToken,
     /// Next stimulus index to claim.
     pub next: AtomicUsize,
+    /// The failure watermark: the lowest stimulus index known to fail
+    /// (`usize::MAX` = none). Only ever lowered, with `fetch_min`. Relaxed
+    /// is enough: it only tells workers which runs are moot, and results
+    /// travel under the `results` lock.
+    lowest_failure: AtomicUsize,
     /// `(overlap, truncation_error)` per stimulus index; `None` = not
     /// (fully) simulated. The truncation rides along so the judge can
     /// widen its tolerance by the error accumulated in stimulus order.
@@ -99,7 +102,6 @@ impl<'a, B: SimBackend> SchedulerContext<'a, B> {
         config: &'a Config,
         backend: &'a B,
         stimuli: &'a [Stimulus],
-        token: &'a CancelToken,
         sink: &'a dyn EventSink,
     ) -> Self {
         SchedulerContext {
@@ -108,8 +110,8 @@ impl<'a, B: SimBackend> SchedulerContext<'a, B> {
             config,
             backend,
             stimuli,
-            token,
             next: AtomicUsize::new(0),
+            lowest_failure: AtomicUsize::new(usize::MAX),
             results: Mutex::new(vec![None; stimuli.len()]),
             judged: Mutex::new(Judged {
                 judge: Judge::new(config),
@@ -120,10 +122,23 @@ impl<'a, B: SimBackend> SchedulerContext<'a, B> {
         }
     }
 
+    /// Records that the run at `index` decides the stage: lowers the
+    /// failure watermark to it (never raises it).
+    fn record_failure(&self, index: usize) {
+        self.lowest_failure.fetch_min(index, Ordering::Relaxed);
+    }
+
+    /// Returns `true` if the run at `index` is no longer worth running or
+    /// finishing: a failure at a lower index already decides the stage.
+    /// Runs at or below the lowest failure are never superseded, which is
+    /// the invariant behind deterministic counterexamples.
+    fn superseded(&self, index: usize) -> bool {
+        index > self.lowest_failure.load(Ordering::Relaxed)
+    }
+
     /// Stores the outcomes of a batch starting at index `first`, then
     /// judges the newly completed prefix in stimulus order. Reaching a
-    /// counterexample lowers the watermark to its index, which also stops
-    /// the functional racer.
+    /// counterexample lowers the watermark to its index.
     fn publish(&self, first: usize, outcomes: &[ProbeOutcome]) {
         let mut results = self.results.lock().expect(POISONED);
         for (offset, outcome) in outcomes.iter().enumerate() {
@@ -141,7 +156,7 @@ impl<'a, B: SimBackend> SchedulerContext<'a, B> {
                     .judge
                     .observe(overlap, truncation, &self.stimuli[index], index + 1);
             if judged.counterexample.is_some() {
-                self.token.record_sim_failure(index);
+                self.record_failure(index);
             }
         }
     }
@@ -180,7 +195,7 @@ pub(super) fn run_worker<B: SimBackend>(
         // of the claim is a suffix: probe the live prefix as one batch and
         // abort the rest up front.
         let mut live_end = first;
-        while live_end < end && !ctx.token.superseded(live_end) {
+        while live_end < end && !ctx.superseded(live_end) {
             live_end += 1;
         }
         for index in live_end..end {
@@ -198,7 +213,7 @@ pub(super) fn run_worker<B: SimBackend>(
             ctx.g_prime,
             &ctx.stimuli[first..live_end],
             &mut workspace,
-            &|| !ctx.token.superseded(first),
+            &|| !ctx.superseded(first),
         );
         let outcomes = match probe {
             Ok(Some(outcomes)) => outcomes,
@@ -211,7 +226,7 @@ pub(super) fn run_worker<B: SimBackend>(
             Err(e) => {
                 // Unless the judge finds a counterexample below `first`,
                 // this overflow ends the stage: everything above is moot.
-                ctx.token.record_sim_failure(first);
+                ctx.record_failure(first);
                 return Err(e);
             }
         };
@@ -226,7 +241,7 @@ pub(super) fn run_worker<B: SimBackend>(
             let (criterion, tolerance) = (ctx.config.criterion, ctx.config.fidelity_tolerance);
             for (offset, outcome) in outcomes.iter().enumerate() {
                 if Judge::output_mismatch(criterion, outcome.overlap, tolerance) {
-                    ctx.token.record_sim_failure(first + offset);
+                    ctx.record_failure(first + offset);
                 }
             }
         }
@@ -264,8 +279,7 @@ mod tests {
         let config = Config::default();
         let backend = StatevectorBackend::new();
         let stimuli: Vec<Stimulus> = [0u64, 3, 5, 7].map(Stimulus::Basis).to_vec();
-        let token = CancelToken::new();
-        let ctx = SchedulerContext::new(&g, &opt, &config, &backend, &stimuli, &token, &NullSink);
+        let ctx = SchedulerContext::new(&g, &opt, &config, &backend, &stimuli, &NullSink);
         run_worker(&ctx).unwrap();
         let results = ctx.results.lock().unwrap();
         assert!(results.iter().all(Option::is_some));
@@ -274,7 +288,7 @@ mod tests {
             assert!((overlap.norm_sqr() - 1.0).abs() < 1e-9);
             assert_eq!(*truncation, 0.0, "the dense engine is always exact");
         }
-        assert_eq!(token.lowest_failure(), None);
+        assert!(!ctx.superseded(usize::MAX - 1), "no run failed");
     }
 
     #[test]
@@ -285,15 +299,34 @@ mod tests {
         let config = Config::default();
         let backend = StatevectorBackend::new();
         let stimuli: Vec<Stimulus> = (0u64..8).map(Stimulus::Basis).collect();
-        let token = CancelToken::new();
-        let ctx = SchedulerContext::new(&g, &buggy, &config, &backend, &stimuli, &token, &NullSink);
+        let ctx = SchedulerContext::new(&g, &buggy, &config, &backend, &stimuli, &NullSink);
         run_worker(&ctx).unwrap();
         // An X on a GHZ input corrupts every column: index 0 fails.
-        assert_eq!(token.lowest_failure(), Some(0));
+        assert!(!ctx.superseded(0) && ctx.superseded(1));
         // All later indices were superseded and skipped.
         let results = ctx.results.lock().unwrap();
         assert!(results[0].is_some());
         assert!(results[1..].iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn failure_watermark_supersedes_higher_indices_only() {
+        let g = qcirc::generators::ghz(2);
+        let config = Config::default();
+        let backend = StatevectorBackend::new();
+        let ctx = SchedulerContext::new(&g, &g, &config, &backend, &[], &NullSink);
+        assert!(!ctx.superseded(0) && !ctx.superseded(usize::MAX - 1));
+        ctx.record_failure(5);
+        assert!(!ctx.superseded(3), "runs below the watermark must finish");
+        assert!(!ctx.superseded(5), "the failing run itself must finish");
+        assert!(ctx.superseded(6));
+        // A later, lower failure lowers the watermark.
+        ctx.record_failure(2);
+        assert!(ctx.superseded(5) && ctx.superseded(3));
+        assert!(!ctx.superseded(2) && !ctx.superseded(1));
+        // A later, higher failure does not raise it back.
+        ctx.record_failure(4);
+        assert!(ctx.superseded(3) && !ctx.superseded(2));
     }
 
     #[test]
@@ -304,12 +337,10 @@ mod tests {
         let stimuli: Vec<Stimulus> = [0u64, 5, 9, 15].map(Stimulus::Basis).to_vec();
         let sv = StatevectorBackend::new();
         let dd = qdd::DdBackend::new();
-        let token = CancelToken::new();
-        let ctx = SchedulerContext::new(&g, &opt, &config, &sv, &stimuli, &token, &NullSink);
+        let ctx = SchedulerContext::new(&g, &opt, &config, &sv, &stimuli, &NullSink);
         run_worker(&ctx).unwrap();
         let sv_results: Vec<_> = ctx.results.lock().unwrap().clone();
-        let token = CancelToken::new();
-        let ctx = SchedulerContext::new(&g, &opt, &config, &dd, &stimuli, &token, &NullSink);
+        let ctx = SchedulerContext::new(&g, &opt, &config, &dd, &stimuli, &NullSink);
         run_worker(&ctx).unwrap();
         let dd_results: Vec<_> = ctx.results.lock().unwrap().clone();
         for (s, d) in sv_results.iter().zip(&dd_results) {

@@ -130,10 +130,9 @@ impl fmt::Display for CircuitId {
 /// the scheduler's determinism contract), `batch_size` (per-stimulus
 /// outcomes are bit-identical at any batch size, so batching is a pure
 /// throughput knob) and `event_sink` (pure observability). Everything
-/// else — simulation count, seed, tolerance,
-/// criterion, backend, fallback, stimulus strategy, deadline, DD node
-/// limit, portfolio mode, Clifford peeling, application scheme —
-/// contributes.
+/// else — simulation count, seed, tolerance, criterion, backend,
+/// fallback, stimulus strategy, deadline, DD node limit, bond cap,
+/// Clifford peeling, application scheme — contributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConfigDigest(u64);
 
@@ -171,7 +170,6 @@ impl ConfigDigest {
                 StimulusStrategy::Product => 2,
                 StimulusStrategy::Stabilizer => 3,
             },
-            u8::from(config.portfolio),
             u8::from(config.peel),
             match config.scheme {
                 qdd::ApplicationScheme::Sequential => 0,

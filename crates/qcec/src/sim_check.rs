@@ -13,7 +13,6 @@ use crate::backend::{with_engine, EngineTask, SimBackend};
 use crate::config::{Config, Criterion, StimulusStrategy};
 use crate::flow::resolve_auto;
 use crate::outcome::Counterexample;
-use crate::scheduler::CancelToken;
 
 /// Outcome of the simulation stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +109,7 @@ pub fn run_simulations_on<B: SimBackend>(
         g_prime.n_qubits(),
         "circuits must have equal qubit counts"
     );
-    crate::scheduler::simulate(backend, g, g_prime, config, &CancelToken::new())
+    crate::scheduler::simulate(backend, g, g_prime, config)
 }
 
 /// Draws the full stimulus list for one flow invocation: the seeded
@@ -192,8 +191,8 @@ impl<'a> Judge<'a> {
     pub(crate) fn output_mismatch(criterion: Criterion, overlap: Complex, tolerance: f64) -> bool {
         match criterion {
             // ⟨u|u′⟩ = 1 exactly (within tolerance).
-            Criterion::Strict => (overlap - Complex::ONE).norm_sqr() > tolerance,
-            Criterion::UpToGlobalPhase => (overlap.norm_sqr() - 1.0).abs() > tolerance,
+            Criterion::Strict => beyond((overlap - Complex::ONE).norm_sqr(), tolerance),
+            Criterion::UpToGlobalPhase => beyond((overlap.norm_sqr() - 1.0).abs(), tolerance),
         }
     }
 
@@ -221,7 +220,7 @@ impl<'a> Judge<'a> {
             match self.expected_phase {
                 None => self.expected_phase = Some(overlap),
                 Some(expected) => {
-                    if (overlap - expected).norm_sqr() > tolerance {
+                    if beyond((overlap - expected).norm_sqr(), tolerance) {
                         return Some(ce(Mismatch::PhaseInconsistency {
                             expected: expected.arg(),
                             found: overlap.arg(),
@@ -232,6 +231,15 @@ impl<'a> Judge<'a> {
         }
         None
     }
+}
+
+/// Whether `deviation` fails to lie within `tolerance`. Written as a
+/// negated `<=` so that a NaN deviation (say, from a non-finite gate angle)
+/// is a mismatch: no comparison with NaN holds, so it can never pass for
+/// agreement.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn beyond(deviation: f64, tolerance: f64) -> bool {
+    !(deviation <= tolerance)
 }
 
 #[cfg(test)]
@@ -293,6 +301,28 @@ mod tests {
         let phased = Config::default().with_criterion(Criterion::UpToGlobalPhase);
         let v = run_simulations(&a, &b, &phased).unwrap();
         assert!(matches!(v, SimVerdict::AllAgreed { .. }));
+    }
+
+    #[test]
+    fn non_finite_overlaps_never_count_as_agreement() {
+        let mut g = qcirc::Circuit::new(2);
+        g.h(0).cx(0, 1);
+        let mut nan = g.clone();
+        nan.rz(f64::NAN, 0);
+        for backend in [BackendKind::Statevector, BackendKind::Stab] {
+            for criterion in [Criterion::Strict, Criterion::UpToGlobalPhase] {
+                let config = Config::default()
+                    .with_backend(backend)
+                    .with_criterion(criterion)
+                    .with_fallback(crate::Fallback::None);
+                let result = crate::check_equivalence(&g, &nan, &config).unwrap();
+                assert!(
+                    result.outcome.is_not_equivalent(),
+                    "{backend:?} {criterion:?}: {}",
+                    result.outcome
+                );
+            }
+        }
     }
 
     #[test]

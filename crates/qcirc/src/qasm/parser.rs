@@ -691,10 +691,17 @@ impl Parser {
         // Evaluate arguments in the enclosing parameter environment.
         let mut args = Vec::with_capacity(call.args.len());
         for a in &call.args {
-            args.push(a.eval(param_env).map_err(|m| ParseQasmError {
+            let value = a.eval(param_env).map_err(|m| ParseQasmError {
                 message: m,
                 line: call.line,
-            })?);
+            })?;
+            if !value.is_finite() {
+                return Err(ParseQasmError {
+                    message: format!("argument of '{}' evaluates to {value}", call.name),
+                    line: call.line,
+                });
+            }
+            args.push(value);
         }
         // Resolve operands; support register broadcast at top level.
         let operands: Vec<Operand> = call
@@ -768,6 +775,10 @@ impl Parser {
             }
             Ok(())
         };
+        let repeated = (1..qubits.len()).any(|i| qubits[..i].contains(&qubits[i]));
+        if repeated {
+            return Err(err(format!("'{name}' needs distinct qubit operands")));
+        }
         let gate = match name {
             "id" | "u0" => {
                 need(1, if name == "u0" { 1 } else { 0 })?;
@@ -1056,6 +1067,20 @@ mod tests {
         let e = parse(&format!("{HEADER}qreg q[1];\nbad_gate q[0];")).unwrap_err();
         assert_eq!(e.line, 4);
         assert!(e.to_string().contains("unknown gate"));
+        for (body, message) in [
+            ("cx q[1],q[1];", "distinct"),
+            ("swap q[2],q[2];", "distinct"),
+            ("ccx q[0],q[0],q[1];", "distinct"),
+            ("cx q,q[1];", "distinct"),
+            ("rz(0/0) q[0];", "NaN"),
+            ("rz(1e999) q[0];", "inf"),
+            ("rz(-1e999) q[0];", "-inf"),
+            ("u3(0/0,0,0) q[0];", "NaN"),
+        ] {
+            let e = parse(&format!("{HEADER}qreg q[3];\n{body}")).unwrap_err();
+            assert_eq!(e.line, 4, "{body}");
+            assert!(e.to_string().contains(message), "{body}: {e}");
+        }
     }
 
     #[test]

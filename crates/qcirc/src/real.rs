@@ -123,12 +123,6 @@ pub fn parse(source: &str) -> Result<Circuit, ParseRealError> {
             return Err(err(format!("gate line '{line}' outside .begin/.end")));
         }
         let n = numvars.ok_or_else(|| err(".numvars must precede the gate list".into()))?;
-        if variables.is_empty() {
-            // RevLib defaults variable names to x0..x{n-1} when omitted.
-            for i in 0..n {
-                variables.insert(format!("x{i}"), i);
-            }
-        }
 
         let mut parts = line.split_whitespace();
         let gate_ty = parts.next().expect("non-empty line");
@@ -139,11 +133,13 @@ pub fn parse(source: &str) -> Result<Circuit, ParseRealError> {
                 Some(stripped) => (true, stripped),
                 None => (false, token),
             };
-            let &q = variables
-                .get(name)
+            let q = resolve_variable(&variables, name, n)
                 .ok_or_else(|| err(format!("unknown variable '{name}'")))?;
             if q >= n {
                 return Err(err(format!("variable '{name}' exceeds .numvars {n}")));
+            }
+            if pos_qubits.contains(&q) {
+                return Err(err(format!("variable '{name}' appears twice in one gate")));
             }
             if neg {
                 negated.push(q);
@@ -166,6 +162,19 @@ pub fn parse(source: &str) -> Result<Circuit, ParseRealError> {
         })?;
     }
     Ok(circuit)
+}
+
+/// The line a gate operand names: a declared variable or, when there is
+/// no `.variables` line, RevLib's default name `x<i>` for `i < n` —
+/// resolved arithmetically, so a huge `.numvars` costs nothing.
+fn resolve_variable(variables: &HashMap<String, usize>, name: &str, n: usize) -> Option<usize> {
+    if !variables.is_empty() {
+        return variables.get(name).copied();
+    }
+    let digits = name.strip_prefix('x')?;
+    let i: usize = digits.parse().ok()?;
+    // Only the canonical spelling `x{i}` names line `i` (not `x01`, `x+1`).
+    (i < n && i.to_string() == digits).then_some(i)
 }
 
 /// Lowers one `.real` gate line to workspace gates, wrapping X conjugation
@@ -392,6 +401,13 @@ t3 a b c
         let src = ".numvars 2\n.begin\nt2 x0 x1\n.end";
         let c = parse(src).unwrap();
         assert_eq!(c.gates()[0].to_string(), "cx q[0], q[1]");
+        for name in ["x2", "x01", "x+1", "x", "y0"] {
+            let e = parse(&format!(".numvars 2\n.begin\nt1 {name}\n.end")).unwrap_err();
+            assert!(e.to_string().contains("unknown variable"), "{name}: {e}");
+        }
+        // Default names are never materialised: a huge register is free.
+        let c = parse(".numvars 1000000000000\n.begin\nt1 x0\n.end").unwrap();
+        assert_eq!((c.n_qubits(), c.len()), (1_000_000_000_000, 1));
     }
 
     #[test]
@@ -450,6 +466,12 @@ p' a b c
         assert!(e.to_string().contains(".numvars"));
         let e = parse("t1 x0").unwrap_err();
         assert!(e.to_string().contains("outside"));
+        for gate in ["t2 a a", "f2 b b", "t3 a -a b"] {
+            let e =
+                parse(&format!(".numvars 2\n.variables a b\n.begin\n{gate}\n.end")).unwrap_err();
+            assert_eq!(e.line, 4, "{gate}");
+            assert!(e.to_string().contains("appears twice"), "{gate}: {e}");
+        }
     }
 
     #[test]

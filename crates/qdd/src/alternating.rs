@@ -214,8 +214,7 @@ impl SchemeCursor {
 ///
 /// # Errors
 ///
-/// Returns [`DdCheckAbort`] on timeout, cancellation or node-limit
-/// exhaustion.
+/// Returns [`DdCheckAbort`] on timeout or node-limit exhaustion.
 ///
 /// # Panics
 ///
@@ -241,7 +240,7 @@ pub fn check_equivalence_alternating(
     package: &mut Package,
     g: &Circuit,
     g_prime: &Circuit,
-    budget: &Budget<'_>,
+    budget: &Budget,
     scheme: ApplicationScheme,
 ) -> Result<DdEquivalence, DdCheckAbort> {
     assert_eq!(

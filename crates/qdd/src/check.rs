@@ -2,7 +2,6 @@
 //! paper's flow falls back to after its simulation runs (\[18\]–\[22\], \[26\]).
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use qcirc::Circuit;
@@ -54,9 +53,6 @@ pub enum DdCheckAbort {
     },
     /// The DD node limit was exceeded (memory analogue of a timeout).
     NodeLimit(DdLimitError),
-    /// A concurrent orchestrator (e.g. `qcec`'s scheduler) raised the
-    /// cancellation flag — another checker reached a verdict first.
-    Cancelled,
 }
 
 impl fmt::Display for DdCheckAbort {
@@ -66,9 +62,6 @@ impl fmt::Display for DdCheckAbort {
                 write!(f, "equivalence check timed out after {deadline:?}")
             }
             DdCheckAbort::NodeLimit(e) => write!(f, "{e}"),
-            DdCheckAbort::Cancelled => {
-                write!(f, "equivalence check cancelled by a concurrent checker")
-            }
         }
     }
 }
@@ -82,48 +75,33 @@ impl From<DdLimitError> for DdCheckAbort {
 }
 
 /// The bound on one complete check: an optional wall-clock deadline,
-/// counted from the budget's creation, plus an optional cancellation flag
-/// raised by a concurrent checker that reached a verdict first. Every
-/// complete check — DD and MPO alike — polls it between gate applications.
+/// counted from the budget's creation. Every complete check — DD and MPO
+/// alike — polls it between gate applications.
 ///
 /// # Examples
 ///
 /// ```
-/// use std::sync::atomic::AtomicBool;
 /// use std::time::Duration;
 /// use qdd::{Budget, DdCheckAbort};
 ///
 /// assert_eq!(Budget::new(None).check(), Ok(()));
-/// let cancel = AtomicBool::new(true);
-/// let racer = Budget::new(Some(Duration::from_secs(60))).with_cancel(&cancel);
-/// assert_eq!(racer.check(), Err(DdCheckAbort::Cancelled));
+/// let spent = Budget::new(Some(Duration::ZERO));
+/// std::thread::sleep(Duration::from_millis(1));
+/// assert!(matches!(spent.check(), Err(DdCheckAbort::Timeout { .. })));
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct Budget<'a> {
+pub struct Budget {
     start: Instant,
     deadline: Option<Duration>,
-    cancel: Option<&'a AtomicBool>,
 }
 
-impl<'a> Budget<'a> {
-    /// A budget of `deadline` from now (`None` is unbounded) and no
-    /// cancellation flag.
+impl Budget {
+    /// A budget of `deadline` from now (`None` is unbounded).
     #[must_use]
     pub fn new(deadline: Option<Duration>) -> Self {
         Budget {
             start: Instant::now(),
             deadline,
-            cancel: None,
-        }
-    }
-
-    /// This budget, also exhausted once `cancel` is raised — how a
-    /// concurrent checker portfolio stops a losing racer.
-    #[must_use]
-    pub fn with_cancel(self, cancel: &'a AtomicBool) -> Self {
-        Budget {
-            cancel: Some(cancel),
-            ..self
         }
     }
 
@@ -131,15 +109,8 @@ impl<'a> Budget<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DdCheckAbort::Cancelled`] once the flag is raised, else
-    /// [`DdCheckAbort::Timeout`] once the deadline has elapsed.
+    /// Returns [`DdCheckAbort::Timeout`] once the deadline has elapsed.
     pub fn check(&self) -> Result<(), DdCheckAbort> {
-        if self
-            .cancel
-            .is_some_and(|cancel| cancel.load(Ordering::Relaxed))
-        {
-            return Err(DdCheckAbort::Cancelled);
-        }
         match self.deadline {
             Some(deadline) if self.start.elapsed() > deadline => {
                 Err(DdCheckAbort::Timeout { deadline })
@@ -158,8 +129,8 @@ impl<'a> Budget<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`DdCheckAbort`] on timeout, cancellation or node-limit
-/// exhaustion — the cases the paper reports as `> 3600 s`.
+/// Returns [`DdCheckAbort`] on timeout or node-limit exhaustion — the
+/// cases the paper reports as `> 3600 s`.
 ///
 /// # Panics
 ///
@@ -182,7 +153,7 @@ pub fn check_equivalence_construct(
     package: &mut Package,
     g: &Circuit,
     g_prime: &Circuit,
-    budget: &Budget<'_>,
+    budget: &Budget,
 ) -> Result<DdEquivalence, DdCheckAbort> {
     assert_eq!(
         g.n_qubits(),
@@ -368,38 +339,6 @@ mod tests {
         let e = check_equivalence_construct(&mut p, &g, &g, &budget).unwrap_err();
         assert!(matches!(e, DdCheckAbort::Timeout { .. }));
         assert!(e.to_string().contains("timed out"));
-    }
-
-    #[test]
-    fn raised_cancel_flag_aborts_promptly() {
-        let g = generators::qft(5, true);
-        let cancel = AtomicBool::new(true);
-        let budget = Budget::new(None).with_cancel(&cancel);
-        let mut p = Package::new(5);
-        let e = check_equivalence_construct(&mut p, &g, &g, &budget).unwrap_err();
-        assert!(matches!(e, DdCheckAbort::Cancelled));
-        assert!(e.to_string().contains("cancelled"));
-        let mut p = Package::new(5);
-        let scheme = crate::ApplicationScheme::default();
-        let e = crate::check_equivalence_alternating(&mut p, &g, &g, &budget, scheme).unwrap_err();
-        assert!(matches!(e, DdCheckAbort::Cancelled));
-    }
-
-    #[test]
-    fn unraised_cancel_flag_changes_nothing() {
-        let g = generators::qft(4, true);
-        let opt = qcirc::optimize::optimize(&g);
-        let cancel = AtomicBool::new(false);
-        let budget = Budget::new(None).with_cancel(&cancel);
-        let mut p = Package::new(4);
-        let with_flag = check_equivalence_construct(&mut p, &g, &opt, &budget).unwrap();
-        let mut p = Package::new(4);
-        let without = check_equivalence_construct(&mut p, &g, &opt, &Budget::new(None)).unwrap();
-        assert_eq!(with_flag, without);
-        let mut p = Package::new(4);
-        let scheme = crate::ApplicationScheme::default();
-        let alt = crate::check_equivalence_alternating(&mut p, &g, &opt, &budget, scheme).unwrap();
-        assert!(alt.is_equivalent());
     }
 
     #[test]

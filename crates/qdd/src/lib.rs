@@ -12,9 +12,8 @@
 //!   system matrices, and [`check_equivalence_alternating`] keeps a single
 //!   difference DD near the identity (`G → 𝕀 ← G'`) under a pluggable
 //!   [`ApplicationScheme`]. Both run within one [`Budget`] (an optional
-//!   deadline plus an optional cancellation flag) and answer with a
-//!   [`DdEquivalence`] or a [`DdCheckAbort`] — the vocabulary `qmpo`'s
-//!   MPO check shares.
+//!   deadline) and answer with a [`DdEquivalence`] or a [`DdCheckAbort`]
+//!   — the vocabulary `qmpo`'s MPO check shares.
 //!
 //! States and operators are one diagram type at two arities ([`Edge`] and
 //! [`Node`] with `K = 2` and `K = 4` children), so node making, garbage

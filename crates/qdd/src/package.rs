@@ -506,8 +506,7 @@ impl Package {
     ///
     /// # Errors
     ///
-    /// Returns [`DdCheckAbort`] on timeout, cancellation or node-limit
-    /// exhaustion.
+    /// Returns [`DdCheckAbort`] on timeout or node-limit exhaustion.
     ///
     /// # Panics
     ///
@@ -515,7 +514,7 @@ impl Package {
     pub fn circuit_medge(
         &mut self,
         circuit: &Circuit,
-        budget: &Budget<'_>,
+        budget: &Budget,
         keep: &mut [MEdge],
     ) -> Result<MEdge, DdCheckAbort> {
         assert_eq!(

@@ -284,6 +284,24 @@ mod tests {
         assert_eq!(polls.get(), 1, "polled exactly once, between the halves");
     }
 
+    /// Pins the interning tolerance (EXPERIMENTS.md, honest deviation 4).
+    /// This is the fifth stimulus of the benchmark suite's "QFT 48" pair
+    /// (`G′` = optimized `G` plus `H·H` on every qubit) at seed 1; with a
+    /// looser 1e-10 interning tolerance, rounding drift made it read
+    /// fidelity 0.9989 — a false counterexample. It must stay within the
+    /// flow's default fidelity tolerance (1e-8) of 1.
+    #[test]
+    fn qft48_probe_stays_within_the_flow_tolerance() {
+        let g = generators::qft(48, false);
+        let mut alt = qcirc::optimize::optimize(&g);
+        for q in 0..48 {
+            alt.h(q).h(q);
+        }
+        let run = probe(DdBackend::new(), &g, &alt, None, 26_712_651_362_212).unwrap();
+        let fidelity = run.overlap.norm_sqr();
+        assert!((fidelity - 1.0).abs() <= 1e-8, "fidelity {fidelity}");
+    }
+
     #[test]
     fn node_limit_is_enforced_per_probe() {
         let g = generators::supremacy_2d(3, 4, 12, 1);

@@ -8,8 +8,10 @@
 //!                     verdict-neutral — outcomes are bit-identical per run)
 //!   --seed <s>        RNG seed (default 0)
 //!   --deadline <sec>  budget for the complete check (default unbounded)
-//!   --backend sv|dd|stab  simulation backend (default sv; dd for > 24
-//!                     qubits, stab for Clifford-dominated pairs)
+//!   --backend sv|dd|stab|mps|auto
+//!                     simulation backend (default sv; dd for > 24 qubits,
+//!                     stab for Clifford-dominated pairs, mps past the
+//!                     dense wall, auto to pick per pair)
 //!   --scheme sequential|onetoone|proportional|gatecost
 //!                     gate-application scheme of the alternating complete
 //!                     check (default proportional)

@@ -1,5 +1,5 @@
 //! Scheduler acceptance tests: deterministic parallel verdicts, prompt
-//! cancellation (observed through the event sink), and portfolio/sequential
+//! cancellation (observed through the event sink), and parallel/sequential
 //! agreement on the on-disk fixture pairs.
 
 use std::path::PathBuf;
@@ -238,34 +238,6 @@ fn fixture_pairs() -> Vec<(String, Circuit, Circuit)> {
         ("grover/opt".into(), grover, grover_opt),
         ("peres/expanded".into(), peres, peres_expanded),
     ]
-}
-
-#[test]
-fn portfolio_agrees_with_sequential_on_fixture_pairs() {
-    for (name, g, g_prime) in fixture_pairs() {
-        let sequential = check_equivalence(&g, &g_prime, &Config::default()).unwrap();
-        let raced = check_equivalence(
-            &g,
-            &g_prime,
-            &Config::default().with_threads(4).with_portfolio(true),
-        )
-        .unwrap();
-        // The race decides *who* answers first, never *what* the answer
-        // is: equivalence classes must match exactly.
-        assert_eq!(
-            (
-                sequential.outcome.is_equivalent(),
-                sequential.outcome.is_not_equivalent(),
-            ),
-            (
-                raced.outcome.is_equivalent(),
-                raced.outcome.is_not_equivalent(),
-            ),
-            "{name}: sequential said {:?}, portfolio said {:?}",
-            sequential.outcome,
-            raced.outcome
-        );
-    }
 }
 
 #[test]
