@@ -30,6 +30,11 @@ pub struct Circuit {
 }
 
 impl Circuit {
+    /// The widest register the readers accept: 65,534 qubits, the most a
+    /// decision diagram's 16-bit level index can address (`u16::MAX` is
+    /// kept free).
+    pub const MAX_QUBITS: usize = u16::MAX as usize - 1;
+
     /// Creates an empty circuit on `n_qubits` qubits.
     ///
     /// # Panics

@@ -329,15 +329,26 @@ impl Parser {
                 self.next();
                 let name = self.expect_ident()?;
                 self.expect(&TokenKind::LBracket)?;
-                let size = self.expect_int()? as usize;
+                let size = self.expect_int()?;
+                let n_qubits = usize::try_from(size)
+                    .ok()
+                    .and_then(|size| self.n_qubits.checked_add(size))
+                    .filter(|&n| n <= Circuit::MAX_QUBITS)
+                    .ok_or_else(|| {
+                        self.error(format!(
+                            "register '{name}[{size}]' makes the circuit wider than {} qubits",
+                            Circuit::MAX_QUBITS
+                        ))
+                    })?;
                 self.expect(&TokenKind::RBracket)?;
                 self.expect(&TokenKind::Semicolon)?;
                 if self.qregs.contains_key(&name) {
                     return Err(self.error(format!("register '{name}' declared twice")));
                 }
-                self.qregs.insert(name.clone(), (self.n_qubits, size));
+                self.qregs
+                    .insert(name.clone(), (self.n_qubits, n_qubits - self.n_qubits));
                 self.qreg_order.push(name);
-                self.n_qubits += size;
+                self.n_qubits = n_qubits;
                 Ok(())
             }
             "creg" => {
@@ -346,11 +357,16 @@ impl Parser {
                 self.next();
                 let name = self.expect_ident()?;
                 self.expect(&TokenKind::LBracket)?;
-                let size = self.expect_int()? as usize;
+                let size = self.expect_int()?;
+                let n_clbits = usize::try_from(size)
+                    .ok()
+                    .and_then(|size| self.n_clbits.checked_add(size))
+                    .ok_or_else(|| self.error(format!("register '{name}[{size}]' is too wide")))?;
                 self.expect(&TokenKind::RBracket)?;
                 self.expect(&TokenKind::Semicolon)?;
-                self.cregs.insert(name, (self.n_clbits, size));
-                self.n_clbits += size;
+                self.cregs
+                    .insert(name, (self.n_clbits, n_clbits - self.n_clbits));
+                self.n_clbits = n_clbits;
                 Ok(())
             }
             "gate" => self.parse_gate_def(),
@@ -1076,11 +1092,25 @@ mod tests {
             ("rz(1e999) q[0];", "inf"),
             ("rz(-1e999) q[0];", "-inf"),
             ("u3(0/0,0,0) q[0];", "NaN"),
+            // Register widths: past the bound, and a sum that would wrap.
+            ("qreg w[65532];", "wider than 65534"),
+            (
+                "qreg w[18446744073709551615];\nqreg b[3];\nh b[1];",
+                "wider",
+            ),
+            ("qreg w[1000000000000];\nh w;", "wider"),
+            ("creg c[18446744073709551615]; creg d[3];", "too wide"),
         ] {
             let e = parse(&format!("{HEADER}qreg q[3];\n{body}")).unwrap_err();
             assert_eq!(e.line, 4, "{body}");
             assert!(e.to_string().contains(message), "{body}: {e}");
         }
+        let widest = format!("{HEADER}qreg q[65530];\nqreg r[4];\nh r[3];");
+        assert_eq!(parse(&widest).unwrap().n_qubits(), Circuit::MAX_QUBITS);
+        let e = parse(&format!("{HEADER}qreg q[70000];\nh q[0];")).unwrap_err();
+        assert_eq!(e.line, 3);
+        let e = parse_lenient(&format!("{HEADER}qreg a[65534];\nqreg b[1];")).unwrap_err();
+        assert_eq!(e.line, 4);
     }
 
     #[test]

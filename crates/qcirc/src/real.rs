@@ -100,6 +100,12 @@ pub fn parse(source: &str) -> Result<Circuit, ParseRealError> {
                     if v == 0 {
                         return Err(err(".numvars must be positive".into()));
                     }
+                    if v > Circuit::MAX_QUBITS {
+                        return Err(err(format!(
+                            ".numvars {v} is wider than {} qubits",
+                            Circuit::MAX_QUBITS
+                        )));
+                    }
                     numvars = Some(v);
                 }
                 "variables" => {
@@ -405,9 +411,9 @@ t3 a b c
             let e = parse(&format!(".numvars 2\n.begin\nt1 {name}\n.end")).unwrap_err();
             assert!(e.to_string().contains("unknown variable"), "{name}: {e}");
         }
-        // Default names are never materialised: a huge register is free.
-        let c = parse(".numvars 1000000000000\n.begin\nt1 x0\n.end").unwrap();
-        assert_eq!((c.n_qubits(), c.len()), (1_000_000_000_000, 1));
+        // Default names are never materialised: the widest register is free.
+        let c = parse(".numvars 65534\n.begin\nt1 x65533\n.end").unwrap();
+        assert_eq!((c.n_qubits(), c.len()), (Circuit::MAX_QUBITS, 1));
     }
 
     #[test]
@@ -466,6 +472,14 @@ p' a b c
         assert!(e.to_string().contains(".numvars"));
         let e = parse("t1 x0").unwrap_err();
         assert!(e.to_string().contains("outside"));
+        for numvars in ["65535", "70000", "1000000000000"] {
+            let e = parse(&format!(
+                ".version 1.0\n.numvars {numvars}\n.begin\nt1 x0\n.end"
+            ))
+            .unwrap_err();
+            assert_eq!(e.line, 2, "{numvars}");
+            assert!(e.to_string().contains("wider than 65534"), "{numvars}: {e}");
+        }
         for gate in ["t2 a a", "f2 b b", "t3 a -a b"] {
             let e =
                 parse(&format!(".numvars 2\n.variables a b\n.begin\n{gate}\n.end")).unwrap_err();

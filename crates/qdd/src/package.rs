@@ -139,7 +139,7 @@ impl Package {
     ///
     /// # Panics
     ///
-    /// Panics if `n_qubits` is zero or exceeds `u16::MAX`.
+    /// Panics if `n_qubits` is zero or exceeds [`Circuit::MAX_QUBITS`].
     #[must_use]
     pub fn new(n_qubits: usize) -> Self {
         Self::with_node_limit(n_qubits, Self::DEFAULT_NODE_LIMIT)
@@ -150,11 +150,11 @@ impl Package {
     ///
     /// # Panics
     ///
-    /// Panics if `n_qubits` is zero or exceeds `u16::MAX`.
+    /// Panics if `n_qubits` is zero or exceeds [`Circuit::MAX_QUBITS`].
     #[must_use]
     pub fn with_node_limit(n_qubits: usize, node_limit: usize) -> Self {
         assert!(n_qubits > 0, "a package needs at least one qubit");
-        assert!(n_qubits < u16::MAX as usize, "too many qubits");
+        assert!(n_qubits <= Circuit::MAX_QUBITS, "too many qubits");
         let mut package = Package {
             n_qubits,
             ct: ComplexTable::new(),

@@ -42,8 +42,9 @@ const TRUNCATION_SLACK: f64 = 8.0;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpoVerdict {
     /// The equivalence class under the truncation-widened tolerance; the
-    /// phase of [`DdEquivalence::EquivalentUpToGlobalPhase`] is the
-    /// argument of the normalized trace.
+    /// phase `φ` of [`DdEquivalence::EquivalentUpToGlobalPhase`] is the
+    /// DD check's (`U′ = e^{iφ}·U`), read off the normalized trace
+    /// `Tr(U′†·U) / 2ⁿ = e^{−iφ}`.
     pub equivalence: DdEquivalence,
     /// Accumulated truncation error of the run; `0.0` means the check was
     /// numerically exact and the class is as trustworthy as a DD verdict.
@@ -205,7 +206,9 @@ fn verdict_from_trace(t: qnum::Complex, truncation_error: f64, peak_bond: usize)
     } else if (t - qnum::Complex::ONE).norm_sqr() <= window {
         DdEquivalence::Equivalent
     } else {
-        DdEquivalence::EquivalentUpToGlobalPhase { phase: t.arg() }
+        DdEquivalence::EquivalentUpToGlobalPhase {
+            phase: t.conj().arg(),
+        }
     };
     MpoVerdict {
         equivalence,
@@ -265,6 +268,26 @@ mod tests {
                 assert!((phase.abs() - std::f64::consts::PI).abs() < 1e-9, "{phase}");
             }
             other => panic!("expected global phase, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn global_phase_has_the_dd_sign() {
+        // Rz(1)·P(−1) = e^{−i/2}·𝕀, so U′ = e^{iφ}·U with φ = −1/2.
+        let g = generators::ghz(2);
+        let mut phased = g.clone();
+        phased.rz(1.0, 0).p(-1.0, 0);
+        let budget = Budget::new(None);
+        for v in [
+            alternating(&g, &phased, CHI, ApplicationScheme::Proportional),
+            check_equivalence_construct(&g, &phased, CHI, &budget).unwrap(),
+        ] {
+            match v.equivalence {
+                DdEquivalence::EquivalentUpToGlobalPhase { phase } => {
+                    assert!((phase + 0.5).abs() < 1e-9, "{phase}");
+                }
+                other => panic!("expected global phase, got {other:?}"),
+            }
         }
     }
 
