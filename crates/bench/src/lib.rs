@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use qcirc::mapping::{route, CouplingMap, RouterOptions};
+use qcirc::mapping::{route, CouplingMap, RouteError, RouterOptions};
 use qcirc::{decompose, generators, optimize, Circuit};
 
 /// How the alternative realization `G'` was produced.
@@ -171,15 +171,24 @@ pub fn suite(scale: usize) -> Vec<BenchmarkPair> {
     pairs
 }
 
+/// `g` as a mapping flow leaves it: lowered to `{1q, CX}` and routed onto
+/// `device` with the initial layout restored at the end.
+///
+/// # Errors
+///
+/// Returns the router's error when `device` has fewer qubits than `g`.
+pub fn mapped(g: &Circuit, device: &CouplingMap) -> Result<Circuit, RouteError> {
+    let lowered = decompose::decompose_to_cx_and_single_qubit(g);
+    route(&lowered, device, RouterOptions::default()).map(|routed| routed.circuit)
+}
+
 fn mapped_pair(name: &str, g: Circuit, device: &CouplingMap) -> BenchmarkPair {
-    let lowered = decompose::decompose_to_cx_and_single_qubit(&g);
-    let routed = route(&lowered, device, RouterOptions::default())
-        .expect("suite circuits fit their devices");
-    let n = routed.circuit.n_qubits();
+    let routed = mapped(&g, device).expect("suite circuits fit their devices");
+    let n = routed.n_qubits();
     BenchmarkPair {
         name: name.to_string(),
         original: g.widened(n),
-        alternative: routed.circuit,
+        alternative: routed,
         derivation: Derivation::Mapped,
         statevector_ok: n <= 20,
     }
