@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the statevector gate kernels (experiment MB), on
-//! one state vector (a one-lane arena). The `kernel_short_runs` group
-//! covers gates whose contiguous runs are shorter than a vector register,
-//! which the kernels walk in scalar code.
+//! one state vector. The `kernel_short_runs` group covers gates whose
+//! contiguous runs are shorter than a vector register, which the kernels
+//! walk in scalar code.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qnum::Matrix2;
@@ -23,7 +23,7 @@ fn bench_single_qubit_kernel(c: &mut Criterion) {
             let h = Matrix2::hadamard();
             b.iter_batched(
                 || amps.clone(),
-                |mut a| kernels::apply_controlled_single(&mut a, 1, 0, n / 2, &h),
+                |mut a| kernels::apply_controlled_single(&mut a, 0, n / 2, &h),
                 criterion::BatchSize::LargeInput,
             );
         });
@@ -39,7 +39,7 @@ fn bench_diagonal_fast_path(c: &mut Criterion) {
     group.bench_function("rz_diagonal", |b| {
         b.iter_batched(
             || amps.clone(),
-            |mut a| kernels::apply_controlled_single(&mut a, 1, 0, 8, &rz),
+            |mut a| kernels::apply_controlled_single(&mut a, 0, 8, &rz),
             criterion::BatchSize::LargeInput,
         );
     });
@@ -47,7 +47,7 @@ fn bench_diagonal_fast_path(c: &mut Criterion) {
     group.bench_function("u3_general", |b| {
         b.iter_batched(
             || amps.clone(),
-            |mut a| kernels::apply_controlled_single(&mut a, 1, 0, 8, &u3),
+            |mut a| kernels::apply_controlled_single(&mut a, 0, 8, &u3),
             criterion::BatchSize::LargeInput,
         );
     });
@@ -62,14 +62,14 @@ fn bench_controlled_kernel(c: &mut Criterion) {
     group.bench_function("cx", |b| {
         b.iter_batched(
             || amps.clone(),
-            |mut a| kernels::apply_controlled_single(&mut a, 1, 1 << 3, 8, &x),
+            |mut a| kernels::apply_controlled_single(&mut a, 1 << 3, 8, &x),
             criterion::BatchSize::LargeInput,
         );
     });
     group.bench_function("swap", |b| {
         b.iter_batched(
             || amps.clone(),
-            |mut a| kernels::apply_controlled_swap(&mut a, 1, 0, 3, 8),
+            |mut a| kernels::apply_controlled_swap(&mut a, 0, 3, 8),
             criterion::BatchSize::LargeInput,
         );
     });
@@ -87,7 +87,7 @@ fn bench_short_runs(c: &mut Criterion) {
         group.bench_function(format!("h_t{target}"), |b| {
             b.iter_batched(
                 || amps.clone(),
-                |mut a| kernels::apply_controlled_single(&mut a, 1, 0, target, &h),
+                |mut a| kernels::apply_controlled_single(&mut a, 0, target, &h),
                 criterion::BatchSize::LargeInput,
             );
         });
@@ -96,7 +96,7 @@ fn bench_short_runs(c: &mut Criterion) {
     group.bench_function("cx_c0_t8", |b| {
         b.iter_batched(
             || amps.clone(),
-            |mut a| kernels::apply_controlled_single(&mut a, 1, 1, 8, &x),
+            |mut a| kernels::apply_controlled_single(&mut a, 1, 8, &x),
             criterion::BatchSize::LargeInput,
         );
     });

@@ -15,17 +15,14 @@
 //!     --seed 7 --trials 5 --faults 1 --sims 10 --threads 2 --scale 0
 //! ```
 //!
-//! Five flags set the ablation axes ([`qcec::campaign::Axis`]):
+//! Four flags set the ablation axes ([`qcec::campaign::Axis`]):
 //! `--stimuli basis,product,stabilizer` (stimulus strategies), `--backend
 //! sv,dd,stab,mps` (simulation engines), `--scheme
 //! sequential,onetoone,proportional,gatecost` (the alternating check's
-//! gate-application schemes), `--chi 1,16,64` (the MPS engine's
-//! bond-dimension cap) and `--batch 1,8` (the probe batch size). Every
-//! trial is checked once per combination of arms, and every arm sees the
-//! identical faults, so a detection difference is attributable to the axis
-//! alone (and for `--batch` the arms must be identical outright:
-//! per-stimulus outcomes are bit-identical at any batch size, making the
-//! axis a built-in self-check).
+//! gate-application schemes) and `--chi 1,16,64` (the MPS engine's
+//! bond-dimension cap). Every trial is checked once per combination of
+//! arms, and every arm sees the identical faults, so a detection
+//! difference is attributable to the axis alone.
 //! `--compose K` stacks `K − 1` extra mixed-class faults on top of each
 //! trial's own (modelling multi-fault compiler bugs); `--peel` strips the
 //! shared Clifford rim off every pair before checking. `--pair
@@ -63,7 +60,6 @@ struct Args {
     sims: usize,
     threads: usize,
     trial_threads: usize,
-    guard_cache: bool,
     scale: usize,
     epsilon: f64,
     timings: bool,
@@ -84,7 +80,6 @@ impl Default for Args {
             sims: 10,
             threads: 2,
             trial_threads: 1,
-            guard_cache: true,
             scale: bench::scale_from_env(),
             epsilon: 0.1,
             timings: false,
@@ -99,10 +94,10 @@ impl Default for Args {
 fn usage() -> ! {
     eprintln!(
         "usage: campaign [--seed N] [--trials N] [--faults N] [--compose K] \
-         [--sims N] [--threads N] [--trial-threads N] [--no-guard-cache] \
+         [--sims N] [--threads N] [--trial-threads N] \
          [--scale 0|1] [--epsilon X] [--peel] [--timings] [--out FILE] \
          [--stimuli S[,S...]] [--backend B[,B...]] [--scheme A[,A...]] \
-         [--chi N[,N...]] [--batch K[,K...]] [--pair GOLDEN,FAULTY]... \
+         [--chi N[,N...]] [--pair GOLDEN,FAULTY]... \
          [--inject CLASS[,CLASS...]|all [--pair FILE]...]\n\
          stimulus strategies: basis|sequential|product|stabilizer\n\
          backends: sv|dd|stab|mps|auto\n\
@@ -192,7 +187,6 @@ fn parse_args() -> Args {
             "--trial-threads" => {
                 args.trial_threads = val("--trial-threads").parse().unwrap_or_else(|_| usage());
             }
-            "--no-guard-cache" => args.guard_cache = false,
             "--scale" => args.scale = val("--scale").parse().unwrap_or_else(|_| usage()),
             "--epsilon" => args.epsilon = val("--epsilon").parse().unwrap_or_else(|_| usage()),
             "--timings" => args.timings = true,
@@ -357,7 +351,6 @@ fn main() {
         .with_simulations(args.sims)
         .with_threads(args.threads)
         .with_trial_threads(args.trial_threads)
-        .with_guard_cache(args.guard_cache)
         .with_epsilon(args.epsilon);
     for axis in &args.axes {
         config = config.with_axis(axis.clone());

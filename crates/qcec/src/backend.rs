@@ -53,14 +53,6 @@
 //! dense granularity when it falls back. Either way a `false` poll yields
 //! `None`, never a partial overlap.
 //!
-//! Probes may also run in **batches** ([`SimBackend::probe_batch_while`]):
-//! the statevector backend runs every probe, a lone stimulus included, as
-//! the lanes of one lane-major arena (one gate decode per batch), every
-//! other engine loops its single-stimulus path via the default
-//! implementation. Batch outcomes are bit-identical to single probes per
-//! stimulus, so batching is invisible to verdicts — which is why
-//! `Config::batch_size` is excluded from the verdict fingerprint.
-
 use qcirc::Circuit;
 use qnum::Complex;
 use qsim::{ProbeWorkspace, Simulator};
@@ -174,22 +166,17 @@ pub trait SimBackend: Send + Sync {
         keep_going: &dyn Fn() -> bool,
     ) -> Result<Option<ProbeOutcome>, qdd::DdLimitError>;
 
-    /// Probes a whole batch of stimuli, returning one outcome per stimulus
-    /// in input order.
-    ///
-    /// The default implementation loops [`SimBackend::probe_while`], so
-    /// every engine is batch-correct for free; engines with a genuinely
-    /// batched execution path (the statevector backend's lane-major arena
-    /// kernels) override it. The contract either way: outcome `i` is
-    /// **bit-identical** to what a lone `probe_while` on `stimuli[i]`
-    /// would return, and a `false` `keep_going` poll abandons the whole
-    /// batch with `Ok(None)` — callers treat batch members as moot
-    /// together, exactly like a cancelled single probe.
+    /// Probes several stimuli one after another, returning one outcome per
+    /// stimulus in input order, or `Ok(None)` as soon as one probe is
+    /// cancelled. The flow itself probes one stimulus per call
+    /// ([`SimBackend::probe_while`]); this loop is for callers that want a
+    /// slice of outcomes at once, and outcome `i` is what a lone
+    /// `probe_while` on `stimuli[i]` returns.
     ///
     /// # Errors
     ///
     /// Returns [`qdd::DdLimitError`] if the engine exhausts its node
-    /// budget on any member of the batch.
+    /// budget on any of the stimuli.
     fn probe_batch_while(
         &self,
         g: &Circuit,
@@ -227,7 +214,7 @@ pub trait SimBackend: Send + Sync {
 }
 
 /// The dense statevector engine: wraps [`qsim::Simulator`] and a reusable
-/// pair of lane-major arenas per thread.
+/// pair of state vectors per thread.
 ///
 /// # Examples
 ///
@@ -265,8 +252,7 @@ impl StatevectorBackend {
 }
 
 /// Per-thread scratch for [`StatevectorBackend`]: [`qsim::ProbeWorkspace`]'s
-/// two lane-major arenas, one `2ⁿ` state per branch for a lone stimulus
-/// and growing to the largest batch seen.
+/// two `2ⁿ` state vectors, one per branch.
 pub type SvWorkspace = ProbeWorkspace;
 
 impl SimBackend for StatevectorBackend {
@@ -288,35 +274,18 @@ impl SimBackend for StatevectorBackend {
         workspace: &mut SvWorkspace,
         keep_going: &dyn Fn() -> bool,
     ) -> Result<Option<ProbeOutcome>, qdd::DdLimitError> {
-        let batch = std::slice::from_ref(stimulus);
-        Ok(self
-            .probe_batch_while(g, g_prime, batch, workspace, keep_going)?
-            .map(|outcomes| outcomes[0]))
-    }
-
-    /// Every probe streams through [`qsim::Simulator::probe_stimuli_while`],
-    /// the batch's stimuli as the lanes of one arena, decoding each gate
-    /// once per batch instead of once per stimulus. Per lane the float
-    /// operations do not depend on the lane count, so the bit-identity
-    /// contract of [`SimBackend::probe_batch_while`] holds by construction.
-    fn probe_batch_while(
-        &self,
-        g: &Circuit,
-        g_prime: &Circuit,
-        stimuli: &[Stimulus],
-        workspace: &mut SvWorkspace,
-        keep_going: &dyn Fn() -> bool,
-    ) -> Result<Option<Vec<ProbeOutcome>>, qdd::DdLimitError> {
-        let prefixes: Vec<Option<Circuit>> = stimuli.iter().map(Stimulus::prefix_circuit).collect();
-        let lanes: Vec<(u64, Option<&Circuit>)> = stimuli
-            .iter()
-            .zip(&prefixes)
-            .map(|(s, p)| (s.basis_state(), p.as_ref()))
-            .collect();
+        let prefix = stimulus.prefix_circuit();
         Ok(self
             .sim
-            .probe_stimuli_while(g, g_prime, &lanes, workspace, keep_going)
-            .map(|overlaps| overlaps.iter().copied().map(ProbeOutcome::bare).collect()))
+            .probe_stimulus_while(
+                g,
+                g_prime,
+                stimulus.basis_state(),
+                prefix.as_ref(),
+                workspace,
+                keep_going,
+            )
+            .map(ProbeOutcome::bare))
     }
 
     fn replay(
@@ -326,8 +295,7 @@ impl SimBackend for StatevectorBackend {
         stimulus: &Stimulus,
         workspace: &mut SvWorkspace,
     ) -> Result<(Vec<Complex>, Vec<Complex>), qdd::DdLimitError> {
-        // After a one-stimulus probe the workspace arenas hold exactly the
-        // two output states.
+        // After a probe the workspace holds exactly the two output states.
         self.probe(g, g_prime, stimulus, workspace)?;
         Ok((workspace.left().to_vec(), workspace.right().to_vec()))
     }
@@ -1207,8 +1175,7 @@ mod tests {
             .with_simulations(6)
             .with_seed(5);
         let stimuli = crate::draw_stimuli(4, &config);
-        // The sv override runs every batch size through one arena probe
-        // and must be bit-identical to lone probes.
+        // The provided loop returns, per stimulus, exactly the lone probe.
         let sv = StatevectorBackend::new();
         let mut ws = sv.workspace(4);
         for k in [0usize, 1, 2, stimuli.len()] {
@@ -1221,7 +1188,6 @@ mod tests {
                 assert_eq!(got.overlap, want.overlap, "k={k} {}", s.kind());
             }
         }
-        // The default implementation (dd here) loops the single path.
         let dd = qdd::DdBackend::new();
         let mut dd_ws = dd.workspace(4);
         let batch = dd
@@ -1232,9 +1198,8 @@ mod tests {
             let want = dd.probe(&g, &buggy, s, &mut dd_ws).unwrap();
             assert_eq!(got.overlap, want.overlap, "dd {}", s.kind());
         }
-        // Cancellation abandons the whole batch.
+        // A cancelled probe abandons the rest.
         let never = || false;
-        let mut ws = sv.workspace(4);
         assert!(sv
             .probe_batch_while(&g, &buggy, &stimuli, &mut ws, &never)
             .unwrap()

@@ -12,7 +12,7 @@
 //! after `r` runs, per-family breakdowns, and stage timings.
 //!
 //! Every trial is checked once per combination of ablation-[`Axis`] arms
-//! (stimulus strategy, backend, scheme, χ, batch size), against the same
+//! (stimulus strategy, backend, scheme, χ), against the same
 //! injected fault, and each arm aggregates its own statistics.
 //!
 //! The whole campaign is a pure function of its seed: every injected fault
@@ -31,13 +31,10 @@
 //!   from a shared counter, and results are merged in deterministic trial
 //!   order — never completion order — so the reproducible JSON is
 //!   byte-identical for any worker count;
-//! * **memoized guarding** ([`CampaignConfig::with_guard_cache`], default
-//!   on): golden-side guard work is done once per benchmark
-//!   ([`qfault::GuardCache`]) instead of once per trial — each mutant is
-//!   diffed against the memoized golden gate list so only the differing
-//!   gates are completely checked (exact, by unitary conjugation), with
-//!   the golden DD built once as the whole-circuit fallback. Labels are
-//!   identical either way.
+//! * **trimmed guarding**: one [`qfault::GuardCache`] per benchmark diffs
+//!   each mutant against the golden gate list, so only the differing
+//!   gates are completely checked (exact, by unitary conjugation) —
+//!   labels are those of the whole-circuit guard.
 //!
 //! # Examples
 //!
@@ -166,10 +163,6 @@ pub enum Axis {
     /// Bond-dimension caps ([`Config::with_chi_max`]); dense engines
     /// ignore χ, so only MPS arms consult it.
     Chi(Vec<usize>),
-    /// Probe batch sizes ([`Config::with_batch_size`]). Per-stimulus probe
-    /// outcomes are bit-identical at any batch size, so the arms must agree
-    /// outright while the wall-clock shows the amortization.
-    Batch(Vec<usize>),
 }
 
 /// The names an [`Axis`] renders under.
@@ -187,7 +180,7 @@ struct AxisNames {
 impl Axis {
     /// Every axis at its default arm, in render order: the paper's random
     /// basis states on the dense statevector engine, the proportional
-    /// scheme, χ = [`qmpo::DEFAULT_CHI_MAX`] and one stimulus per probe.
+    /// scheme and χ = [`qmpo::DEFAULT_CHI_MAX`].
     #[must_use]
     pub fn defaults() -> Vec<Axis> {
         vec![
@@ -195,12 +188,11 @@ impl Axis {
             Axis::Backend(vec![BackendKind::Statevector]),
             Axis::Scheme(vec![ApplicationScheme::Proportional]),
             Axis::Chi(vec![qmpo::DEFAULT_CHI_MAX]),
-            Axis::Batch(vec![1]),
         ]
     }
 
     /// The default axis whose CLI flag (without dashes) is `flag`:
-    /// `stimuli`, `backend`, `scheme`, `chi` or `batch`.
+    /// `stimuli`, `backend`, `scheme` or `chi`.
     #[must_use]
     pub fn named(flag: &str) -> Option<Axis> {
         Axis::defaults().into_iter().find(|a| a.flag() == flag)
@@ -210,8 +202,8 @@ impl Axis {
     ///
     /// # Errors
     ///
-    /// Names the first arm that does not parse (χ caps and batch sizes
-    /// must be positive integers).
+    /// Names the first arm that does not parse (χ caps must be positive
+    /// integers).
     pub fn parse_arms(&self, spec: &str) -> Result<Axis, String> {
         fn arms<T>(
             spec: &str,
@@ -231,7 +223,6 @@ impl Axis {
             Axis::Backend(_) => arms(spec, BackendKind::parse).map(Axis::Backend),
             Axis::Scheme(_) => arms(spec, ApplicationScheme::parse).map(Axis::Scheme),
             Axis::Chi(_) => arms(spec, positive).map(Axis::Chi),
-            Axis::Batch(_) => arms(spec, positive).map(Axis::Batch),
         }
     }
 
@@ -248,7 +239,7 @@ impl Axis {
             Axis::Stimuli(arms) => arms.len(),
             Axis::Backend(arms) => arms.len(),
             Axis::Scheme(arms) => arms.len(),
-            Axis::Chi(arms) | Axis::Batch(arms) => arms.len(),
+            Axis::Chi(arms) => arms.len(),
         }
     }
 
@@ -258,7 +249,6 @@ impl Axis {
             Axis::Backend(_) => ("backend", "backend", "backends", "backend"),
             Axis::Scheme(_) => ("scheme", "scheme", "schemes", "application scheme"),
             Axis::Chi(_) => ("chi", "chi", "chis", "bond dimension"),
-            Axis::Batch(_) => ("batch", "batch", "batches", "batch size"),
         };
         AxisNames {
             flag,
@@ -289,14 +279,14 @@ impl Axis {
             Axis::Stimuli(arms) => arms[i].slug().to_string(),
             Axis::Backend(arms) => arms[i].slug().to_string(),
             Axis::Scheme(arms) => arms[i].slug().to_string(),
-            Axis::Chi(arms) | Axis::Batch(arms) => arms[i].to_string(),
+            Axis::Chi(arms) => arms[i].to_string(),
         }
     }
 
     /// Arm `i` as a JSON value: `"sv"`, or `64`.
     fn arm_json(&self, i: usize) -> String {
         match self {
-            Axis::Chi(_) | Axis::Batch(_) => self.label(i),
+            Axis::Chi(_) => self.label(i),
             _ => format!("\"{}\"", self.label(i)),
         }
     }
@@ -308,7 +298,6 @@ impl Axis {
             Axis::Backend(arms) => config.with_backend(arms[i]),
             Axis::Scheme(arms) => config.with_scheme(arms[i]),
             Axis::Chi(arms) => config.with_chi_max(arms[i]),
-            Axis::Batch(arms) => config.with_batch_size(arms[i]),
         }
     }
 
@@ -365,11 +354,6 @@ pub struct CampaignConfig {
     /// order, so the campaign's reproducible JSON is byte-identical for any
     /// value here (1 = the sequential inner loop).
     pub trial_threads: usize,
-    /// Memoize the golden circuit `G'`'s decision diagram per benchmark
-    /// (build once, check every mutant against the cached DD) instead of
-    /// rebuilding it inside each trial's guard check. Labels are identical
-    /// either way; `false` is the ablation baseline.
-    pub guard_cache: bool,
     /// Magnitude of [`qfault::PerturbAngle`] offsets.
     pub epsilon: f64,
     /// Budget for the benign-mutation guard.
@@ -405,7 +389,6 @@ impl Default for CampaignConfig {
             simulations: 10,
             threads: 2,
             trial_threads: 1,
-            guard_cache: true,
             epsilon: 0.1,
             guard: GuardOptions::default(),
             deadline: Some(Duration::from_secs(30)),
@@ -496,13 +479,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Enables or disables the per-benchmark memoized guard DD.
-    #[must_use]
-    pub fn with_guard_cache(mut self, guard_cache: bool) -> Self {
-        self.guard_cache = guard_cache;
-        self
-    }
-
     /// Sets the angle-perturbation magnitude ε.
     #[must_use]
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
@@ -514,7 +490,7 @@ impl CampaignConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `axis` has no arm, or a zero χ cap or batch size.
+    /// Panics if `axis` has no arm, or a zero χ cap.
     #[must_use]
     pub fn with_axis(mut self, axis: Axis) -> Self {
         assert!(
@@ -522,7 +498,7 @@ impl CampaignConfig {
             "the {} axis needs at least one arm",
             axis.flag()
         );
-        if let Axis::Chi(arms) | Axis::Batch(arms) = &axis {
+        if let Axis::Chi(arms) = &axis {
             assert!(
                 arms.iter().all(|&a| a > 0),
                 "{} arms must be positive",
@@ -775,16 +751,11 @@ pub struct FamilyCell {
 }
 
 /// Cost accounting for the benign-mutation guard across a whole campaign.
-/// Wall-clock fields are scheduling-dependent; the build/check counters
-/// depend on `trial_threads` and `guard_cache` but not on the seed.
+/// The wall-clock field is scheduling-dependent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardStats {
     /// Total wall time spent labelling mutations.
     pub guard_time: Duration,
-    /// Golden-circuit DD constructions. With the cache on this is at most
-    /// `benchmarks × concurrent workers` (exactly `benchmarks` when
-    /// sequential); without it, one per checked trial.
-    pub golden_builds: usize,
     /// Mutations labelled by a complete check.
     pub checks: usize,
 }
@@ -923,19 +894,12 @@ pub fn run_campaign(benchmarks: &[CampaignBenchmark], config: &CampaignConfig) -
         }
     }
 
-    // One memoized guard per benchmark: golden-side work (the gate list
-    // mutants are diffed against, and the golden DD for whole-circuit
-    // fallbacks) happens here once, instead of inside every trial. The
-    // eager builds are charged to guard time below, so the cached/uncached
-    // comparison stays honest.
-    let guard_setup = Instant::now();
-    let guards: Option<Vec<GuardCache>> = config.guard_cache.then(|| {
-        benchmarks
-            .iter()
-            .map(|b| GuardCache::new(&b.alternative, &config.guard))
-            .collect()
-    });
-    let guard_setup_time = guard_setup.elapsed();
+    // One guard per benchmark, holding the golden gate list every mutant
+    // is diffed against.
+    let guards: Vec<GuardCache> = benchmarks
+        .iter()
+        .map(|b| GuardCache::new(&b.alternative, &config.guard))
+        .collect();
 
     // Fan the cells across the shared ordered pool: trial order in, trial
     // order out, byte-identical at any worker count.
@@ -945,7 +909,7 @@ pub fn run_campaign(benchmarks: &[CampaignBenchmark], config: &CampaignConfig) -
             run_trial(
                 &benchmarks[cell.benchmark],
                 mutators[cell.class].as_ref(),
-                guards.as_ref().map(|g| &g[cell.benchmark]),
+                &guards[cell.benchmark],
                 cell,
                 config,
             )
@@ -993,19 +957,7 @@ pub fn run_campaign(benchmarks: &[CampaignBenchmark], config: &CampaignConfig) -
         }
         trials.push(record);
     }
-    match &guards {
-        Some(caches) => {
-            guard_stats.guard_time += guard_setup_time;
-            guard_stats.golden_builds = caches.iter().map(GuardCache::golden_builds).sum();
-            guard_stats.checks = caches.iter().map(GuardCache::mutants_checked).sum();
-        }
-        None => {
-            // Without memoization every applicable trial built the golden
-            // DD from scratch inside its own check.
-            guard_stats.checks = trials.iter().filter(|t| !t.mutations.is_empty()).count();
-            guard_stats.golden_builds = guard_stats.checks;
-        }
-    }
+    guard_stats.checks = guards.iter().map(GuardCache::mutants_checked).sum();
 
     CampaignResult {
         config: config.clone(),
@@ -1035,7 +987,7 @@ pub fn run_campaign(benchmarks: &[CampaignBenchmark], config: &CampaignConfig) -
 fn run_trial(
     bench: &CampaignBenchmark,
     mutator: &dyn Mutator,
-    guard_cache: Option<&GuardCache>,
+    guard: &GuardCache,
     cell: &TrialCell,
     config: &CampaignConfig,
 ) -> TrialOutput {
@@ -1088,10 +1040,7 @@ fn run_trial(
     }
 
     let guard_start = Instant::now();
-    record.guard = match guard_cache {
-        Some(cache) => cache.classify(&mutated),
-        None => qfault::guard::classify(&bench.alternative, &mutated, &config.guard),
-    };
+    record.guard = guard.classify(&mutated);
     let guard_time = guard_start.elapsed();
 
     let sink = Arc::new(CollectingSink::new());
@@ -1207,23 +1156,20 @@ impl CampaignResult {
 
         // The stage summary is entirely timing-dependent: even its
         // counters (how many in-flight runs finish before a cancellation
-        // lands) vary between runs, so it only renders on request. The
-        // guard summary likewise (its build counter depends on worker
-        // overlap). Execution knobs (`trial_threads`, `guard_cache`) are
-        // deliberately absent from the config object above: they must not
+        // lands) vary between runs, so it only renders on request, as do
+        // the guard and run summaries. The execution knob `trial_threads`
+        // is deliberately absent from the config object above: it must not
         // change the reproducible rendering.
         if with_timings {
             root.raw("stage_summary", self.stage_timings.to_json(true));
             let mut guard = json::Obj::new();
             guard
                 .num("t_guard_s", self.guard_stats.guard_time.as_secs_f64())
-                .int("golden_builds", self.guard_stats.golden_builds as u64)
                 .int("checks", self.guard_stats.checks as u64);
             root.raw("guard_summary", guard.render());
             let mut run = json::Obj::new();
             run.num("wall_s", self.wall_time.as_secs_f64())
-                .int("trial_threads", self.config.trial_threads as u64)
-                .int("guard_cache", u64::from(self.config.guard_cache));
+                .int("trial_threads", self.config.trial_threads as u64);
             root.raw("run_summary", run.render());
         }
         root.render()
@@ -1331,14 +1277,8 @@ impl CampaignResult {
             self.stage_timings.functional_time.as_secs_f64(),
         ));
         out.push_str(&format!(
-            "guard summary: {} checks, {} golden DD build(s) ({}), t_guard {:.3}s\n",
+            "guard summary: {} checks, t_guard {:.3}s\n",
             self.guard_stats.checks,
-            self.guard_stats.golden_builds,
-            if self.config.guard_cache {
-                "memoized"
-            } else {
-                "per-trial"
-            },
             self.guard_stats.guard_time.as_secs_f64(),
         ));
         out.push_str(&format!(
@@ -1717,22 +1657,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_cache_ablation_changes_labels_not_at_all() {
-        let (benches, config) = tiny_campaign();
-        let cached = run_campaign(&benches, &config);
-        let uncached = run_campaign(&benches, &config.clone().with_guard_cache(false));
-        assert_eq!(cached.to_json(false), uncached.to_json(false));
-        // The memoized run built one golden DD per benchmark; the ablation
-        // paid one build per checked trial.
-        assert_eq!(cached.guard_stats.golden_builds, benches.len());
-        assert_eq!(
-            uncached.guard_stats.golden_builds,
-            uncached.guard_stats.checks
-        );
-        assert!(uncached.guard_stats.golden_builds > cached.guard_stats.golden_builds);
-    }
-
-    #[test]
     fn trial_seeds_are_well_spread() {
         let mut seen = std::collections::HashSet::new();
         for b in 0..4 {
@@ -1881,54 +1805,6 @@ mod tests {
         )
         .to_json(false);
         assert!(!default_js.contains("chi"));
-    }
-
-    #[test]
-    fn batch_ablation_arms_report_identical_verdicts() {
-        let benches = vec![CampaignBenchmark::optimized(
-            "qft 5",
-            "qft",
-            &generators::qft(5, true),
-        )];
-        let config = CampaignConfig::default()
-            .with_trials(2)
-            .with_simulations(6)
-            .with_classes(vec![MutationKind::RemoveGate, MutationKind::AddGate])
-            .with_axis(Axis::Batch(vec![1, 8]));
-        let result = run_campaign(&benches, &config);
-        let batch_arms = &result.arms[axis("batch")];
-        assert_eq!(batch_arms.len(), 2);
-        // The batch axis re-checks the *same* faults, and per-stimulus
-        // outcomes are bit-identical at any batch size — so the arms must
-        // agree not only on seeds and mutations but on every verdict and
-        // sims-run count.
-        let half = result.trials.len() / 2;
-        for (a, b) in result.trials[..half].iter().zip(&result.trials[half..]) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.mutations, b.mutations);
-            assert_eq!(a.arms[axis("batch")], 0);
-            assert_eq!(b.arms[axis("batch")], 1);
-            assert_eq!(a.detection, b.detection, "batch changed a verdict");
-            assert_eq!(a.sims_run, b.sims_run);
-        }
-        assert_eq!(batch_arms[0].classes, batch_arms[1].classes);
-        let js = result.to_json(false);
-        assert!(js.contains(r#""batches":[1,8]"#));
-        assert!(js.contains(r#""batch":8"#));
-        assert_eq!(js, run_campaign(&benches, &config).to_json(false));
-        let pooled = run_campaign(&benches, &config.clone().with_trial_threads(3));
-        assert_eq!(js, pooled.to_json(false));
-        assert!(result.to_markdown().contains("## Detection by batch size"));
-        // The default batch=1 campaign renders no batch field at all.
-        let default_js = run_campaign(
-            &benches,
-            &CampaignConfig::default()
-                .with_trials(1)
-                .with_simulations(4)
-                .with_classes(vec![MutationKind::RemoveGate]),
-        )
-        .to_json(false);
-        assert!(!default_js.contains("batch"));
     }
 
     #[test]

@@ -245,17 +245,6 @@ pub struct Config {
     /// prefix no longer randomises them), so verdict-equivalent runs are
     /// not bit-identical with the unpeeled flow.
     pub peel: bool,
-    /// Stimuli probed per batch. With `1` (the default) every probe runs
-    /// alone, reproducing the historical behaviour bit for bit; with `k`,
-    /// the simulation stage claims and probes `k` stimuli at a time — the
-    /// statevector backend streams them through a shared lane-major arena
-    /// (gate decode amortized `k`×, cache-hot inner loops), other engines
-    /// loop their single-stimulus path. Batch outcomes are bit-identical
-    /// per stimulus, so the verdict (class, counterexample run index,
-    /// overlap bits) never depends on this knob — it is a pure
-    /// throughput/latency trade and is excluded from the verdict
-    /// fingerprint ([`ConfigDigest`](crate::service::ConfigDigest)).
-    pub batch_size: usize,
     /// Gate-interleaving policy of the alternating complete check (see
     /// [`qdd::ApplicationScheme`]): which side of `G → 𝕀 ← G'` advances
     /// next. Scheme-independent verdicts, scheme-dependent intermediate
@@ -292,7 +281,6 @@ impl PartialEq for Config {
             && self.dd_node_limit == other.dd_node_limit
             && self.chi_max == other.chi_max
             && self.peel == other.peel
-            && self.batch_size == other.batch_size
             && self.scheme == other.scheme
             && sinks_eq
     }
@@ -313,7 +301,6 @@ impl Default for Config {
             dd_node_limit: qdd::Package::DEFAULT_NODE_LIMIT,
             chi_max: qmpo::DEFAULT_CHI_MAX,
             peel: false,
-            batch_size: 1,
             scheme: ApplicationScheme::default(),
             event_sink: None,
         }
@@ -397,31 +384,6 @@ impl Config {
     #[must_use]
     pub fn with_peel(mut self, peel: bool) -> Self {
         self.peel = peel;
-        self
-    }
-
-    /// Sets the per-batch stimulus count of the simulation stage (see
-    /// [`Config::batch_size`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use qcec::Config;
-    ///
-    /// let g = qcirc::generators::qft(4, true);
-    /// let opt = qcirc::optimize::optimize(&g);
-    /// let config = Config::new().with_batch_size(8);
-    /// let result = qcec::check_equivalence(&g, &opt, &config).unwrap();
-    /// assert!(result.outcome.is_equivalent());
-    /// ```
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "need at least one stimulus per batch");
-        self.batch_size = batch_size;
         self
     }
 
@@ -517,20 +479,12 @@ mod tests {
     fn scheduler_knobs_default_off() {
         let c = Config::default();
         assert_eq!(c.threads, 1);
-        assert_eq!(c.batch_size, 1);
         assert!(!c.peel);
         assert!(c.event_sink.is_none());
-        let c = c.with_threads(4).with_peel(true).with_batch_size(8);
+        let c = c.with_threads(4).with_peel(true);
         assert_eq!(c.threads, 4);
-        assert_eq!(c.batch_size, 8);
         assert!(c.peel);
-        assert_ne!(Config::default(), Config::default().with_batch_size(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one stimulus per batch")]
-    fn zero_batch_size_rejected() {
-        let _ = Config::new().with_batch_size(0);
+        assert_ne!(Config::default(), Config::default().with_threads(4));
     }
 
     #[test]

@@ -348,15 +348,6 @@ pub struct StageTimings {
     /// Flow invocations whose [`BackendKind::Auto`] selector was resolved
     /// to a concrete engine (one `BackendSelected` event each).
     pub auto_selections: usize,
-    /// Completed stimulus batches (one `BatchFinished` event each).
-    pub batches_finished: usize,
-    /// Stimulus indices claimed by completed batches.
-    pub batch_slots_claimed: usize,
-    /// Stimulus indices actually probed by completed batches. The fill
-    /// ratio `batch_slots_probed / batch_slots_claimed` measures how much
-    /// claimed work was still useful when the batch ran (claims partially
-    /// superseded by an earlier counterexample lower it).
-    pub batch_slots_probed: usize,
 }
 
 impl StageTimings {
@@ -385,13 +376,6 @@ impl StageTimings {
                     }
                 }
                 RunEvent::BackendSelected { .. } => t.auto_selections += 1,
-                RunEvent::BatchFinished {
-                    claimed, probed, ..
-                } => {
-                    t.batches_finished += 1;
-                    t.batch_slots_claimed += claimed;
-                    t.batch_slots_probed += probed;
-                }
                 RunEvent::SimulationAborted { .. } => t.simulations_aborted += 1,
                 RunEvent::Cancelled => t.cancellations += 1,
                 _ => {}
@@ -415,9 +399,6 @@ impl StageTimings {
             simulations_aborted: self.simulations_aborted + other.simulations_aborted,
             cancellations: self.cancellations + other.cancellations,
             auto_selections: self.auto_selections + other.auto_selections,
-            batches_finished: self.batches_finished + other.batches_finished,
-            batch_slots_claimed: self.batch_slots_claimed + other.batch_slots_claimed,
-            batch_slots_probed: self.batch_slots_probed + other.batch_slots_probed,
         }
     }
 
@@ -457,14 +438,6 @@ impl StageTimings {
             // Rendered conditionally: runs with a concrete backend stay
             // byte-identical to pre-selector goldens.
             o.int("auto_selections", self.auto_selections as u64);
-        }
-        if self.batches_finished > 0 {
-            // Also conditional: every probing run emits batch events, so
-            // only hand-built totals omit the counters, as every summary
-            // did before batching existed.
-            o.int("batches", self.batches_finished as u64)
-                .int("batch_slots_claimed", self.batch_slots_claimed as u64)
-                .int("batch_slots_probed", self.batch_slots_probed as u64);
         }
         o.render()
     }
@@ -620,36 +593,6 @@ mod tests {
         let merged = t.merged(t);
         assert_eq!(merged.auto_selections, 2);
         assert_eq!(merged.mps_probe_time, Duration::from_millis(80));
-    }
-
-    #[test]
-    fn stage_timings_track_batch_fill() {
-        let events = vec![
-            RunEvent::BatchFinished {
-                first: 0,
-                claimed: 8,
-                probed: 8,
-                wall_time: Duration::from_millis(10),
-            },
-            RunEvent::BatchFinished {
-                first: 8,
-                claimed: 8,
-                probed: 3,
-                wall_time: Duration::from_millis(4),
-            },
-        ];
-        let t = StageTimings::from_events(&events);
-        assert_eq!(t.batches_finished, 2);
-        assert_eq!(t.batch_slots_claimed, 16);
-        assert_eq!(t.batch_slots_probed, 11);
-        assert!(t
-            .to_json(false)
-            .contains(r#""batches":2,"batch_slots_claimed":16,"batch_slots_probed":11"#));
-        // Without batch events the keys disappear, keeping goldens.
-        assert!(!StageTimings::default().to_json(false).contains("batch"));
-        let merged = t.merged(t);
-        assert_eq!(merged.batches_finished, 4);
-        assert_eq!(merged.batch_slots_probed, 22);
     }
 
     #[test]

@@ -74,24 +74,6 @@ pub enum RunEvent {
         /// Stimulus index into the pre-drawn list (0-based).
         index: usize,
     },
-    /// One claimed batch of stimuli finished probing — emitted by a
-    /// scheduler worker after the per-member [`RunEvent::SimulationFinished`]
-    /// events of the claim ([`Config::batch_size`](crate::Config::batch_size)
-    /// members per claim; the tail claim may be short). Not emitted for
-    /// claims that were wholly superseded or cancelled mid-batch.
-    BatchFinished {
-        /// First stimulus index of the claim (0-based).
-        first: usize,
-        /// Number of indices claimed by the `fetch_add`.
-        claimed: usize,
-        /// Number of stimuli probed to completion — `claimed` minus the
-        /// members already superseded at claim time. The batch-fill ratio
-        /// `probed / claimed` measures how much of the claimed work was
-        /// still useful.
-        probed: usize,
-        /// Wall-clock duration of the whole batch probe.
-        wall_time: Duration,
-    },
     /// A simulation counterexample ended the simulation stage: every run
     /// above it was abandoned. Recorded once per stage, after every
     /// worker has returned.
@@ -187,12 +169,6 @@ impl CollectingSink {
     #[must_use]
     pub fn cancellations(&self) -> usize {
         self.count(|e| matches!(e, RunEvent::Cancelled))
-    }
-
-    /// Number of completed stimulus batches.
-    #[must_use]
-    pub fn batches_finished(&self) -> usize {
-        self.count(|e| matches!(e, RunEvent::BatchFinished { .. }))
     }
 
     fn count(&self, pred: impl Fn(&RunEvent) -> bool) -> usize {

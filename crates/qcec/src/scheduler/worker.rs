@@ -3,7 +3,7 @@
 //!
 //! Workers share an atomic claim counter, so every stimulus index is
 //! processed by exactly one worker and claiming follows stimulus order.
-//! After each probe the worker publishes its overlaps and walks the flow's
+//! After each probe the worker publishes its overlap and walks the flow's
 //! [`Judge`] over the newly completed prefix, in stimulus order, under the
 //! results lock; the first counterexample the judge reaches lowers the
 //! failure watermark — the lowest failing stimulus index, one atomic in
@@ -17,19 +17,6 @@
 //! the watermark the moment a probe fails the judge's per-run predicate
 //! (see [`SimBackend::can_truncate`]), and a worker whose probe overflows
 //! the node budget lowers it at that index before returning the error.
-//!
-//! With [`Config::batch_size`](crate::Config::batch_size) `> 1` a worker
-//! claims that many *contiguous* indices per `fetch_add` and probes them
-//! as one [`SimBackend::probe_batch_while`] batch. The watermark protocol
-//! extends naturally: indices already superseded at claim time are
-//! aborted up front (supersession is monotone in the index, so they form
-//! a suffix of the claim), and an in-flight batch is abandoned only when
-//! its *first* index is superseded — so every index at or below the
-//! decisive one still completes, and the judge reproduces the batch=1
-//! verdict bit for bit. Members above the watermark may complete
-//! wastefully (bounded by one batch); their slots sit above the decisive
-//! index and never reach the judge. A batch that overflows is charged to
-//! its first index.
 //!
 //! Workers are backend-agnostic: the probe engine is injected through the
 //! [`SchedulerContext`] as any [`SimBackend`], and each worker builds its
@@ -136,14 +123,12 @@ impl<'a, B: SimBackend> SchedulerContext<'a, B> {
         index > self.lowest_failure.load(Ordering::Relaxed)
     }
 
-    /// Stores the outcomes of a batch starting at index `first`, then
-    /// judges the newly completed prefix in stimulus order. Reaching a
-    /// counterexample lowers the watermark to its index.
-    fn publish(&self, first: usize, outcomes: &[ProbeOutcome]) {
+    /// Stores the outcome of the run at `index`, then judges the newly
+    /// completed prefix in stimulus order. Reaching a counterexample lowers
+    /// the watermark to its index.
+    fn publish(&self, index: usize, outcome: &ProbeOutcome) {
         let mut results = self.results.lock().expect(POISONED);
-        for (offset, outcome) in outcomes.iter().enumerate() {
-            results[first + offset] = Some((outcome.overlap, outcome.metrics.truncation_error));
-        }
+        results[index] = Some((outcome.overlap, outcome.metrics.truncation_error));
         let judged = &mut *self.judged.lock().expect(POISONED);
         while judged.counterexample.is_none() {
             let index = judged.prefix;
@@ -177,91 +162,63 @@ impl<'a, B: SimBackend> SchedulerContext<'a, B> {
     }
 }
 
-/// One worker's claim loop. Returns early only on a decision-diagram
-/// node-limit overflow, after lowering the watermark to the overflowing
-/// claim's first index.
+/// One worker's claim loop: one stimulus index per `fetch_add`. Returns
+/// early only on a decision-diagram node-limit overflow, after lowering the
+/// watermark to the overflowing index.
 pub(super) fn run_worker<B: SimBackend>(
     ctx: &SchedulerContext<'_, B>,
 ) -> Result<(), qdd::DdLimitError> {
     let mut workspace = ctx.backend.workspace(ctx.g.n_qubits());
-    let batch = ctx.config.batch_size.max(1);
     loop {
-        let first = ctx.next.fetch_add(batch, Ordering::Relaxed);
-        if first >= ctx.stimuli.len() {
+        let index = ctx.next.fetch_add(1, Ordering::Relaxed);
+        if index >= ctx.stimuli.len() {
             return Ok(());
         }
-        let end = (first + batch).min(ctx.stimuli.len());
-        // Supersession is monotone in the index, so the already-moot part
-        // of the claim is a suffix: probe the live prefix as one batch and
-        // abort the rest up front.
-        let mut live_end = first;
-        while live_end < end && !ctx.superseded(live_end) {
-            live_end += 1;
-        }
-        for index in live_end..end {
+        if ctx.superseded(index) {
             ctx.sink.record(RunEvent::SimulationAborted { index });
-        }
-        if live_end == first {
             continue;
         }
         let start = Instant::now();
-        // Abandon the batch only once its *first* member is superseded:
-        // that member is the one the watermark rule obliges us to finish,
-        // and later members become moot together with it.
-        let probe = ctx.backend.probe_batch_while(
+        let probe = ctx.backend.probe_while(
             ctx.g,
             ctx.g_prime,
-            &ctx.stimuli[first..live_end],
+            &ctx.stimuli[index],
             &mut workspace,
-            &|| !ctx.superseded(first),
+            &|| !ctx.superseded(index),
         );
-        let outcomes = match probe {
-            Ok(Some(outcomes)) => outcomes,
+        let outcome = match probe {
+            Ok(Some(outcome)) => outcome,
             Ok(None) => {
-                for index in first..live_end {
-                    ctx.sink.record(RunEvent::SimulationAborted { index });
-                }
+                ctx.sink.record(RunEvent::SimulationAborted { index });
                 continue;
             }
             Err(e) => {
-                // Unless the judge finds a counterexample below `first`,
+                // Unless the judge finds a counterexample below `index`,
                 // this overflow ends the stage: everything above is moot.
-                ctx.record_failure(first);
+                ctx.record_failure(index);
                 return Err(e);
             }
         };
-        let elapsed = start.elapsed();
-        let probed = outcomes.len();
-        debug_assert_eq!(probed, live_end - first);
-        // Publish the watermarks — the per-run failures of this batch, then
-        // the judge's — before any event, so observers of the sink never
-        // see a finished failing run without a watermark. Truncating
-        // engines skip the per-run check (see `SimBackend::can_truncate`).
-        if !ctx.backend.can_truncate() {
-            let (criterion, tolerance) = (ctx.config.criterion, ctx.config.fidelity_tolerance);
-            for (offset, outcome) in outcomes.iter().enumerate() {
-                if Judge::output_mismatch(criterion, outcome.overlap, tolerance) {
-                    ctx.record_failure(first + offset);
-                }
-            }
+        let wall_time = start.elapsed();
+        // Publish the watermarks — this run's failure, then the judge's —
+        // before the event, so observers of the sink never see a finished
+        // failing run without a watermark. Truncating engines skip the
+        // per-run check (see `SimBackend::can_truncate`).
+        if !ctx.backend.can_truncate()
+            && Judge::output_mismatch(
+                ctx.config.criterion,
+                outcome.overlap,
+                ctx.config.fidelity_tolerance,
+            )
+        {
+            ctx.record_failure(index);
         }
-        ctx.publish(first, &outcomes);
-        // Per-simulation wall time is not separable inside a batch;
-        // attribute an even share to each member.
-        let share = elapsed / probed.max(1) as u32;
-        for (offset, outcome) in outcomes.iter().enumerate() {
-            ctx.sink.record(RunEvent::SimulationFinished {
-                index: first + offset,
-                wall_time: share,
-                fidelity: outcome.overlap.norm_sqr(),
-                backend: ctx.backend.kind(),
-            });
-        }
-        ctx.sink.record(RunEvent::BatchFinished {
-            first,
-            claimed: end - first,
-            probed,
-            wall_time: elapsed,
+        ctx.publish(index, &outcome);
+        ctx.sink.record(RunEvent::SimulationFinished {
+            index,
+            wall_time,
+            fidelity: outcome.overlap.norm_sqr(),
+            backend: ctx.backend.kind(),
         });
     }
 }

@@ -11,9 +11,7 @@
 //! - [`ConfigDigest`] — a 64-bit fingerprint of every [`Config`] field
 //!   that can change a verdict. `threads` is deliberately excluded (the
 //!   scheduler's determinism contract makes verdicts thread-count
-//!   invariant), as are `batch_size` (batched probe outcomes are
-//!   bit-identical per stimulus, so the verdict is batch-size invariant)
-//!   and the `event_sink` (observability, not semantics).
+//!   invariant), as is the `event_sink` (observability, not semantics).
 //! - [`JobKey`] — `(CircuitId, CircuitId, ConfigDigest)`: the cache key
 //!   for one equivalence-checking job. Direction matters: checking
 //!   `(G, G′)` and `(G′, G)` are distinct jobs.
@@ -127,9 +125,8 @@ impl fmt::Display for CircuitId {
 /// The 64-bit digest of the verdict-relevant [`Config`] fields.
 ///
 /// Excluded by design: `threads` (verdicts are thread-count invariant per
-/// the scheduler's determinism contract), `batch_size` (per-stimulus
-/// outcomes are bit-identical at any batch size, so batching is a pure
-/// throughput knob) and `event_sink` (pure observability). Everything
+/// the scheduler's determinism contract) and `event_sink` (pure
+/// observability). Everything
 /// else — simulation count, seed, tolerance, criterion, backend,
 /// fallback, stimulus strategy, deadline, DD node limit, bond cap,
 /// Clifford peeling, application scheme — contributes.
@@ -331,14 +328,10 @@ mod tests {
             ConfigDigest::of(&base),
             ConfigDigest::of(&Config::default().with_scheme(qdd::ApplicationScheme::Proportional))
         );
-        // …thread count, batch size and sinks do not.
+        // …thread count and sinks do not.
         assert_eq!(
             ConfigDigest::of(&base),
             ConfigDigest::of(&Config::default().with_threads(8))
-        );
-        assert_eq!(
-            ConfigDigest::of(&base),
-            ConfigDigest::of(&Config::default().with_batch_size(8))
         );
         assert_eq!(
             ConfigDigest::of(&base),

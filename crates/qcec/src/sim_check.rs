@@ -83,13 +83,6 @@ impl EngineTask for Simulations {
 /// order. Emits the stage's [`RunEvent`](crate::scheduler::RunEvent)s to
 /// `config.event_sink`.
 ///
-/// With [`Config::batch_size`](Config) `> 1` the stimuli are probed in
-/// contiguous chunks through [`SimBackend::probe_batch_while`]. Per-stimulus
-/// outcomes are bit-identical either way (that is the batch contract), and
-/// the judge still observes them in stimulus order, so the verdict never
-/// depends on the batch size — a counterexample inside a chunk merely
-/// means the rest of that chunk was probed wastefully.
-///
 /// # Errors
 ///
 /// Returns [`qdd::DdLimitError`] if the backend exhausts its node budget
@@ -393,29 +386,6 @@ mod tests {
         let config = config.with_backend(BackendKind::DecisionDiagram);
         let v = run_simulations(&a, &b, &config).unwrap();
         assert!(matches!(v, SimVerdict::CounterexampleFound(_)));
-    }
-
-    #[test]
-    fn batched_runs_reproduce_single_run_verdicts() {
-        let g = generators::qft(5, true);
-        let mut buggy = g.clone();
-        buggy.t(2);
-        for backend in BackendKind::ALL {
-            for strategy in [StimulusStrategy::Random, StimulusStrategy::Stabilizer] {
-                let base = Config::default()
-                    .with_backend(backend)
-                    .with_stimuli(strategy)
-                    .with_seed(5);
-                let single = run_simulations(&g, &buggy, &base).unwrap();
-                for batch in [3, 8, 64] {
-                    let batched =
-                        run_simulations(&g, &buggy, &base.clone().with_batch_size(batch)).unwrap();
-                    assert_eq!(single, batched, "backend {backend:?} batch {batch}");
-                }
-                let agree = run_simulations(&g, &g, &base.with_batch_size(3)).unwrap();
-                assert!(matches!(agree, SimVerdict::AllAgreed { .. }));
-            }
-        }
     }
 
     #[test]

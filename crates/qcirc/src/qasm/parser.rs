@@ -9,10 +9,14 @@
 //!   into one index space in declaration order.
 //! * The `qelib1` gate set, applied to indexed qubits or broadcast over whole
 //!   registers.
-//! * User `gate` definitions with parameters, expanded at application time
-//!   (hierarchical definitions are fine).
+//! * User `gate` definitions with parameters, expanded at application time.
+//!   As in OpenQASM 2.0, a gate body may call only built-in gates and gates
+//!   defined before it, and a gate is defined once, so definitions cannot
+//!   form a cycle; a chain of definitions may be at most
+//!   [`MAX_GATE_DEPTH`] (128) deep.
 //! * Parameter expressions with `+ - * / ^`, unary minus, parentheses, `pi`,
-//!   and the functions `sin cos tan exp ln sqrt`.
+//!   and the functions `sin cos tan exp ln sqrt`, at most
+//!   [`MAX_EXPR_DEPTH`] (128) levels deep.
 //! * `barrier` (ignored); `measure`/`reset`/`if` are rejected by [`parse`]
 //!   (the equivalence checker works on unitary circuits) but tolerated by
 //!   [`parse_lenient`], which records measurements and skips the rest.
@@ -59,8 +63,10 @@ impl From<LexError> for ParseQasmError {
 /// # Errors
 ///
 /// Returns [`ParseQasmError`] on lexical errors, syntax errors, references to
-/// undeclared registers or gates, and uses of unsupported features
-/// (`measure`, `reset`, `if`, non-standard includes).
+/// undeclared registers or gates (a gate body may call only gates defined
+/// before it), gate definitions or parameter expressions nested more than
+/// 128 levels deep, and uses of unsupported features (`measure`, `reset`,
+/// `if`, non-standard includes).
 ///
 /// # Examples
 ///
@@ -126,6 +132,18 @@ pub fn parse_lenient(source: &str) -> Result<LenientParse, ParseQasmError> {
     Parser::new(tokens, true).parse_program()
 }
 
+/// The deepest parameter expression the reader accepts, in levels: every
+/// operator, function call, unary minus and pair of parentheses is one
+/// level, so `-(a + b)` is three deep and an `n`-term sum `n − 1`. The
+/// parser, the evaluator and the expression tree's drop each recurse once
+/// per level; the bound keeps all three within a 2 MiB thread stack.
+const MAX_EXPR_DEPTH: usize = 128;
+
+/// The deepest chain of gate definitions the reader accepts: expanding a
+/// gate recurses once per definition level, so the bound keeps expansion
+/// within the same 2 MiB thread stack as [`MAX_EXPR_DEPTH`].
+const MAX_GATE_DEPTH: usize = 128;
+
 /// A user-defined gate body: formal parameter names, formal qubit names, and
 /// the raw statements to expand.
 #[derive(Debug, Clone)]
@@ -133,6 +151,9 @@ struct GateDef {
     params: Vec<String>,
     qubits: Vec<String>,
     body: Vec<GateCall>,
+    /// Definition levels its expansion recurses through: 1 when the body
+    /// calls built-in gates only.
+    depth: usize,
 }
 
 /// One gate application inside a gate body (operands are formal names).
@@ -203,6 +224,8 @@ struct Parser {
     n_clbits: usize,
     gate_defs: HashMap<String, GateDef>,
     circuit_gates: Vec<Gate>,
+    /// Expression levels the parser is currently inside.
+    nesting: usize,
     lenient: bool,
     measurements: Vec<(usize, usize)>,
     skipped: Vec<String>,
@@ -220,6 +243,7 @@ impl Parser {
             n_clbits: 0,
             gate_defs: HashMap::new(),
             circuit_gates: Vec::new(),
+            nesting: 0,
             lenient,
             measurements: Vec::new(),
             skipped: Vec::new(),
@@ -463,6 +487,9 @@ impl Parser {
     fn parse_gate_def(&mut self) -> Result<(), ParseQasmError> {
         self.next(); // 'gate'
         let name = self.expect_ident()?;
+        if self.gate_defs.contains_key(&name) {
+            return Err(self.error(format!("gate '{name}' is defined twice")));
+        }
         let mut params = Vec::new();
         if matches!(self.peek(), Some(TokenKind::LParen)) {
             self.next();
@@ -495,6 +522,7 @@ impl Parser {
         }
         self.expect(&TokenKind::LBrace)?;
         let mut body = Vec::new();
+        let mut depth = 1;
         while !matches!(self.peek(), Some(TokenKind::RBrace)) {
             if self.peek().is_none() {
                 return Err(self.error("unterminated gate body"));
@@ -507,7 +535,26 @@ impl Parser {
                 }
                 continue;
             }
-            body.push(self.parse_gate_call()?);
+            let call = self.parse_gate_call()?;
+            let error = |message| ParseQasmError {
+                message,
+                line: call.line,
+            };
+            if builtin_gate(&call.name, &[], &[]).is_none() {
+                let callee = self.gate_defs.get(&call.name).ok_or_else(|| {
+                    error(format!(
+                        "gate '{}' is used in gate '{name}' before it is defined",
+                        call.name
+                    ))
+                })?;
+                if callee.depth >= MAX_GATE_DEPTH {
+                    return Err(error(format!(
+                        "gate '{name}' nests gate definitions deeper than {MAX_GATE_DEPTH} levels"
+                    )));
+                }
+                depth = depth.max(callee.depth + 1);
+            }
+            body.push(call);
         }
         self.expect(&TokenKind::RBrace)?;
         self.gate_defs.insert(
@@ -516,6 +563,7 @@ impl Parser {
                 params,
                 qubits,
                 body,
+                depth,
             },
         );
         Ok(())
@@ -574,89 +622,111 @@ impl Parser {
     }
 
     // ---- expression parsing (precedence climbing) -------------------------
+    //
+    // Each parse returns the expression with its depth in levels (see
+    // `MAX_EXPR_DEPTH`). `deeper` counts a level on the way up, so an
+    // operator chain is bounded although the parser loops over it; `nested`
+    // counts one on the way down, so parentheses and unary minuses are
+    // bounded before their recursion can exhaust the stack.
 
     fn parse_expr(&mut self) -> Result<Expr, ParseQasmError> {
-        self.parse_additive()
+        Ok(self.parse_additive()?.0)
     }
 
-    fn parse_additive(&mut self) -> Result<Expr, ParseQasmError> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            match self.peek() {
-                Some(TokenKind::Plus) => {
-                    self.next();
-                    let rhs = self.parse_multiplicative()?;
-                    lhs = Expr::Bin('+', Box::new(lhs), Box::new(rhs));
-                }
-                Some(TokenKind::Minus) => {
-                    self.next();
-                    let rhs = self.parse_multiplicative()?;
-                    lhs = Expr::Bin('-', Box::new(lhs), Box::new(rhs));
-                }
-                _ => return Ok(lhs),
-            }
+    /// The depth of a node whose deepest child is `depth` levels deep.
+    fn deeper(&self, depth: usize) -> Result<usize, ParseQasmError> {
+        if depth >= MAX_EXPR_DEPTH {
+            return Err(self.error(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
         }
+        Ok(depth + 1)
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, ParseQasmError> {
-        let mut lhs = self.parse_power()?;
+    /// Runs `parse` one level further down.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<(Expr, usize), ParseQasmError>,
+    ) -> Result<(Expr, usize), ParseQasmError> {
+        self.nesting = self.deeper(self.nesting)?;
+        let (expr, depth) = parse(self)?;
+        self.nesting -= 1;
+        Ok((expr, self.deeper(depth)?))
+    }
+
+    fn parse_additive(&mut self) -> Result<(Expr, usize), ParseQasmError> {
+        let (mut lhs, mut depth) = self.parse_multiplicative()?;
         loop {
-            match self.peek() {
-                Some(TokenKind::Star) => {
-                    self.next();
-                    let rhs = self.parse_power()?;
-                    lhs = Expr::Bin('*', Box::new(lhs), Box::new(rhs));
-                }
-                Some(TokenKind::Slash) => {
-                    self.next();
-                    let rhs = self.parse_power()?;
-                    lhs = Expr::Bin('/', Box::new(lhs), Box::new(rhs));
-                }
-                _ => return Ok(lhs),
-            }
-        }
-    }
-
-    fn parse_power(&mut self) -> Result<Expr, ParseQasmError> {
-        let base = self.parse_unary()?;
-        if matches!(self.peek(), Some(TokenKind::Caret)) {
+            let op = match self.peek() {
+                Some(TokenKind::Plus) => '+',
+                Some(TokenKind::Minus) => '-',
+                _ => return Ok((lhs, depth)),
+            };
             self.next();
-            let exp = self.parse_power()?; // right associative
-            return Ok(Expr::Bin('^', Box::new(base), Box::new(exp)));
+            let (rhs, rhs_depth) = self.parse_multiplicative()?;
+            depth = self.deeper(depth.max(rhs_depth))?;
+            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(base)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseQasmError> {
+    fn parse_multiplicative(&mut self) -> Result<(Expr, usize), ParseQasmError> {
+        let (mut lhs, mut depth) = self.parse_power()?;
+        loop {
+            let op = match self.peek() {
+                Some(TokenKind::Star) => '*',
+                Some(TokenKind::Slash) => '/',
+                _ => return Ok((lhs, depth)),
+            };
+            self.next();
+            let (rhs, rhs_depth) = self.parse_power()?;
+            depth = self.deeper(depth.max(rhs_depth))?;
+            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+        }
+    }
+
+    fn parse_power(&mut self) -> Result<(Expr, usize), ParseQasmError> {
+        let (base, base_depth) = self.parse_unary()?;
+        if !matches!(self.peek(), Some(TokenKind::Caret)) {
+            return Ok((base, base_depth));
+        }
+        self.next();
+        // Right associative: the exponent is one level down.
+        let (exp, depth) = self.nested(Self::parse_power)?;
+        let depth = depth.max(self.deeper(base_depth)?);
+        Ok((Expr::Bin('^', Box::new(base), Box::new(exp)), depth))
+    }
+
+    fn parse_unary(&mut self) -> Result<(Expr, usize), ParseQasmError> {
         if matches!(self.peek(), Some(TokenKind::Minus)) {
             self.next();
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
+            let (e, depth) = self.nested(Self::parse_unary)?;
+            return Ok((Expr::Neg(Box::new(e)), depth));
         }
         self.parse_atom()
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, ParseQasmError> {
+    fn parse_atom(&mut self) -> Result<(Expr, usize), ParseQasmError> {
         match self.next() {
-            Some(TokenKind::Int(v)) => Ok(Expr::Num(v as f64)),
-            Some(TokenKind::Real(v)) => Ok(Expr::Num(v)),
+            Some(TokenKind::Int(v)) => Ok((Expr::Num(v as f64), 0)),
+            Some(TokenKind::Real(v)) => Ok((Expr::Num(v), 0)),
             Some(TokenKind::LParen) => {
-                let e = self.parse_expr()?;
+                let inner = self.nested(Self::parse_additive)?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(e)
+                Ok(inner)
             }
             Some(TokenKind::Ident(s)) => {
                 if s == "pi" {
-                    return Ok(Expr::Pi);
+                    return Ok((Expr::Pi, 0));
                 }
                 if matches!(self.peek(), Some(TokenKind::LParen))
                     && ["sin", "cos", "tan", "exp", "ln", "sqrt"].contains(&s.as_str())
                 {
                     self.next();
-                    let e = self.parse_expr()?;
+                    let (e, depth) = self.nested(Self::parse_additive)?;
                     self.expect(&TokenKind::RParen)?;
-                    return Ok(Expr::Fun(s, Box::new(e)));
+                    return Ok((Expr::Fun(s, Box::new(e)), depth));
                 }
-                Ok(Expr::Param(s))
+                Ok((Expr::Param(s), 0))
             }
             other => Err(self.error(format!("expected expression, found {other:?}"))),
         }
@@ -776,187 +846,103 @@ impl Parser {
         line: usize,
     ) -> Result<(), ParseQasmError> {
         let err = |m: String| ParseQasmError { message: m, line };
-        let need = |n: usize, k: usize| -> Result<(), ParseQasmError> {
-            if qubits.len() != n {
-                return Err(err(format!(
-                    "'{name}' expects {n} qubits, got {}",
-                    qubits.len()
-                )));
-            }
-            if args.len() != k {
-                return Err(err(format!(
-                    "'{name}' expects {k} parameters, got {}",
-                    args.len()
-                )));
-            }
-            Ok(())
-        };
         let repeated = (1..qubits.len()).any(|i| qubits[..i].contains(&qubits[i]));
         if repeated {
             return Err(err(format!("'{name}' needs distinct qubit operands")));
         }
-        let gate = match name {
-            "id" | "u0" => {
-                need(1, if name == "u0" { 1 } else { 0 })?;
-                Gate::single(GateKind::I, qubits[0])
-            }
-            "x" => {
-                need(1, 0)?;
-                Gate::single(GateKind::X, qubits[0])
-            }
-            "y" => {
-                need(1, 0)?;
-                Gate::single(GateKind::Y, qubits[0])
-            }
-            "z" => {
-                need(1, 0)?;
-                Gate::single(GateKind::Z, qubits[0])
-            }
-            "h" => {
-                need(1, 0)?;
-                Gate::single(GateKind::H, qubits[0])
-            }
-            "s" => {
-                need(1, 0)?;
-                Gate::single(GateKind::S, qubits[0])
-            }
-            "sdg" => {
-                need(1, 0)?;
-                Gate::single(GateKind::Sdg, qubits[0])
-            }
-            "t" => {
-                need(1, 0)?;
-                Gate::single(GateKind::T, qubits[0])
-            }
-            "tdg" => {
-                need(1, 0)?;
-                Gate::single(GateKind::Tdg, qubits[0])
-            }
-            "sx" => {
-                need(1, 0)?;
-                Gate::single(GateKind::Sx, qubits[0])
-            }
-            "sxdg" => {
-                need(1, 0)?;
-                Gate::single(GateKind::Sxdg, qubits[0])
-            }
-            "sy" => {
-                need(1, 0)?;
-                Gate::single(GateKind::Sy, qubits[0])
-            }
-            "sydg" => {
-                need(1, 0)?;
-                Gate::single(GateKind::Sydg, qubits[0])
-            }
-            "rx" => {
-                need(1, 1)?;
-                Gate::single(GateKind::Rx(args[0]), qubits[0])
-            }
-            "ry" => {
-                need(1, 1)?;
-                Gate::single(GateKind::Ry(args[0]), qubits[0])
-            }
-            "rz" => {
-                need(1, 1)?;
-                Gate::single(GateKind::Rz(args[0]), qubits[0])
-            }
-            "p" | "u1" => {
-                need(1, 1)?;
-                Gate::single(GateKind::Phase(args[0]), qubits[0])
-            }
-            "u2" => {
-                need(1, 2)?;
-                Gate::single(
-                    GateKind::U3(std::f64::consts::FRAC_PI_2, args[0], args[1]),
-                    qubits[0],
-                )
-            }
-            "u3" | "u" | "U" => {
-                need(1, 3)?;
-                Gate::single(GateKind::U3(args[0], args[1], args[2]), qubits[0])
-            }
-            "cx" | "CX" => {
-                need(2, 0)?;
-                Gate::controlled(GateKind::X, vec![qubits[0]], qubits[1])
-            }
-            "cy" => {
-                need(2, 0)?;
-                Gate::controlled(GateKind::Y, vec![qubits[0]], qubits[1])
-            }
-            "cz" => {
-                need(2, 0)?;
-                Gate::controlled(GateKind::Z, vec![qubits[0]], qubits[1])
-            }
-            "ch" => {
-                need(2, 0)?;
-                Gate::controlled(GateKind::H, vec![qubits[0]], qubits[1])
-            }
-            "crz" => {
-                need(2, 1)?;
-                Gate::controlled(GateKind::Rz(args[0]), vec![qubits[0]], qubits[1])
-            }
-            "cp" | "cu1" => {
-                need(2, 1)?;
-                Gate::controlled(GateKind::Phase(args[0]), vec![qubits[0]], qubits[1])
-            }
-            "ccx" => {
-                need(3, 0)?;
-                Gate::controlled(GateKind::X, vec![qubits[0], qubits[1]], qubits[2])
-            }
-            "ccz" => {
-                need(3, 0)?;
-                Gate::controlled(GateKind::Z, vec![qubits[0], qubits[1]], qubits[2])
-            }
-            "swap" => {
-                need(2, 0)?;
-                Gate::swap(qubits[0], qubits[1])
-            }
-            "cswap" => {
-                need(3, 0)?;
-                Gate::controlled_swap(vec![qubits[0]], qubits[1], qubits[2])
-            }
-            other => {
-                // User-defined gate: expand its body.
-                let def = self
-                    .gate_defs
-                    .get(other)
-                    .cloned()
-                    .ok_or_else(|| err(format!("unknown gate '{other}'")))?;
-                if def.params.len() != args.len() {
-                    return Err(err(format!(
-                        "gate '{other}' expects {} parameters, got {}",
-                        def.params.len(),
-                        args.len()
-                    )));
-                }
-                if def.qubits.len() != qubits.len() {
-                    return Err(err(format!(
-                        "gate '{other}' expects {} qubits, got {}",
-                        def.qubits.len(),
-                        qubits.len()
-                    )));
-                }
-                let param_env: HashMap<String, f64> = def
-                    .params
-                    .iter()
-                    .cloned()
-                    .zip(args.iter().copied())
-                    .collect();
-                let formal_env: HashMap<String, usize> = def
-                    .qubits
-                    .iter()
-                    .cloned()
-                    .zip(qubits.iter().copied())
-                    .collect();
-                for inner in &def.body {
-                    self.apply_call(inner, &param_env, &formal_env)?;
-                }
-                return Ok(());
-            }
-        };
-        self.circuit_gates.push(gate);
+        if let Some(gate) = builtin_gate(name, args, qubits) {
+            self.circuit_gates.push(gate.map_err(err)?);
+            return Ok(());
+        }
+        // User-defined gate: expand its body.
+        let def = self
+            .gate_defs
+            .get(name)
+            .cloned()
+            .ok_or_else(|| err(format!("unknown gate '{name}'")))?;
+        if def.params.len() != args.len() {
+            return Err(err(format!(
+                "gate '{name}' expects {} parameters, got {}",
+                def.params.len(),
+                args.len()
+            )));
+        }
+        if def.qubits.len() != qubits.len() {
+            return Err(err(format!(
+                "gate '{name}' expects {} qubits, got {}",
+                def.qubits.len(),
+                qubits.len()
+            )));
+        }
+        let param_env: HashMap<String, f64> = def
+            .params
+            .iter()
+            .cloned()
+            .zip(args.iter().copied())
+            .collect();
+        let formal_env: HashMap<String, usize> = def
+            .qubits
+            .iter()
+            .cloned()
+            .zip(qubits.iter().copied())
+            .collect();
+        for inner in &def.body {
+            self.apply_call(inner, &param_env, &formal_env)?;
+        }
         Ok(())
     }
+}
+
+/// The built-in gate `name` on `qubits` with parameters `args`, or `None`
+/// if no built-in gate has that name. A wrong qubit or parameter count is
+/// an error message.
+fn builtin_gate(name: &str, args: &[f64], qubits: &[usize]) -> Option<Result<Gate, String>> {
+    use std::f64::consts::FRAC_PI_2;
+    use GateKind::{Phase, Rx, Ry, Rz, Sdg, Sx, Sxdg, Sy, Sydg, Tdg, H, I, S, T, U3, X, Y, Z};
+    type Make = fn(&[f64], &[usize]) -> Gate;
+    let (n, k, make): (usize, usize, Make) = match name {
+        "id" => (1, 0, |_, q| Gate::single(I, q[0])),
+        "u0" => (1, 1, |_, q| Gate::single(I, q[0])),
+        "x" => (1, 0, |_, q| Gate::single(X, q[0])),
+        "y" => (1, 0, |_, q| Gate::single(Y, q[0])),
+        "z" => (1, 0, |_, q| Gate::single(Z, q[0])),
+        "h" => (1, 0, |_, q| Gate::single(H, q[0])),
+        "s" => (1, 0, |_, q| Gate::single(S, q[0])),
+        "sdg" => (1, 0, |_, q| Gate::single(Sdg, q[0])),
+        "t" => (1, 0, |_, q| Gate::single(T, q[0])),
+        "tdg" => (1, 0, |_, q| Gate::single(Tdg, q[0])),
+        "sx" => (1, 0, |_, q| Gate::single(Sx, q[0])),
+        "sxdg" => (1, 0, |_, q| Gate::single(Sxdg, q[0])),
+        "sy" => (1, 0, |_, q| Gate::single(Sy, q[0])),
+        "sydg" => (1, 0, |_, q| Gate::single(Sydg, q[0])),
+        "rx" => (1, 1, |a, q| Gate::single(Rx(a[0]), q[0])),
+        "ry" => (1, 1, |a, q| Gate::single(Ry(a[0]), q[0])),
+        "rz" => (1, 1, |a, q| Gate::single(Rz(a[0]), q[0])),
+        "p" | "u1" => (1, 1, |a, q| Gate::single(Phase(a[0]), q[0])),
+        "u2" => (1, 2, |a, q| Gate::single(U3(FRAC_PI_2, a[0], a[1]), q[0])),
+        "u3" | "u" | "U" => (1, 3, |a, q| Gate::single(U3(a[0], a[1], a[2]), q[0])),
+        "cx" | "CX" => (2, 0, |_, q| Gate::controlled(X, vec![q[0]], q[1])),
+        "cy" => (2, 0, |_, q| Gate::controlled(Y, vec![q[0]], q[1])),
+        "cz" => (2, 0, |_, q| Gate::controlled(Z, vec![q[0]], q[1])),
+        "ch" => (2, 0, |_, q| Gate::controlled(H, vec![q[0]], q[1])),
+        "crz" => (2, 1, |a, q| Gate::controlled(Rz(a[0]), vec![q[0]], q[1])),
+        "cp" | "cu1" => (2, 1, |a, q| Gate::controlled(Phase(a[0]), vec![q[0]], q[1])),
+        "ccx" => (3, 0, |_, q| Gate::controlled(X, vec![q[0], q[1]], q[2])),
+        "ccz" => (3, 0, |_, q| Gate::controlled(Z, vec![q[0], q[1]], q[2])),
+        "swap" => (2, 0, |_, q| Gate::swap(q[0], q[1])),
+        "cswap" => (3, 0, |_, q| Gate::controlled_swap(vec![q[0]], q[1], q[2])),
+        _ => return None,
+    };
+    Some(if qubits.len() != n {
+        Err(format!("'{name}' expects {n} qubits, got {}", qubits.len()))
+    } else if args.len() != k {
+        Err(format!(
+            "'{name}' expects {k} parameters, got {}",
+            args.len()
+        ))
+    } else {
+        Ok(make(args, qubits))
+    })
 }
 
 enum Operand {
@@ -1100,10 +1086,38 @@ mod tests {
             ),
             ("qreg w[1000000000000];\nh w;", "wider"),
             ("creg c[18446744073709551615]; creg d[3];", "too wide"),
+            // Gate definitions that would expand forever: a gate calling
+            // itself, one calling a later gate, and a redefinition that
+            // would close a cycle.
+            ("gate g a { g a; }\ng q[0];", "before it is defined"),
+            (
+                "gate f a { g a; }\ngate g a { f a; }\nf q[0];",
+                "before it is defined",
+            ),
+            (
+                "gate f a { x a; } gate g a { f a; } gate f a { g a; }",
+                "defined twice",
+            ),
+            // Expressions deeper than the stack allows.
+            (
+                &format!("rz({}1{}) q[0];", "(".repeat(100_000), ")".repeat(100_000)),
+                "nested deeper",
+            ),
+            (
+                &format!("rz({}1) q[0];", "-".repeat(200_000)),
+                "nested deeper",
+            ),
+            (
+                &format!("rz(1{}) q[0];", "+1".repeat(300_000)),
+                "nested deeper",
+            ),
+            // A chain of definitions whose expansion is deeper than the
+            // stack allows.
+            (&gate_chain(100_000, "1"), "deeper than"),
         ] {
             let e = parse(&format!("{HEADER}qreg q[3];\n{body}")).unwrap_err();
-            assert_eq!(e.line, 4, "{body}");
-            assert!(e.to_string().contains(message), "{body}: {e}");
+            assert_eq!(e.line, 4, "{body:.60}");
+            assert!(e.to_string().contains(message), "{body:.60}: {e}");
         }
         let widest = format!("{HEADER}qreg q[65530];\nqreg r[4];\nh r[3];");
         assert_eq!(parse(&widest).unwrap().n_qubits(), Circuit::MAX_QUBITS);
@@ -1111,6 +1125,59 @@ mod tests {
         assert_eq!(e.line, 3);
         let e = parse_lenient(&format!("{HEADER}qreg a[65534];\nqreg b[1];")).unwrap_err();
         assert_eq!(e.line, 4);
+    }
+
+    /// `n` gate definitions on one line, each calling the one before, and a
+    /// call of the last; the first applies `rz(angle)`.
+    fn gate_chain(n: usize, angle: &str) -> String {
+        let mut src = format!("gate g0 a {{ rz({angle}) a; }}");
+        for i in 1..n {
+            src.push_str(&format!(" gate g{i} a {{ g{} a; }}", i - 1));
+        }
+        src + &format!(" g{} q[0];", n - 1)
+    }
+
+    #[test]
+    fn the_deepest_accepted_inputs_fit_a_2_mib_stack() {
+        let expressions = |depth: usize| {
+            [
+                format!("{}1{}", "(".repeat(depth), ")".repeat(depth)),
+                format!("{}1", "-".repeat(depth)),
+                format!("1{}", "+1".repeat(depth)),
+                format!("{}1", "1^".repeat(depth)),
+                format!("{}1{}", "sin(".repeat(depth), ")".repeat(depth)),
+                format!(
+                    "{}{}1{}",
+                    "-".repeat(depth % 2),
+                    "-(".repeat(depth / 2),
+                    ")".repeat(depth / 2)
+                ),
+            ]
+        };
+        let parse_all = move || {
+            let source = |body: &str| format!("{HEADER}qreg q[1];\n{body}");
+            let deepest = expressions(MAX_EXPR_DEPTH);
+            for (accepted, rejected) in deepest.iter().zip(expressions(MAX_EXPR_DEPTH + 1)) {
+                assert!(
+                    parse(&source(&format!("rz({accepted}) q[0];"))).is_ok(),
+                    "{accepted:.40}"
+                );
+                let e = parse(&source(&format!("rz({rejected}) q[0];"))).unwrap_err();
+                assert!(e.to_string().contains("nested deeper"), "{rejected:.40}");
+            }
+            // The deepest definition chain, evaluating the deepest sum at
+            // its bottom.
+            let chain = gate_chain(MAX_GATE_DEPTH, &deepest[2]);
+            assert_eq!(parse(&source(&chain)).map(|c| c.len()), Ok(1));
+            let e = parse(&source(&gate_chain(MAX_GATE_DEPTH + 1, "1"))).unwrap_err();
+            assert!(e.to_string().contains("deeper than"), "{e}");
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(parse_all)
+            .expect("spawn a parser thread")
+            .join()
+            .expect("the deepest inputs overflowed a 2 MiB stack");
     }
 
     #[test]

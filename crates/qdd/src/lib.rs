@@ -43,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 mod alternating;
-mod cached;
 mod check;
 mod complex_table;
 mod edge;
@@ -51,7 +50,6 @@ mod package;
 mod probe;
 
 pub use alternating::{check_equivalence_alternating, ApplicationScheme, SchemeCursor};
-pub use cached::CachedDd;
 pub use check::{check_equivalence_construct, Budget, DdCheckAbort, DdEquivalence};
 pub use complex_table::{ComplexTable, Cx};
 pub use edge::{Edge, MEdge, MNode, Node, NodeId, VEdge, VNode};

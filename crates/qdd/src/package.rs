@@ -501,8 +501,8 @@ impl Package {
     ///
     /// Each edge in `keep` rides along as a GC root and is remapped in
     /// place, so it stays valid after the build — also after one that
-    /// aborts mid-circuit, which a caller holding a long-lived root (like
-    /// [`CachedDd`](crate::CachedDd)'s golden DD) relies on.
+    /// aborts mid-circuit, which a caller holding a long-lived root relies
+    /// on.
     ///
     /// # Errors
     ///
@@ -1353,6 +1353,31 @@ mod tests {
         assert!(
             stats.matrix_nodes + stats.vector_nodes < 60_000,
             "GC failed to bound arenas: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn circuit_medge_keep_roots_survive_an_aborted_build() {
+        // An internal GC remaps the kept root; a later abort in the same
+        // build must not lose that remap, or the caller holds a stale id.
+        let golden = generators::qft(6, true);
+        let mut p = Package::with_node_limit(6, 3_000);
+        let root = build(&mut p, &golden);
+        p.set_gc_threshold(1024);
+        let mut keep = [root];
+        let big = generators::supremacy_2d(6, 1, 120, 1);
+        let e = p
+            .circuit_medge(&big, &Budget::new(None), &mut keep)
+            .unwrap_err();
+        assert!(matches!(e, DdCheckAbort::NodeLimit { .. }), "{e:?}");
+        // Collect the half-built garbage, then rebuild next to the root.
+        let (roots, _) = p.compact(&keep, &[]);
+        keep[0] = roots[0];
+        let rebuilt = p.circuit_medge(&golden, &Budget::new(None), &mut keep);
+        let rebuilt = rebuilt.expect("the golden circuit fits the budget");
+        assert_eq!(
+            crate::check::compare_roots(&mut p, keep[0], rebuilt),
+            crate::DdEquivalence::Equivalent
         );
     }
 

@@ -9,13 +9,10 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use qcirc::Circuit;
-use qdd::{
-    check_equivalence_alternating, ApplicationScheme, Budget, CachedDd, DdEquivalence, Package,
-};
+use qdd::{check_equivalence_alternating, ApplicationScheme, Budget, DdEquivalence, Package};
 
 /// Budget for the guard's complete check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,33 +129,22 @@ fn verdict_from(result: Result<DdEquivalence, qdd::DdCheckAbort>) -> GuardVerdic
     }
 }
 
-/// A per-benchmark guard with the golden circuit memoized — its gate list
-/// for diffing and its decision diagram for whole-circuit comparisons —
-/// so a campaign pays golden-side work once per benchmark instead of once
-/// per trial.
+/// A per-benchmark guard holding the golden circuit, so a campaign
+/// labels each mutant by checking only where it differs from the golden
+/// circuit.
 ///
 /// Each [`GuardCache::classify`] call first *trims*: the gates a candidate
 /// shares with the golden circuit (common prefix and suffix of the gate
-/// lists) are stripped, and only the differing middles are checked. This
-/// is exact, not a heuristic: with shared prefix `P` and suffix `A` (as
-/// unitaries), `U_candidate · U_golden† = A · (M_c · M_g†) · A†`, and
-/// conjugation by a unitary preserves both the identity and its global
-/// phase — so the middle pair has exactly the verdict of the full pair.
-/// A campaign mutant differs from its golden circuit in a handful of
-/// gates, so the complete check shrinks from the whole circuit to a few
-/// gates; even a suffix-wide mutation (qubit relabelling) never checks
-/// more than the stateless guard would.
-///
-/// Candidates that share *nothing* with the golden circuit get no help
-/// from trimming, and the alternating scheme loses its advantage too (the
-/// working DD no longer stays near the identity). For those the cache
-/// falls back to construct-and-compare against the memoized golden root:
-/// a pool of [`CachedDd`] handles, seeded with one handle built in
-/// [`GuardCache::new`], popped per check and grown only when more callers
-/// run concurrently than handles exist.
-///
-/// Verdicts agree with the stateless [`classify`]: both reduce to the same
-/// canonical-DD comparison, which is order- and history-independent.
+/// lists) are stripped, and only the differing middles are checked with
+/// the alternating scheme. This is exact, not a heuristic: with shared
+/// prefix `P` and suffix `A` (as unitaries),
+/// `U_candidate · U_golden† = A · (M_c · M_g†) · A†`, and conjugation by
+/// a unitary preserves both the identity and its global phase — so the
+/// middle pair has exactly the verdict of the full pair. A campaign mutant
+/// differs from its golden circuit in a handful of gates, so the complete
+/// check shrinks from the whole circuit to a few gates; a candidate that
+/// shares no gate with the golden circuit is checked whole, exactly as the
+/// stateless [`classify`] checks it.
 ///
 /// # Examples
 ///
@@ -171,39 +157,24 @@ fn verdict_from(result: Result<DdEquivalence, qdd::DdCheckAbort>) -> GuardVerdic
 /// buggy.x(2);
 /// assert!(cache.classify(&buggy).is_fault());
 /// assert!(cache.classify(&golden.clone()).is_benign());
-/// assert_eq!(cache.golden_builds(), 1); // built once, at construction
+/// assert_eq!(cache.mutants_checked(), 2);
 /// ```
 #[derive(Debug)]
 pub struct GuardCache {
     golden: Circuit,
     opts: GuardOptions,
-    pool: Mutex<Vec<CachedDd>>,
-    builds: AtomicUsize,
     checks: AtomicUsize,
 }
 
 impl GuardCache {
-    /// Creates a cache for one golden circuit and builds its DD once,
-    /// eagerly, so every later [`GuardCache::classify`] call finds it
-    /// ready. Oversized registers (beyond [`GuardOptions::max_qubits`])
-    /// never pay for a build; a build that exhausts its budget is dropped
-    /// and retried on demand by the fallback path.
+    /// Creates a guard for one golden circuit.
     #[must_use]
     pub fn new(golden: &Circuit, opts: &GuardOptions) -> Self {
-        let cache = GuardCache {
+        GuardCache {
             golden: golden.clone(),
             opts: *opts,
-            pool: Mutex::new(Vec::new()),
-            builds: AtomicUsize::new(0),
             checks: AtomicUsize::new(0),
-        };
-        if cache.golden.n_qubits() <= opts.max_qubits {
-            if let Ok(handle) = CachedDd::build(&cache.golden, opts.node_limit, opts.deadline) {
-                cache.builds.fetch_add(1, Ordering::Relaxed);
-                cache.pool.lock().expect("guard pool poisoned").push(handle);
-            }
         }
-        cache
     }
 
     /// The golden circuit this cache guards.
@@ -212,32 +183,21 @@ impl GuardCache {
         &self.golden
     }
 
-    /// How many times the golden DD was actually constructed — 1 for a
-    /// sequential campaign, at most the number of concurrent callers
-    /// otherwise (versus one build per trial without the cache).
-    #[must_use]
-    pub fn golden_builds(&self) -> usize {
-        self.builds.load(Ordering::Relaxed)
-    }
-
     /// How many mutants this cache has classified.
     #[must_use]
     pub fn mutants_checked(&self) -> usize {
         self.checks.load(Ordering::Relaxed)
     }
 
-    /// Classifies one mutant against the memoized golden circuit, within
-    /// the [`GuardOptions`] budget. Equivalent to
-    /// `classify(golden, mutated, opts)` but without redoing golden-side
-    /// work per call: shared gates are trimmed away first and only the
-    /// differing middles are checked (see the type-level docs for why
-    /// this preserves the verdict exactly).
+    /// Classifies one mutant against the golden circuit, within the
+    /// [`GuardOptions`] budget: `classify(golden, mutated, opts)` on the
+    /// trimmed middles (see the type-level docs for why this preserves
+    /// the verdict exactly).
     ///
     /// # Panics
     ///
     /// Panics if `mutated` acts on a different register than the golden
-    /// circuit (mutators always preserve the register), or if a previous
-    /// caller panicked while holding a cache handle.
+    /// circuit (mutators always preserve the register).
     #[must_use]
     pub fn classify(&self, mutated: &Circuit) -> GuardVerdict {
         assert_eq!(
@@ -246,66 +206,21 @@ impl GuardCache {
             "guard inputs must share a register"
         );
         self.checks.fetch_add(1, Ordering::Relaxed);
-        let n = self.golden.n_qubits();
-        if n > self.opts.max_qubits {
-            return GuardVerdict::Unchecked {
-                reason: format!(
-                    "{n} qubits exceed the guard limit of {}",
-                    self.opts.max_qubits
-                ),
-            };
-        }
-        let (shared, mid_golden, mid_mutated) = trimmed(&self.golden, mutated);
-        if shared > 0 || self.golden.len().max(mutated.len()) == 0 {
-            // The candidate overlaps the golden circuit: check only the
-            // differing middles, alternating so the working DD stays near
-            // the identity. Never more work than the stateless guard, and
-            // for a local mutation it is a few gates instead of the whole
-            // circuit.
-            let mut package = Package::with_node_limit(n, self.opts.node_limit);
-            return verdict_from(check_equivalence_alternating(
-                &mut package,
-                &mid_golden,
-                &mid_mutated,
-                &Budget::new(self.opts.deadline),
-                ApplicationScheme::Proportional,
-            ));
-        }
-        // No overlap at all: trimming and alternating both lose their
-        // leverage, so construct-and-compare against the memoized golden
-        // root, which at least halves the per-check construction work.
-        let idle = self.pool.lock().expect("guard pool poisoned").pop();
-        let mut handle = match idle {
-            Some(handle) => handle,
-            None => {
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                match CachedDd::build(&self.golden, self.opts.node_limit, self.opts.deadline) {
-                    Ok(handle) => handle,
-                    Err(abort) => {
-                        return GuardVerdict::Unchecked {
-                            reason: abort.to_string(),
-                        }
-                    }
-                }
-            }
-        };
-        let verdict = verdict_from(handle.check(mutated, self.opts.deadline));
-        self.pool.lock().expect("guard pool poisoned").push(handle);
-        verdict
+        let (mid_golden, mid_mutated) = trimmed(&self.golden, mutated);
+        classify(&mid_golden, &mid_mutated, &self.opts)
     }
 }
 
 /// Strips the gates shared by both circuits (longest common prefix, then
 /// longest common suffix of what remains) and returns
-/// `(shared_gate_count, golden_middle, other_middle)`, the middles as
-/// circuits on the full register.
+/// `(golden_middle, other_middle)` as circuits on the full register.
 ///
 /// Checking the middles is exact: writing the shared prefix and suffix as
 /// unitaries `P` and `A`, `U_other · U_golden† = A · (M_o · M_g†) · A†`,
 /// and `A X A† = e^{iφ} 𝕀` if and only if `X = e^{iφ} 𝕀` with the same
 /// `φ` — so equivalence, inequivalence, and the global phase all carry
 /// over from the middle pair to the full pair.
-fn trimmed(golden: &Circuit, other: &Circuit) -> (usize, Circuit, Circuit) {
+fn trimmed(golden: &Circuit, other: &Circuit) -> (Circuit, Circuit) {
     let g = golden.gates();
     let o = other.gates();
     let limit = g.len().min(o.len());
@@ -325,7 +240,7 @@ fn trimmed(golden: &Circuit, other: &Circuit) -> (usize, Circuit, Circuit) {
     for gate in &o[prefix..o.len() - suffix] {
         mid_other.push(gate.clone());
     }
-    (prefix + suffix, mid_golden, mid_other)
+    (mid_golden, mid_other)
 }
 
 #[cfg(test)]
@@ -407,7 +322,6 @@ mod tests {
                 "benign labels disagree"
             );
         }
-        assert_eq!(cache.golden_builds(), 1, "golden DD built more than once");
         assert_eq!(cache.mutants_checked(), mutants.len());
     }
 
@@ -423,7 +337,6 @@ mod tests {
             GuardVerdict::Unchecked { reason } => assert!(reason.contains("guard limit")),
             other => panic!("expected unchecked, got {other:?}"),
         }
-        assert_eq!(cache.golden_builds(), 0, "oversized register paid a build");
     }
 
     #[test]
@@ -443,12 +356,6 @@ mod tests {
             }
         });
         assert_eq!(cache.mutants_checked(), 40);
-        // At most one build per concurrent worker, never one per check.
-        assert!(
-            (1..=4).contains(&cache.golden_builds()),
-            "{} builds for 4 workers",
-            cache.golden_builds()
-        );
     }
 
     #[test]
@@ -458,21 +365,18 @@ mod tests {
         // Drop the third gate: shared prefix [h, cx], shared suffix [cx].
         let mut dropped = golden.clone();
         dropped.remove(2);
-        let (shared, mid_g, mid_m) = trimmed(&golden, &dropped);
-        assert_eq!(shared, 3);
+        let (mid_g, mid_m) = trimmed(&golden, &dropped);
         assert_eq!(mid_g.len(), 1);
         assert_eq!(mid_m.len(), 0);
         // Identical circuits trim to nothing.
-        let (shared, mid_g, mid_m) = trimmed(&golden, &golden.clone());
-        assert_eq!(shared, golden.len());
+        let (mid_g, mid_m) = trimmed(&golden, &golden.clone());
         assert_eq!(mid_g.len(), 0);
         assert_eq!(mid_m.len(), 0);
         // The suffix never overlaps the prefix: a duplicated gate is
         // attributed once, not twice.
         let mut doubled = golden.clone();
         doubled.h(0);
-        let (shared, mid_g, mid_m) = trimmed(&golden, &doubled);
-        assert_eq!(shared, golden.len());
+        let (mid_g, mid_m) = trimmed(&golden, &doubled);
         assert_eq!(mid_g.len(), 0);
         assert_eq!(mid_m.len(), 1);
     }
@@ -499,26 +403,28 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_candidates_fall_back_to_the_memoized_dd() {
-        // A candidate sharing no gate with the golden circuit skips the
-        // trim fast path; the memoized-DD fallback must still label it
-        // exactly like the stateless guard — here benign, because
-        // H·Z·H = X even though the gate lists are disjoint.
+    fn disjoint_candidates_match_the_stateless_guard() {
+        // A candidate sharing no gate with the golden circuit trims to the
+        // whole pair, and must be labelled exactly like the stateless
+        // guard — here benign, because H·Z·H = X even though the gate
+        // lists are disjoint.
         let mut golden = qcirc::Circuit::new(2);
         golden.x(0).cx(0, 1).x(0);
         let mut detour = qcirc::Circuit::new(2);
         detour.h(0).z(0).h(0).cx(0, 1).h(0).z(0).h(0);
         let cache = GuardCache::new(&golden, &GuardOptions::default());
-        let (shared, _, _) = trimmed(&golden, &detour);
-        assert_eq!(shared, 0, "the detour must not share prefix or suffix");
+        let (mid_g, mid_d) = trimmed(&golden, &detour);
+        assert_eq!(
+            (mid_g.len(), mid_d.len()),
+            (golden.len(), detour.len()),
+            "the detour must not share prefix or suffix"
+        );
         let verdict = cache.classify(&detour);
         assert_eq!(
             verdict,
             classify(&golden, &detour, &GuardOptions::default())
         );
         assert!(verdict.is_benign());
-        // The fallback reused the eagerly built handle.
-        assert_eq!(cache.golden_builds(), 1);
     }
 
     #[test]

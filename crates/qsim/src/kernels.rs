@@ -1,29 +1,25 @@
-//! Gate-application kernels on lane-major amplitude arenas.
+//! Gate-application kernels on state vectors.
 //!
-//! An arena holds `lanes` state vectors interleaved: amplitude `i` of lane
-//! `l` lives at `arena[i * lanes + l]`, so a lone state vector is the
-//! one-lane arena and every kernel serves the simulator, its batched
-//! probes and the dense unitary builder alike. Index convention: qubit `q`
-//! is bit `q` of the amplitude index.
+//! Index convention: qubit `q` is bit `q` of the amplitude index.
 //!
 //! Every kernel is one walk over *runs*. A gate pins some index bits — its
 //! controls and targets — so the amplitudes below the lowest pinned bit
 //! share every pinned bit and sit in one contiguous run of
-//! `2^(lowest pinned bit) · lanes` arena elements. The walk visits only
-//! the runs whose controls hold (skipping the others wholesale) and hands
-//! each `(lo, hi)` run pair to a row primitive: a 2×2 rotation, a diagonal
-//! scale or a swap. Each run takes the widest SIMD row loop whose register
-//! it fills (AVX-512 holds four complex values, AVX2 two); runs shorter
-//! than a register take the scalar loop, and a run of one amplitude is
-//! indexed in place. Per amplitude the floating-point operations are the
-//! same on every path, so results are bit-identical whatever the lane
-//! count, run length or CPU.
+//! `2^(lowest pinned bit)` amplitudes. The walk visits only the runs whose
+//! controls hold (skipping the others wholesale) and hands each `(lo, hi)`
+//! run pair to a row primitive: a 2×2 rotation, a diagonal scale or a
+//! swap. Each run takes the widest SIMD row loop whose register it fills
+//! (AVX-512 holds four complex values, AVX2 two); runs shorter than a
+//! register take the scalar loop, and a run of one amplitude is indexed in
+//! place. Per amplitude the floating-point operations are the same on
+//! every path, so results are bit-identical whatever the run length or
+//! CPU.
 
 use qnum::{Complex, Matrix2};
 
-/// Applies a single-qubit gate `m` to `target` in every lane of `arena`,
-/// restricted to amplitudes whose `control_mask` bits are all set (pass 0
-/// for no controls).
+/// Applies a single-qubit gate `m` to `target` in `amps`, restricted to
+/// amplitudes whose `control_mask` bits are all set (pass 0 for no
+/// controls).
 ///
 /// Diagonal gates (off-diagonal entries within tolerance of zero) scale
 /// each amplitude once, and leave the target-`0` half untouched when its
@@ -33,35 +29,34 @@ use qnum::{Complex, Matrix2};
 ///
 /// # Panics
 ///
-/// Panics if an index the gate touches lies outside the arena; in debug
-/// builds also if `target`'s bit overlaps `control_mask` or the arena does
-/// not hold `lanes` state vectors of `2ⁿ` amplitudes.
+/// Panics if an index the gate touches lies outside `amps`; in debug
+/// builds also if `target`'s bit overlaps `control_mask` or `amps` does
+/// not hold `2ⁿ` amplitudes.
 pub fn apply_controlled_single(
-    arena: &mut [Complex],
-    lanes: usize,
+    amps: &mut [Complex],
     control_mask: usize,
     target: usize,
     m: &Matrix2,
 ) {
     let bt = 1usize << target;
     debug_assert_eq!(control_mask & bt, 0, "target overlaps controls");
-    let dim = arena_dim(arena, lanes);
+    debug_assert!(amps.len().is_power_of_two(), "a state holds 2ⁿ amplitudes");
     let pinned = control_mask | bt;
-    let len = run_len(pinned, lanes);
+    let len = run_len(pinned);
     let isa = lane_simd::for_row(len);
     let (m00, m01, m10, m11) = (m.entry(0, 0), m.entry(0, 1), m.entry(1, 0), m.entry(1, 1));
-    // A run of one amplitude (one lane, qubit 0 pinned) is indexed
-    // directly: slicing it costs more than the arithmetic.
+    // A run of one amplitude (qubit 0 pinned) is indexed directly: slicing
+    // it costs more than the arithmetic.
     if m01.approx_zero() && m10.approx_zero() {
         let d0_is_one = m00.approx_one();
-        for_each_run(dim, pinned, control_mask, |lo| {
+        for_each_run(amps.len(), pinned, control_mask, |lo| {
             if len == 1 {
                 if !d0_is_one {
-                    arena[lo] *= m00;
+                    amps[lo] *= m00;
                 }
-                arena[lo | bt] *= m11;
+                amps[lo | bt] *= m11;
             } else {
-                let (lo, hi) = run_pair(arena, lo * lanes, (lo | bt) * lanes, len);
+                let (lo, hi) = run_pair(amps, lo, lo | bt, len);
                 if !d0_is_one {
                     lane_simd::scale_row(isa, lo, m00);
                 }
@@ -69,67 +64,52 @@ pub fn apply_controlled_single(
             }
         });
     } else {
-        for_each_run(dim, pinned, control_mask, |lo| {
+        for_each_run(amps.len(), pinned, control_mask, |lo| {
             if len == 1 {
                 let hi = lo | bt;
-                let (x0, x1) = (arena[lo], arena[hi]);
-                arena[lo] = m00 * x0 + m01 * x1;
-                arena[hi] = m10 * x0 + m11 * x1;
+                let (x0, x1) = (amps[lo], amps[hi]);
+                amps[lo] = m00 * x0 + m01 * x1;
+                amps[hi] = m10 * x0 + m11 * x1;
             } else {
-                let (lo, hi) = run_pair(arena, lo * lanes, (lo | bt) * lanes, len);
+                let (lo, hi) = run_pair(amps, lo, lo | bt, len);
                 lane_simd::rotate_rows(isa, lo, hi, m00, m01, m10, m11);
             }
         });
     }
 }
 
-/// Applies a (possibly controlled) SWAP of qubits `a` and `b` in every lane
-/// of `arena`, exchanging amplitudes exactly.
+/// Applies a (possibly controlled) SWAP of qubits `a` and `b` in `amps`,
+/// exchanging amplitudes exactly.
 ///
 /// # Panics
 ///
-/// Panics if an index the gate touches lies outside the arena; in debug
+/// Panics if an index the gate touches lies outside `amps`; in debug
 /// builds also if `a == b`, either target overlaps the control mask, or
-/// the arena does not hold `lanes` state vectors of `2ⁿ` amplitudes.
-pub fn apply_controlled_swap(
-    arena: &mut [Complex],
-    lanes: usize,
-    control_mask: usize,
-    a: usize,
-    b: usize,
-) {
+/// `amps` does not hold `2ⁿ` amplitudes.
+pub fn apply_controlled_swap(amps: &mut [Complex], control_mask: usize, a: usize, b: usize) {
     let (ba, bb) = (1usize << a, 1usize << b);
     debug_assert_ne!(a, b, "swap targets must differ");
     debug_assert_eq!(control_mask & (ba | bb), 0, "swap targets overlap controls");
-    let dim = arena_dim(arena, lanes);
+    debug_assert!(amps.len().is_power_of_two(), "a state holds 2ⁿ amplitudes");
     let pinned = control_mask | ba | bb;
-    let len = run_len(pinned, lanes);
+    let len = run_len(pinned);
     // Visit each swapped pair once, from the run with the higher swap bit
     // set and the lower one clear; its partner flips both, so lies below.
-    for_each_run(dim, pinned, control_mask | ba.max(bb), |high| {
+    for_each_run(amps.len(), pinned, control_mask | ba.max(bb), |high| {
         let low = high ^ ba ^ bb;
         if len == 1 {
-            arena.swap(low, high);
+            amps.swap(low, high);
         } else {
-            let (lo, hi) = run_pair(arena, low * lanes, high * lanes, len);
+            let (lo, hi) = run_pair(amps, low, high, len);
             lo.swap_with_slice(hi);
         }
     });
 }
 
-/// The number of amplitudes per lane in `arena`.
-fn arena_dim(arena: &[Complex], lanes: usize) -> usize {
-    debug_assert!(lanes > 0, "need at least one lane");
-    debug_assert_eq!(arena.len() % lanes, 0, "arena not a whole number of lanes");
-    let dim = arena.len() / lanes;
-    debug_assert!(dim.is_power_of_two(), "a lane must hold 2ⁿ amplitudes");
-    dim
-}
-
-/// The run length, in arena elements, of a gate pinning the index bits
-/// `pinned`: every lane of the amplitudes below the lowest pinned bit.
-fn run_len(pinned: usize, lanes: usize) -> usize {
-    (pinned & pinned.wrapping_neg()) * lanes
+/// The run length of a gate pinning the index bits `pinned`: the
+/// amplitudes below the lowest pinned bit.
+fn run_len(pinned: usize) -> usize {
+    pinned & pinned.wrapping_neg()
 }
 
 /// Calls `visit`, in ascending order, with the first amplitude index of
@@ -152,16 +132,16 @@ fn for_each_run(dim: usize, pinned: usize, set: usize, mut visit: impl FnMut(usi
     }
 }
 
-/// The disjoint runs `arena[lo..lo + len]` and `arena[hi..hi + len]`, for
+/// The disjoint runs `amps[lo..lo + len]` and `amps[hi..hi + len]`, for
 /// `lo + len <= hi`.
 #[inline(always)]
 fn run_pair(
-    arena: &mut [Complex],
+    amps: &mut [Complex],
     lo: usize,
     hi: usize,
     len: usize,
 ) -> (&mut [Complex], &mut [Complex]) {
-    let (head, tail) = arena.split_at_mut(hi);
+    let (head, tail) = amps.split_at_mut(hi);
     (&mut head[lo..lo + len], &mut tail[..len])
 }
 
@@ -485,14 +465,14 @@ mod tests {
     #[test]
     fn x_flips_target_bit() {
         let mut amps = basis(3, 0b010);
-        apply_controlled_single(&mut amps, 1, 0, 0, &Matrix2::pauli_x());
+        apply_controlled_single(&mut amps, 0, 0, &Matrix2::pauli_x());
         assert!(amps[0b011].approx_one());
     }
 
     #[test]
     fn hadamard_splits_amplitude() {
         let mut amps = basis(1, 0);
-        apply_controlled_single(&mut amps, 1, 0, 0, &Matrix2::hadamard());
+        apply_controlled_single(&mut amps, 0, 0, &Matrix2::hadamard());
         assert!(amps[0].approx_eq(Complex::real(FRAC_1_SQRT_2)));
         assert!(amps[1].approx_eq(Complex::real(FRAC_1_SQRT_2)));
     }
@@ -501,10 +481,10 @@ mod tests {
     fn control_blocks_application() {
         // CX with control bit 1 (qubit 1) on target 0: |01⟩ has control 0.
         let mut amps = basis(2, 0b01);
-        apply_controlled_single(&mut amps, 1, 0b10, 0, &Matrix2::pauli_x());
+        apply_controlled_single(&mut amps, 0b10, 0, &Matrix2::pauli_x());
         assert!(amps[0b01].approx_one(), "control=0 must not fire");
         let mut amps = basis(2, 0b10);
-        apply_controlled_single(&mut amps, 1, 0b10, 0, &Matrix2::pauli_x());
+        apply_controlled_single(&mut amps, 0b10, 0, &Matrix2::pauli_x());
         assert!(amps[0b11].approx_one(), "control=1 must fire");
     }
 
@@ -514,7 +494,7 @@ mod tests {
         let h = Complex::real(0.5);
         let mk = || vec![h, h, h, h];
         let mut fast = mk();
-        apply_controlled_single(&mut fast, 1, 0, 1, &z);
+        apply_controlled_single(&mut fast, 0, 1, &z);
         // Force the general path by using an equivalent non-detectably
         // diagonal matrix (off-diagonals exactly zero still uses fast path),
         // so instead compare against hand-computed values.
@@ -527,21 +507,21 @@ mod tests {
     #[test]
     fn swap_exchanges_bits() {
         let mut amps = basis(3, 0b001);
-        apply_controlled_swap(&mut amps, 1, 0, 0, 2);
+        apply_controlled_swap(&mut amps, 0, 0, 2);
         assert!(amps[0b100].approx_one());
         // Symmetric pair stays put.
         let mut amps = basis(3, 0b101);
-        apply_controlled_swap(&mut amps, 1, 0, 0, 2);
+        apply_controlled_swap(&mut amps, 0, 0, 2);
         assert!(amps[0b101].approx_one());
     }
 
     #[test]
     fn controlled_swap_respects_control() {
         let mut amps = basis(3, 0b001); // control qubit 1 is 0
-        apply_controlled_swap(&mut amps, 1, 0b010, 0, 2);
+        apply_controlled_swap(&mut amps, 0b010, 0, 2);
         assert!(amps[0b001].approx_one());
         let mut amps = basis(3, 0b011); // control qubit 1 is 1
-        apply_controlled_swap(&mut amps, 1, 0b010, 0, 2);
+        apply_controlled_swap(&mut amps, 0b010, 0, 2);
         assert!(amps[0b110].approx_one());
     }
 
@@ -549,7 +529,7 @@ mod tests {
     fn kernels_preserve_norm() {
         let h = Complex::real(0.5);
         let mut amps = vec![h, h * Complex::I, -h, h];
-        apply_controlled_single(&mut amps, 1, 0, 1, &Matrix2::u3(0.3, 1.0, -0.4));
+        apply_controlled_single(&mut amps, 0, 1, &Matrix2::u3(0.3, 1.0, -0.4));
         let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
         assert!((norm - 1.0).abs() < 1e-10);
     }
@@ -590,7 +570,7 @@ mod tests {
                 }
             })
             .collect();
-        apply_controlled_single(&mut amps, 1, 0b1001, 1, &z);
+        apply_controlled_single(&mut amps, 0b1001, 1, &z);
         for (got, want) in amps.iter().zip(expected.iter()) {
             assert!(got.approx_eq(*want));
         }
@@ -608,22 +588,9 @@ mod tests {
                     want.swap(i, i ^ ba ^ bb);
                 }
             }
-            apply_controlled_swap(&mut amps, 1, mask, a, b);
+            apply_controlled_swap(&mut amps, mask, a, b);
             assert_eq!(amps, want, "swap({a},{b}) mask {mask:#b}");
         }
-    }
-
-    /// Scatter `states` into a lane-major arena.
-    fn to_arena(states: &[Vec<Complex>]) -> Vec<Complex> {
-        let lanes = states.len();
-        let dim = states[0].len();
-        let mut arena = vec![Complex::ZERO; dim * lanes];
-        for (l, s) in states.iter().enumerate() {
-            for (i, &amp) in s.iter().enumerate() {
-                arena[i * lanes + l] = amp;
-            }
-        }
-        arena
     }
 
     /// The `(re, im)` bit patterns of `amps`: unlike `Complex`'s `==`, they
@@ -632,45 +599,6 @@ mod tests {
         amps.iter()
             .map(|a| (a.re.to_bits(), a.im.to_bits()))
             .collect()
-    }
-
-    #[test]
-    fn batched_single_is_bit_identical_to_single() {
-        let n = 4;
-        for lanes in [1usize, 3, 8] {
-            let mut states: Vec<Vec<Complex>> =
-                (0..lanes).map(|l| scrambled(n, l as u64)).collect();
-            let mut arena = to_arena(&states);
-            for (mask, target, m) in [
-                (0usize, 2usize, Matrix2::hadamard()),
-                (0b0100, 0, Matrix2::pauli_x()),
-                (0b1001, 1, Matrix2::rz(0.7)),
-                (0, 3, Matrix2::u3(0.3, 1.0, -0.4)),
-            ] {
-                for s in &mut states {
-                    apply_controlled_single(s, 1, mask, target, &m);
-                }
-                apply_controlled_single(&mut arena, lanes, mask, target, &m);
-            }
-            assert_eq!(bits(&arena), bits(&to_arena(&states)), "lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn batched_swap_is_bit_identical_to_single() {
-        let n = 4;
-        for lanes in [1usize, 3, 8] {
-            let mut states: Vec<Vec<Complex>> =
-                (0..lanes).map(|l| scrambled(n, 100 + l as u64)).collect();
-            let mut arena = to_arena(&states);
-            for (mask, a, b) in [(0usize, 0usize, 3usize), (0b0100, 1, 3), (0b1000, 2, 0)] {
-                for s in &mut states {
-                    apply_controlled_swap(s, 1, mask, a, b);
-                }
-                apply_controlled_swap(&mut arena, lanes, mask, a, b);
-            }
-            assert_eq!(bits(&arena), bits(&to_arena(&states)), "lanes={lanes}");
-        }
     }
 
     /// [`scrambled`] with exact `0.0` and `-0.0` components mixed in.
@@ -752,21 +680,19 @@ mod tests {
             ("rz", Matrix2::rz(0.7)),
             ("u3", Matrix2::u3(0.3, 1.0, -0.4)),
         ];
-        for lanes in [1usize, 2, 3, 8] {
-            let states: Vec<Vec<Complex>> = (0..lanes).map(|l| signed_zeros(n, l as u64)).collect();
+        for seed in 0..4u64 {
+            let state = signed_zeros(n, seed);
             for target in 0..n {
                 for mask in control_sets(n, 1 << target) {
                     for (name, m) in &gates {
-                        let mut want = states.clone();
-                        for s in &mut want {
-                            reference_single(s, mask, target, m);
-                        }
-                        let mut arena = to_arena(&states);
-                        apply_controlled_single(&mut arena, lanes, mask, target, m);
+                        let mut want = state.clone();
+                        reference_single(&mut want, mask, target, m);
+                        let mut got = state.clone();
+                        apply_controlled_single(&mut got, mask, target, m);
                         assert_eq!(
-                            bits(&arena),
-                            bits(&to_arena(&want)),
-                            "{name} on {target}, controls {mask:#b}, lanes {lanes}"
+                            bits(&got),
+                            bits(&want),
+                            "{name} on {target}, controls {mask:#b}, seed {seed}"
                         );
                     }
                 }
@@ -776,16 +702,14 @@ mod tests {
                     continue;
                 }
                 for mask in control_sets(n, (1 << a) | (1 << b)) {
-                    let mut want = states.clone();
-                    for s in &mut want {
-                        reference_swap(s, mask, a, b);
-                    }
-                    let mut arena = to_arena(&states);
-                    apply_controlled_swap(&mut arena, lanes, mask, a, b);
+                    let mut want = state.clone();
+                    reference_swap(&mut want, mask, a, b);
+                    let mut got = state.clone();
+                    apply_controlled_swap(&mut got, mask, a, b);
                     assert_eq!(
-                        bits(&arena),
-                        bits(&to_arena(&want)),
-                        "swap({a}, {b}), controls {mask:#b}, lanes {lanes}"
+                        bits(&got),
+                        bits(&want),
+                        "swap({a}, {b}), controls {mask:#b}, seed {seed}"
                     );
                 }
             }

@@ -8,11 +8,10 @@
 //! performs.
 //!
 //! * [`StateVector`] — dense `2ⁿ` amplitudes, inner products and fidelity,
-//! * [`Simulator`] — gate application and equivalence probes over
-//!   lane-major arenas of `k` state vectors
-//!   ([`Simulator::probe_stimuli_while`] / [`ProbeWorkspace`]), a lone
-//!   stimulus being the one-lane case; kernels run on the calling thread
-//!   (a checker parallelises across stimuli instead),
+//! * [`Simulator`] — gate application and one-stimulus equivalence probes
+//!   ([`Simulator::probe_stimulus_while`] over a reusable
+//!   [`ProbeWorkspace`]); kernels run on the calling thread (a checker
+//!   parallelises across stimuli instead),
 //! * [`measure`] — probabilities, sampling, collapse,
 //! * [`unitary`] — full unitaries built column-by-column (ground truth for
 //!   tests and the Fig. 1 reproduction),

@@ -83,32 +83,29 @@ impl Simulator {
             "circuit and state qubit counts differ"
         );
         for gate in circuit.gates() {
-            self.apply_gate(state.amplitudes_mut(), 1, gate);
+            self.apply_gate(state.amplitudes_mut(), gate);
         }
     }
 
-    /// Applies a single gate to every lane of a lane-major `arena` of
-    /// `lanes` state vectors (amplitude `i` of lane `l` at
-    /// `arena[i * lanes + l]`); a lone state vector is the one-lane arena,
-    /// `state.amplitudes_mut()`.
+    /// Applies a single gate to the state vector `amps`.
     ///
     /// # Panics
     ///
-    /// Panics if the gate does not fit the arena's register.
-    pub fn apply_gate(&self, arena: &mut [Complex], lanes: usize, gate: &Gate) {
+    /// Panics if the gate does not fit the register of `amps`.
+    pub fn apply_gate(&self, amps: &mut [Complex], gate: &Gate) {
         assert!(
-            (lanes << gate.max_qubit()) < arena.len(),
-            "gate {gate} exceeds the arena's register"
+            (1usize << gate.max_qubit()) < amps.len(),
+            "gate {gate} exceeds the state's register"
         );
         let control_mask: usize = gate.controls().iter().map(|&q| 1usize << q).sum();
         match gate.kind() {
             GateKind::Swap => {
                 let (a, b) = (gate.targets()[0], gate.targets()[1]);
-                kernels::apply_controlled_swap(arena, lanes, control_mask, a, b);
+                kernels::apply_controlled_swap(amps, control_mask, a, b);
             }
             kind => {
                 let m = kind.base_matrix().expect("single-target kind");
-                kernels::apply_controlled_single(arena, lanes, control_mask, gate.target(), &m);
+                kernels::apply_controlled_single(amps, control_mask, gate.target(), &m);
             }
         }
     }
@@ -125,39 +122,34 @@ impl Simulator {
     #[must_use]
     pub fn probe_basis(&self, g: &Circuit, g_prime: &Circuit, basis: u64) -> Complex {
         let mut workspace = ProbeWorkspace::new(g.n_qubits());
-        self.probe_stimuli_while(g, g_prime, &[(basis, None)], &mut workspace, &|| true)
-            .expect("unconditional probe cannot be cancelled")[0]
+        self.probe_stimulus_while(g, g_prime, basis, None, &mut workspace, &|| true)
+            .expect("unconditional probe cannot be cancelled")
     }
 
-    /// The stimulus-aware probe, for any number of stimuli at once. Each
-    /// stimulus is a `(basis, prefix)` pair: prepare `|basis⟩`, run the
-    /// optional `prefix` circuit once (product or stabilizer state
-    /// preparation), then branch the prepared state through `g` and
-    /// `g_prime`. Returns the overlaps `⟨u|u′⟩` of the two outputs in
-    /// stimulus order (none for no stimuli), or `None` if `keep_going`
-    /// returned `false` (polled between gate applications), abandoning the
-    /// whole batch.
+    /// The stimulus-aware probe: prepares `|basis⟩`, runs the optional
+    /// `prefix` circuit once (product or stabilizer state preparation),
+    /// then branches the prepared state through `g` and `g_prime` and
+    /// returns the overlap `⟨u|u′⟩` of the two outputs, summed in
+    /// ascending index order like [`StateVector::inner_product`]. Returns
+    /// `None` if `keep_going` returned `false` (polled between gate
+    /// applications).
     ///
-    /// The `k` stimuli run as the `k` lanes of `workspace`'s two arenas, so
-    /// each gate is decoded once and streamed across every lane; a lone
-    /// stimulus is prepared in place and holds just the two `2ⁿ` buffers.
-    /// Per lane the floating-point operations — gate kernels and the
-    /// ascending-index overlap sum of [`StateVector::inner_product`] — do
-    /// not depend on `k`, so every overlap is bit-identical to a probe of
-    /// that stimulus alone.
+    /// The stimulus is prepared in `workspace`'s `G` buffer and copied into
+    /// its `G′` buffer; only the workspace's first probe allocates.
     ///
     /// # Panics
     ///
-    /// Panics if any qubit count differs or a basis is out of range.
+    /// Panics if any qubit count differs or `basis` is out of range.
     #[must_use]
-    pub fn probe_stimuli_while<'w>(
+    pub fn probe_stimulus_while(
         &self,
         g: &Circuit,
         g_prime: &Circuit,
-        stimuli: &[(u64, Option<&Circuit>)],
-        workspace: &'w mut ProbeWorkspace,
+        basis: u64,
+        prefix: Option<&Circuit>,
+        workspace: &mut ProbeWorkspace,
         keep_going: &dyn Fn() -> bool,
-    ) -> Option<&'w [Complex]> {
+    ) -> Option<Complex> {
         assert_eq!(
             g.n_qubits(),
             g_prime.n_qubits(),
@@ -168,55 +160,26 @@ impl Simulator {
             workspace.n_qubits,
             "workspace sized for a different register"
         );
-        let lanes = stimuli.len();
         let dim = 1usize << workspace.n_qubits;
-        let ProbeWorkspace {
-            left,
-            right,
-            overlaps,
-            ..
-        } = workspace;
-        overlaps.clear();
-        if lanes == 0 {
-            return Some(overlaps);
-        }
-        left.resize(dim * lanes, Complex::ZERO);
-        right.resize(dim * lanes, Complex::ZERO);
-        if lanes == 1 {
-            let (basis, prefix) = stimuli[0];
-            if !self.prepare_while(left, basis, prefix, keep_going) {
-                return None;
-            }
-        } else {
-            // Prepare each lane in `right`, free until the branch copy
-            // below, and scatter it into its lane of `left`.
-            for (lane, &(basis, prefix)) in stimuli.iter().enumerate() {
-                let state = &mut right[..dim];
-                if !self.prepare_while(state, basis, prefix, keep_going) {
-                    return None;
-                }
-                for (row, &amp) in left.chunks_exact_mut(lanes).zip(state.iter()) {
-                    row[lane] = amp;
-                }
-            }
-        }
-        right.copy_from_slice(left);
-        if !self.run_while(g, left, lanes, keep_going)
-            || !self.run_while(g_prime, right, lanes, keep_going)
-        {
+        let ProbeWorkspace { left, right, .. } = workspace;
+        left.resize(dim, Complex::ZERO);
+        right.resize(dim, Complex::ZERO);
+        if !self.prepare_while(left, basis, prefix, keep_going) {
             return None;
         }
-        overlaps.resize(lanes, Complex::ZERO);
-        for (u, v) in left.chunks_exact(lanes).zip(right.chunks_exact(lanes)) {
-            for ((acc, a), b) in overlaps.iter_mut().zip(u).zip(v) {
-                *acc += a.conj() * *b;
-            }
+        right.copy_from_slice(left);
+        if !self.run_while(g, left, keep_going) || !self.run_while(g_prime, right, keep_going) {
+            return None;
         }
-        Some(overlaps)
+        let mut overlap = Complex::ZERO;
+        for (a, b) in left.iter().zip(right.iter()) {
+            overlap += a.conj() * *b;
+        }
+        Some(overlap)
     }
 
-    /// Sets the one-lane `state` to `|basis⟩` and runs `prefix` on it.
-    /// Returns `false` if `keep_going` abandoned the preparation.
+    /// Sets `state` to `|basis⟩` and runs `prefix` on it. Returns `false`
+    /// if `keep_going` abandoned the preparation.
     fn prepare_while(
         &self,
         state: &mut [Complex],
@@ -237,50 +200,42 @@ impl Simulator {
                 state.len(),
                 "prefix and register qubit counts differ"
             );
-            self.run_while(prefix, state, 1, keep_going)
+            self.run_while(prefix, state, keep_going)
         })
     }
 
-    /// Applies `circuit` to every lane of `arena`, polling `keep_going`
-    /// before each gate. Returns `false` if abandoned part-way through.
+    /// Applies `circuit` to `state`, polling `keep_going` before each gate.
+    /// Returns `false` if abandoned part-way through.
     fn run_while(
         &self,
         circuit: &Circuit,
-        arena: &mut [Complex],
-        lanes: usize,
+        state: &mut [Complex],
         keep_going: &dyn Fn() -> bool,
     ) -> bool {
         for gate in circuit.gates() {
             if !keep_going() {
                 return false;
             }
-            self.apply_gate(arena, lanes, gate);
+            self.apply_gate(state, gate);
         }
         true
     }
 }
 
-/// Reusable arenas for equivalence probes.
+/// Reusable buffers for equivalence probes: one `2ⁿ` state vector per
+/// branch, allocated on the first probe and overwritten wholesale by every
+/// later one. Each worker of a checker pool owns one.
 ///
-/// Holds the `k` state vectors of each branch of a `k`-stimulus probe in
-/// one lane-major allocation: amplitude `i` of lane `l` lives at
-/// `arena[i * k + l]`, so a kernel visiting a run of amplitudes touches
-/// `k` times as many contiguous complex values. The arenas grow to the
-/// largest batch probed and are reused without reallocation; `k` is taken
-/// from each call's stimulus slice, so one workspace serves any batch
-/// size, one stimulus included. Each worker of a checker pool owns one.
-///
-/// See [`Simulator::probe_stimuli_while`].
+/// See [`Simulator::probe_stimulus_while`].
 #[derive(Debug, Clone)]
 pub struct ProbeWorkspace {
     n_qubits: usize,
     left: Vec<Complex>,
     right: Vec<Complex>,
-    overlaps: Vec<Complex>,
 }
 
 impl ProbeWorkspace {
-    /// Creates a workspace for `n_qubits`-qubit probes. Arena storage is
+    /// Creates a workspace for `n_qubits`-qubit probes. The buffers are
     /// allocated on the first probe.
     ///
     /// # Panics
@@ -298,7 +253,6 @@ impl ProbeWorkspace {
             n_qubits,
             left: Vec::new(),
             right: Vec::new(),
-            overlaps: Vec::new(),
         }
     }
 
@@ -308,15 +262,13 @@ impl ProbeWorkspace {
         self.n_qubits
     }
 
-    /// The `G` branch's arena after the most recent probe: for a
-    /// one-stimulus probe, the output state of `G`.
+    /// The output state of `G` after the most recent probe.
     #[must_use]
     pub fn left(&self) -> &[Complex] {
         &self.left
     }
 
-    /// The `G'` branch's arena after the most recent probe: for a
-    /// one-stimulus probe, the output state of `G'`.
+    /// The output state of `G'` after the most recent probe.
     #[must_use]
     pub fn right(&self) -> &[Complex] {
         &self.right
@@ -441,8 +393,8 @@ mod tests {
         for basis in [0u64, 3, 17, 30, 9] {
             let fresh = sim.probe_basis(&g, &buggy, basis);
             let reused = sim
-                .probe_stimuli_while(&g, &buggy, &[(basis, None)], &mut ws, &|| true)
-                .expect("not cancelled")[0];
+                .probe_stimulus_while(&g, &buggy, basis, None, &mut ws, &|| true)
+                .expect("not cancelled");
             assert!(fresh.approx_eq(reused), "basis {basis}");
             for output in [ws.left(), ws.right()] {
                 let norm: f64 = output.iter().map(|a| a.norm_sqr()).sum();
@@ -465,12 +417,12 @@ mod tests {
             left > 0
         };
         assert_eq!(
-            sim.probe_stimuli_while(&g, &g, &[(0, None)], &mut ws, &keep_going),
+            sim.probe_stimulus_while(&g, &g, 0, None, &mut ws, &keep_going),
             None
         );
         // An unconstrained probe still works on the same workspace.
-        let overlap = sim.probe_stimuli_while(&g, &g, &[(0, None)], &mut ws, &|| true);
-        assert!(overlap.expect("not cancelled")[0].approx_one());
+        let overlap = sim.probe_stimulus_while(&g, &g, 0, None, &mut ws, &|| true);
+        assert!(overlap.expect("not cancelled").approx_one());
     }
 
     #[test]
@@ -497,64 +449,5 @@ mod tests {
         let c = generators::bell();
         let mut s = StateVector::zero(3);
         Simulator::new().run_inplace(&c, &mut s);
-    }
-
-    #[test]
-    fn batched_probe_is_bit_identical_to_single_probes() {
-        let sim = Simulator::new();
-        let n = 5;
-        let g = generators::qft(n, true);
-        let mut buggy = g.clone();
-        buggy.z(2);
-        let prefix = generators::ghz(n);
-        let mut single = ProbeWorkspace::new(n);
-        let mut batch = ProbeWorkspace::new(n);
-        let bases = [0u64, 3, 17, 30, 9, 22, 7, 12];
-        for lanes in [1usize, 3, 8] {
-            for use_prefix in [false, true] {
-                let prefix = use_prefix.then_some(&prefix);
-                let stimuli: Vec<(u64, Option<&qcirc::Circuit>)> =
-                    bases[..lanes].iter().map(|&b| (b, prefix)).collect();
-                let overlaps = sim
-                    .probe_stimuli_while(&g, &buggy, &stimuli, &mut batch, &|| true)
-                    .expect("not cancelled")
-                    .to_vec();
-                for (lane, stimulus) in stimuli.iter().enumerate() {
-                    let want = sim
-                        .probe_stimuli_while(&g, &buggy, &[*stimulus], &mut single, &|| true)
-                        .expect("not cancelled")[0];
-                    let bits = |c: Complex| (c.re.to_bits(), c.im.to_bits());
-                    assert_eq!(
-                        bits(overlaps[lane]),
-                        bits(want),
-                        "lanes={lanes} lane={lane} prefix={use_prefix}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_batched_probe_returns_none() {
-        use std::cell::Cell;
-        let sim = Simulator::new();
-        let g = generators::qft(4, true);
-        let mut ws = ProbeWorkspace::new(4);
-        let budget = Cell::new(3usize);
-        let keep_going = || {
-            let left = budget.get();
-            budget.set(left.saturating_sub(1));
-            left > 0
-        };
-        let stimuli: Vec<(u64, Option<&qcirc::Circuit>)> =
-            [0u64, 5].iter().map(|&b| (b, None)).collect();
-        assert!(sim
-            .probe_stimuli_while(&g, &g, &stimuli, &mut ws, &keep_going)
-            .is_none());
-        // The workspace is reusable after a cancelled batch.
-        let overlaps = sim
-            .probe_stimuli_while(&g, &g, &stimuli, &mut ws, &|| true)
-            .expect("not cancelled");
-        assert!(overlaps.iter().all(|o| o.approx_one()));
     }
 }

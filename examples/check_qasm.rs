@@ -4,8 +4,6 @@
 //! ```text
 //! usage: check_qasm [options] <a.qasm> <b.qasm>
 //!   --sims <r>        random simulations before the complete check (default 10)
-//!   --batch <k>       probe stimuli in cache-hot batches of k (default 1;
-//!                     verdict-neutral — outcomes are bit-identical per run)
 //!   --seed <s>        RNG seed (default 0)
 //!   --deadline <sec>  budget for the complete check (default unbounded)
 //!   --backend sv|dd|stab|mps|auto
@@ -51,14 +49,6 @@ fn run() -> Result<ExitCode, String> {
             "--sims" => {
                 let v = args.next().ok_or("--sims needs a value")?;
                 config = config.with_simulations(v.parse().map_err(|_| "bad --sims value")?);
-            }
-            "--batch" => {
-                let v = args.next().ok_or("--batch needs a value")?;
-                let k: usize = v.parse().map_err(|_| "bad --batch value")?;
-                if k == 0 {
-                    return Err("--batch needs at least 1".into());
-                }
-                config = config.with_batch_size(k);
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;

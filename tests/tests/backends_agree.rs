@@ -160,40 +160,6 @@ fn assert_backends_agree(
     }
 }
 
-/// Checks one pair across batch sizes 1/3/8 × 1/2/8 scheduler threads on
-/// the given backend and asserts every combination produces the same
-/// verdict shape — the batch contract (per-stimulus outcomes are
-/// bit-identical at any batch size) observed end to end through the flow,
-/// the scheduler's batched claim protocol included.
-fn assert_batch_sizes_agree(
-    name: &str,
-    g: &Circuit,
-    g_prime: &Circuit,
-    base: &Config,
-    backend: BackendKind,
-) {
-    let mut reference: Option<VerdictShape> = None;
-    for batch in [1usize, 3, 8] {
-        for threads in [1usize, 2, 8] {
-            let config = base
-                .clone()
-                .with_backend(backend)
-                .with_batch_size(batch)
-                .with_threads(threads);
-            let result = check_equivalence(g, g_prime, &config)
-                .unwrap_or_else(|e| panic!("{name}: flow failed ({e})"));
-            let got = shape(&result.outcome);
-            match &reference {
-                None => reference = Some(got),
-                Some(expected) => assert_eq!(
-                    expected, &got,
-                    "{name}: {backend:?} batch {batch} × {threads} threads diverged"
-                ),
-            }
-        }
-    }
-}
-
 fn escapee_pairs() -> Vec<(String, Circuit, Circuit, u64)> {
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/escapees");
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
@@ -269,37 +235,6 @@ fn backends_agree_on_every_escapee_fixture() {
             &faulty,
             &stabilizer,
             STABILIZER_ARM,
-        );
-    }
-}
-
-/// The batch ablation on every escapee fixture: the verdict class — and,
-/// on a conviction, the decisive run index and witness stimulus — must be
-/// invariant under batch size at any scheduler width. The dense engine
-/// runs the true batched kernels; the DD arm exercises the trait's
-/// loop-the-single-path default implementation.
-#[test]
-fn batch_sizes_agree_on_every_escapee_fixture() {
-    use qcec::{Fallback, StimulusStrategy};
-    for (name, golden, faulty, seed) in escapee_pairs() {
-        let stabilizer = Config::new()
-            .with_simulations(10)
-            .with_seed(seed)
-            .with_fallback(Fallback::None)
-            .with_stimuli(StimulusStrategy::Stabilizer);
-        assert_batch_sizes_agree(
-            &name,
-            &golden,
-            &faulty,
-            &stabilizer,
-            BackendKind::Statevector,
-        );
-        assert_batch_sizes_agree(
-            &format!("{name} [dd]"),
-            &golden,
-            &faulty,
-            &stabilizer,
-            BackendKind::DecisionDiagram,
         );
     }
 }
@@ -467,24 +402,6 @@ proptest! {
         let mut buggy = c.clone();
         buggy.x((seed % n as u64) as usize);
         assert_backends_agree("injected fault", &c, &buggy, &base, &BackendKind::ALL);
-    }
-
-    /// Generated pairs stay verdict-invariant under the batch axis too:
-    /// same decisive run and stimulus at batch sizes 1/3/8 across 1/2/8
-    /// scheduler threads, equivalent and faulty pairs alike.
-    #[test]
-    fn batch_sizes_agree_on_generated_pairs(n in 3usize..6, seed in any::<u64>()) {
-        let c = generators::random_clifford_t(n, 50, seed);
-        let optimized = qcirc::optimize::optimize(&c);
-        let base = Config::new().with_seed(seed);
-        assert_batch_sizes_agree(
-            "optimized pair", &c, &optimized, &base, BackendKind::Statevector,
-        );
-        let mut buggy = c.clone();
-        buggy.x((seed % n as u64) as usize);
-        assert_batch_sizes_agree(
-            "injected fault", &c, &buggy, &base, BackendKind::Statevector,
-        );
     }
 
     /// Pure-Clifford pairs: the stabilizer engine takes its O(n²) tableau
