@@ -52,40 +52,10 @@ fn bench_dd_simulation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_alternating_vs_construct(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dd_ec_scheme");
-    let g = generators::qft(8, true);
-    let routed =
-        qcirc::mapping::route_or_panic(&g, &qcirc::mapping::CouplingMap::linear(8)).circuit;
-    group.bench_function("alternating", |b| {
-        b.iter_batched(
-            || Package::new(8),
-            |mut p| {
-                let budget = qdd::Budget::new(None);
-                let scheme = qdd::ApplicationScheme::default();
-                qdd::check_equivalence_alternating(&mut p, &g, &routed, &budget, scheme).unwrap()
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("construct", |b| {
-        b.iter_batched(
-            || Package::new(8),
-            |mut p| {
-                let budget = qdd::Budget::new(None);
-                qdd::check_equivalence_construct(&mut p, &g, &routed, &budget).unwrap()
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_gate_dd_construction,
     bench_circuit_dd,
-    bench_dd_simulation,
-    bench_alternating_vs_construct
+    bench_dd_simulation
 );
 criterion_main!(benches);

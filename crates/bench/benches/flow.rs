@@ -30,12 +30,11 @@ fn bench_non_equivalent(c: &mut Criterion) {
         // exactly the paper's point. Benchmark it under a 2 s budget (the
         // realistic deployment) rather than to completion.
         let deadline = Some(std::time::Duration::from_secs(2));
-        let scheme = qdd::ApplicationScheme::default();
         b.iter_batched(
             || qdd::Package::new(g.n_qubits()),
             |mut p| {
                 let budget = qdd::Budget::new(deadline);
-                let _ = qdd::check_equivalence_alternating(&mut p, &g, &buggy, &budget, scheme);
+                let _ = qdd::check_equivalence_alternating(&mut p, &g, &buggy, &budget);
             },
             criterion::BatchSize::SmallInput,
         );

@@ -15,12 +15,10 @@
 //!     --seed 7 --trials 5 --faults 1 --sims 10 --threads 2 --scale 0
 //! ```
 //!
-//! Four flags set the ablation axes ([`qcec::campaign::Axis`]):
+//! Three flags set the ablation axes ([`qcec::campaign::Axis`]):
 //! `--stimuli basis,product,stabilizer` (stimulus strategies), `--backend
-//! sv,dd,stab,mps` (simulation engines), `--scheme
-//! sequential,onetoone,proportional,gatecost` (the alternating check's
-//! gate-application schemes) and `--chi 1,16,64` (the MPS engine's
-//! bond-dimension cap). Every trial is checked once per combination of
+//! sv,dd,stab,mps` (simulation engines) and `--chi 1,16,64` (the MPS
+//! engine's bond-dimension cap). Every trial is checked once per combination of
 //! arms, and every arm sees the identical faults, so a detection
 //! difference is attributable to the axis alone.
 //! `--compose K` stacks `K − 1` extra mixed-class faults on top of each
@@ -96,12 +94,11 @@ fn usage() -> ! {
         "usage: campaign [--seed N] [--trials N] [--faults N] [--compose K] \
          [--sims N] [--threads N] [--trial-threads N] \
          [--scale 0|1] [--epsilon X] [--peel] [--timings] [--out FILE] \
-         [--stimuli S[,S...]] [--backend B[,B...]] [--scheme A[,A...]] \
+         [--stimuli S[,S...]] [--backend B[,B...]] \
          [--chi N[,N...]] [--pair GOLDEN,FAULTY]... \
          [--inject CLASS[,CLASS...]|all [--pair FILE]...]\n\
          stimulus strategies: basis|sequential|product|stabilizer\n\
          backends: sv|dd|stab|mps|auto\n\
-         application schemes: sequential|onetoone|proportional|gatecost\n\
          fault classes: remove_gate|add_gate|remove_control|add_control|\
          swap_targets|perturb_angle|swap_adjacent_gates|relabel_qubits"
     );

@@ -82,8 +82,7 @@ fn row(family: &str, g: &qcirc::Circuit, sv_ok: bool, deadline: Duration) {
         let mut p = qdd::Package::with_node_limit(n, 2_000_000);
         let start = Instant::now();
         let budget = qdd::Budget::new(Some(deadline));
-        let scheme = qdd::ApplicationScheme::default();
-        match qdd::check_equivalence_alternating(&mut p, g, &optimized, &budget, scheme) {
+        match qdd::check_equivalence_alternating(&mut p, g, &optimized, &budget) {
             Ok(v) => {
                 assert!(v.is_equivalent());
                 fmt_secs(start.elapsed())

@@ -77,7 +77,6 @@ fn main() {
             &pair.original,
             &buggy,
             &qdd::Budget::new(Some(deadline)),
-            qdd::ApplicationScheme::default(),
         );
         let ec_elapsed = ec_start.elapsed();
         let t_ec = match ec {

@@ -42,7 +42,6 @@ fn main() {
             &pair.original,
             &pair.alternative,
             &qdd::Budget::new(Some(deadline)),
-            qdd::ApplicationScheme::default(),
         );
         let ec_elapsed = ec_start.elapsed();
         let ec_finished = ec.is_ok();

@@ -12,7 +12,7 @@
 //! after `r` runs, per-family breakdowns, and stage timings.
 //!
 //! Every trial is checked once per combination of ablation-[`Axis`] arms
-//! (stimulus strategy, backend, scheme, χ), against the same
+//! (stimulus strategy, backend, χ), against the same
 //! injected fault, and each arm aggregates its own statistics.
 //!
 //! The whole campaign is a pure function of its seed: every injected fault
@@ -64,7 +64,7 @@ use qfault::{mutator_for, GuardCache, GuardOptions, GuardVerdict, MutationKind, 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{ApplicationScheme, BackendKind, Config, Fallback, StimulusStrategy};
+use crate::config::{BackendKind, Config, Fallback, StimulusStrategy};
 use crate::flow::check_equivalence;
 use crate::outcome::Outcome;
 use crate::report::{json, StageTimings};
@@ -157,9 +157,6 @@ pub enum Axis {
     Stimuli(Vec<StimulusStrategy>),
     /// Probe engines ([`Config::with_backend`]).
     Backend(Vec<BackendKind>),
-    /// Application schemes of the alternating complete check
-    /// ([`Config::with_scheme`]).
-    Scheme(Vec<ApplicationScheme>),
     /// Bond-dimension caps ([`Config::with_chi_max`]); dense engines
     /// ignore χ, so only MPS arms consult it.
     Chi(Vec<usize>),
@@ -179,20 +176,19 @@ struct AxisNames {
 
 impl Axis {
     /// Every axis at its default arm, in render order: the paper's random
-    /// basis states on the dense statevector engine, the proportional
-    /// scheme and χ = [`qmpo::DEFAULT_CHI_MAX`].
+    /// basis states on the dense statevector engine and
+    /// χ = [`qmpo::DEFAULT_CHI_MAX`].
     #[must_use]
     pub fn defaults() -> Vec<Axis> {
         vec![
             Axis::Stimuli(vec![StimulusStrategy::Random]),
             Axis::Backend(vec![BackendKind::Statevector]),
-            Axis::Scheme(vec![ApplicationScheme::Proportional]),
             Axis::Chi(vec![qmpo::DEFAULT_CHI_MAX]),
         ]
     }
 
     /// The default axis whose CLI flag (without dashes) is `flag`:
-    /// `stimuli`, `backend`, `scheme` or `chi`.
+    /// `stimuli`, `backend` or `chi`.
     #[must_use]
     pub fn named(flag: &str) -> Option<Axis> {
         Axis::defaults().into_iter().find(|a| a.flag() == flag)
@@ -221,7 +217,6 @@ impl Axis {
         match self {
             Axis::Stimuli(_) => arms(spec, StimulusStrategy::parse).map(Axis::Stimuli),
             Axis::Backend(_) => arms(spec, BackendKind::parse).map(Axis::Backend),
-            Axis::Scheme(_) => arms(spec, ApplicationScheme::parse).map(Axis::Scheme),
             Axis::Chi(_) => arms(spec, positive).map(Axis::Chi),
         }
     }
@@ -238,7 +233,6 @@ impl Axis {
         match self {
             Axis::Stimuli(arms) => arms.len(),
             Axis::Backend(arms) => arms.len(),
-            Axis::Scheme(arms) => arms.len(),
             Axis::Chi(arms) => arms.len(),
         }
     }
@@ -247,7 +241,6 @@ impl Axis {
         let (flag, arm, plural, heading) = match self {
             Axis::Stimuli(_) => ("stimuli", "strategy", "strategies", "stimulus strategy"),
             Axis::Backend(_) => ("backend", "backend", "backends", "backend"),
-            Axis::Scheme(_) => ("scheme", "scheme", "schemes", "application scheme"),
             Axis::Chi(_) => ("chi", "chi", "chis", "bond dimension"),
         };
         AxisNames {
@@ -265,20 +258,11 @@ impl Axis {
         matches!(self, Axis::Stimuli(_))
     }
 
-    /// Whether the Markdown table's last column is each arm's
-    /// complete-check wall-clock instead of its detection rate: a scheme
-    /// only reorders the complete check's multiplications, so the arms'
-    /// verdicts agree by construction and what differs is time.
-    fn reports_ec_time(&self) -> bool {
-        matches!(self, Axis::Scheme(_))
-    }
-
     /// Arm `i` as a table label: `sv`, or `64`.
     fn label(&self, i: usize) -> String {
         match self {
             Axis::Stimuli(arms) => arms[i].slug().to_string(),
             Axis::Backend(arms) => arms[i].slug().to_string(),
-            Axis::Scheme(arms) => arms[i].slug().to_string(),
             Axis::Chi(arms) => arms[i].to_string(),
         }
     }
@@ -296,7 +280,6 @@ impl Axis {
         match self {
             Axis::Stimuli(arms) => config.with_stimuli(arms[i]),
             Axis::Backend(arms) => config.with_backend(arms[i]),
-            Axis::Scheme(arms) => config.with_scheme(arms[i]),
             Axis::Chi(arms) => config.with_chi_max(arms[i]),
         }
     }
@@ -712,16 +695,6 @@ impl ClassStats {
             return None;
         }
         Some((detected - self.missed as f64) / detected)
-    }
-
-    /// Fraction of sim-detected faults found within the first `r` runs.
-    #[must_use]
-    pub fn detection_within(&self, r: usize) -> Option<f64> {
-        if self.detected_by_sim == 0 {
-            return None;
-        }
-        let within: usize = self.sims_histogram.iter().take(r).sum();
-        Some(within as f64 / self.detected_by_sim as f64)
     }
 
     /// Mean number of simulations until the first counterexample, over the
@@ -1232,19 +1205,14 @@ impl CampaignResult {
 
         for (axis, arms) in self.rendered_axes() {
             let names = axis.names();
-            let last = if axis.reports_ec_time() {
-                "t_ec (s)"
-            } else {
-                "rate"
-            };
             out.push_str(&format!(
                 "\n## Detection by {}\n\n\
-                 | {} | faults | det. sim | det. complete | missed | mean #sims | {last} |\n\
+                 | {} | faults | det. sim | det. complete | missed | mean #sims | rate |\n\
                  |---|---|---|---|---|---|---|\n",
                 names.heading, names.arm,
             ));
             for (i, arm) in arms.iter().enumerate() {
-                out.push_str(&ablation_row(&axis.label(i), arm, axis.reports_ec_time()));
+                out.push_str(&ablation_row(&axis.label(i), arm));
             }
         }
 
@@ -1488,7 +1456,7 @@ pub fn audit_pair(
 /// Renders one arm's row of an ablation Markdown table: the class-summed
 /// detection counts, then the detection rate or, with `ec_time`, the arm's
 /// complete-check wall-clock.
-fn ablation_row(label: &str, arm: &ArmStats, ec_time: bool) -> String {
+fn ablation_row(label: &str, arm: &ArmStats) -> String {
     let mut total = ClassStats::default();
     for (_, s) in &arm.classes {
         total.add(s);
@@ -1496,15 +1464,11 @@ fn ablation_row(label: &str, arm: &ArmStats, ec_time: bool) -> String {
     let mean = total
         .mean_sims_to_detect()
         .map_or_else(|| "—".to_string(), |m| format!("{m:.2}"));
-    let last = if ec_time {
-        format!("{:.3}", arm.timings.functional_time.as_secs_f64())
-    } else {
-        total
-            .detection_rate()
-            .map_or_else(|| "—".to_string(), |r| format!("{:.0}%", r * 100.0))
-    };
+    let rate = total
+        .detection_rate()
+        .map_or_else(|| "—".to_string(), |r| format!("{:.0}%", r * 100.0));
     format!(
-        "| {label} | {} | {} | {} | {} | {mean} | {last} |\n",
+        "| {label} | {} | {} | {} | {} | {mean} | {rate} |\n",
         total.faults, total.detected_by_sim, total.detected_by_complete, total.missed,
     )
 }

@@ -4,7 +4,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::scheduler::EventSink;
-pub use qdd::ApplicationScheme;
 
 /// When two output states (or system matrices) count as "equal".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -175,8 +174,6 @@ pub enum Fallback {
     /// The improved alternating scheme `G → 𝕀 ← G'` of \[22\]; the default.
     #[default]
     Alternating,
-    /// Construct and compare both complete system matrices (\[21\], \[26\]).
-    ConstructAndCompare,
     /// No functional check: after `r` agreeing simulations report
     /// "probably equivalent" immediately.
     None,
@@ -245,12 +242,6 @@ pub struct Config {
     /// prefix no longer randomises them), so verdict-equivalent runs are
     /// not bit-identical with the unpeeled flow.
     pub peel: bool,
-    /// Gate-interleaving policy of the alternating complete check (see
-    /// [`qdd::ApplicationScheme`]): which side of `G → 𝕀 ← G'` advances
-    /// next. Scheme-independent verdicts, scheme-dependent intermediate
-    /// DD sizes — proportional (the default) reproduces the historical
-    /// behaviour bit for bit.
-    pub scheme: ApplicationScheme,
     /// Receiver for the flow's [`RunEvent`](crate::scheduler::RunEvent)s
     /// (per-stage timings, per-simulation outcomes, cancellations, the
     /// `Auto` pick). `None` = discard. Every check emits them, at any
@@ -281,7 +272,6 @@ impl PartialEq for Config {
             && self.dd_node_limit == other.dd_node_limit
             && self.chi_max == other.chi_max
             && self.peel == other.peel
-            && self.scheme == other.scheme
             && sinks_eq
     }
 }
@@ -301,7 +291,6 @@ impl Default for Config {
             dd_node_limit: qdd::Package::DEFAULT_NODE_LIMIT,
             chi_max: qmpo::DEFAULT_CHI_MAX,
             peel: false,
-            scheme: ApplicationScheme::default(),
             event_sink: None,
         }
     }
@@ -384,26 +373,6 @@ impl Config {
     #[must_use]
     pub fn with_peel(mut self, peel: bool) -> Self {
         self.peel = peel;
-        self
-    }
-
-    /// Sets the gate-interleaving policy of the alternating complete
-    /// check (see [`Config::scheme`]).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use qcec::{ApplicationScheme, Config};
-    ///
-    /// let g = qcirc::generators::qft(4, true);
-    /// let opt = qcirc::optimize::optimize(&g);
-    /// let config = Config::new().with_scheme(ApplicationScheme::GateCost);
-    /// let result = qcec::check_equivalence(&g, &opt, &config).unwrap();
-    /// assert!(result.outcome.is_equivalent());
-    /// ```
-    #[must_use]
-    pub fn with_scheme(mut self, scheme: ApplicationScheme) -> Self {
-        self.scheme = scheme;
         self
     }
 

@@ -1,7 +1,7 @@
 //! The complete (functional) check stage — one body over both complete
-//! checkers: the DD routines of `qdd` and, under [`BackendKind::Mps`], the
-//! MPO routines of `qmpo`, which share `qdd`'s budget, verdict and abort
-//! vocabulary.
+//! checkers: the alternating DD check of `qdd` and, under
+//! [`BackendKind::Mps`], the alternating MPO check of `qmpo`, which shares
+//! `qdd`'s budget, verdict and abort vocabulary.
 //!
 //! Before either checker runs, each side's wire permutations are elided
 //! (see [`run_functional_check`]): a routed circuit's SWAP chains would
@@ -32,8 +32,8 @@ pub enum FunctionalVerdict {
     Aborted(AbortReason),
 }
 
-/// Runs the configured complete equivalence check within
-/// `config.deadline`.
+/// Runs the alternating complete check — on the MPO under
+/// [`BackendKind::Mps`], on the DD otherwise — within `config.deadline`.
 ///
 /// Both sides are checked without the wire permutations on which they
 /// differ: uncontrolled SWAPs and three-CX SWAPs (`cx a,b; cx b,a; cx a,b`
@@ -54,11 +54,9 @@ pub enum FunctionalVerdict {
 /// Panics if the circuits' qubit counts differ.
 #[must_use]
 pub fn run_functional_check(g: &Circuit, g_prime: &Circuit, config: &Config) -> FunctionalVerdict {
-    let alternating = match config.fallback {
-        Fallback::None => return FunctionalVerdict::Aborted(AbortReason::FallbackDisabled),
-        Fallback::Alternating => true,
-        Fallback::ConstructAndCompare => false,
-    };
+    if config.fallback == Fallback::None {
+        return FunctionalVerdict::Aborted(AbortReason::FallbackDisabled);
+    }
     assert_eq!(
         g.n_qubits(),
         g_prime.n_qubits(),
@@ -77,13 +75,7 @@ pub fn run_functional_check(g: &Circuit, g_prime: &Circuit, config: &Config) -> 
     let (g, g_prime) = (g.as_ref(), g_prime.as_ref());
     let budget = Budget::new(config.deadline);
     let result = if config.backend == BackendKind::Mps {
-        let chi = config.chi_max;
-        let run = if alternating {
-            qmpo::check_equivalence_alternating(g, g_prime, chi, &budget, config.scheme)
-        } else {
-            qmpo::check_equivalence_construct(g, g_prime, chi, &budget)
-        };
-        match run {
+        match qmpo::check_equivalence_alternating(g, g_prime, config.chi_max, &budget) {
             // A truncated run can still disprove equivalence — the engine's
             // decision window already absorbs the accumulated error — but
             // its "no difference found" is evidence, not proof.
@@ -95,11 +87,7 @@ pub fn run_functional_check(g: &Circuit, g_prime: &Circuit, config: &Config) -> 
         }
     } else {
         let mut package = Package::with_node_limit(g.n_qubits(), config.dd_node_limit);
-        if alternating {
-            qdd::check_equivalence_alternating(&mut package, g, g_prime, &budget, config.scheme)
-        } else {
-            qdd::check_equivalence_construct(&mut package, g, g_prime, &budget)
-        }
+        qdd::check_equivalence_alternating(&mut package, g, g_prime, &budget)
     };
     match result {
         Ok(DdEquivalence::Equivalent) => FunctionalVerdict::Equivalent,
@@ -235,7 +223,6 @@ mod tests {
     use proptest::prelude::*;
     use qcirc::generators;
     use qcirc::mapping::{route, CouplingMap, RouterOptions};
-    use qdd::ApplicationScheme;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::time::Duration;
@@ -255,22 +242,20 @@ mod tests {
         let mut b = a.clone();
         b.rz(2.0 * std::f64::consts::PI, 0);
         for backend in [BackendKind::Statevector, BackendKind::Mps] {
-            for fb in [Fallback::Alternating, Fallback::ConstructAndCompare] {
-                let relaxed = Config::default().with_backend(backend).with_fallback(fb);
-                let strict = relaxed.clone().with_criterion(Criterion::Strict);
-                assert_eq!(
-                    run_functional_check(&a, &b, &strict),
-                    FunctionalVerdict::NotEquivalent,
-                    "{backend:?} {fb:?}"
-                );
-                assert!(
-                    matches!(
-                        run_functional_check(&a, &b, &relaxed),
-                        FunctionalVerdict::EquivalentUpToGlobalPhase { .. }
-                    ),
-                    "{backend:?} {fb:?}"
-                );
-            }
+            let relaxed = Config::default().with_backend(backend);
+            let strict = relaxed.clone().with_criterion(Criterion::Strict);
+            assert_eq!(
+                run_functional_check(&a, &b, &strict),
+                FunctionalVerdict::NotEquivalent,
+                "{backend:?}"
+            );
+            assert!(
+                matches!(
+                    run_functional_check(&a, &b, &relaxed),
+                    FunctionalVerdict::EquivalentUpToGlobalPhase { .. }
+                ),
+                "{backend:?}"
+            );
         }
     }
 
@@ -296,27 +281,29 @@ mod tests {
 
     #[test]
     fn node_limit_aborts() {
+        // Against the empty circuit the check's matrix becomes `g`'s whole
+        // system matrix, which passes 100 nodes.
         let g = generators::supremacy_2d(3, 4, 10, 3);
-        let config = Config::default()
-            .with_dd_node_limit(100)
-            .with_fallback(Fallback::ConstructAndCompare);
+        let empty = Circuit::new(g.n_qubits());
+        let config = Config::default().with_dd_node_limit(100);
         assert_eq!(
-            run_functional_check(&g, &g, &config),
+            run_functional_check(&g, &empty, &config),
             FunctionalVerdict::Aborted(AbortReason::NodeLimit)
         );
     }
 
+    /// Both complete checkers, the DD's and the MPO's, convict a T fault.
     #[test]
     fn both_fallbacks_detect_errors() {
         let g = generators::qft(4, true);
         let mut buggy = g.clone();
         buggy.t(2);
-        for fb in [Fallback::Alternating, Fallback::ConstructAndCompare] {
-            let config = Config::default().with_fallback(fb);
+        for backend in [BackendKind::DecisionDiagram, BackendKind::Mps] {
+            let config = Config::default().with_backend(backend);
             assert_eq!(
                 run_functional_check(&g, &buggy, &config),
                 FunctionalVerdict::NotEquivalent,
-                "{fb:?}"
+                "{backend:?}"
             );
         }
     }
@@ -329,21 +316,15 @@ mod tests {
         let routed = qcirc::mapping::route_or_panic(&g, &qcirc::mapping::CouplingMap::linear(4));
         let mut buggy = g.clone();
         buggy.t(2);
-        for fb in [Fallback::Alternating, Fallback::ConstructAndCompare] {
-            let config = Config::default()
-                .with_backend(BackendKind::Mps)
-                .with_fallback(fb);
-            assert_eq!(
-                run_functional_check(&g, &routed.circuit, &config),
-                FunctionalVerdict::Equivalent,
-                "{fb:?}"
-            );
-            assert_eq!(
-                run_functional_check(&g, &buggy, &config),
-                FunctionalVerdict::NotEquivalent,
-                "{fb:?}"
-            );
-        }
+        let config = Config::default().with_backend(BackendKind::Mps);
+        assert_eq!(
+            run_functional_check(&g, &routed.circuit, &config),
+            FunctionalVerdict::Equivalent
+        );
+        assert_eq!(
+            run_functional_check(&g, &buggy, &config),
+            FunctionalVerdict::NotEquivalent
+        );
     }
 
     #[test]
@@ -515,9 +496,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Rewriting permutations never changes a verdict or its phase: on
-        /// DD and MPO, under both fallbacks, every application scheme and
-        /// both criteria, the complete check agrees with the dense
-        /// unitaries for pairs with elided and kept SWAPs, controlled
+        /// DD and MPO under both criteria, the complete check agrees with
+        /// the dense unitaries for pairs with elided and kept SWAPs, controlled
         /// SWAPs, a dropped SWAP, an unmatched 3-cycle, a global phase,
         /// aligned exchanges and exchanges shared around a divergence.
         #[test]
@@ -586,24 +566,10 @@ mod tests {
                 }
                 _ => {}
             }
-            // Every scheme under the physical criterion; the strict
-            // criterion and the construct fallback at the default scheme.
-            let (alternating, physical) = (Fallback::Alternating, Criterion::UpToGlobalPhase);
-            let (construct, default) = (Fallback::ConstructAndCompare, ApplicationScheme::default());
-            let modes = ApplicationScheme::ALL
-                .map(|scheme| (alternating, scheme, physical))
-                .into_iter()
-                .chain([
-                    (alternating, default, Criterion::Strict),
-                    (construct, default, physical),
-                    (construct, default, Criterion::Strict),
-                ]);
             for backend in [BackendKind::DecisionDiagram, BackendKind::Mps] {
-                for (fallback, scheme, criterion) in modes.clone() {
+                for criterion in [Criterion::UpToGlobalPhase, Criterion::Strict] {
                     let config = Config::default()
                         .with_backend(backend)
-                        .with_fallback(fallback)
-                        .with_scheme(scheme)
                         .with_criterion(criterion);
                     let got = run_functional_check(&g, &g_prime, &config);
                     let want = dense_verdict(&g, &g_prime, criterion);
@@ -614,10 +580,7 @@ mod tests {
                         ) => qnum::angle::approx_zero_mod_2pi(p - q),
                         _ => got == want,
                     };
-                    prop_assert!(
-                        agree,
-                        "{backend:?} {fallback:?} {scheme:?} {criterion:?}: {got:?}, dense {want:?}"
-                    );
+                    prop_assert!(agree, "{backend:?} {criterion:?}: {got:?}, dense {want:?}");
                 }
             }
         }

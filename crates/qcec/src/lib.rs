@@ -63,7 +63,7 @@ pub use backend::{
     auto_backend, MpsBackend, ProbeMetrics, ProbeOutcome, SimBackend, StabBackend,
     StatevectorBackend,
 };
-pub use config::{ApplicationScheme, BackendKind, Config, Criterion, Fallback, StimulusStrategy};
+pub use config::{BackendKind, Config, Criterion, Fallback, StimulusStrategy};
 pub use flow::{check_equivalence, check_equivalence_default, FlowError};
 pub use functional::{run_functional_check, FunctionalVerdict};
 pub use outcome::{AbortReason, Counterexample, FlowResult, FlowStats, Mismatch, Outcome};

@@ -107,12 +107,6 @@ impl CircuitId {
         h.write(&qcirc::canon::encode_circuit(circuit));
         CircuitId(h.finish())
     }
-
-    /// The raw 128-bit value.
-    #[must_use]
-    pub fn as_u128(&self) -> u128 {
-        self.0
-    }
 }
 
 impl fmt::Display for CircuitId {
@@ -129,7 +123,7 @@ impl fmt::Display for CircuitId {
 /// observability). Everything
 /// else — simulation count, seed, tolerance, criterion, backend,
 /// fallback, stimulus strategy, deadline, DD node limit, bond cap,
-/// Clifford peeling, application scheme — contributes.
+/// Clifford peeling — contributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConfigDigest(u64);
 
@@ -158,8 +152,7 @@ impl ConfigDigest {
             },
             match config.fallback {
                 Fallback::Alternating => 0,
-                Fallback::ConstructAndCompare => 1,
-                Fallback::None => 2,
+                Fallback::None => 1,
             },
             match config.stimuli {
                 StimulusStrategy::Random => 0,
@@ -168,12 +161,6 @@ impl ConfigDigest {
                 StimulusStrategy::Stabilizer => 3,
             },
             u8::from(config.peel),
-            match config.scheme {
-                qdd::ApplicationScheme::Sequential => 0,
-                qdd::ApplicationScheme::OneToOne => 1,
-                qdd::ApplicationScheme::Proportional => 2,
-                qdd::ApplicationScheme::GateCost => 3,
-            },
         ]);
         match config.deadline {
             None => h.write(&[0]),
@@ -185,12 +172,6 @@ impl ConfigDigest {
         h.write_u64(config.dd_node_limit as u64);
         h.write_u64(config.chi_max as u64);
         ConfigDigest(h.finish() as u64)
-    }
-
-    /// The raw 64-bit value.
-    #[must_use]
-    pub fn as_u64(&self) -> u64 {
-        self.0
     }
 }
 
@@ -316,17 +297,6 @@ mod tests {
         assert_ne!(
             ConfigDigest::of(&Config::default().with_backend(BackendKind::Auto)),
             ConfigDigest::of(&Config::default().with_backend(BackendKind::Mps))
-        );
-        // The application scheme steers the complete check: the verdict
-        // class is scheme-invariant but abort behaviour (deadline, node
-        // budget) is not, so the cache must key on it.
-        assert_ne!(
-            ConfigDigest::of(&base),
-            ConfigDigest::of(&Config::default().with_scheme(qdd::ApplicationScheme::GateCost))
-        );
-        assert_eq!(
-            ConfigDigest::of(&base),
-            ConfigDigest::of(&Config::default().with_scheme(qdd::ApplicationScheme::Proportional))
         );
         // …thread count and sinks do not.
         assert_eq!(

@@ -13,7 +13,8 @@
 //!   As in OpenQASM 2.0, a gate body may call only built-in gates and gates
 //!   defined before it, and a gate is defined once, so definitions cannot
 //!   form a cycle; a chain of definitions may be at most
-//!   [`MAX_GATE_DEPTH`] (128) deep.
+//!   [`MAX_GATE_DEPTH`] (128) deep, and one application of a definition
+//!   may expand to at most [`MAX_GATE_EXPANSION`] (2²⁰) gates.
 //! * Parameter expressions with `+ - * / ^`, unary minus, parentheses, `pi`,
 //!   and the functions `sin cos tan exp ln sqrt`, at most
 //!   [`MAX_EXPR_DEPTH`] (128) levels deep.
@@ -144,6 +145,13 @@ const MAX_EXPR_DEPTH: usize = 128;
 /// within the same 2 MiB thread stack as [`MAX_EXPR_DEPTH`].
 const MAX_GATE_DEPTH: usize = 128;
 
+/// The most gates one application of a gate definition may expand to. A
+/// body that calls the previous definition twice doubles the count per
+/// level, so forty such lines would expand to 2³⁹ gates; the bound refuses
+/// the definition that passes it instead. The largest definitions the
+/// writer emits, the `mcx<k>` helpers, stay under it up to `k = 13`.
+const MAX_GATE_EXPANSION: usize = 1 << 20;
+
 /// A user-defined gate body: formal parameter names, formal qubit names, and
 /// the raw statements to expand.
 #[derive(Debug, Clone)]
@@ -154,6 +162,9 @@ struct GateDef {
     /// Definition levels its expansion recurses through: 1 when the body
     /// calls built-in gates only.
     depth: usize,
+    /// Gates one application expands to: a built-in call counts 1, a call
+    /// of a defined gate counts that gate's own total.
+    gates: usize,
 }
 
 /// One gate application inside a gate body (operands are formal names).
@@ -522,7 +533,7 @@ impl Parser {
         }
         self.expect(&TokenKind::LBrace)?;
         let mut body = Vec::new();
-        let mut depth = 1;
+        let (mut depth, mut gates) = (1, 0usize);
         while !matches!(self.peek(), Some(TokenKind::RBrace)) {
             if self.peek().is_none() {
                 return Err(self.error("unterminated gate body"));
@@ -540,7 +551,9 @@ impl Parser {
                 message,
                 line: call.line,
             };
-            if builtin_gate(&call.name, &[], &[]).is_none() {
+            let expanded = if builtin_gate(&call.name, &[], &[]).is_some() {
+                1
+            } else {
                 let callee = self.gate_defs.get(&call.name).ok_or_else(|| {
                     error(format!(
                         "gate '{}' is used in gate '{name}' before it is defined",
@@ -553,6 +566,13 @@ impl Parser {
                     )));
                 }
                 depth = depth.max(callee.depth + 1);
+                callee.gates
+            };
+            gates = gates.saturating_add(expanded);
+            if gates > MAX_GATE_EXPANSION {
+                return Err(error(format!(
+                    "gate '{name}' expands to more than {MAX_GATE_EXPANSION} gates"
+                )));
             }
             body.push(call);
         }
@@ -564,6 +584,7 @@ impl Parser {
                 qubits,
                 body,
                 depth,
+                gates,
             },
         );
         Ok(())
@@ -1112,8 +1133,12 @@ mod tests {
                 "nested deeper",
             ),
             // A chain of definitions whose expansion is deeper than the
-            // stack allows.
+            // stack allows, and one that doubles per level.
             (&gate_chain(100_000, "1"), "deeper than"),
+            (
+                &format!("{} g39 q[0];", doubling_defs(40)),
+                "expands to more than",
+            ),
         ] {
             let e = parse(&format!("{HEADER}qreg q[3];\n{body}")).unwrap_err();
             assert_eq!(e.line, 4, "{body:.60}");
@@ -1125,6 +1150,31 @@ mod tests {
         assert_eq!(e.line, 3);
         let e = parse_lenient(&format!("{HEADER}qreg a[65534];\nqreg b[1];")).unwrap_err();
         assert_eq!(e.line, 4);
+    }
+
+    /// `n` gate definitions on one line, each calling the one before
+    /// twice: `g<i>` expands to `2ⁱ` gates.
+    fn doubling_defs(n: usize) -> String {
+        let mut src = "gate g0 a { x a; }".to_string();
+        for i in 1..n {
+            src.push_str(&format!(" gate g{i} a {{ g{0} a; g{0} a; }}", i - 1));
+        }
+        src
+    }
+
+    #[test]
+    fn gate_expansion_is_bounded_where_a_gate_is_defined() {
+        let source = |body: &str| format!("{HEADER}qreg q[1];\n{body}");
+        // `g20` expands to exactly the bound, and defining it costs no
+        // expansion; `g21` passes the bound at its second call.
+        assert_eq!(1 << 20, MAX_GATE_EXPANSION);
+        let accepted = format!("{} x q[0];", doubling_defs(21));
+        assert_eq!(parse(&source(&accepted)).map(|c| c.len()), Ok(1));
+        let e = parse(&source(&doubling_defs(22))).unwrap_err();
+        assert!(e.to_string().contains("gate 'g21' expands"), "{e}");
+        // A small doubling chain still expands exactly.
+        let small = format!("{} g4 q[0];", doubling_defs(5));
+        assert_eq!(parse(&source(&small)).map(|c| c.len()), Ok(16));
     }
 
     /// `n` gate definitions on one line, each calling the one before, and a

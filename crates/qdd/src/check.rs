@@ -1,10 +1,11 @@
-//! DD-based equivalence checking — the "state-of-the-art routine" the
-//! paper's flow falls back to after its simulation runs (\[18\]–\[22\], \[26\]).
+//! The vocabulary of the complete check — the "state-of-the-art routine"
+//! the paper's flow falls back to after its simulation runs (\[18\]–\[22\],
+//! \[26\]): its verdict, its abort reasons and its budget, plus the
+//! drift-robust comparison the alternating check ends in.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use qcirc::Circuit;
 use qnum::Complex;
 
 use crate::package::{DdLimitError, Package};
@@ -75,8 +76,9 @@ impl From<DdLimitError> for DdCheckAbort {
 }
 
 /// The bound on one complete check: an optional wall-clock deadline,
-/// counted from the budget's creation. Every complete check — DD and MPO
-/// alike — polls it between gate applications.
+/// counted from the budget's creation. Both complete checks, DD and MPO,
+/// poll it between gate applications; the MPO check also polls it before
+/// every two-site split.
 ///
 /// # Examples
 ///
@@ -120,55 +122,13 @@ impl Budget {
     }
 }
 
-/// Checks equivalence by constructing and comparing both complete system
-/// matrices as DDs — the classic approach the paper contrasts its flow
-/// against.
-///
-/// The budget is polled between gate applications; DD growth is bounded
-/// by the package's node limit.
-///
-/// # Errors
-///
-/// Returns [`DdCheckAbort`] on timeout or node-limit exhaustion — the
-/// cases the paper reports as `> 3600 s`.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ from the package's.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), qdd::DdCheckAbort> {
-/// use qdd::{check_equivalence_construct, Budget, DdEquivalence, Package};
-///
-/// let g = qcirc::generators::ghz(3);
-/// let mut p = Package::new(3);
-/// let verdict = check_equivalence_construct(&mut p, &g, &g, &Budget::new(None))?;
-/// assert_eq!(verdict, DdEquivalence::Equivalent);
-/// # Ok(())
-/// # }
-/// ```
-pub fn check_equivalence_construct(
-    package: &mut Package,
-    g: &Circuit,
-    g_prime: &Circuit,
-    budget: &Budget,
-) -> Result<DdEquivalence, DdCheckAbort> {
-    assert_eq!(
-        g.n_qubits(),
-        g_prime.n_qubits(),
-        "circuits must have equal qubit counts"
-    );
-    let mut keep = [package.circuit_medge(g, budget, &mut [])?];
-    let u_prime = package.circuit_medge(g_prime, budget, &mut keep)?;
-    Ok(compare_roots(package, keep[0], u_prime))
-}
-
 /// Tolerance for the drift-robust entry-wise comparison (well above the
 /// interning tolerance, well below any real gate difference).
 const CLOSENESS_TOLERANCE: f64 = 1e-9;
 
+/// Classifies the complete check's final matrix `u` against `u_prime`
+/// (the identity): pointer equality first, then equality up to a phase,
+/// then an entry-wise comparison that absorbs interning drift.
 pub(crate) fn compare_roots(
     package: &mut Package,
     u: crate::edge::MEdge,
@@ -216,14 +176,20 @@ pub(crate) fn compare_roots(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcirc::generators;
+    use crate::check_equivalence_alternating;
     use qcirc::mapping::{route, CouplingMap, RouterOptions};
+    use qcirc::{generators, Circuit};
+
+    /// The unbounded complete check.
+    fn check(p: &mut Package, a: &Circuit, b: &Circuit) -> Result<DdEquivalence, DdCheckAbort> {
+        check_equivalence_alternating(p, a, b, &Budget::new(None))
+    }
 
     #[test]
     fn identical_circuits_are_equivalent() {
         let g = generators::qft(4, true);
         let mut p = Package::new(4);
-        let v = check_equivalence_construct(&mut p, &g, &g, &Budget::new(None)).unwrap();
+        let v = check(&mut p, &g, &g).unwrap();
         assert_eq!(v, DdEquivalence::Equivalent);
         assert!(v.is_equivalent());
     }
@@ -233,8 +199,7 @@ mod tests {
         let g = generators::qft(5, true);
         let routed = route(&g, &CouplingMap::linear(5), RouterOptions::default()).unwrap();
         let mut p = Package::new(5);
-        let v =
-            check_equivalence_construct(&mut p, &g, &routed.circuit, &Budget::new(None)).unwrap();
+        let v = check(&mut p, &g, &routed.circuit).unwrap();
         assert_eq!(v, DdEquivalence::Equivalent);
     }
 
@@ -243,7 +208,7 @@ mod tests {
         let g = generators::grover(4, 0b0110, 2);
         let lowered = qcirc::decompose::decompose_to_cx_and_single_qubit(&g);
         let mut p = Package::new(4);
-        let v = check_equivalence_construct(&mut p, &g, &lowered, &Budget::new(None)).unwrap();
+        let v = check(&mut p, &g, &lowered).unwrap();
         assert!(v.is_equivalent(), "got {v}");
     }
 
@@ -254,7 +219,7 @@ mod tests {
         let old = buggy.replace(2, qcirc::Gate::controlled(qcirc::GateKind::X, vec![0], 2));
         assert_eq!(old.to_string(), "cx q[1], q[2]");
         let mut p = Package::new(4);
-        let v = check_equivalence_construct(&mut p, &g, &buggy, &Budget::new(None)).unwrap();
+        let v = check(&mut p, &g, &buggy).unwrap();
         assert_eq!(v, DdEquivalence::NotEquivalent);
     }
 
@@ -266,7 +231,7 @@ mod tests {
         // Rz(2π) = −I contributes a global phase of π.
         b.rz(2.0 * std::f64::consts::PI, 0);
         let mut p = Package::new(2);
-        let v = check_equivalence_construct(&mut p, &a, &b, &Budget::new(None)).unwrap();
+        let v = check(&mut p, &a, &b).unwrap();
         match v {
             DdEquivalence::EquivalentUpToGlobalPhase { phase } => {
                 assert!((phase.abs() - std::f64::consts::PI).abs() < 1e-9);
@@ -336,16 +301,18 @@ mod tests {
         let g = generators::supremacy_2d(3, 3, 10, 1);
         let mut p = Package::new(9);
         let budget = Budget::new(Some(Duration::ZERO));
-        let e = check_equivalence_construct(&mut p, &g, &g, &budget).unwrap_err();
+        let e = check_equivalence_alternating(&mut p, &g, &g, &budget).unwrap_err();
         assert!(matches!(e, DdCheckAbort::Timeout { .. }));
         assert!(e.to_string().contains("timed out"));
     }
 
     #[test]
     fn node_limit_aborts_check() {
+        // Against the empty circuit the check builds `g`'s whole system
+        // matrix.
         let g = generators::supremacy_2d(3, 4, 10, 2);
         let mut p = Package::with_node_limit(12, 200);
-        let e = check_equivalence_construct(&mut p, &g, &g, &Budget::new(None)).unwrap_err();
+        let e = check(&mut p, &g, &Circuit::new(12)).unwrap_err();
         assert!(matches!(e, DdCheckAbort::NodeLimit(_)));
     }
 }

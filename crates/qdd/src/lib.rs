@@ -8,12 +8,13 @@
 //!   form, and [`DdBackend::probe_in`] runs one stimulus through both
 //!   circuits of a pair in a pooled, reset package;
 //! * the DD *equivalence checker* of references \[21\], \[22\], \[26\] —
-//!   [`check_equivalence_construct`] builds and compares both complete
-//!   system matrices, and [`check_equivalence_alternating`] keeps a single
-//!   difference DD near the identity (`G → 𝕀 ← G'`) under a pluggable
-//!   [`ApplicationScheme`]. Both run within one [`Budget`] (an optional
-//!   deadline) and answer with a [`DdEquivalence`] or a [`DdCheckAbort`]
-//!   — the vocabulary `qmpo`'s MPO check shares.
+//!   [`check_equivalence_alternating`] keeps a single difference DD near
+//!   the identity (`G → 𝕀 ← G'`), taking gates from the two sides in the
+//!   ratio of their lengths ([`next_from_g`]). It runs within a [`Budget`]
+//!   (an optional deadline) and answers with a [`DdEquivalence`] or a
+//!   [`DdCheckAbort`] — the vocabulary, and the interleave, that `qmpo`'s
+//!   MPO check shares. [`Package::circuit_medge`] builds one circuit's
+//!   whole system matrix.
 //!
 //! States and operators are one diagram type at two arities ([`Edge`] and
 //! [`Node`] with `K = 2` and `K = 4` children), so node making, garbage
@@ -28,12 +29,12 @@
 //!
 //! ```
 //! # fn main() -> Result<(), qdd::DdCheckAbort> {
-//! use qdd::{check_equivalence_construct, Budget, Package};
+//! use qdd::{check_equivalence_alternating, Budget, Package};
 //!
 //! let g = qcirc::generators::ghz(3);
 //! let optimized = qcirc::optimize::optimize(&g);
 //! let mut package = Package::new(3);
-//! let verdict = check_equivalence_construct(&mut package, &g, &optimized, &Budget::new(None))?;
+//! let verdict = check_equivalence_alternating(&mut package, &g, &optimized, &Budget::new(None))?;
 //! assert!(verdict.is_equivalent());
 //! # Ok(())
 //! # }
@@ -49,8 +50,8 @@ mod edge;
 mod package;
 mod probe;
 
-pub use alternating::{check_equivalence_alternating, ApplicationScheme, SchemeCursor};
-pub use check::{check_equivalence_construct, Budget, DdCheckAbort, DdEquivalence};
+pub use alternating::{check_equivalence_alternating, next_from_g};
+pub use check::{Budget, DdCheckAbort, DdEquivalence};
 pub use complex_table::{ComplexTable, Cx};
 pub use edge::{Edge, MEdge, MNode, Node, NodeId, VEdge, VNode};
 pub use package::{DdLimitError, Package, PackageStats};

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use qcirc::Circuit;
-use qdd::{check_equivalence_alternating, ApplicationScheme, Budget, DdEquivalence, Package};
+use qdd::{check_equivalence_alternating, Budget, DdEquivalence, Package};
 
 /// Budget for the guard's complete check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,7 +112,6 @@ pub fn classify(original: &Circuit, mutated: &Circuit, opts: &GuardOptions) -> G
         original,
         mutated,
         &Budget::new(opts.deadline),
-        ApplicationScheme::Proportional,
     ))
 }
 

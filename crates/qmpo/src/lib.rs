@@ -22,14 +22,13 @@
 //!   paper's *probably equivalent*.
 //! * **The complete check** ([`check_equivalence_alternating`]): keep an
 //!   intermediary MPO `E` that converges to `U′† · U` by consuming `G`
-//!   from the right and `G′†` from the left — the same alternation, and
-//!   the same pluggable [`qdd::ApplicationScheme`] interleaving policies,
-//!   as the decision-diagram check — then test closeness to the identity
-//!   via the normalized trace `t = Tr(E) / (√2ⁿ · ‖E‖_F)`, which equals a
-//!   phase of magnitude 1 exactly when `U′ = e^{iφ} U` (Cauchy–Schwarz in
-//!   the Hilbert–Schmidt inner product). [`check_equivalence_construct`]
-//!   is the construct-and-compare baseline. Both take the DD checks'
-//!   [`qdd::Budget`] and answer in their vocabulary: a
+//!   from the right and `G′†` from the left — the same alternation, paced
+//!   by the same rule ([`qdd::next_from_g`]), as the decision-diagram
+//!   check — then test closeness to the identity via the normalized trace
+//!   `t = Tr(E) / (√2ⁿ · ‖E‖_F)`, which equals a phase of magnitude 1
+//!   exactly when `U′ = e^{iφ} U` (Cauchy–Schwarz in the Hilbert–Schmidt
+//!   inner product). It takes the DD check's [`qdd::Budget`], polled
+//!   before every two-site split, and answers in its vocabulary: a
 //!   [`qdd::DdEquivalence`] inside an [`MpoVerdict`] that adds the
 //!   truncation telemetry, or a [`qdd::DdCheckAbort`].
 //!
@@ -45,7 +44,7 @@ mod mpo;
 mod mps;
 mod svd;
 
-pub use mpo::{check_equivalence_alternating, check_equivalence_construct, MpoVerdict};
+pub use mpo::{check_equivalence_alternating, MpoVerdict};
 pub use mps::{Mps, OperatorSide};
 pub use svd::svd;
 

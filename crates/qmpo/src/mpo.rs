@@ -3,15 +3,15 @@
 //! Mirrors the decision-diagram alternating check (`G → 𝕀 ← G′`): an
 //! intermediary MPO `E` starts at the identity and converges to
 //! `U′† · U` as gates of `G` multiply onto the right and inverted gates of
-//! `G′` onto the left, with the side-selection delegated to the exact same
-//! [`qdd::ApplicationScheme`] policies via [`qdd::SchemeCursor`]. The
-//! difference is the resource cap: instead of an exact DD that may blow up
-//! (`DdLimitError`), the MPO's bond dimension is truncated at `χ_max` and
-//! the discarded weight is *reported*, trading a possible exact answer for
-//! a guaranteed bounded-memory one. Both checks share the DD checks'
-//! vocabulary: they run within a [`qdd::Budget`], classify into
-//! [`qdd::DdEquivalence`] and abort with [`qdd::DdCheckAbort`] (never its
-//! `NodeLimit`: the bond cap truncates instead of failing).
+//! `G′` onto the left, the sides paced by the DD check's own rule,
+//! [`qdd::next_from_g`]. The difference is the resource cap: instead of an
+//! exact DD that may blow up (`DdLimitError`), the MPO's bond dimension is
+//! truncated at `χ_max` and the discarded weight is *reported*, trading a
+//! possible exact answer for a guaranteed bounded-memory one. The check
+//! shares the DD check's vocabulary: it runs within a [`qdd::Budget`],
+//! classifies into [`qdd::DdEquivalence`] and aborts with
+//! [`qdd::DdCheckAbort`] (never its `NodeLimit`: the bond cap truncates
+//! instead of failing).
 //!
 //! Closeness to the identity is measured by the normalized trace
 //! `t = Tr(E) / (√2ⁿ · ‖E‖_F)` — computed as the Hilbert–Schmidt inner
@@ -24,7 +24,7 @@
 //! verdict is downgraded to *probably equivalent*.
 
 use qcirc::Circuit;
-use qdd::{ApplicationScheme, Budget, DdCheckAbort, DdEquivalence, SchemeCursor};
+use qdd::{next_from_g, Budget, DdCheckAbort, DdEquivalence};
 
 use crate::mps::{Mps, OperatorSide};
 
@@ -68,8 +68,8 @@ impl MpoVerdict {
     }
 }
 
-/// Runs the alternating MPO check with the given bond cap and
-/// interleaving scheme, polling the budget between gate applications.
+/// Runs the alternating MPO check with the given bond cap, polling the
+/// budget between gate applications and before every two-site split.
 ///
 /// # Errors
 ///
@@ -85,14 +85,12 @@ impl MpoVerdict {
 /// # Examples
 ///
 /// ```
-/// use qdd::{ApplicationScheme, Budget};
+/// use qdd::Budget;
 /// use qmpo::check_equivalence_alternating;
 ///
 /// let g = qcirc::generators::qft(4, true);
 /// let opt = qcirc::optimize::optimize(&g);
-/// let budget = Budget::new(None);
-/// let v = check_equivalence_alternating(&g, &opt, 32, &budget, ApplicationScheme::Proportional)
-///     .unwrap();
+/// let v = check_equivalence_alternating(&g, &opt, 32, &Budget::new(None)).unwrap();
 /// assert!(v.is_equivalent());
 /// assert!(v.is_exact());
 /// ```
@@ -101,7 +99,6 @@ pub fn check_equivalence_alternating(
     g_prime: &Circuit,
     chi_max: usize,
     budget: &Budget,
-    scheme: ApplicationScheme,
 ) -> Result<MpoVerdict, DdCheckAbort> {
     assert_eq!(
         g.n_qubits(),
@@ -118,71 +115,20 @@ pub fn check_equivalence_alternating(
     let g_gates = g.gates();
     let gp_gates = g_prime.gates();
     let (m, mp) = (g_gates.len(), gp_gates.len());
-    let cursor = SchemeCursor::new(scheme, g_gates, gp_gates);
     let (mut i, mut j) = (0usize, 0usize);
-    while !cursor.done(i, j) {
+    while i < m || j < mp {
         budget.check()?;
-        if cursor.advance_g(i, j) {
-            e.apply_operator_gate(&g_gates[m - 1 - i], OperatorSide::Right, chi_max);
+        if next_from_g(i, j, m, mp) {
+            let gate = &g_gates[m - 1 - i];
+            e.apply_operator_gate(gate, OperatorSide::Right, chi_max, budget)?;
             i += 1;
         } else {
-            e.apply_operator_gate(&gp_gates[mp - 1 - j].inverse(), OperatorSide::Left, chi_max);
+            let gate = gp_gates[mp - 1 - j].inverse();
+            e.apply_operator_gate(&gate, OperatorSide::Left, chi_max, budget)?;
             j += 1;
         }
     }
     Ok(classify(&e))
-}
-
-/// The naive "construct both, compare" reference check: builds each
-/// circuit's full operator as its own MPO and compares them directly via
-/// their Hilbert–Schmidt inner product. Peak bond dimension is that of
-/// the *full* unitaries, so this exists as the baseline the alternating
-/// scheme is measured against — mirroring `qdd`'s
-/// `check_equivalence_construct`.
-///
-/// # Errors
-///
-/// Returns [`DdCheckAbort::Timeout`] when the budget runs out.
-///
-/// # Panics
-///
-/// Panics if the circuits' qubit counts differ or are zero, or if
-/// `chi_max == 0`.
-pub fn check_equivalence_construct(
-    g: &Circuit,
-    g_prime: &Circuit,
-    chi_max: usize,
-    budget: &Budget,
-) -> Result<MpoVerdict, DdCheckAbort> {
-    assert_eq!(
-        g.n_qubits(),
-        g_prime.n_qubits(),
-        "circuits must have equal qubit counts"
-    );
-    let n = g.n_qubits();
-    let build = |circuit: &Circuit| -> Result<Mps, DdCheckAbort> {
-        let mut op = Mps::identity_operator(n);
-        for gate in circuit.gates().iter().rev() {
-            budget.check()?;
-            op.apply_operator_gate(gate, OperatorSide::Right, chi_max);
-        }
-        Ok(op)
-    };
-    let u = build(g)?;
-    let u_prime = build(g_prime)?;
-    // t = ⟨U′, U⟩ / (‖U′‖·‖U‖) = Tr(U′† U) / 2ⁿ for exact unitaries.
-    let norm = u.norm() * u_prime.norm();
-    let t = if norm > 0.0 {
-        u_prime.inner_product(&u) / norm
-    } else {
-        qnum::Complex::ZERO
-    };
-    let truncation_error = u.truncation_error() + u_prime.truncation_error();
-    Ok(verdict_from_trace(
-        t,
-        truncation_error,
-        u.peak_bond().max(u_prime.peak_bond()),
-    ))
 }
 
 /// Classifies an intermediary MPO `E ≈ U′†·U` by its normalized trace
@@ -195,10 +141,7 @@ fn classify(e: &Mps) -> MpoVerdict {
     } else {
         qnum::Complex::ZERO
     };
-    verdict_from_trace(t, e.truncation_error(), e.peak_bond())
-}
-
-fn verdict_from_trace(t: qnum::Complex, truncation_error: f64, peak_bond: usize) -> MpoVerdict {
+    let truncation_error = e.truncation_error();
     let window = DEFAULT_TOLERANCE + TRUNCATION_SLACK * truncation_error;
     let infidelity = (1.0 - t.norm_sqr()).max(0.0);
     let equivalence = if infidelity > window {
@@ -213,7 +156,7 @@ fn verdict_from_trace(t: qnum::Complex, truncation_error: f64, peak_bond: usize)
     MpoVerdict {
         equivalence,
         truncation_error,
-        peak_bond,
+        peak_bond: e.peak_bond(),
     }
 }
 
@@ -221,19 +164,19 @@ fn verdict_from_trace(t: qnum::Complex, truncation_error: f64, peak_bond: usize)
 mod tests {
     use super::*;
     use qcirc::generators;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     const CHI: usize = 64;
 
     /// The unbounded alternating check.
-    fn alternating(a: &Circuit, b: &Circuit, chi: usize, scheme: ApplicationScheme) -> MpoVerdict {
-        check_equivalence_alternating(a, b, chi, &Budget::new(None), scheme).unwrap()
+    fn alternating(a: &Circuit, b: &Circuit, chi: usize) -> MpoVerdict {
+        check_equivalence_alternating(a, b, chi, &Budget::new(None)).unwrap()
     }
 
     #[test]
     fn identical_circuits_are_equivalent_and_exact() {
         let g = generators::qft(4, true);
-        let v = alternating(&g, &g, CHI, ApplicationScheme::Proportional);
+        let v = alternating(&g, &g, CHI);
         assert_eq!(v.equivalence, DdEquivalence::Equivalent);
         assert!(v.is_exact());
     }
@@ -242,7 +185,7 @@ mod tests {
     fn optimized_pairs_are_equivalent() {
         let g = generators::random_clifford_t(4, 50, 11);
         let opt = qcirc::optimize::optimize(&g);
-        let v = alternating(&g, &opt, CHI, ApplicationScheme::Proportional);
+        let v = alternating(&g, &opt, CHI);
         assert!(v.is_equivalent());
         assert!(v.is_exact());
     }
@@ -252,7 +195,7 @@ mod tests {
         let g = generators::qft(4, true);
         let mut buggy = g.clone();
         buggy.t(1);
-        let v = alternating(&g, &buggy, CHI, ApplicationScheme::Proportional);
+        let v = alternating(&g, &buggy, CHI);
         assert_eq!(v.equivalence, DdEquivalence::NotEquivalent);
     }
 
@@ -262,7 +205,7 @@ mod tests {
         let empty = qcirc::Circuit::new(2);
         let mut phased = qcirc::Circuit::new(2);
         phased.x(0).z(0).x(0).z(0);
-        let v = alternating(&empty, &phased, CHI, ApplicationScheme::Proportional);
+        let v = alternating(&empty, &phased, CHI);
         match v.equivalence {
             DdEquivalence::EquivalentUpToGlobalPhase { phase } => {
                 assert!((phase.abs() - std::f64::consts::PI).abs() < 1e-9, "{phase}");
@@ -277,22 +220,16 @@ mod tests {
         let g = generators::ghz(2);
         let mut phased = g.clone();
         phased.rz(1.0, 0).p(-1.0, 0);
-        let budget = Budget::new(None);
-        for v in [
-            alternating(&g, &phased, CHI, ApplicationScheme::Proportional),
-            check_equivalence_construct(&g, &phased, CHI, &budget).unwrap(),
-        ] {
-            match v.equivalence {
-                DdEquivalence::EquivalentUpToGlobalPhase { phase } => {
-                    assert!((phase + 0.5).abs() < 1e-9, "{phase}");
-                }
-                other => panic!("expected global phase, got {other:?}"),
+        match alternating(&g, &phased, CHI).equivalence {
+            DdEquivalence::EquivalentUpToGlobalPhase { phase } => {
+                assert!((phase + 0.5).abs() < 1e-9, "{phase}");
             }
+            other => panic!("expected global phase, got {other:?}"),
         }
     }
 
     #[test]
-    fn all_schemes_agree_with_the_dd_check() {
+    fn agrees_with_the_dd_check() {
         let budget = Budget::new(None);
         for seed in 0..3u64 {
             let g = generators::random_clifford_t(4, 40, seed);
@@ -301,50 +238,66 @@ mod tests {
             buggy.t((seed % 4) as usize);
             for (label, a, b) in [("optimized", &g, &opt), ("buggy", &g, &buggy)] {
                 let mut p = qdd::Package::new(4);
-                let scheme = ApplicationScheme::default();
-                let dd = qdd::check_equivalence_alternating(&mut p, a, b, &budget, scheme).unwrap();
-                for scheme in ApplicationScheme::ALL {
-                    let v = alternating(a, b, CHI, scheme);
-                    assert!(v.is_exact(), "seed {seed} {label} {scheme}");
-                    assert_eq!(
-                        v.is_equivalent(),
-                        dd.is_equivalent(),
-                        "seed {seed} {label} {scheme}"
-                    );
-                }
+                let dd = qdd::check_equivalence_alternating(&mut p, a, b, &budget).unwrap();
+                let v = alternating(a, b, CHI);
+                assert!(v.is_exact(), "seed {seed} {label}");
+                assert_eq!(v.is_equivalent(), dd.is_equivalent(), "seed {seed} {label}");
+            }
+        }
+    }
+
+    /// The dense unitaries are the reference, on pairs up to six qubits.
+    #[test]
+    fn agrees_with_the_dense_unitary() {
+        for (n, seed) in [(3, 1u64), (5, 2), (6, 3)] {
+            let g = generators::random_clifford_t(n, 30, seed);
+            let opt = qcirc::optimize::optimize(&g);
+            let mut buggy = g.clone();
+            buggy.z(1);
+            let u = qcirc::dense::unitary(&g);
+            for (label, other) in [("optimized", &opt), ("buggy", &buggy)] {
+                let dense = u.approx_eq_up_to_phase(&qcirc::dense::unitary(other));
+                let v = alternating(&g, other, CHI);
+                assert!(v.is_exact(), "n {n} {label}");
+                assert_eq!(v.is_equivalent(), dense, "n {n} {label}");
             }
         }
     }
 
     #[test]
-    fn construct_agrees_with_alternating() {
-        let g = generators::ghz(3);
-        let opt = qcirc::optimize::optimize(&g);
-        let mut buggy = g.clone();
-        buggy.z(1);
-        let budget = Budget::new(None);
-        let a = check_equivalence_construct(&g, &opt, CHI, &budget).unwrap();
-        assert!(a.is_equivalent() && a.is_exact());
-        let b = check_equivalence_construct(&g, &buggy, CHI, &budget).unwrap();
-        assert_eq!(b.equivalence, DdEquivalence::NotEquivalent);
-    }
-
-    #[test]
     fn truncated_runs_report_their_error() {
-        // Identical volume-law circuits at a tiny bond cap: the class
-        // stays equivalent (slack window) but the run is not exact.
+        // A volume-law circuit against the empty circuit at a tiny bond
+        // cap: the check builds the circuit's whole operator, which does
+        // not fit, so the run truncates and says so.
         let g = generators::supremacy_2d(2, 3, 8, 5);
-        let v = alternating(&g, &g, 2, ApplicationScheme::Sequential);
+        let empty = Circuit::new(g.n_qubits());
+        let v = alternating(&g, &empty, 2);
         assert!(v.truncation_error > 0.0);
         assert!(v.peak_bond <= 2);
+    }
+
+    /// A six-controlled X lowers to 1,723 elementary gates, thousands of
+    /// two-site splits that take over a second even in a release build;
+    /// the budget is polled before each split, so a 10 ms deadline stops
+    /// the check inside the gate.
+    #[test]
+    fn a_deadline_interrupts_one_costly_gate() {
+        let mut g = Circuit::new(7);
+        g.mcx((0..6).collect(), 6);
+        let empty = Circuit::new(7);
+        let start = Instant::now();
+        let budget = Budget::new(Some(Duration::from_millis(10)));
+        let err = check_equivalence_alternating(&g, &empty, CHI, &budget).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(matches!(err, DdCheckAbort::Timeout { .. }));
+        assert!(elapsed < Duration::from_millis(300), "took {elapsed:?}");
     }
 
     #[test]
     fn zero_deadline_times_out() {
         let g = generators::qft(5, true);
         let budget = Budget::new(Some(Duration::ZERO));
-        let scheme = ApplicationScheme::Proportional;
-        let err = check_equivalence_alternating(&g, &g, CHI, &budget, scheme).unwrap_err();
+        let err = check_equivalence_alternating(&g, &g, CHI, &budget).unwrap_err();
         assert!(matches!(err, DdCheckAbort::Timeout { .. }));
     }
 }

@@ -18,6 +18,7 @@
 //! SWAP} are lowered through [`qcirc::decompose::lower_gate_to_elementary`].
 
 use qcirc::{Gate, GateKind};
+use qdd::{Budget, DdCheckAbort};
 use qnum::Complex;
 
 use crate::svd::svd;
@@ -149,12 +150,6 @@ impl Mps {
         self.sites.len()
     }
 
-    /// Physical dimension per site: 2 for states, 4 for operators.
-    #[must_use]
-    pub fn physical_dim(&self) -> usize {
-        self.d
-    }
-
     /// Accumulated truncation error: the sum over every truncating split
     /// of the discarded singular-value weight `Σ σ²_discarded / Σ σ²`.
     /// Exactly `0.0` when every split fit inside `χ_max` — the exactness
@@ -195,39 +190,61 @@ impl Mps {
     /// Panics if this is an operator MPS or a gate qubit is out of range.
     pub fn apply_gate(&mut self, gate: &Gate, chi_max: usize) {
         assert_eq!(self.d, 2, "apply_gate is for state MPS (d = 2)");
-        self.apply_resolved(gate, None, chi_max);
+        self.apply_resolved(gate, None, chi_max, None)
+            .expect("an update without a budget cannot time out");
     }
 
     /// Applies one circuit gate to an operator MPO (`d = 4`) from the
     /// given side: `E ← U·E` ([`OperatorSide::Left`]) or `E ← E·U`
-    /// ([`OperatorSide::Right`]).
+    /// ([`OperatorSide::Right`]), polling `budget` before every two-site
+    /// split, routing hops included — one lowered or distant gate may take
+    /// thousands of them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DdCheckAbort::Timeout`] once the budget has run out; the
+    /// operator is then left part-way through the gate.
     ///
     /// # Panics
     ///
     /// Panics if this is a state MPS or a gate qubit is out of range.
-    pub fn apply_operator_gate(&mut self, gate: &Gate, side: OperatorSide, chi_max: usize) {
+    pub fn apply_operator_gate(
+        &mut self,
+        gate: &Gate,
+        side: OperatorSide,
+        chi_max: usize,
+        budget: &Budget,
+    ) -> Result<(), DdCheckAbort> {
         assert_eq!(self.d, 4, "apply_operator_gate is for MPOs (d = 4)");
-        self.apply_resolved(gate, Some(side), chi_max);
+        self.apply_resolved(gate, Some(side), chi_max, Some(budget))
     }
 
     /// Resolves a gate into elementary 1-site/2-site applications; `side`
-    /// is `None` for states, `Some` for operators.
-    fn apply_resolved(&mut self, gate: &Gate, side: Option<OperatorSide>, chi_max: usize) {
+    /// is `None` for states, `Some` for operators, and `budget` is polled
+    /// before every two-site split.
+    fn apply_resolved(
+        &mut self,
+        gate: &Gate,
+        side: Option<OperatorSide>,
+        chi_max: usize,
+        budget: Option<&Budget>,
+    ) -> Result<(), DdCheckAbort> {
         match resolve_gate(gate) {
-            ResolvedGate::Identity => {}
+            ResolvedGate::Identity => Ok(()),
             ResolvedGate::One(q, u) => {
                 let m: Vec<Complex> = match side {
                     None => u.to_vec(),
                     Some(s) => fuse_one(&u, s),
                 };
                 self.apply_one_site(q, &m);
+                Ok(())
             }
             ResolvedGate::Two(a, b, u) => {
                 let m: Vec<Complex> = match side {
                     None => u.to_vec(),
                     Some(s) => fuse_two(&u, s),
                 };
-                self.apply_two_qubit(a, b, &m, chi_max);
+                self.apply_two_qubit(a, b, &m, chi_max, budget)
             }
             ResolvedGate::Lowered(gates) => {
                 // Lowering a multi-controlled gate emits runs of
@@ -238,7 +255,7 @@ impl Mps {
                 for g in &gates {
                     flatten_elementary(g, &mut elementary);
                 }
-                self.apply_elementary(&elementary, side, chi_max);
+                self.apply_elementary(&elementary, side, chi_max, budget)
             }
         }
     }
@@ -257,7 +274,8 @@ impl Mps {
         ops: &[ResolvedGate],
         side: Option<OperatorSide>,
         chi_max: usize,
-    ) {
+        budget: Option<&Budget>,
+    ) -> Result<(), DdCheckAbort> {
         // An op a route on `(a, b)` can absorb: same-pair two-site gates
         // extend the run; carried one-site gates ride along at a possibly
         // remapped site.
@@ -295,7 +313,7 @@ impl Mps {
                         scan += 1;
                     }
                     for j in ((a + 1)..b).rev() {
-                        self.swap_adjacent(j, chi_max);
+                        self.swap_adjacent(j, chi_max, budget)?;
                     }
                     for op in &ops[i..run] {
                         match op {
@@ -313,19 +331,20 @@ impl Mps {
                                     None => u.to_vec(),
                                     Some(s) => fuse_two(u, s),
                                 };
-                                self.apply_two_site(a, &m, chi_max);
+                                self.apply_two_site(a, &m, chi_max, budget)?;
                             }
                             ResolvedGate::Lowered(_) => unreachable!("sequence was flattened"),
                         }
                     }
                     for j in (a + 1)..b {
-                        self.swap_adjacent(j, chi_max);
+                        self.swap_adjacent(j, chi_max, budget)?;
                     }
                     i = run;
                 }
                 ResolvedGate::Lowered(_) => unreachable!("sequence was flattened"),
             }
         }
+        Ok(())
     }
 
     /// Contracts a `d × d` matrix into site `q`.
@@ -350,25 +369,37 @@ impl Mps {
     /// Applies a two-site matrix (pair index `p = s_a·d + s_b`, `a < b`)
     /// to qubits `(a, b)`, routing them adjacent with SWAP splits first if
     /// needed.
-    fn apply_two_qubit(&mut self, a: usize, b: usize, m: &[Complex], chi_max: usize) {
+    fn apply_two_qubit(
+        &mut self,
+        a: usize,
+        b: usize,
+        m: &[Complex],
+        chi_max: usize,
+        budget: Option<&Budget>,
+    ) -> Result<(), DdCheckAbort> {
         assert!(a < b, "two-site matrices are lower-site-major");
         assert!(b < self.sites.len(), "qubit {b} out of range");
         // Route site b down to a+1 …
         for j in ((a + 1)..b).rev() {
-            self.swap_adjacent(j, chi_max);
+            self.swap_adjacent(j, chi_max, budget)?;
         }
-        self.apply_two_site(a, m, chi_max);
+        self.apply_two_site(a, m, chi_max, budget)?;
         // … and back, restoring the original site order.
         for j in (a + 1)..b {
-            self.swap_adjacent(j, chi_max);
+            self.swap_adjacent(j, chi_max, budget)?;
         }
+        Ok(())
     }
 
     /// Swaps the physical legs of adjacent sites `j` and `j+1` via the
     /// generic d-dimensional SWAP permutation (for operators this swaps
     /// both the row and column halves of the fused leg at once).
-    fn swap_adjacent(&mut self, j: usize, chi_max: usize) {
-        self.route_hops += 1;
+    fn swap_adjacent(
+        &mut self,
+        j: usize,
+        chi_max: usize,
+        budget: Option<&Budget>,
+    ) -> Result<(), DdCheckAbort> {
         let d = self.d;
         let mut m = vec![Complex::ZERO; d * d * d * d];
         for sa in 0..d {
@@ -376,12 +407,24 @@ impl Mps {
                 m[(sb * d + sa) * d * d + (sa * d + sb)] = Complex::ONE;
             }
         }
-        self.apply_two_site(j, &m, chi_max);
+        self.apply_two_site(j, &m, chi_max, budget)?;
+        self.route_hops += 1;
+        Ok(())
     }
 
     /// Core two-site update on adjacent sites `(q, q+1)`: contract to θ,
-    /// apply the `d² × d²` matrix, SVD-split with truncation.
-    fn apply_two_site(&mut self, q: usize, m: &[Complex], chi_max: usize) {
+    /// apply the `d² × d²` matrix, SVD-split with truncation. `budget` is
+    /// polled first.
+    fn apply_two_site(
+        &mut self,
+        q: usize,
+        m: &[Complex],
+        chi_max: usize,
+        budget: Option<&Budget>,
+    ) -> Result<(), DdCheckAbort> {
+        if let Some(budget) = budget {
+            budget.check()?;
+        }
         assert!(chi_max > 0, "chi_max must be at least 1");
         let d = self.d;
         let (left, right) = (&self.sites[q], &self.sites[q + 1]);
@@ -483,6 +526,7 @@ impl Mps {
             data: b_data,
         };
         self.peak_bond = self.peak_bond.max(keep);
+        Ok(())
     }
 
     /// The inner product `⟨self|other⟩` (conjugate-linear in `self`),
@@ -879,14 +923,17 @@ mod tests {
         // reverse, then check Tr(E†E)-normalized overlap against identity
         // behaviour: applying G then G† from the left must return to 𝕀.
         let g = generators::random_clifford_t(3, 25, 7);
+        let budget = Budget::new(None);
         let mut e = Mps::identity_operator(3);
         for gate in g.gates().iter().rev() {
-            e.apply_operator_gate(gate, OperatorSide::Right, 64);
+            e.apply_operator_gate(gate, OperatorSide::Right, 64, &budget)
+                .unwrap();
         }
         // Peel U† off from the left, back-to-front like the alternating
         // check: the last-built (leftmost) factor must be removed first.
         for gate in g.gates().iter().rev() {
-            e.apply_operator_gate(&gate.inverse(), OperatorSide::Left, 64);
+            e.apply_operator_gate(&gate.inverse(), OperatorSide::Left, 64, &budget)
+                .unwrap();
         }
         assert_eq!(e.truncation_error(), 0.0);
         let id = Mps::identity_operator(3);

@@ -79,18 +79,6 @@ impl StateVector {
         self.amps[basis as usize] = Complex::ONE;
     }
 
-    /// Copies `other`'s amplitudes into this state without reallocating —
-    /// the buffer-reuse companion of [`StateVector::reset_to_basis`] for
-    /// probes that branch two circuits off one shared prepared state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit counts differ.
-    pub fn copy_from(&mut self, other: &StateVector) {
-        assert_eq!(self.n_qubits, other.n_qubits, "state qubit counts differ");
-        self.amps.copy_from_slice(&other.amps);
-    }
-
     /// Creates a state from raw amplitudes.
     ///
     /// # Errors

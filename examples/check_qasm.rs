@@ -10,9 +10,6 @@
 //!                     simulation backend (default sv; dd for > 24 qubits,
 //!                     stab for Clifford-dominated pairs, mps past the
 //!                     dense wall, auto to pick per pair)
-//!   --scheme sequential|onetoone|proportional|gatecost
-//!                     gate-application scheme of the alternating complete
-//!                     check (default proportional)
 //!   --peel            strip the shared Clifford prefix/suffix first
 //!   --strict          require exact equality (no global-phase allowance)
 //!   --sim-only        skip the complete check (report probably-equivalent)
@@ -27,7 +24,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use qcec::{ApplicationScheme, BackendKind, Config, Criterion, Fallback, Outcome};
+use qcec::{BackendKind, Config, Criterion, Fallback, Outcome};
 
 fn main() -> ExitCode {
     match run() {
@@ -62,10 +59,6 @@ fn run() -> Result<ExitCode, String> {
             "--backend" => {
                 let v = args.next().ok_or("--backend needs a value")?;
                 config = config.with_backend(BackendKind::parse(&v)?);
-            }
-            "--scheme" => {
-                let v = args.next().ok_or("--scheme needs a value")?;
-                config = config.with_scheme(ApplicationScheme::parse(&v)?);
             }
             "--peel" => config = config.with_peel(true),
             "--strict" => config = config.with_criterion(Criterion::Strict),

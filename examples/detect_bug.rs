@@ -49,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &g,
         &buggy,
         &qdd::Budget::new(Some(budget)),
-        qdd::ApplicationScheme::default(),
     );
     match ec {
         Ok(v) => println!(

@@ -255,103 +255,13 @@ fn default_backend_json_matches_pre_refactor_golden() {
     assert_eq!(json, golden.trim_end(), "default campaign JSON drifted");
 }
 
-/// A four-scheme ablation campaign is as deterministic as the default one:
-/// reruns and trial-thread variations are byte-identical, every arm
-/// renders in the breakdown, and — because the scheme only reorders the
-/// complete check's multiplications — all four arms report identical
-/// detection statistics.
-#[test]
-fn scheme_ablation_campaign_is_deterministic_and_arms_agree() {
-    use qcec::ApplicationScheme;
-    let benches = vec![
-        CampaignBenchmark::optimized("qft 4", "qft", &generators::qft(4, true)),
-        CampaignBenchmark::compile(
-            "grover 3",
-            "grover",
-            &generators::grover(3, 5, 1),
-            &CompileRoute::Decompose,
-        ),
-    ];
-    let base = CampaignConfig::default()
-        .with_seed(17)
-        .with_trials(2)
-        .with_simulations(6)
-        .with_axis(Axis::Scheme(ApplicationScheme::ALL.to_vec()));
-
-    let first = run_campaign(&benches, &base);
-    let rerun = run_campaign(&benches, &base).to_json(false);
-    assert_eq!(first.to_json(false), rerun, "scheme-ablation rerun drifted");
-    for threads in [2usize, 8] {
-        let parallel =
-            run_campaign(&benches, &base.clone().with_trial_threads(threads)).to_json(false);
-        assert_eq!(
-            first.to_json(false),
-            parallel,
-            "trial_threads = {threads} changed the scheme-ablation JSON"
-        );
-    }
-
-    let json = first.to_json(false);
-    for scheme in ApplicationScheme::ALL {
-        assert!(
-            json.contains(&format!("\"scheme\":\"{}\"", scheme.slug())),
-            "scheme {scheme} missing from breakdown"
-        );
-    }
-    // Identical faults, identical verdicts: each arm's per-class stats
-    // must equal the first arm's exactly.
-    let scheme_arms = &first.arms[2];
-    assert!(matches!(first.config.axes[2], Axis::Scheme(_)));
-    for (scheme, arm) in ApplicationScheme::ALL.iter().zip(scheme_arms).skip(1) {
-        assert_eq!(
-            arm.classes, scheme_arms[0].classes,
-            "{scheme}: detection stats diverged"
-        );
-    }
-    // The markdown gains its own ablation section only in this mode.
-    assert!(first
-        .to_markdown()
-        .contains("## Detection by application scheme"));
-}
-
-/// A single non-default scheme renders as a `"scheme"` config field (and
-/// no breakdown); the seed contract means its trials face the same faults
-/// as a default campaign's.
-#[test]
-fn single_scheme_campaign_renders_config_field_only() {
-    use qcec::ApplicationScheme;
-    let benches = vec![CampaignBenchmark::optimized(
-        "qft 4",
-        "qft",
-        &generators::qft(4, true),
-    )];
-    let base = CampaignConfig::default().with_trials(1).with_simulations(4);
-    let gatecost = run_campaign(
-        &benches,
-        &base
-            .clone()
-            .with_axis(Axis::Scheme(vec![ApplicationScheme::GateCost])),
-    );
-    let json = gatecost.to_json(false);
-    assert!(json.contains("\"scheme\":\"gatecost\""));
-    assert!(!json.contains("\"schemes\":"));
-    // Same faults, same verdicts as the default-scheme campaign — only
-    // the config field differs.
-    let default = run_campaign(&benches, &base).to_json(false);
-    assert_eq!(
-        json.replace(",\"scheme\":\"gatecost\"", ""),
-        default,
-        "a scheme change must not alter detection results"
-    );
-}
-
-/// Three verdict-neutral axes ablated at once: every combination of arms
+/// Two verdict-neutral axes ablated at once: every combination of arms
 /// runs, each axis's arms split the trials between them, and the arms of
 /// each axis agree row for row.
 #[test]
 fn multi_axis_campaign_covers_every_arm_combination() {
     use qcec::campaign::ClassStats;
-    use qcec::{ApplicationScheme, BackendKind};
+    use qcec::BackendKind;
     let benches = vec![
         CampaignBenchmark::optimized("qft 4", "qft", &generators::qft(4, true)),
         CampaignBenchmark::compile(
@@ -369,14 +279,10 @@ fn multi_axis_campaign_covers_every_arm_combination() {
             BackendKind::Statevector,
             BackendKind::DecisionDiagram,
         ]))
-        .with_axis(Axis::Scheme(vec![
-            ApplicationScheme::Proportional,
-            ApplicationScheme::GateCost,
-        ]))
         .with_axis(Axis::Chi(vec![4, 64]));
     let result = run_campaign(&benches, &config);
     let combinations: usize = config.axes.iter().map(Axis::arm_count).product();
-    assert_eq!(combinations, 8);
+    assert_eq!(combinations, 4);
     assert_eq!(
         result.trials.len(),
         combinations * config.classes.len() * config.trials * benches.len()
@@ -405,11 +311,10 @@ fn multi_axis_campaign_covers_every_arm_combination() {
     let pooled = run_campaign(&benches, &config.clone().with_trial_threads(3));
     assert_eq!(json, pooled.to_json(false), "trial_threads = 3 drifted");
     assert!(!json.contains("t_ec_s"));
-    // One `t_ec_s` per rendered arm — the strategy, two backends, two
-    // schemes and two χ caps — plus the stage summary's own.
+    // One `t_ec_s` per rendered arm — the strategy, two backends and two
+    // χ caps — plus the stage summary's own.
     let timed = result.to_json(true);
-    assert_eq!(timed.matches("\"t_ec_s\"").count(), 7 + 1);
-    assert!(!timed.contains("t_ec_proportional_s"));
+    assert_eq!(timed.matches("\"t_ec_s\"").count(), 5 + 1);
 }
 
 /// Double faults that cancel are guard-labelled benign; the accounting must

@@ -1,7 +1,8 @@
 //! End-to-end design-flow integration tests: every transformation chain the
 //! paper's flow is meant to verify, checked across all crates.
 
-use qcec::{check_equivalence_default, Outcome};
+use proptest::prelude::*;
+use qcec::{check_equivalence, check_equivalence_default, Config, Outcome};
 use qcirc::mapping::{respects_coupling, route, CouplingMap, RouterOptions};
 use qcirc::{decompose, generators, optimize};
 
@@ -159,4 +160,49 @@ p b c d
     let lowered = decompose::decompose_with_dirty_ancillas(&g);
     let result = check_equivalence_default(&g.widened(lowered.n_qubits()), &lowered).unwrap();
     assert!(result.outcome.is_equivalent(), "{}", result.outcome);
+}
+
+/// Compiled pairs whose sides differ most in length — an adder against its
+/// dirty-ancilla decomposition, QFT-6 against its routed copy — are proven
+/// equivalent by the complete check alone, with no simulation.
+#[test]
+fn complete_check_alone_proves_lopsided_equivalent_pairs() {
+    let adder = generators::cuccaro_adder(2);
+    let lowered = decompose::decompose_with_dirty_ancillas(&adder);
+    let adder = adder.widened(lowered.n_qubits());
+
+    let qft = generators::qft(6, true);
+    let routed = qcirc::mapping::route_or_panic(&qft, &CouplingMap::linear(6)).circuit;
+
+    let complete_only = Config::new().with_simulations(0);
+    for (name, g, g_prime) in [
+        ("adder vs decomposed", &adder, &lowered),
+        ("qft vs routed", &qft, &routed),
+    ] {
+        let result = check_equivalence(g, g_prime, &complete_only).unwrap();
+        assert!(
+            matches!(result.outcome, Outcome::Equivalent),
+            "{name}: {}",
+            result.outcome
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// With no simulations, a generated T fault is convicted by the
+    /// complete check itself, without a counterexample.
+    #[test]
+    fn complete_check_alone_convicts_generated_faults(n in 3usize..6, seed in any::<u64>()) {
+        let c = generators::random_clifford_t(n, 40, seed);
+        let mut buggy = c.clone();
+        buggy.t((seed % n as u64) as usize);
+        let complete_only = Config::new().with_simulations(0).with_seed(seed);
+        let result = check_equivalence(&c, &buggy, &complete_only).unwrap();
+        prop_assert!(
+            matches!(result.outcome, Outcome::NotEquivalent { counterexample: None }),
+            "got {}", result.outcome
+        );
+    }
 }

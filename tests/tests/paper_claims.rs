@@ -127,12 +127,13 @@ fn simulation_overhead_is_negligible_on_hard_instances() {
     let t_sim = sim_start.elapsed();
     assert!(matches!(result.outcome, Outcome::ProbablyEquivalent { .. }));
 
+    // Building the system matrix, as a construct-and-compare check does,
+    // either exhausts its node budget or takes far longer than the
+    // simulations.
     let ec_start = Instant::now();
     let mut p = qdd::Package::with_node_limit(12, 300_000);
-    let ec = qdd::check_equivalence_construct(&mut p, &g, &g, &qdd::Budget::new(None));
+    let ec = p.circuit_medge(&g, &qdd::Budget::new(None), &mut []);
     let t_ec = ec_start.elapsed();
-    // Construct-and-compare either exhausts its node budget or takes far
-    // longer than the simulations.
     match ec {
         Err(_) => {}
         Ok(_) => assert!(t_ec > t_sim, "t_ec {t_ec:?} vs t_sim {t_sim:?}"),
