@@ -29,8 +29,9 @@
 //!
 //! [`BackendKind::Auto`] is not a fifth engine
 //! but a selector: [`auto_backend`] resolves it to one of the four from
-//! the register width and gate mix before any probe runs. The flow builds
-//! the configured engine in one place, `with_engine`.
+//! the register width, the gate mix and the gates' wire spans before any
+//! probe runs. The flow builds the configured engine in one place,
+//! `with_engine`.
 //!
 //! # Contract
 //!
@@ -794,21 +795,39 @@ pub(crate) fn with_engine<T: EngineTask>(
     }
 }
 
-/// Resolves [`BackendKind::Auto`] from the register width and gate mix of
-/// the circuit pair. Never returns `Auto` (nor takes scheduling into
-/// account — the choice is a pure function of the circuits, resolved once
-/// per flow invocation and logged via
+/// [`auto_backend`] sends registers up to this width to the dense
+/// engine, whatever the pair.
+const AUTO_TINY_MAX: usize = 10;
+
+/// [`auto_backend`] sends registers up to this width to the dense engine
+/// unless the pair suits the tableau or the tensor network.
+const AUTO_DENSE_MAX: usize = 14;
+
+/// Resolves [`BackendKind::Auto`] from cheap structure of the circuit
+/// pair: the register width `n`, whether both circuits are Clifford-only,
+/// and whether every multi-qubit gate acts on two neighbouring wires.
+/// Never returns `Auto` (nor takes scheduling into account — the choice is
+/// a pure function of the circuits, resolved once per flow invocation and
+/// logged via
 /// [`RunEvent::BackendSelected`](crate::scheduler::RunEvent::BackendSelected)):
 ///
+/// - `n ≤ 10` → [`BackendKind::Statevector`] — dense vectors of ≤ 1,024
+///   amplitudes beat every structured engine's fixed cost;
 /// - both circuits Clifford-only → [`BackendKind::Stab`] — the tableau
 ///   probe is polynomial regardless of width;
-/// - `n ≤ 8` → [`BackendKind::Statevector`] — dense vectors of ≤ 256
-///   amplitudes beat every structured representation's overhead;
-/// - `n ≤ 24` → [`BackendKind::DecisionDiagram`] — the regime the paper
-///   benchmarks, where DDs exploit redundancy without the 2ⁿ wall biting;
-/// - otherwise → [`BackendKind::Mps`] — past the dense wall only the
-///   tensor network keeps probing (with truncation surfaced as evidence,
-///   never silently).
+/// - every multi-qubit gate on two neighbouring wires →
+///   [`BackendKind::Mps`] — a nearest-neighbour chain needs no routing, so
+///   the MPS probes and the MPO check stay cheap at any width (and the
+///   flow reports any bond truncation, never a silent verdict);
+/// - `n ≤ 14` → [`BackendKind::Statevector`] — below the crossover where
+///   the dense engine's `2ⁿ` cost overtakes the decision diagram's;
+/// - otherwise → [`BackendKind::DecisionDiagram`] — long-range and
+///   multi-controlled gates, which the tensor network must route.
+///
+/// The complete check follows the pick: the MPO check behind `mps`, the
+/// DD check behind the others. The rule is read off a crossover sweep of
+/// probe and complete-check times per circuit family, width and engine
+/// (the bench crate's `scaling` bin; EXPERIMENTS.md, "Crossover sweep").
 ///
 /// # Examples
 ///
@@ -818,22 +837,37 @@ pub(crate) fn with_engine<T: EngineTask>(
 ///
 /// let ghz = generators::ghz(30);
 /// assert_eq!(auto_backend(&ghz, &ghz), BackendKind::Stab);
-/// let qft = generators::qft(4, true);
+/// let mut ghz_t = ghz.clone();
+/// ghz_t.t(29);
+/// assert_eq!(auto_backend(&ghz, &ghz_t), BackendKind::Mps);
+/// let qft = generators::qft(12, true);
 /// assert_eq!(auto_backend(&qft, &qft), BackendKind::Statevector);
+/// let qft = generators::qft(30, true);
+/// assert_eq!(auto_backend(&qft, &qft), BackendKind::DecisionDiagram);
 /// ```
 #[must_use]
 pub fn auto_backend(g: &Circuit, g_prime: &Circuit) -> BackendKind {
-    if clifford_only(g) && clifford_only(g_prime) {
-        return BackendKind::Stab;
-    }
     let n = g.n_qubits().max(g_prime.n_qubits());
-    if n <= 8 {
+    if n <= AUTO_TINY_MAX {
         BackendKind::Statevector
-    } else if n <= 24 {
-        BackendKind::DecisionDiagram
-    } else {
+    } else if clifford_only(g) && clifford_only(g_prime) {
+        BackendKind::Stab
+    } else if nearest_neighbour(g) && nearest_neighbour(g_prime) {
         BackendKind::Mps
+    } else if n <= AUTO_DENSE_MAX {
+        BackendKind::Statevector
+    } else {
+        BackendKind::DecisionDiagram
     }
+}
+
+/// Whether every gate of `c` acts on one wire or on two neighbouring
+/// wires (so no gate has two or more controls).
+fn nearest_neighbour(c: &Circuit) -> bool {
+    c.gates().iter().all(|gate| {
+        let lowest = gate.qubits().min().unwrap_or(0);
+        gate.max_qubit() - lowest <= 1
+    })
 }
 
 /// Whether every gate of `c` is Clifford.
@@ -1208,16 +1242,52 @@ mod tests {
 
     #[test]
     fn auto_backend_resolves_from_width_and_gate_mix() {
+        use qcirc::mapping::{route_or_panic, CouplingMap};
+        use BackendKind::{DecisionDiagram, Mps, Stab, Statevector};
+        // Up to 10 qubits the dense engine, even for a Clifford pair.
+        let ghz8 = generators::ghz(8);
+        assert_eq!(auto_backend(&ghz8, &ghz8), Statevector);
         let clifford = generators::clifford_adder(15); // 32 qubits, Clifford-only
-        assert_eq!(auto_backend(&clifford, &clifford), BackendKind::Stab);
-        let small = generators::qft(5, true);
-        assert_eq!(auto_backend(&small, &small), BackendKind::Statevector);
-        let mid = generators::qft(16, true);
-        assert_eq!(auto_backend(&mid, &mid), BackendKind::DecisionDiagram);
-        let mut wide = generators::ghz(30);
-        wide.t(3); // non-Clifford and too wide for dense engines
-        assert_eq!(auto_backend(&wide, &wide), BackendKind::Mps);
+        assert_eq!(auto_backend(&clifford, &clifford), Stab);
+        // Past 10 qubits, nearest-neighbour gates only: the tensor network.
+        let mut ghz_t = generators::ghz(30);
+        ghz_t.t(3);
+        assert_eq!(auto_backend(&ghz_t, &ghz_t), Mps);
         // A Clifford G paired with a non-Clifford G' must not pick Stab.
-        assert_eq!(auto_backend(&generators::ghz(30), &wide), BackendKind::Mps);
+        assert_eq!(auto_backend(&generators::ghz(30), &ghz_t), Mps);
+        // Long-range gates: dense up to 14 qubits, the DD past that.
+        for (n, engine) in [(12, Statevector), (14, Statevector), (16, DecisionDiagram)] {
+            let qft = generators::qft(n, false);
+            assert_eq!(auto_backend(&qft, &qft), engine, "qft{n}");
+        }
+        let qft = generators::qft(30, false);
+        assert_eq!(auto_backend(&qft, &qft), DecisionDiagram);
+        // Multi-controlled gates too: the 26-qubit Cuccaro adder against
+        // its {1q, CX} lowering.
+        let adder = generators::cuccaro_adder(12);
+        let lowered = qcirc::decompose::decompose_to_cx_and_single_qubit(&adder);
+        assert_eq!(auto_backend(&adder, &lowered), DecisionDiagram);
+        // The benchmark's faulted twins keep their engines: routed GHZ-40
+        // (Clifford), GHZ-T-32 (nearest neighbour) and QFT-20.
+        let ghz40 = generators::ghz(40);
+        let routed = route_or_panic(&ghz40, &CouplingMap::grid(5, 8)).circuit;
+        let mut fault = routed.clone();
+        fault.x(7);
+        assert_eq!(auto_backend(&ghz40, &routed), Stab);
+        assert_eq!(auto_backend(&ghz40, &fault), Stab);
+        let mut ghz_t32 = Circuit::new(32);
+        ghz_t32.t(0).append(&generators::ghz(32));
+        for q in (0..32).step_by(8) {
+            ghz_t32.t(q);
+        }
+        let mut fault = ghz_t32.clone();
+        fault.s(5);
+        assert_eq!(auto_backend(&ghz_t32, &ghz_t32), Mps);
+        assert_eq!(auto_backend(&ghz_t32, &fault), Mps);
+        let qft20 = generators::qft(20, false);
+        let mut fault = qcirc::optimize::optimize(&qft20);
+        fault.x(3);
+        assert_eq!(auto_backend(&qft20, &qft20), DecisionDiagram);
+        assert_eq!(auto_backend(&qft20, &fault), DecisionDiagram);
     }
 }

@@ -111,11 +111,13 @@ pub enum BackendKind {
     /// found" verdicts accordingly.
     Mps,
     /// Automatic selection: pick one of the four concrete engines from the
-    /// register width and gate mix of the circuit pair (Clifford-only →
-    /// `stab`, small registers → `sv`, mid-size → `dd`, else `mps`).
-    /// Resolved once per check, before any simulation runs; the choice is
-    /// reported through the event sink. Not a concrete engine, so it is
-    /// excluded from [`BackendKind::ALL`].
+    /// register width, gate mix and gate spans of the circuit pair
+    /// (`n ≤ 10` → `sv`, Clifford-only → `stab`, nearest-neighbour gates
+    /// only → `mps`, `n ≤ 14` → `sv`, else `dd`; see
+    /// [`auto_backend`](crate::auto_backend)). Resolved once per check,
+    /// before any simulation runs; the choice is reported through the
+    /// event sink. Not a concrete engine, so it is excluded from
+    /// [`BackendKind::ALL`].
     Auto,
 }
 

@@ -247,7 +247,7 @@ mod tests {
         // must still classify as equivalent.
         let g = generators::qft(5, true);
         let mut p = Package::new(5);
-        let u = p.circuit_medge(&g, &Budget::new(None), &mut []).unwrap();
+        let u = p.circuit_medge(&g, &Budget::new(None)).unwrap();
         let drifted = p.scale_medge(u, qnum::Complex::real(1.0 + 1e-11));
         assert_ne!(u, drifted);
         assert!(p.medges_close(u, drifted, 1e-9).unwrap());
@@ -264,9 +264,7 @@ mod tests {
         // And a real difference stays a difference.
         let mut buggy = g.clone();
         buggy.x(2);
-        let ub = p
-            .circuit_medge(&buggy, &Budget::new(None), &mut [])
-            .unwrap();
+        let ub = p.circuit_medge(&buggy, &Budget::new(None)).unwrap();
         assert_eq!(compare_roots(&mut p, u, ub), DdEquivalence::NotEquivalent);
     }
 
@@ -276,7 +274,7 @@ mod tests {
         let id = p.identity_medge();
         assert!((p.max_abs(id) - 1.0).abs() < 1e-12);
         let u = p
-            .circuit_medge(&generators::ghz(3), &Budget::new(None), &mut [])
+            .circuit_medge(&generators::ghz(3), &Budget::new(None))
             .unwrap();
         // Largest amplitude of the GHZ unitary is 1/√2.
         assert!((p.max_abs(u) - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-9);
@@ -290,7 +288,7 @@ mod tests {
         // X on qubit 1: column 0 has its 1 at row 2.
         let mut c = qcirc::Circuit::new(2);
         c.x(1);
-        let u = p.circuit_medge(&c, &Budget::new(None), &mut []).unwrap();
+        let u = p.circuit_medge(&c, &Budget::new(None)).unwrap();
         let (row, value) = p.first_entry_in_column0(u).unwrap();
         assert_eq!(row, 2);
         assert!(value.approx_one());

@@ -104,7 +104,7 @@ impl Arity<2> for Package {
 ///
 /// let mut p = Package::new(2);
 /// let bell = qcirc::generators::bell();
-/// let u = p.circuit_medge(&bell, &Budget::new(None), &mut [])?;
+/// let u = p.circuit_medge(&bell, &Budget::new(None))?;
 /// let v = p.apply_to_basis(&bell, 0)?;
 /// assert!((p.amplitude(v, 0).abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-10);
 /// let _ = u;
@@ -497,12 +497,7 @@ impl Package {
 
     /// Builds the full system matrix DD `U = U_{m−1} ⋯ U₀` of a circuit,
     /// polling `budget` before every gate and garbage-collecting as it
-    /// goes.
-    ///
-    /// Each edge in `keep` rides along as a GC root and is remapped in
-    /// place, so it stays valid after the build — also after one that
-    /// aborts mid-circuit, which a caller holding a long-lived root relies
-    /// on.
+    /// goes (so no edge held from before the build stays valid).
     ///
     /// # Errors
     ///
@@ -515,7 +510,6 @@ impl Package {
         &mut self,
         circuit: &Circuit,
         budget: &Budget,
-        keep: &mut [MEdge],
     ) -> Result<MEdge, DdCheckAbort> {
         assert_eq!(
             circuit.n_qubits(),
@@ -528,9 +522,7 @@ impl Package {
             let g = self.gate_medge(gate)?;
             u = self.mul_mm(g, u)?;
             if self.wants_gc() {
-                let (roots, _) = self.compact(&[&[u][..], &*keep].concat(), &[]);
-                u = roots[0];
-                keep.copy_from_slice(&roots[1..]);
+                u = self.compact(&[u], &[]).0[0];
             }
         }
         Ok(u)
@@ -841,58 +833,6 @@ impl Package {
         (0..dim as u64).map(|i| self.amplitude(v, i)).collect()
     }
 
-    /// Samples one full-register measurement outcome from a vector DD
-    /// without expanding amplitudes — the DDSIM-style sampler: walk from
-    /// the root, branching with probability proportional to each child
-    /// subtree's squared norm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is the zero vector.
-    pub fn sample_vedge(&mut self, v: VEdge, rng: &mut rand::rngs::StdRng) -> u64 {
-        use rand::Rng;
-        assert!(!v.is_zero(), "cannot sample the zero vector");
-        let mut outcome = 0u64;
-        let mut node = v.node;
-        while !node.is_terminal() {
-            let n: VNode = *self.node(node);
-            let weight = |p: &mut Self, e: VEdge| -> f64 {
-                if e.is_zero() {
-                    0.0
-                } else {
-                    let child_norm = if e.node.is_terminal() {
-                        1.0
-                    } else {
-                        p.subtree_norm_sqr(e.node)
-                    };
-                    p.ct.value(e.weight).norm_sqr() * child_norm
-                }
-            };
-            let p0 = weight(self, n.children[0]);
-            let p1 = weight(self, n.children[1]);
-            let total = p0 + p1;
-            debug_assert!(total > 0.0, "dead branch in a nonzero vector DD");
-            let take_one = rng.gen::<f64>() * total >= p0;
-            if take_one {
-                outcome |= 1 << n.var;
-                node = n.children[1].node;
-            } else {
-                node = n.children[0].node;
-            }
-        }
-        outcome
-    }
-
-    /// The squared norm of the sub-vector rooted at a node (weight-1 root),
-    /// memoized via the inner-product cache.
-    fn subtree_norm_sqr(&mut self, node: NodeId) -> f64 {
-        let e = VEdge {
-            node,
-            weight: Cx::ONE,
-        };
-        self.inner_product(e, e).re
-    }
-
     /// The inner product `⟨a|b⟩` of two vector DDs.
     pub fn inner_product(&mut self, a: VEdge, b: VEdge) -> Complex {
         if a.is_zero() || b.is_zero() {
@@ -1083,7 +1023,7 @@ mod tests {
     use qcirc::generators;
 
     fn build(p: &mut Package, c: &Circuit) -> MEdge {
-        p.circuit_medge(c, &Budget::new(None), &mut []).unwrap()
+        p.circuit_medge(c, &Budget::new(None)).unwrap()
     }
 
     #[test]
@@ -1249,62 +1189,25 @@ mod tests {
     }
 
     #[test]
-    fn dd_sampling_matches_the_distribution() {
-        use rand::SeedableRng;
-        // GHZ: outcomes must be all-zeros or all-ones, roughly balanced.
-        let mut p = Package::new(6);
-        let v = p.apply_to_basis(&generators::ghz(6), 0).unwrap();
-        assert!((p.inner_product(v, v).re - 1.0).abs() < 1e-9);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let mut ones = 0;
-        let trials = 400;
-        for _ in 0..trials {
-            let sample = p.sample_vedge(v, &mut rng);
-            assert!(
-                sample == 0 || sample == 0b111111,
-                "impossible outcome {sample:b}"
-            );
-            if sample != 0 {
-                ones += 1;
-            }
-        }
-        assert!(
-            ones > trials / 4 && ones < 3 * trials / 4,
-            "imbalanced: {ones}/{trials}"
-        );
-    }
-
-    #[test]
-    fn dd_sampling_respects_biased_amplitudes() {
-        use rand::SeedableRng;
-        // Ry(θ)|0⟩ with sin²(θ/2) ≈ 0.1: outcome 1 should appear ~10%.
-        let theta = 2.0f64 * (0.1f64).sqrt().asin();
-        let mut c = qcirc::Circuit::new(1);
-        c.ry(theta, 0);
-        let mut p = Package::new(1);
-        let v = p.apply_to_basis(&c, 0).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let trials = 3000;
-        let ones: usize = (0..trials)
-            .map(|_| p.sample_vedge(v, &mut rng) as usize)
-            .sum();
-        let rate = ones as f64 / trials as f64;
-        assert!((rate - 0.1).abs() < 0.03, "rate {rate}");
-    }
-
-    #[test]
     fn node_limit_is_enforced() {
         let mut p = Package::with_node_limit(12, 40);
         // A supremacy-style circuit blows past 40 nodes immediately.
         let c = generators::supremacy_2d(3, 4, 8, 1);
-        let err = p
-            .circuit_medge(&c, &Budget::new(None), &mut [])
-            .unwrap_err();
+        let err = p.circuit_medge(&c, &Budget::new(None)).unwrap_err();
         assert_eq!(
             err,
             DdCheckAbort::NodeLimit(DdLimitError { node_limit: 40 })
         );
         assert!(err.to_string().contains("node limit"));
+        // The package stays usable: once the half-built diagram is
+        // collected, a build within the budget comes out right.
+        p.compact(&[], &[]);
+        let mut c = qcirc::Circuit::new(12);
+        c.h(11).t(11).cx(11, 10);
+        let mut round_trip = c.clone();
+        round_trip.append(&c.inverse());
+        let u = build(&mut p, &round_trip);
+        assert!(p.is_identity(u));
     }
 
     #[test]
@@ -1353,31 +1256,6 @@ mod tests {
         assert!(
             stats.matrix_nodes + stats.vector_nodes < 60_000,
             "GC failed to bound arenas: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn circuit_medge_keep_roots_survive_an_aborted_build() {
-        // An internal GC remaps the kept root; a later abort in the same
-        // build must not lose that remap, or the caller holds a stale id.
-        let golden = generators::qft(6, true);
-        let mut p = Package::with_node_limit(6, 3_000);
-        let root = build(&mut p, &golden);
-        p.set_gc_threshold(1024);
-        let mut keep = [root];
-        let big = generators::supremacy_2d(6, 1, 120, 1);
-        let e = p
-            .circuit_medge(&big, &Budget::new(None), &mut keep)
-            .unwrap_err();
-        assert!(matches!(e, DdCheckAbort::NodeLimit { .. }), "{e:?}");
-        // Collect the half-built garbage, then rebuild next to the root.
-        let (roots, _) = p.compact(&keep, &[]);
-        keep[0] = roots[0];
-        let rebuilt = p.circuit_medge(&golden, &Budget::new(None), &mut keep);
-        let rebuilt = rebuilt.expect("the golden circuit fits the budget");
-        assert_eq!(
-            crate::check::compare_roots(&mut p, keep[0], rebuilt),
-            crate::DdEquivalence::Equivalent
         );
     }
 

@@ -5,7 +5,7 @@ use qcirc::{generators, Circuit};
 use qdd::{Budget, MEdge, Package};
 
 fn build(p: &mut Package, c: &Circuit) -> MEdge {
-    p.circuit_medge(c, &Budget::new(None), &mut []).unwrap()
+    p.circuit_medge(c, &Budget::new(None)).unwrap()
 }
 
 /// A seeded random circuit: proptest shrinks over (qubits, gates, seed).

@@ -164,17 +164,6 @@ impl Complex {
     pub fn is_nan(self) -> bool {
         self.re.is_nan() || self.im.is_nan()
     }
-
-    /// Fused multiply-add: `self * b + c`, the inner-loop primitive of every
-    /// kernel in the workspace.
-    #[inline]
-    #[must_use]
-    pub fn mul_add(self, b: Complex, c: Complex) -> Complex {
-        Complex::new(
-            self.re * b.re - self.im * b.im + c.re,
-            self.re * b.im + self.im * b.re + c.im,
-        )
-    }
 }
 
 impl From<f64> for Complex {
@@ -381,14 +370,6 @@ mod tests {
         assert_eq!(c * 2.0, Complex::new(2.0, -2.0));
         assert_eq!(2.0 * c, Complex::new(2.0, -2.0));
         assert_eq!(c / 2.0, Complex::new(0.5, -0.5));
-    }
-
-    #[test]
-    fn mul_add_matches_separate_ops() {
-        let a = Complex::new(1.5, -0.5);
-        let b = Complex::new(-2.0, 3.0);
-        let c = Complex::new(0.25, 0.75);
-        assert!(a.mul_add(b, c).approx_eq(a * b + c));
     }
 
     #[test]

@@ -48,17 +48,6 @@ impl Simulator {
         state
     }
 
-    /// Simulates `circuit` on `|basis⟩`, reusing `state`'s allocation
-    /// instead of allocating a fresh vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit counts differ or `basis ≥ 2ⁿ`.
-    pub fn run_basis_into(&self, circuit: &Circuit, basis: u64, state: &mut StateVector) {
-        state.reset_to_basis(basis);
-        self.run_inplace(circuit, state);
-    }
-
     /// Simulates `circuit` on a copy of `initial`.
     ///
     /// # Panics
@@ -423,24 +412,6 @@ mod tests {
         // An unconstrained probe still works on the same workspace.
         let overlap = sim.probe_stimulus_while(&g, &g, 0, None, &mut ws, &|| true);
         assert!(overlap.expect("not cancelled").approx_one());
-    }
-
-    #[test]
-    fn run_basis_into_matches_run_basis() {
-        let sim = Simulator::new();
-        let c = generators::grover(4, 6, 2);
-        let mut reused = qsim_state_scratch();
-        for basis in [0u64, 5, 11, 15, 2] {
-            sim.run_basis_into(&c, basis, &mut reused);
-            assert_eq!(reused, sim.run_basis(&c, basis), "basis {basis}");
-        }
-    }
-
-    fn qsim_state_scratch() -> StateVector {
-        // Deliberately dirty scratch: reset_to_basis must clear it fully.
-        let mut s = StateVector::zero(4);
-        Simulator::new().run_inplace(&generators::ghz(4), &mut s);
-        s
     }
 
     #[test]

@@ -62,23 +62,6 @@ impl StateVector {
         StateVector { n_qubits, amps }
     }
 
-    /// Resets this state to the computational basis state `|i⟩` without
-    /// reallocating, so hot loops (e.g. the equivalence-checking
-    /// simulation stage) can reuse one buffer across runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `basis >= 2ⁿ`.
-    pub fn reset_to_basis(&mut self, basis: u64) {
-        assert!(
-            (basis as usize) < self.amps.len(),
-            "basis state {basis} out of range for {} qubits",
-            self.n_qubits
-        );
-        self.amps.fill(Complex::ZERO);
-        self.amps[basis as usize] = Complex::ONE;
-    }
-
     /// Creates a state from raw amplitudes.
     ///
     /// # Errors

@@ -8,8 +8,11 @@
 //!   --deadline <sec>  budget for the complete check (default unbounded)
 //!   --backend sv|dd|stab|mps|auto
 //!                     simulation backend (default sv; dd for > 24 qubits,
-//!                     stab for Clifford-dominated pairs, mps past the
-//!                     dense wall, auto to pick per pair)
+//!                     stab for Clifford-dominated pairs, mps for
+//!                     nearest-neighbour pairs past the dense wall; auto
+//!                     picks per pair: sv up to 10 qubits, then stab for
+//!                     Clifford pairs, mps when every gate acts on one wire
+//!                     or two neighbours, sv up to 14 qubits, else dd)
 //!   --peel            strip the shared Clifford prefix/suffix first
 //!   --strict          require exact equality (no global-phase allowance)
 //!   --sim-only        skip the complete check (report probably-equivalent)

@@ -59,9 +59,7 @@ fn dd_simulation_matches_statevector() {
 fn dd_matrix_matches_dense_reference() {
     for c in workloads() {
         let mut p = qdd::Package::new(c.n_qubits());
-        let u = p
-            .circuit_medge(&c, &qdd::Budget::new(None), &mut [])
-            .unwrap();
+        let u = p.circuit_medge(&c, &qdd::Budget::new(None)).unwrap();
         assert!(
             p.to_matrix(u).approx_eq(&qcirc::dense::unitary(&c)),
             "{}",

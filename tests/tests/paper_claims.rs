@@ -132,7 +132,7 @@ fn simulation_overhead_is_negligible_on_hard_instances() {
     // simulations.
     let ec_start = Instant::now();
     let mut p = qdd::Package::with_node_limit(12, 300_000);
-    let ec = p.circuit_medge(&g, &qdd::Budget::new(None), &mut []);
+    let ec = p.circuit_medge(&g, &qdd::Budget::new(None));
     let t_ec = ec_start.elapsed();
     match ec {
         Err(_) => {}
