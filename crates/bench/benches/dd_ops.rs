@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the decision-diagram package (experiment MB).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qcirc::generators;
-use qdd::Package;
+use qcirc::{generators, optimize, Circuit};
+use qdd::{Budget, DdBackend, Package};
 
 fn bench_gate_dd_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("dd_gate_construction");
@@ -49,10 +49,66 @@ fn bench_dd_simulation(c: &mut Criterion) {
     group.finish();
 }
 
+/// `wide_auto`'s QFT pair: QFT-n against its optimized form plus one
+/// cancelling H·H per qubit.
+fn qft_pair(n: usize) -> (Circuit, Circuit) {
+    let g = generators::qft(n, false);
+    let mut alt = optimize::optimize(&g);
+    for q in 0..n {
+        alt.h(q).h(q);
+    }
+    (g, alt)
+}
+
+/// Ten DD probes of the QFT pair through one pooled package, on ten
+/// fixed basis states spread over the register.
+fn bench_dd_probe(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dd_probe");
+    for n in [20usize, 24] {
+        let (g, alt) = qft_pair(n);
+        let engine = DdBackend::new();
+        let mut package = Package::with_node_limit(n, engine.node_limit());
+        group.bench_function(BenchmarkId::new("qft_ten_probes", n), |b| {
+            b.iter(|| {
+                for k in 1..=10u64 {
+                    let basis = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - n);
+                    let run = engine
+                        .probe_in(&mut package, &g, &alt, None, basis, &|| true)
+                        .unwrap()
+                        .expect("never cancelled");
+                    criterion::black_box(run.overlap);
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
+/// One alternating complete check of the QFT pair in a fresh package.
+fn bench_dd_check(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dd_check");
+    for n in [20usize, 24] {
+        let (g, alt) = qft_pair(n);
+        group.bench_function(BenchmarkId::new("qft_alternating", n), |b| {
+            b.iter_batched(
+                || Package::new(n),
+                |mut p| {
+                    qdd::check_equivalence_alternating(&mut p, &g, &alt, &Budget::new(None))
+                        .unwrap()
+                },
+                criterion::BatchSize::SmallInput,
+            );
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gate_dd_construction,
     bench_circuit_dd,
-    bench_dd_simulation
+    bench_dd_simulation,
+    bench_dd_probe,
+    bench_dd_check
 );
 criterion_main!(benches);

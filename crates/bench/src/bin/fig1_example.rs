@@ -25,7 +25,7 @@ fn main() {
     );
     print!("{g}");
 
-    let u = qsim::unitary(&g);
+    let u = qcirc::dense::unitary(&g);
     println!("\n== Fig. 1c: system matrix U = U7···U0 ==\n");
     print_matrixn(&u);
 
@@ -38,7 +38,7 @@ fn main() {
         routed.swap_count
     );
     print!("{}", routed.circuit);
-    let u_prime = qsim::unitary(&routed.circuit);
+    let u_prime = qcirc::dense::unitary(&routed.circuit);
     println!(
         "\nU' equals U: {} (G and G' are equivalent, as in the paper)",
         u.approx_eq(&u_prime)
@@ -67,7 +67,7 @@ fn main() {
         }
     }
 
-    let u_bug = qsim::unitary(&buggy);
+    let u_bug = qcirc::dense::unitary(&buggy);
     println!("\n== Fig. 1d: buggy system matrix Ũ' ==\n");
     print_matrixn(&u_bug);
     let differing = u.differing_columns(&u_bug);

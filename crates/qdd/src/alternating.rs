@@ -122,6 +122,28 @@ mod tests {
         check_equivalence_alternating(p, a, b, &Budget::new(None)).unwrap()
     }
 
+    /// Pins the bits of one phase the check reports. The phase is read off
+    /// the interned root weight after the whole interleave, so it moves if
+    /// a table lookup along the way returns a different entry.
+    #[test]
+    fn phase_bits_are_pinned() {
+        let g = generators::qft(8, false);
+        let mut phased = qcirc::optimize::optimize(&g);
+        // (H·S)³ = e^{iπ/4}·I, mid-circuit: a global phase that the rest of
+        // the interleave carries along.
+        let mid = phased.len() / 2;
+        for _ in 0..3 {
+            phased.insert(mid, qcirc::Gate::single(qcirc::GateKind::S, 1));
+            phased.insert(mid, qcirc::Gate::single(qcirc::GateKind::H, 1));
+        }
+        match check(&mut Package::new(8), &g, &phased) {
+            DdEquivalence::EquivalentUpToGlobalPhase { phase } => {
+                assert_eq!(phase.to_bits(), 0x3fe9_21fb_5444_2d18, "phase {phase}");
+            }
+            other => panic!("expected a phase, got {other}"),
+        }
+    }
+
     #[test]
     fn identical_circuits_stay_at_identity() {
         let g = generators::qft(5, true);

@@ -7,11 +7,12 @@
 //! within the workspace tolerance of an existing entry to that entry
 //! (the "how to efficiently handle complex values" machinery of \[26\]).
 
-use std::collections::HashMap;
-
 use qnum::Complex;
 
-/// An interned complex number (index into a [`ComplexTable`]).
+use crate::fxhash::FxHashMap;
+
+/// An interned complex number: the index of an edge weight in its
+/// package's interning table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cx(pub(crate) u32);
 
@@ -26,26 +27,24 @@ impl Cx {
 ///
 /// # Examples
 ///
+/// The table is internal to a [`Package`](crate::Package); every weight the
+/// package creates goes through it, so aliasing shows in the edges:
+///
 /// ```
-/// use qdd::ComplexTable;
+/// use qdd::Package;
 /// use qnum::Complex;
 ///
-/// let mut table = ComplexTable::new();
-/// let a = table.intern(Complex::new(0.5, 0.0));
-/// let b = table.intern(Complex::new(0.5 + 0.5e-13, 0.0));
-/// assert_eq!(a, b); // within tolerance → same entry
+/// let mut pkg = Package::new(1);
+/// let id = pkg.identity_medge();
+/// let a = pkg.scale_medge(id, Complex::new(0.5, 0.0));
+/// let b = pkg.scale_medge(id, Complex::new(0.5 + 0.5e-13, 0.0));
+/// assert_eq!(a.weight, b.weight); // within tolerance → same entry
 /// ```
-#[derive(Debug, Clone)]
-pub struct ComplexTable {
+#[derive(Debug)]
+pub(crate) struct ComplexTable {
     values: Vec<Complex>,
-    buckets: HashMap<(i64, i64), Vec<u32>>,
+    buckets: FxHashMap<(i64, i64), Vec<u32>>,
     tolerance: f64,
-}
-
-impl Default for ComplexTable {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ComplexTable {
@@ -79,7 +78,7 @@ impl ComplexTable {
         );
         let mut table = ComplexTable {
             values: Vec::with_capacity(64),
-            buckets: HashMap::with_capacity(64),
+            buckets: FxHashMap::with_capacity_and_hasher(64, Default::default()),
             tolerance,
         };
         let zero = table.intern(Complex::ZERO);
@@ -87,12 +86,6 @@ impl ComplexTable {
         debug_assert_eq!(zero, Cx::ZERO);
         debug_assert_eq!(one, Cx::ONE);
         table
-    }
-
-    /// The tolerance within which values alias.
-    #[must_use]
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
     }
 
     /// Drops every interned value and re-seeds 0 and 1, restoring the
@@ -112,13 +105,6 @@ impl ComplexTable {
     #[must_use]
     pub fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// Returns `true` if no values are interned (never true in practice —
-    /// the constructor seeds 0 and 1).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Interns `value`, returning the index of an existing entry within
@@ -260,6 +246,10 @@ mod tests {
         ));
         assert_eq!(a, b);
         assert_eq!(t.len(), 3);
+        let c = t.intern(Complex::new(0.5, 0.0));
+        let d = t.intern(Complex::new(0.5 + 0.5e-13, 0.0));
+        assert_eq!(c, d);
+        assert_eq!(t.len(), 4);
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! States and operators are one diagram type at two arities ([`Edge`] and
 //! [`Node`] with `K = 2` and `K = 4` children), so node making, garbage
 //! collection and addition exist once for both. Canonicity (normalized,
-//! hash-consed nodes with tolerance-interned edge weights via
-//! [`ComplexTable`]) makes semantic equality a pointer comparison, which is
-//! what makes the complete check possible at all — and its exponential
-//! blow-up on unstructured circuits (node limits, timeouts) is exactly the
-//! weakness the paper's simulation-first flow exploits.
+//! hash-consed nodes with tolerance-interned edge weights, [`Cx`]) makes
+//! semantic equality a pointer comparison, which is what makes the
+//! complete check possible at all — and its exponential blow-up on
+//! unstructured circuits (node limits, timeouts) is exactly the weakness
+//! the paper's simulation-first flow exploits.
 //!
 //! # Examples
 //!
@@ -47,12 +47,13 @@ mod alternating;
 mod check;
 mod complex_table;
 mod edge;
+mod fxhash;
 mod package;
 mod probe;
 
 pub use alternating::{check_equivalence_alternating, next_from_g};
 pub use check::{Budget, DdCheckAbort, DdEquivalence};
-pub use complex_table::{ComplexTable, Cx};
+pub use complex_table::Cx;
 pub use edge::{Edge, MEdge, MNode, Node, NodeId, VEdge, VNode};
 pub use package::{DdLimitError, Package, PackageStats};
 pub use probe::{DdBackend, DdProbeRun};

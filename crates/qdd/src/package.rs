@@ -6,7 +6,6 @@
 //! exist once and are monomorphised per arity through [`Arity`], which
 //! picks the arity's [`NodeTable`] at compile time.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use qcirc::{Circuit, Gate, GateKind};
@@ -15,6 +14,7 @@ use qnum::Complex;
 use crate::check::{Budget, DdCheckAbort};
 use crate::complex_table::{ComplexTable, Cx};
 use crate::edge::{Edge, MEdge, MNode, Node, NodeId, VEdge, VNode};
+use crate::fxhash::FxHashMap;
 
 /// Error raised when a DD operation would exceed the package's node limit —
 /// the "resource-out" analogue of the paper's timeouts (DD sizes explode on
@@ -53,8 +53,8 @@ pub struct PackageStats {
 #[derive(Debug, Default)]
 pub struct NodeTable<const K: usize> {
     nodes: Vec<Node<K>>,
-    unique: HashMap<Node<K>, NodeId>,
-    add_cache: HashMap<(NodeId, NodeId, Cx), Edge<K>>,
+    unique: FxHashMap<Node<K>, NodeId>,
+    add_cache: FxHashMap<(NodeId, NodeId, Cx), Edge<K>>,
 }
 
 /// Selects the package's [`NodeTable`] for nodes with `K` children — matrices
@@ -118,11 +118,11 @@ pub struct Package {
     matrices: NodeTable<4>,
     vectors: NodeTable<2>,
     identity: Vec<MEdge>,
-    mmul_cache: HashMap<(NodeId, NodeId), MEdge>,
-    mv_cache: HashMap<(NodeId, NodeId), VEdge>,
-    adj_cache: HashMap<NodeId, MEdge>,
-    ip_cache: HashMap<(NodeId, NodeId), Complex>,
-    maxabs_cache: HashMap<NodeId, f64>,
+    mmul_cache: FxHashMap<(NodeId, NodeId), MEdge>,
+    mv_cache: FxHashMap<(NodeId, NodeId), VEdge>,
+    adj_cache: FxHashMap<NodeId, MEdge>,
+    ip_cache: FxHashMap<(NodeId, NodeId), Complex>,
+    maxabs_cache: FxHashMap<NodeId, f64>,
     node_limit: usize,
     gc_threshold: usize,
 }
@@ -161,11 +161,11 @@ impl Package {
             matrices: NodeTable::default(),
             vectors: NodeTable::default(),
             identity: Vec::new(),
-            mmul_cache: HashMap::new(),
-            mv_cache: HashMap::new(),
-            adj_cache: HashMap::new(),
-            ip_cache: HashMap::new(),
-            maxabs_cache: HashMap::new(),
+            mmul_cache: FxHashMap::default(),
+            mv_cache: FxHashMap::default(),
+            adj_cache: FxHashMap::default(),
+            ip_cache: FxHashMap::default(),
+            maxabs_cache: FxHashMap::default(),
             node_limit,
             gc_threshold: Self::DEFAULT_GC_THRESHOLD.min(node_limit / 2).max(1024),
         };
@@ -229,7 +229,7 @@ impl Package {
         let old_matrices = std::mem::take(&mut self.matrices.nodes);
         let old_vectors = std::mem::take(&mut self.vectors.nodes);
         self.restart();
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         let new_mroots = mroots
             .iter()
             .map(|&e| self.copy(e, &old_matrices, &mut memo))
@@ -248,7 +248,7 @@ impl Package {
         &mut self,
         edge: Edge<K>,
         old: &[Node<K>],
-        memo: &mut HashMap<NodeId, NodeId>,
+        memo: &mut FxHashMap<NodeId, NodeId>,
     ) -> Edge<K>
     where
         Self: Arity<K>,
@@ -320,9 +320,7 @@ impl Package {
     }
 
     /// Clears all compute tables (the unique tables and arenas stay).
-    ///
-    /// Useful between independent problems to keep cache lookups fast.
-    pub fn clear_compute_tables(&mut self) {
+    fn clear_compute_tables(&mut self) {
         self.matrices.add_cache.clear();
         self.mmul_cache.clear();
         self.mv_cache.clear();

@@ -302,6 +302,30 @@ mod tests {
         assert!((fidelity - 1.0).abs() <= 1e-8, "fidelity {fidelity}");
     }
 
+    /// Pins one probe's bits — the overlap, the interned-value count and
+    /// the peak node count. Every unique-table, compute-table and
+    /// interning lookup is exact, so no change to how the tables hash may
+    /// move any of them: a different number here means some lookup
+    /// returned a different entry.
+    #[test]
+    fn probe_bits_are_pinned() {
+        let g = generators::qft(12, false);
+        let mut buggy = g.clone();
+        buggy.t(5);
+        let run = probe(DdBackend::new(), &g, &buggy, None, 0b1011_0110_1001).unwrap();
+        assert_eq!(
+            (
+                run.overlap.re.to_bits(),
+                run.overlap.im.to_bits(),
+                run.complex_values,
+                run.peak_nodes
+            ),
+            (0x3feb_504f_333f_9dec, 0x3fd6_a09e_667f_3bd1, 50, 911),
+            "overlap {:?}",
+            run.overlap
+        );
+    }
+
     #[test]
     fn node_limit_is_enforced_per_probe() {
         let g = generators::supremacy_2d(3, 4, 12, 1);

@@ -3,7 +3,7 @@
 //! Quantum EDA tools compare amplitudes and matrix entries up to a numerical
 //! tolerance: gate matrices are exact up to rounding, but long products of
 //! them accumulate error. Decision-diagram packages go further and *intern*
-//! complex values within a tolerance bucket (see `qdd::ComplexTable`), which
+//! complex values within a tolerance bucket (`qdd`'s edge weights), which
 //! requires a single, consistent notion of "equal enough" across the whole
 //! workspace. This module is that single source of truth.
 //!

@@ -12,9 +12,7 @@
 //!   ([`Simulator::probe_stimulus_while`] over a reusable
 //!   [`ProbeWorkspace`]); kernels run on the calling thread (a checker
 //!   parallelises across stimuli instead),
-//! * [`measure`] — probabilities, sampling, collapse,
-//! * [`unitary`] — full unitaries built column-by-column (ground truth for
-//!   tests and the Fig. 1 reproduction),
+//! * [`measure`] — probabilities and collapse,
 //! * [`kernels`] — the gate kernels: one walk over contiguous amplitude
 //!   runs, vectorized (AVX-512/AVX2) once a run fills a register, with the
 //!   same bits on every path.
@@ -44,8 +42,6 @@ pub mod kernels;
 pub mod measure;
 mod simulator;
 mod state;
-mod unitary;
 
 pub use simulator::{ProbeWorkspace, Simulator};
 pub use state::{StateError, StateVector};
-pub use unitary::unitary;

@@ -1,6 +1,4 @@
-//! Measurement: probabilities, sampling, and state collapse.
-
-use std::collections::HashMap;
+//! Measurement: probabilities and state collapse.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -33,33 +31,6 @@ pub fn probability_of_one(state: &StateVector, q: usize) -> f64 {
 #[must_use]
 pub fn expectation_z(state: &StateVector, q: usize) -> f64 {
     1.0 - 2.0 * probability_of_one(state, q)
-}
-
-/// Samples one full-register measurement outcome (all qubits) without
-/// collapsing the state.
-#[must_use]
-pub fn sample_once(state: &StateVector, rng: &mut StdRng) -> u64 {
-    let r: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (i, a) in state.amplitudes().iter().enumerate() {
-        acc += a.norm_sqr();
-        if r < acc {
-            return i as u64;
-        }
-    }
-    // Rounding can leave acc at 1−ε; attribute the sliver to the last
-    // nonzero amplitude.
-    (state.dim() - 1) as u64
-}
-
-/// Samples `shots` measurement outcomes, returning outcome → count.
-#[must_use]
-pub fn sample_counts(state: &StateVector, shots: usize, rng: &mut StdRng) -> HashMap<u64, usize> {
-    let mut counts = HashMap::new();
-    for _ in 0..shots {
-        *counts.entry(sample_once(state, rng)).or_insert(0) += 1;
-    }
-    counts
 }
 
 /// Measures qubit `q`, collapsing the state and returning the observed bit.
@@ -115,29 +86,6 @@ mod tests {
         assert_eq!(probability_of_one(&s, 2), 1.0);
         assert_eq!(expectation_z(&s, 1), 1.0);
         assert_eq!(expectation_z(&s, 0), -1.0);
-    }
-
-    #[test]
-    fn ghz_samples_only_extremes() {
-        let out = Simulator::new().run_basis(&generators::ghz(3), 0);
-        let counts = sample_counts(&out, 500, &mut rng(1));
-        assert!(counts.keys().all(|&k| k == 0 || k == 0b111));
-        let zeros = counts.get(&0).copied().unwrap_or(0);
-        assert!(
-            zeros > 150 && zeros < 350,
-            "suspicious balance: {zeros}/500"
-        );
-    }
-
-    #[test]
-    fn sampling_matches_distribution_roughly() {
-        let out = Simulator::new().run_basis(&generators::qft(3, true), 0);
-        // QFT|0⟩ is the uniform superposition: every outcome ~1/8.
-        let counts = sample_counts(&out, 4000, &mut rng(2));
-        for i in 0..8 {
-            let c = counts.get(&i).copied().unwrap_or(0);
-            assert!(c > 350 && c < 650, "outcome {i}: {c}/4000");
-        }
     }
 
     #[test]

@@ -69,17 +69,6 @@ fn dd_matrix_matches_dense_reference() {
 }
 
 #[test]
-fn simulator_unitary_builder_matches_dense() {
-    for c in workloads() {
-        assert!(
-            qsim::unitary(&c).approx_eq(&qcirc::dense::unitary(&c)),
-            "{}",
-            c.name()
-        );
-    }
-}
-
-#[test]
 fn both_flow_backends_reach_the_same_verdicts() {
     use qcec::{BackendKind, Config};
     let g = generators::grover(4, 7, 2);

@@ -76,13 +76,13 @@ fn fully_controlled_error_is_the_worst_case() {
 #[test]
 fn figure1_worked_example() {
     let g = generators::figure1b();
-    let u = qsim::unitary(&g);
+    let u = qcirc::dense::unitary(&g);
     assert!(u.is_unitary());
 
     // Fig. 2: mapping to a line inserts SWAPs but preserves U.
     let routed = qcirc::mapping::route_or_panic(&g, &qcirc::mapping::CouplingMap::linear(3));
     assert!(routed.swap_count > 0, "the example needs inserted SWAPs");
-    assert!(qsim::unitary(&routed.circuit).approx_eq(&u));
+    assert!(qcirc::dense::unitary(&routed.circuit).approx_eq(&u));
 
     // Example 6: misapply the last SWAP → Ũ' differs in many columns and
     // the flow catches it by simulation.
@@ -97,7 +97,7 @@ fn figure1_worked_example() {
     let wrong = 3 - a - b;
     buggy.replace(idx, qcirc::Gate::swap(a.min(wrong), a.max(wrong)));
 
-    let u_bug = qsim::unitary(&buggy);
+    let u_bug = qcirc::dense::unitary(&buggy);
     let differing = u.differing_columns(&u_bug);
     assert!(
         differing >= 4,
