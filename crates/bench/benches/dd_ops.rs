@@ -60,25 +60,41 @@ fn qft_pair(n: usize) -> (Circuit, Circuit) {
     (g, alt)
 }
 
-/// Ten DD probes of the QFT pair through one pooled package, on ten
-/// fixed basis states spread over the register.
+/// Ten DD probes of `wide_auto`'s three DD pairs (QFT-20 and QFT-24 as in
+/// [`qft_pair`], the 26-qubit Cuccaro adder against its `{1q, CX}`
+/// lowering), peeled as the flow peels them, on ten fixed basis states
+/// spread over the register. Each iteration probes in a fresh package, as
+/// a scheduler worker does for each pair, so the time includes building
+/// the pair's gate DDs once.
 fn bench_dd_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("dd_probe");
-    for n in [20usize, 24] {
-        let (g, alt) = qft_pair(n);
-        let engine = DdBackend::new();
-        let mut package = Package::with_node_limit(n, engine.node_limit());
-        group.bench_function(BenchmarkId::new("qft_ten_probes", n), |b| {
-            b.iter(|| {
-                for k in 1..=10u64 {
-                    let basis = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - n);
-                    let run = engine
-                        .probe_in(&mut package, &g, &alt, None, basis, &|| true)
-                        .unwrap()
-                        .expect("never cancelled");
-                    criterion::black_box(run.overlap);
-                }
-            });
+    let adder = generators::cuccaro_adder(12);
+    let lowered = qcirc::decompose::decompose_to_cx_and_single_qubit(&adder);
+    let pairs = [
+        ("qft_ten_probes/20", qft_pair(20)),
+        ("qft_ten_probes/24", qft_pair(24)),
+        ("cuccaro_ten_probes/26", (adder, lowered)),
+    ];
+    let engine = DdBackend::new();
+    for (id, (g, alt)) in pairs {
+        let peeled = qcec::peel::peel(&g, &alt);
+        let (g, alt) = (peeled.g, peeled.g_prime);
+        let n = g.n_qubits();
+        group.bench_function(id, |b| {
+            b.iter_batched(
+                || Package::with_node_limit(n, engine.node_limit()),
+                |mut package| {
+                    for k in 1..=10u64 {
+                        let basis = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - n);
+                        let run = engine
+                            .probe_in(&mut package, &g, &alt, None, basis, &|| true)
+                            .unwrap()
+                            .expect("never cancelled");
+                        criterion::black_box(run.overlap);
+                    }
+                },
+                criterion::BatchSize::SmallInput,
+            );
         });
     }
     group.finish();

@@ -13,8 +13,9 @@
 //!   [`qsim::Simulator`]; fast and predictable, and the default;
 //! * [`qdd::DdBackend`] — decision-diagram simulation (the paper's engine
 //!   \[25\]): each stimulus is pushed through both circuits as vector-edge
-//!   passes, exponentially compact whenever the intermediate states stay
-//!   structured (basis-permutation arithmetic, Clifford prefixes, …);
+//!   passes over gate DDs built once per pair, exponentially compact
+//!   whenever the intermediate states stay structured
+//!   (basis-permutation arithmetic, Clifford prefixes, …);
 //! * [`StabBackend`] — stabilizer/CHP tableau simulation via
 //!   [`qstab::Tableau`]: `O(n²)` bit operations per gate when the probe
 //!   (stimulus prefix and both circuits) is Clifford-only, with a
@@ -38,13 +39,15 @@
 //! A probe is a **pure function** of `(G, G′, stimulus)`: backends must not
 //! let hidden state leak between runs. The statevector backend reuses raw
 //! buffers (overwritten wholesale each run); the DD backend pools one
-//! hash-consing package in its workspace and [`qdd::Package::reset`]s it
-//! to the freshly-constructed state before every probe, precisely because
-//! interned edge weights *would* otherwise depend on probe order (the
-//! reset is provably clean: pooled probes are bit-identical to
-//! fresh-package probes). This purity is what lets the scheduler's
-//! in-order judge reach the same verdict bit for bit at any worker count,
-//! on every engine.
+//! hash-consing package in its workspace and starts every probe from the
+//! pair's checkpoint — the gate DDs of both circuits, built once from a
+//! [`qdd::Package::reset`] and rolled back to before each later probe of
+//! the pair — precisely because interned edge weights *would* otherwise
+//! depend on probe order. The checkpoint is keyed by the pair's gate
+//! content, and a compaction or another pair makes the next probe rebuild
+//! it from a reset, so pooled probes are bit-identical to fresh-package
+//! probes. This purity is what lets the scheduler's in-order judge reach
+//! the same verdict bit for bit at any worker count, on every engine.
 //!
 //! Cancellation granularity differs by engine and is part of the contract:
 //! the statevector backend polls `keep_going` between gate applications,
@@ -305,13 +308,15 @@ impl SimBackend for StatevectorBackend {
 /// The decision-diagram engine ([`qdd::DdBackend`]) seen through the flow's
 /// probe trait.
 ///
-/// The workspace is a *pooled* [`qdd::Package`]: allocated once per worker
-/// and [`reset`](qdd::Package::reset) by [`qdd::DdBackend::probe_in`]
-/// before every probe, which keeps the arena and table allocations warm
-/// without sacrificing purity — a reset package is observationally
-/// identical to a fresh one. Probes and replays run the same two-pass
-/// routine, so a replay keeps its edges alive across garbage collection
-/// exactly as a probe does.
+/// The workspace is a *pooled* [`qdd::Package`], allocated once per worker
+/// for each pair. [`qdd::DdBackend::probe_in`] builds the pair's gate DDs
+/// in it on the first probe, from a [`reset`](qdd::Package::reset), and
+/// rolls the package back to that checkpoint before every later probe of
+/// the pair: the gates are built once per worker and pair, not once per
+/// stimulus, without sacrificing purity — every probe starts from the
+/// state a fresh package reaches after the build. Probes and replays run
+/// the same two-pass routine, so a replay keeps its edges alive across
+/// garbage collection exactly as a probe does.
 impl SimBackend for qdd::DdBackend {
     type Workspace = qdd::Package;
 

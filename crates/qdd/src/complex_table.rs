@@ -101,6 +101,28 @@ impl ComplexTable {
         debug_assert_eq!(one, Cx::ONE);
     }
 
+    /// Drops every value interned after the first `len`, with its bucket
+    /// entry: the table returns to the state it had when it held `len`
+    /// values, so the same intern sequence afterwards yields the same
+    /// indices bit for bit.
+    pub fn truncate(&mut self, len: usize) {
+        // Each bucket lists its indices in insertion order, so walking the
+        // dropped values backwards always finds its index at the end.
+        for idx in (len..self.values.len()).rev() {
+            let key = self.bucket_key(self.values[idx]);
+            let bucket = self
+                .buckets
+                .get_mut(&key)
+                .expect("interned value has a bucket");
+            debug_assert_eq!(bucket.last(), Some(&(idx as u32)));
+            bucket.pop();
+            if bucket.is_empty() {
+                self.buckets.remove(&key);
+            }
+        }
+        self.values.truncate(len);
+    }
+
     /// The number of distinct interned values.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -302,6 +324,25 @@ mod tests {
     fn nan_rejected() {
         let mut t = ComplexTable::new();
         let _ = t.intern(Complex::new(f64::NAN, 0.0));
+    }
+
+    #[test]
+    fn truncate_restores_the_earlier_table() {
+        let mut t = ComplexTable::new();
+        let kept = t.intern(Complex::real(0.5 - 0.8e-13));
+        let len = t.len();
+        // A distinct value in `kept`'s bucket (1.2e-13 away, beyond the
+        // tolerance), then one in a bucket of its own.
+        let shared = Complex::real(0.5 + 0.4e-13);
+        assert_eq!(t.intern(shared), Cx(len as u32));
+        assert_eq!(t.intern(Complex::I), Cx(len as u32 + 1));
+        t.truncate(len);
+        assert_eq!(t.len(), len);
+        assert_eq!(t.intern(Complex::real(0.5 - 0.8e-13)), kept);
+        // Dropped values come back at the indices they had, as in a table
+        // that never held them.
+        assert_eq!(t.intern(shared), Cx(len as u32));
+        assert_eq!(t.intern(Complex::I), Cx(len as u32 + 1));
     }
 
     #[test]

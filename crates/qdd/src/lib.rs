@@ -6,7 +6,8 @@
 //! * the DD *simulator* of reference \[25\] — [`Package::apply_to_basis`]
 //!   simulates a circuit on a basis state entirely in decision-diagram
 //!   form, and [`DdBackend::probe_in`] runs one stimulus through both
-//!   circuits of a pair in a pooled, reset package;
+//!   circuits of a pair in a pooled package, over gate DDs it builds once
+//!   per pair;
 //! * the DD *equivalence checker* of references \[21\], \[22\], \[26\] —
 //!   [`check_equivalence_alternating`] keeps a single difference DD near
 //!   the identity (`G → 𝕀 ← G'`), taking gates from the two sides in the

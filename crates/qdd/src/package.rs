@@ -125,6 +125,31 @@ pub struct Package {
     maxabs_cache: FxHashMap<NodeId, f64>,
     node_limit: usize,
     gc_threshold: usize,
+    /// The probed pair's gate DDs (see [`Package::enter_pair`]).
+    checkpoint: Option<Checkpoint>,
+    /// Counts the resets and compactions, each of which renumbers the
+    /// arenas; a checkpoint is valid only in the generation it was built
+    /// in.
+    generation: u64,
+}
+
+/// The gate DDs of one probed pair `(G, G′)`, built once from a reset, and
+/// the mark the package rolls back to before each probe of the pair.
+#[derive(Debug)]
+pub(crate) struct Checkpoint {
+    /// `G`'s gates: with `g_prime`, the key the checkpoint is found by.
+    g: Vec<Gate>,
+    /// `G′`'s gates.
+    g_prime: Vec<Gate>,
+    /// The gate DDs of `G` and then of `G′`, in circuit order: all of them,
+    /// or as many as the arena held within half the GC threshold.
+    pub(crate) edges: Vec<MEdge>,
+    /// Matrix nodes at the mark.
+    matrix_nodes: usize,
+    /// Interned values at the mark.
+    complex_values: usize,
+    /// The arena generation the mark belongs to.
+    generation: u64,
 }
 
 impl Package {
@@ -168,6 +193,8 @@ impl Package {
             maxabs_cache: FxHashMap::default(),
             node_limit,
             gc_threshold: Self::DEFAULT_GC_THRESHOLD.min(node_limit / 2).max(1024),
+            checkpoint: None,
+            generation: 0,
         };
         package.build_identity_cache();
         package
@@ -218,9 +245,10 @@ impl Package {
     /// the given root edges, rebuilding arenas, unique tables and the
     /// identity cache, and returns the remapped roots (in input order).
     ///
-    /// All compute tables are cleared. **Every edge not passed as a root is
-    /// dangling afterwards** — holding onto one is a logic error. The
-    /// complex table is kept (weight indices stay valid).
+    /// All compute tables are cleared and the probe checkpoint is dropped.
+    /// **Every edge not passed as a root is dangling afterwards** — holding
+    /// onto one is a logic error. The complex table is kept (weight
+    /// indices stay valid).
     ///
     /// Long-running consumers ([`Package::circuit_medge`],
     /// [`Package::apply_to_vedge`], the equivalence checkers) call this
@@ -280,9 +308,11 @@ impl Package {
         self.gc_threshold
     }
 
-    /// Sets the automatic-GC threshold (node count).
+    /// Sets the automatic-GC threshold (node count) and drops the probe
+    /// checkpoint, whose size the threshold bounds.
     pub fn set_gc_threshold(&mut self, threshold: usize) {
         self.gc_threshold = threshold.max(1024);
+        self.checkpoint = None;
     }
 
     /// Returns `true` if the arenas have outgrown the GC threshold.
@@ -293,14 +323,19 @@ impl Package {
 
     /// Resets the package to its freshly constructed state while keeping
     /// every allocation: arenas, unique tables, compute tables and the
-    /// complex table are all emptied, and the identity cache is rebuilt.
+    /// complex table are all emptied, the probe checkpoint is dropped and
+    /// the identity cache is rebuilt.
     ///
     /// This is the workspace-pooling primitive: a reset package is
     /// *observationally identical* to `Package::with_node_limit(n, limit)`
     /// — the same operation sequence afterwards allocates the same node
-    /// ids and interns the same weight indices bit for bit — so reusing
-    /// one package across independent probes cannot leak interned state
-    /// between runs. Every edge obtained before the reset is dangling.
+    /// ids and interns the same weight indices bit for bit. A probe builds
+    /// its pair's checkpoint from a reset ([`DdBackend::probe_in`]), so
+    /// reusing one package across independent probes cannot leak interned
+    /// state between runs. Every edge obtained before the reset is
+    /// dangling.
+    ///
+    /// [`DdBackend::probe_in`]: crate::DdBackend::probe_in
     pub fn reset(&mut self) {
         self.ct.clear();
         self.matrices.nodes.clear();
@@ -308,10 +343,12 @@ impl Package {
         self.restart();
     }
 
-    /// Empties the unique and compute tables and rebuilds the identity
-    /// cache — the common tail of [`Package::reset`] and
-    /// [`Package::compact`], run once the arenas are emptied.
+    /// Empties the unique and compute tables, drops the checkpoint and
+    /// rebuilds the identity cache — the common tail of [`Package::reset`]
+    /// and [`Package::compact`], run once the arenas are emptied.
     fn restart(&mut self) {
+        self.checkpoint = None;
+        self.generation += 1;
         self.matrices.unique.clear();
         self.vectors.unique.clear();
         self.clear_compute_tables();
@@ -762,22 +799,130 @@ impl Package {
         initial: VEdge,
         keep: &mut [VEdge],
     ) -> Result<VEdge, DdLimitError> {
+        self.pass(circuit, &mut [], None, initial, keep)
+    }
+
+    /// The one gate loop of every vector pass: pushes `initial` through
+    /// `circuit`. Gate `i`'s DD is `stored[first + i]` where `stored`
+    /// holds it and is built on the spot otherwise; `first` is `None` for
+    /// a circuit none of `stored` belongs to.
+    ///
+    /// When the arenas outgrow the GC threshold after a gate, the package
+    /// compacts with every edge of `stored` as a matrix root and the
+    /// current state and `keep` as vector roots, all remapped in place.
+    pub(crate) fn pass(
+        &mut self,
+        circuit: &Circuit,
+        stored: &mut [MEdge],
+        first: Option<usize>,
+        initial: VEdge,
+        keep: &mut [VEdge],
+    ) -> Result<VEdge, DdLimitError> {
         assert_eq!(
             circuit.n_qubits(),
             self.n_qubits,
             "circuit and package qubit counts differ"
         );
         let mut v = initial;
-        for gate in circuit.gates() {
-            let g = self.gate_medge(gate)?;
+        for (i, gate) in circuit.gates().iter().enumerate() {
+            let g = match first.and_then(|first| stored.get(first + i)) {
+                Some(&g) => g,
+                None => self.gate_medge(gate)?,
+            };
             v = self.mul_mv(g, v)?;
             if self.wants_gc() {
-                let (_, roots) = self.compact(&[], &[&[v][..], &*keep].concat());
-                v = roots[0];
-                keep.copy_from_slice(&roots[1..]);
+                let (mroots, vroots) = self.compact(stored, &[&[v][..], &*keep].concat());
+                stored.copy_from_slice(&mroots);
+                v = vroots[0];
+                keep.copy_from_slice(&vroots[1..]);
             }
         }
         Ok(v)
+    }
+
+    // ---- per-pair checkpoint --------------------------------------------------
+
+    /// Starts a probe of the pair `(g, g′)`: rolls the package back to the
+    /// pair's checkpoint, or, when it holds none for this pair, resets and
+    /// builds one. Building one makes the gate DDs of `G` and then of `G′`
+    /// in circuit order while the arena stays within half the GC threshold
+    /// (past that, the probe's passes build the remaining gates above the
+    /// mark), clears the compute tables and records the gate edges with the
+    /// lengths of the matrix arena and the complex table.
+    ///
+    /// Either way the package ends in one state, a pure function of the
+    /// pair's gates: a rollback drops what the build did not make (the
+    /// matrix nodes and interned values above the mark, the whole vector
+    /// side and every compute table). The checkpoint is found by the
+    /// gates' content (`Gate` equality), never by an address, and the
+    /// probe hands it back through [`Package::keep_checkpoint`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DdLimitError`] if building the gate DDs exceeds the node
+    /// limit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a circuit's qubit count differs from the package's.
+    pub(crate) fn enter_pair(
+        &mut self,
+        g: &Circuit,
+        g_prime: &Circuit,
+    ) -> Result<Checkpoint, DdLimitError> {
+        for circuit in [g, g_prime] {
+            assert_eq!(
+                circuit.n_qubits(),
+                self.n_qubits,
+                "circuit and package qubit counts differ"
+            );
+        }
+        if let Some(checkpoint) = self.checkpoint.take() {
+            if checkpoint.g == g.gates() && checkpoint.g_prime == g_prime.gates() {
+                self.roll_back(&checkpoint);
+                return Ok(checkpoint);
+            }
+        }
+        self.reset();
+        let mut edges = Vec::new();
+        for gate in g.gates().iter().chain(g_prime.gates()) {
+            if self.allocated() > self.gc_threshold / 2 {
+                break;
+            }
+            edges.push(self.gate_medge(gate)?);
+        }
+        self.clear_compute_tables();
+        Ok(Checkpoint {
+            g: g.gates().to_vec(),
+            g_prime: g_prime.gates().to_vec(),
+            edges,
+            matrix_nodes: self.matrices.nodes.len(),
+            complex_values: self.ct.len(),
+            generation: self.generation,
+        })
+    }
+
+    /// Keeps `checkpoint` for the pair's next probe, unless a reset or
+    /// compaction has renumbered the arenas since it was built: then the
+    /// next probe builds a new one from a reset.
+    pub(crate) fn keep_checkpoint(&mut self, checkpoint: Checkpoint) {
+        if checkpoint.generation == self.generation {
+            self.checkpoint = Some(checkpoint);
+        }
+    }
+
+    /// Truncates the package to `checkpoint`'s mark: drops the matrix
+    /// nodes above it with their unique-table entries, the interned values
+    /// above it with their buckets, the whole vector side and every
+    /// compute table.
+    fn roll_back(&mut self, checkpoint: &Checkpoint) {
+        for node in self.matrices.nodes.drain(checkpoint.matrix_nodes..) {
+            self.matrices.unique.remove(&node);
+        }
+        self.vectors.nodes.clear();
+        self.vectors.unique.clear();
+        self.ct.truncate(checkpoint.complex_values);
+        self.clear_compute_tables();
     }
 
     /// The value at the end of one root-to-terminal path: the product of
@@ -1019,6 +1164,14 @@ fn max_weight_index(ct: &ComplexTable, weights: impl Iterator<Item = Cx>) -> usi
 mod tests {
     use super::*;
     use qcirc::generators;
+
+    impl Package {
+        /// The arena generation: how many resets and compactions the
+        /// package has run.
+        pub(crate) fn generation(&self) -> u64 {
+            self.generation
+        }
+    }
 
     fn build(p: &mut Package, c: &Circuit) -> MEdge {
         p.circuit_medge(c, &Budget::new(None)).unwrap()

@@ -2,16 +2,20 @@
 //! statevector equivalence probe.
 //!
 //! One probe pushes a stimulus through both circuits as two vector-edge
-//! passes ([`Package::apply_to_vedge`]) in a caller-pooled package and
-//! compares the two output edges. The package is [`reset`](Package::reset)
-//! first, which makes it observationally identical to a fresh one, so a
-//! probe is a pure function of `(circuits, stimulus)`: without the reset,
-//! interned edge weights — and thus bitwise overlap values — would depend
-//! on which stimuli were probed before, scheduling-dependent numerics that
-//! a deterministic worker pool cannot afford. Garbage collection still
-//! happens *within* a run whenever live nodes cross the threshold; the
-//! edges the run still needs (the prepared stimulus across both passes,
-//! `G`'s output across the second) ride along as keep roots.
+//! passes in a caller-pooled package and compares the two output edges.
+//! The passes take the circuits' gate DDs from the package's per-pair
+//! checkpoint: the first probe of a pair resets the package and builds the
+//! gate DDs of `G` and then of `G′` once, and every probe starts from that
+//! checkpoint, rolling the package back to it. A probe is therefore a pure
+//! function of `(circuits, stimulus)`: it starts from a state that depends
+//! on the pair's gates alone, never on which stimuli were probed before —
+//! without that, interned edge weights, and thus bitwise overlap values,
+//! would be scheduling-dependent numerics that a deterministic worker pool
+//! cannot afford. Garbage collection still happens *within* a run whenever
+//! live nodes cross the threshold; the edges the run still needs (the
+//! stored gate DDs, the prepared stimulus across both passes, `G`'s output
+//! across the second) ride along as keep roots, and the next probe builds
+//! the checkpoint anew.
 
 use qcirc::Circuit;
 use qnum::Complex;
@@ -22,8 +26,9 @@ use crate::package::{DdLimitError, Package};
 /// The decision-diagram probe engine.
 ///
 /// Stateless apart from its node limit, which sizes the packages callers
-/// pool (one per worker thread); every probe resets the package it runs
-/// in, so one engine may be shared freely across worker threads.
+/// pool (one per worker thread). Every probe starts its package from the
+/// pair's checkpoint (see [`DdBackend::probe_in`]), so one engine may be
+/// shared freely across worker threads.
 ///
 /// # Examples
 ///
@@ -60,7 +65,7 @@ pub struct DdProbeRun {
     /// The overlap `⟨u|u′⟩` of the two output states.
     pub overlap: Complex,
     /// The output states `[u, u′]`, valid in the probe's package until its
-    /// next reset or compaction.
+    /// next probe, reset or compaction.
     pub outputs: [VEdge; 2],
     /// Peak live nodes (matrix + vector) observed across the boundary
     /// samples — the run's working-set size, directly comparable to the
@@ -93,10 +98,21 @@ impl DdBackend {
         self.node_limit
     }
 
-    /// Probes one stimulus in `package`: resets it, prepares `|basis⟩`
-    /// (running the optional `prefix` preparation circuit on top), pushes
-    /// the prepared edge through `G` and then through `G′`, and returns the
-    /// overlap of the outputs together with the outputs themselves.
+    /// Probes one stimulus in `package`: starts from the pair's checkpoint,
+    /// prepares `|basis⟩` (running the optional `prefix` preparation
+    /// circuit on top), pushes the prepared edge through `G` and then
+    /// through `G′`, and returns the overlap of the outputs together with
+    /// the outputs themselves.
+    ///
+    /// The checkpoint holds the gate DDs of `G` and `G′`. The first probe
+    /// of a pair resets the package and builds them, in circuit order,
+    /// while the arena stays within half the GC threshold; later probes of
+    /// the same pair (equal gates, compared by content) roll the package back
+    /// to it. Gates past that bound, and the prefix's, are built during
+    /// each probe. A pass that garbage-collects keeps the stored gate DDs
+    /// alive for the rest of the run and drops the checkpoint, so the next
+    /// probe builds it again; the result never depends on which probes came
+    /// before.
     ///
     /// `keep_going` is polled once, between the two passes — DD passes are
     /// not gate-granular cancellable, as intermediate edges are only valid
@@ -123,23 +139,25 @@ impl DdBackend {
         basis: u64,
         keep_going: &dyn Fn() -> bool,
     ) -> Result<Option<DdProbeRun>, DdLimitError> {
-        package.reset();
+        let mut checkpoint = package.enter_pair(g, g_prime)?;
+        let stored = &mut checkpoint.edges;
         let mut input = package.basis_vedge(basis)?;
         if let Some(prefix) = prefix {
-            input = package.apply_to_vedge(prefix, input, &mut [])?;
+            input = package.pass(prefix, stored, None, input, &mut [])?;
         }
         let mut peak_nodes = package.allocated();
         // `input` feeds the second pass and `a` must survive it: both ride
         // along as GC keep roots, or a mid-pass compaction would leave them
         // dangling in the old arena.
         let mut kept_input = [input];
-        let a = package.apply_to_vedge(g, input, &mut kept_input)?;
+        let a = package.pass(g, stored, Some(0), input, &mut kept_input)?;
         peak_nodes = peak_nodes.max(package.allocated());
         if !keep_going() {
+            package.keep_checkpoint(checkpoint);
             return Ok(None);
         }
         let mut kept_a = [a];
-        let b = package.apply_to_vedge(g_prime, kept_input[0], &mut kept_a)?;
+        let b = package.pass(g_prime, stored, Some(g.len()), kept_input[0], &mut kept_a)?;
         let a = kept_a[0];
         peak_nodes = peak_nodes.max(package.allocated());
         let overlap = if a == b {
@@ -147,12 +165,14 @@ impl DdBackend {
         } else {
             package.inner_product(a, b)
         };
-        Ok(Some(DdProbeRun {
+        let run = DdProbeRun {
             overlap,
             outputs: [a, b],
             peak_nodes,
             complex_values: package.stats().complex_values,
-        }))
+        };
+        package.keep_checkpoint(checkpoint);
+        Ok(Some(run))
     }
 }
 
@@ -175,19 +195,121 @@ mod tests {
             .expect("unconditional probe cannot be cancelled"))
     }
 
+    /// The bit pattern of a run: overlap bits, outputs, interned values and
+    /// peak nodes.
+    fn bits(run: &DdProbeRun) -> (u64, u64, [VEdge; 2], usize, usize) {
+        (
+            run.overlap.re.to_bits(),
+            run.overlap.im.to_bits(),
+            run.outputs,
+            run.complex_values,
+            run.peak_nodes,
+        )
+    }
+
+    /// The probe computed lazily in a fresh package: `basis_vedge`, then
+    /// `apply_to_vedge` for the prefix, `G` and `G′`, then `inner_product`
+    /// — every gate DD built when its pass reaches it.
+    fn lazy_overlap(
+        g: &Circuit,
+        g_prime: &Circuit,
+        prefix: Option<&Circuit>,
+        basis: u64,
+    ) -> Complex {
+        let mut package = Package::new(g.n_qubits());
+        let mut input = package.basis_vedge(basis).unwrap();
+        if let Some(prefix) = prefix {
+            input = package.apply_to_vedge(prefix, input, &mut []).unwrap();
+        }
+        let a = package.apply_to_vedge(g, input, &mut []).unwrap();
+        let b = package.apply_to_vedge(g_prime, input, &mut []).unwrap();
+        package.inner_product(a, b)
+    }
+
+    /// The pairs whose probe bits the checkpoint may move: each with a
+    /// wrong `G′` or an equivalent one, and one bringing in SWAP gate DDs.
+    fn corpus() -> Vec<(&'static str, Circuit, Circuit)> {
+        let qft12 = generators::qft(12, false);
+        let mut qft12_t = qft12.clone();
+        qft12_t.t(5);
+        let mut qft12_opt = qcirc::optimize::optimize(&qft12);
+        for q in 0..12 {
+            qft12_opt.h(q).h(q);
+        }
+        let cuccaro = generators::cuccaro_adder(4);
+        let lowered = qcirc::decompose::decompose_to_cx_and_single_qubit(&cuccaro);
+        let mut lowered_x = lowered.clone();
+        lowered_x.x(0);
+        let grover = generators::grover(5, 3, 2);
+        let mut grover_s = grover.clone();
+        grover_s.s(1);
+        let qft8 = generators::qft(8, false);
+        let mut routed =
+            qcirc::mapping::route_or_panic(&qft8, &qcirc::mapping::CouplingMap::linear(8)).circuit;
+        assert!(routed
+            .gates()
+            .iter()
+            .any(|gate| gate.kind() == &qcirc::GateKind::Swap));
+        routed.tdg(2);
+        let rct = generators::random_clifford_t(10, 200, 3);
+        let mut rct_opt = qcirc::optimize::optimize(&rct);
+        rct_opt.t(7);
+        vec![
+            ("qft12 + t(5)", qft12.clone(), qft12_t),
+            ("qft12 vs optimized + H·H", qft12, qft12_opt),
+            ("cuccaro4 vs lowering", cuccaro.clone(), lowered),
+            ("cuccaro4 vs lowering + x(0)", cuccaro, lowered_x),
+            ("grover(5,3,2) + s(1)", grover, grover_s),
+            ("qft8 vs routed on a line + tdg(2)", qft8, routed),
+            ("rct(10,200,3) vs optimized + t(7)", rct, rct_opt),
+        ]
+    }
+
+    /// Every corpus pair at a few basis states and under a product-state
+    /// and a Clifford prefix, probed in turn through one pooled package:
+    /// the overlap must match the lazily computed one within `1e-12`.
     #[test]
     fn probe_matches_explicit_package_passes() {
-        let g = generators::qft(4, true);
-        let mut buggy = g.clone();
-        buggy.t(2);
-        let run = probe(DdBackend::new(), &g, &buggy, None, 5).unwrap();
-        let mut package = Package::new(4);
-        let input = package.basis_vedge(5).unwrap();
-        let a = package.apply_to_vedge(&g, input, &mut []).unwrap();
-        let b = package.apply_to_vedge(&buggy, input, &mut []).unwrap();
-        let expected = package.inner_product(a, b);
-        assert_eq!(run.overlap, expected, "the probe is bitwise");
-        assert_eq!(run.outputs, [a, b]);
+        let engine = DdBackend::new();
+        for (name, g, g_prime) in corpus() {
+            let n = g.n_qubits();
+            let mut product = Circuit::new(n);
+            let mut clifford = Circuit::new(n);
+            for q in 0..n {
+                product
+                    .ry(0.3 + 0.17 * q as f64, q)
+                    .rz(1.1 - 0.23 * q as f64, q);
+                clifford.h(q);
+                if q % 3 == 1 {
+                    clifford.s(q);
+                }
+            }
+            for q in 1..n {
+                clifford.cx(q - 1, q);
+            }
+            let top = (1u64 << n) - 1;
+            let stimuli = [
+                (None, 0),
+                (None, 0b1011_0110_1001 & top),
+                (None, top),
+                (Some(&product), 0),
+                (Some(&clifford), 0),
+            ];
+            let mut pool = Package::new(n);
+            for (prefix, basis) in stimuli {
+                let run = engine
+                    .probe_in(&mut pool, &g, &g_prime, prefix, basis, &|| true)
+                    .unwrap()
+                    .unwrap();
+                let expected = lazy_overlap(&g, &g_prime, prefix, basis);
+                assert!(
+                    run.overlap.approx_eq_with(expected, 1e-12),
+                    "{name}, basis {basis}, prefix {}: {:?} vs {expected:?}",
+                    prefix.is_some(),
+                    run.overlap
+                );
+            }
+        }
     }
 
     #[test]
@@ -212,24 +334,146 @@ mod tests {
         assert_eq!(first, run(9));
     }
 
-    /// Satellite contract of the pooled workspace: probing through one
-    /// reused, reset package yields results *byte-identical* to the
-    /// fresh-package path — including interned-value counts, which would
-    /// differ immediately if any table state leaked between runs.
+    /// Contract of the pooled workspace: probing through one reused package
+    /// yields results *bit-identical* to the fresh-package path —
+    /// overlaps, outputs, interned-value counts and peak nodes, which would
+    /// differ at once if any table state leaked between runs. Four pairs
+    /// alternate through the package: two unrelated ones, the first's
+    /// gates in swapped roles, and the first's `G` against another `G′` of
+    /// the same length, so a checkpoint kept under any key weaker than the
+    /// pair's gate content would hand a probe the wrong gate DDs.
     #[test]
     fn pooled_package_probes_are_bitwise_identical_to_fresh_ones() {
-        let g = generators::grover(4, 3, 2);
-        let mut buggy = g.clone();
-        buggy.s(1);
+        let grover = generators::grover(4, 3, 2);
+        let mut grover_s = grover.clone();
+        grover_s.s(1);
+        let mut grover_t = grover.clone();
+        grover_t.t(1);
+        let n = grover.n_qubits();
+        let qft = generators::qft(n, true);
+        let mut qft_t = qft.clone();
+        qft_t.t(2);
+        let pairs = [
+            (&grover, &grover_s),
+            (&qft, &qft_t),
+            (&grover_s, &grover),
+            (&grover, &grover_t),
+        ];
         let engine = DdBackend::new();
-        let mut pool = Package::new(4);
-        for basis in [9u64, 0, 3, 11, 7, 9] {
-            let fresh = probe(engine, &g, &buggy, None, basis).unwrap();
+        let mut pool = Package::new(n);
+        for (i, basis) in [9u64, 0, 3, 11, 7, 9, 9, 5, 3, 12].into_iter().enumerate() {
+            let (g, g_prime) = pairs[i % pairs.len()];
+            let fresh = probe(engine, g, g_prime, None, basis).unwrap();
             let pooled = engine
-                .probe_in(&mut pool, &g, &buggy, None, basis, &|| true)
+                .probe_in(&mut pool, g, g_prime, None, basis, &|| true)
                 .unwrap()
                 .unwrap();
-            assert_eq!(fresh, pooled, "basis {basis}");
+            assert_eq!(bits(&fresh), bits(&pooled), "probe {i}, basis {basis}");
+        }
+    }
+
+    /// A probe whose passes compact drops the checkpoint, and the probe
+    /// after it builds a new one from a reset: every run in the pooled
+    /// package still equals a fresh package's at the same GC threshold, bit
+    /// for bit. The routed pair's SWAP gate DDs leave intermediate nodes
+    /// that no stored edge reaches, so a compacted arena is no longer the
+    /// checkpoint's, even at the same length.
+    #[test]
+    fn probes_after_a_compaction_equal_fresh_ones() {
+        let rct = generators::random_clifford_t(10, 200, 3);
+        let mut rct_opt = qcirc::optimize::optimize(&rct);
+        rct_opt.t(7);
+        let qft = generators::qft(10, false);
+        let mut routed =
+            qcirc::mapping::route_or_panic(&qft, &qcirc::mapping::CouplingMap::linear(10)).circuit;
+        routed.tdg(2);
+        let mut prefix = Circuit::new(10);
+        for q in 0..10 {
+            prefix.ry(0.3 + 0.17 * q as f64, q);
+        }
+        for (g, g_prime, prefix) in [(&rct, &rct_opt, None), (&qft, &routed, Some(&prefix))] {
+            let fresh = |basis| {
+                let mut package = Package::new(10);
+                package.set_gc_threshold(1024);
+                let run = DdBackend::new()
+                    .probe_in(&mut package, g, g_prime, prefix, basis, &|| true)
+                    .unwrap()
+                    .unwrap();
+                (bits(&run), package.generation())
+            };
+            let mut pool = Package::new(10);
+            pool.set_gc_threshold(1024);
+            let mut compacted = false;
+            for basis in [0u64, 37, 512, 37, 1023, 0] {
+                let run = DdBackend::new()
+                    .probe_in(&mut pool, g, g_prime, prefix, basis, &|| true)
+                    .unwrap()
+                    .unwrap();
+                let (expected, fresh_generation) = fresh(basis);
+                assert_eq!(bits(&run), expected, "{}, basis {basis}", g_prime.name());
+                // A fresh package resets once for the build; any further
+                // step of its generation is a compaction.
+                compacted |= fresh_generation > 1;
+            }
+            assert!(compacted, "{}: some probe must compact", g_prime.name());
+        }
+    }
+
+    /// A pair whose gate DDs outgrow half the GC threshold: the checkpoint
+    /// stores the gates that fit, the probes build the rest, and the arena
+    /// stays bounded without compacting after every gate.
+    #[test]
+    fn checkpoint_stays_within_half_the_gc_threshold() {
+        let g = generators::qft(16, false);
+        let mut g_prime = g.clone();
+        g_prime.t(5);
+        let threshold = 1024;
+        // The most nodes one gate's DD adds to a package holding only the
+        // identity.
+        let one_gate = g
+            .gates()
+            .iter()
+            .chain(g_prime.gates())
+            .map(|gate| {
+                let mut p = Package::new(16);
+                let before = p.allocated();
+                p.gate_medge(gate).unwrap();
+                p.allocated() - before
+            })
+            .max()
+            .unwrap();
+        let mut all_gates = Package::new(16);
+        for gate in g.gates() {
+            all_gates.gate_medge(gate).unwrap();
+        }
+        assert!(
+            all_gates.allocated() > threshold / 2,
+            "the gate DDs must outgrow half the threshold"
+        );
+        let gates = g.len() + g_prime.len();
+        let mut pool = Package::new(16);
+        pool.set_gc_threshold(threshold);
+        for k in 1..=10u64 {
+            let basis = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48;
+            let before = pool.generation();
+            let run = DdBackend::new()
+                .probe_in(&mut pool, &g, &g_prime, None, basis, &|| true)
+                .unwrap()
+                .unwrap();
+            let expected = lazy_overlap(&g, &g_prime, None, basis);
+            assert!(run.overlap.approx_eq_with(expected, 1e-12), "basis {basis}");
+            assert!(
+                pool.allocated() <= threshold + one_gate,
+                "basis {basis}: {} nodes",
+                pool.allocated()
+            );
+            // Compactions, plus the reset of the checkpoint each of them
+            // makes the next probe rebuild: far fewer than one per gate.
+            let restarts = pool.generation() - before;
+            assert!(
+                restarts * 8 < gates as u64,
+                "basis {basis}: {restarts} resets and compactions for {gates} gates"
+            );
         }
     }
 

@@ -12,7 +12,7 @@
 //!   ([`Simulator::probe_stimulus_while`] over a reusable
 //!   [`ProbeWorkspace`]); kernels run on the calling thread (a checker
 //!   parallelises across stimuli instead),
-//! * [`measure`] — probabilities and collapse,
+//! * [`measure`] — single-qubit outcome probabilities,
 //! * [`kernels`] — the gate kernels: one walk over contiguous amplitude
 //!   runs, vectorized (AVX-512/AVX2) once a run fills a register, with the
 //!   same bits on every path.
@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod expectation;
 pub mod kernels;
 pub mod measure;
 mod simulator;
